@@ -12,7 +12,6 @@
 #include <cstdlib>
 #include <ctime>
 #include <filesystem>
-#include <functional>
 #include <limits>
 #include <string>
 #include <string_view>
@@ -39,43 +38,6 @@ inline double now_ms() {
 /// wall time.
 inline double cpu_now_ms() {
   return 1000.0 * static_cast<double>(std::clock()) / CLOCKS_PER_SEC;
-}
-
-/// One timed execution: wall + process-CPU milliseconds.
-struct TimedRun {
-  double wall_ms = 0.0;
-  double cpu_ms = 0.0;
-};
-
-/// Times one call of `fn`.
-template <typename Fn>
-TimedRun time_once(Fn&& fn) {
-  TimedRun run;
-  const double c0 = cpu_now_ms();
-  const double t0 = now_ms();
-  fn();
-  run.wall_ms = now_ms() - t0;
-  run.cpu_ms = cpu_now_ms() - c0;
-  return run;
-}
-
-/// Interleaved best-of-`reps` over competing timing arms: every rep runs
-/// every arm once, in order, so slow drift over the measurement window
-/// (thermal throttling, frequency scaling, background load) biases all
-/// best-of estimates ALIKE instead of flattering whichever arm ran
-/// last. Returns the per-arm minima of both clocks.
-inline std::vector<TimedRun> best_of_interleaved(
-    int reps, const std::vector<std::function<void()>>& arms) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<TimedRun> best(arms.size(), TimedRun{kInf, kInf});
-  for (int rep = 0; rep < reps; ++rep) {
-    for (std::size_t a = 0; a < arms.size(); ++a) {
-      const TimedRun run = time_once(arms[a]);
-      best[a].wall_ms = std::min(best[a].wall_ms, run.wall_ms);
-      best[a].cpu_ms = std::min(best[a].cpu_ms, run.cpu_ms);
-    }
-  }
-  return best;
 }
 
 /// Prints the standard bench banner.

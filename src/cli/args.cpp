@@ -1,6 +1,7 @@
 #include "cli/args.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 
 #include "util/time_format.hpp"
@@ -67,17 +68,36 @@ double parse_double(const std::string& text, std::string_view what) {
 
 long parse_long(const std::string& text, std::string_view what) {
   char* end = nullptr;
+  errno = 0;
   const long value = std::strtol(text.c_str(), &end, 10);
   if (end == text.c_str() || *end != '\0')
     throw CliError("invalid " + std::string(what) + ": '" + text + "'");
+  if (errno == ERANGE)
+    throw CliError(std::string(what) + " out of range: '" + text + "'");
   return value;
 }
 
-unsigned long parse_count(const std::string& text, std::string_view what) {
+unsigned long parse_count(const std::string& text, std::string_view what,
+                          unsigned long max) {
   const long value = parse_long(text, what);
   if (value < 0)
     throw CliError("--" + std::string(what) + " must be >= 0, got " + text);
+  if (static_cast<unsigned long>(value) > max)
+    throw CliError("--" + std::string(what) + " must be <= " +
+                   std::to_string(max) + ", got " + text);
   return static_cast<unsigned long>(value);
+}
+
+int parse_int(const std::string& text, std::string_view what, int min) {
+  const long value = parse_long(text, what);
+  if (value < min)
+    throw CliError("--" + std::string(what) + " must be >= " +
+                   std::to_string(min) + ", got " + text);
+  if (value > std::numeric_limits<int>::max())
+    throw CliError("--" + std::string(what) + " must be <= " +
+                   std::to_string(std::numeric_limits<int>::max()) +
+                   ", got " + text);
+  return static_cast<int>(value);
 }
 
 double parse_duration(const std::string& text, std::string_view what) {

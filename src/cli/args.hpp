@@ -6,6 +6,7 @@
 // CliError exceptions carrying a user-facing message.
 #pragma once
 
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -49,14 +50,22 @@ class ArgList {
 std::string required_positional(ArgList& args, std::string_view what);
 std::string required_option(ArgList& args, std::string_view name);
 
-/// Strict numeric parsing with user-facing errors.
+/// Strict numeric parsing with user-facing errors. parse_long rejects
+/// values outside the range of long instead of clamping them.
 double parse_double(const std::string& text, std::string_view what);
 long parse_long(const std::string& text, std::string_view what);
 
 /// parse_long for values stored unsigned (counts, node ids, seeds):
-/// rejects negatives with a clear CliError instead of letting a later
-/// static_cast silently wrap them into huge values.
-unsigned long parse_count(const std::string& text, std::string_view what);
+/// rejects negatives, and values above `max`, with a clear CliError
+/// instead of letting a later static_cast silently wrap them. Callers
+/// that narrow the result pass the target type's maximum as `max`.
+unsigned long parse_count(
+    const std::string& text, std::string_view what,
+    unsigned long max = std::numeric_limits<unsigned long>::max());
+
+/// parse_long for int-valued settings (hop budgets, level caps, poll
+/// intervals): rejects values outside [min, INT_MAX] with a CliError.
+int parse_int(const std::string& text, std::string_view what, int min);
 
 /// Parses durations like "90", "10min", "6h", "2d", "1wk" into seconds.
 double parse_duration(const std::string& text, std::string_view what);

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
+#include <limits>
 #include <optional>
 
 #include "cli/args.hpp"
 #include "cli/serve.hpp"
 #include "core/diameter.hpp"
-#include "core/partition.hpp"
 #include "core/path_enumeration.hpp"
 #include "core/reachability.hpp"
 #include "random/phase_transition.hpp"
@@ -29,9 +29,8 @@ namespace {
 unsigned take_threads(ArgList& args) {
   const auto threads = args.take_option("threads");
   if (!threads) return 0;
-  const long value = parse_long(*threads, "threads");
-  if (value < 0) throw CliError("--threads must be >= 0");
-  return static_cast<unsigned>(value);
+  return static_cast<unsigned>(parse_count(
+      *threads, "threads", std::numeric_limits<unsigned>::max()));
 }
 
 int cmd_generate(ArgList args) {
@@ -100,9 +99,6 @@ int cmd_cdf(ArgList args) {
   const auto grid_lo = args.take_option("grid-lo");
   const auto grid_hi = args.take_option("grid-hi");
   const auto daytime = args.take_option("daytime");
-  const auto shards = args.take_option("shards");
-  const auto shard_policy = args.take_option("shard-policy");
-  const auto batch_size = args.take_option("batch-size");
   const unsigned num_threads = take_threads(args);
   args.expect_empty();
 
@@ -129,35 +125,8 @@ int cmd_cdf(ArgList args) {
   const double hi = grid_hi ? parse_duration(*grid_hi, "grid-hi")
                             : std::max(g.duration(), 2 * lo);
   opt.grid = make_log_grid(lo, hi, 40);
-  opt.max_hops =
-      max_hops ? static_cast<int>(parse_long(*max_hops, "max-hops")) : 10;
-  if (opt.max_hops < 1) throw CliError("--max-hops must be >= 1");
+  opt.max_hops = max_hops ? parse_int(*max_hops, "max-hops", 1) : 10;
   opt.num_threads = num_threads;
-  if (shards) opt.sharding.num_shards = parse_count(*shards, "shards");
-  if (shard_policy) {
-    const auto policy = parse_shard_policy(*shard_policy);
-    if (!policy)
-      throw CliError("unknown --shard-policy '" + *shard_policy +
-                     "' (contiguous, block-cyclic or degree-balanced)");
-    opt.sharding.policy = *policy;
-  }
-  if (batch_size) {
-    // parse_count rejects negatives; 0 would silently mean "no batching"
-    // under the driver's clamp, so refuse it explicitly. Oversized
-    // values clamp to the source count (a note, not an error -- "batch
-    // everything" is a reasonable ask on any trace).
-    unsigned long b = parse_count(*batch_size, "batch-size");
-    if (b == 0) throw CliError("--batch-size must be >= 1");
-    const std::size_t num_sources = g.num_nodes();
-    if (b > num_sources) {
-      std::fprintf(stderr,
-                   "odtn: note: --batch-size %lu exceeds the %zu sources; "
-                   "clamping\n",
-                   b, num_sources);
-      b = num_sources;
-    }
-    opt.source_batch = static_cast<int>(b);
-  }
   const double epsilon = eps ? parse_double(*eps, "eps") : 0.01;
 
   const auto result = compute_delay_cdf(g, opt);
@@ -212,20 +181,6 @@ int cmd_cdf(ArgList args) {
         static_cast<unsigned long long>(result.stats.merge_batches),
         static_cast<unsigned long long>(result.stats.pairs_peak),
         static_cast<unsigned long long>(result.stats.arena_bytes_peak));
-  if (opt.sharding.num_shards > 0)
-    std::printf("shard:  %zu shard(s), %s policy\n",
-                opt.sharding.num_shards,
-                shard_policy_name(opt.sharding.policy));
-  if (result.stats.batch_blocks > 0)
-    std::printf(
-        "batch:  %llu block(s), %llu index walks saved, %.1f%% lane "
-        "occupancy\n",
-        static_cast<unsigned long long>(result.stats.batch_blocks),
-        static_cast<unsigned long long>(result.stats.index_walks_saved),
-        result.stats.batch_lane_slots > 0
-            ? 100.0 * static_cast<double>(result.stats.batch_lane_steps) /
-                  static_cast<double>(result.stats.batch_lane_slots)
-            : 0.0);
   return 0;
 }
 
@@ -367,10 +322,11 @@ int cmd_mc(ArgList args) {
 
 int cmd_route(ArgList args) {
   const std::string path = required_positional(args, "trace file");
+  constexpr unsigned long kMaxNode = std::numeric_limits<NodeId>::max();
   const auto src = static_cast<NodeId>(
-      parse_count(required_option(args, "src"), "src"));
+      parse_count(required_option(args, "src"), "src", kMaxNode));
   const auto dst = static_cast<NodeId>(
-      parse_count(required_option(args, "dst"), "dst"));
+      parse_count(required_option(args, "dst"), "dst", kMaxNode));
   const auto time = args.take_option("time");
   args.expect_empty();
 
@@ -428,12 +384,8 @@ std::string usage_text() {
          "                                      report, canonicalization +\n"
          "                                      node-count cross-check\n"
          "  cdf <trace> [--max-hops K] [--eps E] [--daytime H-H]\n"
-         "      [--grid-lo D --grid-hi D] [--threads W] [--shards S\n"
-         "      [--shard-policy contiguous|block-cyclic|degree-balanced]]\n"
-         "      [--batch-size B]                delay CDFs + diameter\n"
-         "                                      (--batch-size B > 1 runs B\n"
-         "                                      sources per lockstep block;\n"
-         "                                      bit-identical results)\n"
+         "      [--grid-lo D --grid-hi D] [--threads W]\n"
+         "                                      delay CDFs + diameter\n"
          "  mc --case <short|long> --n N --lambda L [--tau T] [--gamma G]\n"
          "     [--trials K] [--seed S] [--threads W]\n"
          "                                      Monte-Carlo phase probe\n"

@@ -171,10 +171,10 @@ std::string execute_ingest(QueryEngine& engine, const std::string& line) {
     const auto t0 = std::chrono::steady_clock::now();
     if (rest.size() != 4)
       throw CliError("ingest expects: ingest <u> <v> <begin> <end>");
-    const Contact c{
-        static_cast<NodeId>(parse_count(rest[0], "u")),
-        static_cast<NodeId>(parse_count(rest[1], "v")),
-        parse_double(rest[2], "begin"), parse_double(rest[3], "end")};
+    const Contact c{parse_node(engine, rest[0], "u"),
+                    parse_node(engine, rest[1], "v"),
+                    parse_double(rest[2], "begin"),
+                    parse_double(rest[3], "end")};
     const std::uint64_t epoch = engine.ingest(std::span<const Contact>(&c, 1));
     char buf[160];
     std::snprintf(buf, sizeof buf,
@@ -348,13 +348,12 @@ int cmd_serve(ArgList args) {
   const double hi = grid_hi ? parse_duration(*grid_hi, "grid-hi")
                             : std::max(g.duration(), 2 * lo);
   qo.grid = make_log_grid(lo, hi, 40);
-  qo.max_hops = max_hops
-                    ? static_cast<int>(parse_count(*max_hops, "max-hops"))
-                    : 10;
-  if (qo.max_hops < 1) throw CliError("--max-hops must be >= 1");
+  qo.max_hops = max_hops ? parse_int(*max_hops, "max-hops", 1) : 10;
   qo.cache_bytes =
-      static_cast<std::size_t>(cache_mb ? parse_count(*cache_mb, "cache-mb")
-                                        : 256)
+      static_cast<std::size_t>(
+          cache_mb ? parse_count(*cache_mb, "cache-mb",
+                                 std::numeric_limits<std::size_t>::max() >> 20)
+                   : 256)
       << 20;
   qo.cache_shards =
       cache_shards ? parse_count(*cache_shards, "cache-shards") : 8;
@@ -404,13 +403,8 @@ int cmd_tail(ArgList args) {
                             : std::max(kWeek, 2 * lo);
   if (!(lo > 0.0 && hi > lo)) throw CliError("need 0 < grid-lo < grid-hi");
   io.grid = make_log_grid(lo, hi, 40);
-  io.max_hops =
-      max_hops ? static_cast<int>(parse_count(*max_hops, "max-hops")) : 10;
-  if (io.max_hops < 1) throw CliError("--max-hops must be >= 1");
-  io.max_levels =
-      max_levels ? static_cast<int>(parse_count(*max_levels, "max-levels"))
-                 : 64;
-  if (io.max_levels < 1) throw CliError("--max-levels must be >= 1");
+  io.max_hops = max_hops ? parse_int(*max_hops, "max-hops", 1) : 10;
+  io.max_levels = max_levels ? parse_int(*max_levels, "max-levels", 1) : 64;
   io.t_lo = window_lo ? parse_double(*window_lo, "window-lo") : kNaN;
   io.t_hi = window_hi ? parse_double(*window_hi, "window-hi") : kNaN;
   const double eps = eps_opt ? parse_double(*eps_opt, "eps") : 0.05;
@@ -421,9 +415,7 @@ int cmd_tail(ArgList args) {
 
   LiveIngestSession session(io);
   LiveTailReader reader(feed, follow,
-                        poll_ms ? static_cast<int>(parse_count(*poll_ms,
-                                                               "poll-ms"))
-                                : 200);
+                        poll_ms ? parse_int(*poll_ms, "poll-ms", 0) : 200);
 
   const auto emit_row = [&](std::uint64_t epoch) {
     const auto t0 = std::chrono::steady_clock::now();

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <stdexcept>
 #include <vector>
 
-#include "core/sharded_engine.hpp"
 #include "core/source_cdf.hpp"
 #include "util/thread_pool.hpp"
 
@@ -67,11 +65,6 @@ DelayCdfResult compute_delay_cdf(const TemporalGraph& graph,
     throw std::invalid_argument("compute_delay_cdf: empty grid");
   if (options.max_hops < 1)
     throw std::invalid_argument("compute_delay_cdf: max_hops must be >= 1");
-  if (options.source_batch < 1)
-    throw std::invalid_argument(
-        "compute_delay_cdf: source_batch must be >= 1");
-  if (options.sharding.num_shards > 0)
-    return compute_delay_cdf_sharded(graph, options, options.sharding);
 
   const TimeWindows w = resolve_cdf_windows(graph, options);
   const std::vector<NodeId> endpoints = resolve_cdf_endpoints(graph, options);
@@ -86,44 +79,10 @@ DelayCdfResult compute_delay_cdf(const TemporalGraph& graph,
   if (options.num_threads != 0) local_pool.emplace(options.num_threads);
   ThreadPool& pool = local_pool ? *local_pool : shared_thread_pool();
 
-  // Batched execution: hand out blocks of consecutive sources, each run
-  // through one lockstep multi-source engine. Lane partials land in the
-  // folder at their original endpoint indices, so the canonical fold --
-  // and hence every output bit -- matches the per-source path.
-  const std::size_t batch = std::min<std::size_t>(
-      static_cast<std::size_t>(options.source_batch), endpoints.size());
-  if (batch > 1) {
-    if (options.engine != EngineMode::kPooled || !incremental)
-      throw std::invalid_argument(
-          "compute_delay_cdf: batched execution (source_batch > 1) requires "
-          "the pooled engine with incremental accumulation");
-    const std::size_t num_blocks = (endpoints.size() + batch - 1) / batch;
-    std::vector<BatchedCdfWorker> workers(pool.num_workers());
-    std::vector<std::vector<SourceCdfPartial>> scratch(pool.num_workers());
-    OrderedCdfFolder folder(options.grid, options.max_hops, endpoints.size());
-    pool.parallel_for(num_blocks, [&](std::size_t b, unsigned worker) {
-      const std::size_t lo = b * batch;
-      const std::size_t width = std::min(batch, endpoints.size() - lo);
-      std::vector<SourceCdfPartial>& outs = scratch[worker];
-      while (outs.size() < width)
-        outs.emplace_back(options.grid, options.max_hops);
-      for (std::size_t j = 0; j < width; ++j) outs[j].clear();
-      process_source_block(graph, std::span(endpoints).subspan(lo, width),
-                           endpoints, is_endpoint, w, options.max_hops,
-                           options.max_levels, workers[worker], outs);
-      for (std::size_t j = 0; j < width; ++j) folder.submit(lo + j, outs[j]);
-    });
-    EngineStats stats;
-    for (const BatchedCdfWorker& worker : workers)
-      stats.merge(worker.take_stats());
-    return finalize_delay_cdf(folder.total(), stats, options, incremental);
-  }
-
   // Each worker integrates one source at a time into its private zeroed
   // scratch partial; the folder merges partials in ascending endpoint
   // index no matter which worker produced them. The result is therefore
-  // bit-identical across thread counts (and across the sharded driver,
-  // which folds the same per-source partials in the same order).
+  // bit-identical across thread counts.
   std::vector<SourceCdfWorker> workers(pool.num_workers());
   std::vector<SourceCdfPartial> scratch;
   scratch.reserve(pool.num_workers());

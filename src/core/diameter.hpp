@@ -11,34 +11,34 @@
 #pragma once
 
 #include <cstddef>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "core/optimal_paths.hpp"
-#include "core/partition.hpp"
 #include "core/temporal_graph.hpp"
 
 namespace odtn {
 
 /// How compute_delay_cdf turns per-source frontiers into per-hop CDFs.
 enum class CdfAccumulation {
-  /// kIncremental for the delta engines (kPooled / kIndexed), kDirect
-  /// for the level sweep.
+  /// kIncremental for the pooled engine, kDirect for the level sweep.
   kAuto,
   /// Reference semantics: after each of the max_hops levels (and once
   /// more at the fixpoint), re-integrate EVERY destination's full
   /// delivery function into that hop budget's accumulator, with a fresh
   /// engine per source. O(K * sum |frontier|) integration work.
   kDirect,
-  /// Hop-incremental scheme (requires a delta engine, kPooled or
-  /// kIndexed): each accumulator k receives only the level-k delta --
+  /// Hop-incremental scheme (requires the pooled engine): each
+  /// accumulator k receives only the level-k delta --
   /// for destinations whose frontier changed at level k, the old
   /// frontier's segments are retracted (weight -1) and the new one's
   /// added -- and the per-hop CDFs are reconstructed by one prefix_merge
   /// at finalization. Workers recycle a single engine workspace across
   /// sources via SingleSourceEngine::reset, so steady state allocates
-  /// nothing (with kPooled, the pre-change frontiers are free arena
-  /// spans rather than copies). O(sum |changed frontier|) integration
-  /// work, up to ~K x less.
+  /// nothing (the pre-change frontiers are free arena spans rather than
+  /// copies). O(sum |changed frontier|) integration work, up to ~K x
+  /// less.
   kIncremental,
 };
 
@@ -74,10 +74,9 @@ struct DelayCdfOptions {
   /// so heterogeneous per-source cost does not imbalance the workers.
   unsigned num_threads = 0;
 
-  /// Propagation scheme for the per-source engines. kLevelSweep is the
-  /// reference (seed) semantics, kept for cross-checks and benches;
-  /// kIndexed is the per-pair-insert delta engine, kept as the perf
-  /// baseline for kPooled's batched kernels.
+  /// Propagation scheme for the per-source engines. kPooled is the
+  /// production engine; kLevelSweep is the reference (seed) semantics,
+  /// kept as the oracle for cross-checks and benches.
   EngineMode engine = EngineMode::kPooled;
 
   /// Accumulation scheme. kIncremental with the level-sweep engine
@@ -85,23 +84,6 @@ struct DelayCdfOptions {
   /// observed, tests gate at 1e-9) and are cross-checked in
   /// bench_perf_engine.
   CdfAccumulation accumulation = CdfAccumulation::kAuto;
-
-  /// Opt-in sharded execution (num_shards >= 1 routes through
-  /// core/sharded_engine; 0, the default, keeps the classic driver).
-  /// Results are bit-identical either way: both drivers fold the same
-  /// per-source partials in canonical endpoint-index order.
-  ShardingOptions sharding;
-
-  /// Sources per batched block (core/batched_engine.hpp). Values > 1
-  /// group that many consecutive sources into one lockstep multi-source
-  /// engine that walks the by-end index once per hop level for the whole
-  /// block; 1 (the default) keeps the per-source path. Requires the
-  /// pooled engine with incremental accumulation (throws otherwise);
-  /// must be >= 1. Clamped to the number of sources the executing driver
-  /// (or shard) owns. Results are bit-identical at every batch size --
-  /// each lane reproduces its per-source partial exactly and the
-  /// canonical fold order is unchanged.
-  int source_batch = 1;
 };
 
 /// All-pairs/all-start-times delay CDFs per hop budget.
@@ -162,8 +144,11 @@ struct DelayCdfResult {
 /// single-source engine from every endpoint and integrating each
 /// destination's delivery function over all start times -- either in
 /// full at every hop budget (CdfAccumulation::kDirect) or, by default
-/// with the indexed engine, incrementally from the engine's per-level
-/// change sets (CdfAccumulation::kIncremental).
+/// with the pooled engine, incrementally from the engine's per-level
+/// change sets (CdfAccumulation::kIncremental). One code path: sources are
+/// handed out dynamically to the workers and their partials folded in
+/// canonical order, so the result is bit-identical for every thread
+/// count.
 DelayCdfResult compute_delay_cdf(const TemporalGraph& graph,
                                  const DelayCdfOptions& options);
 

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/batched_engine.hpp"
 #include "core/optimal_paths.hpp"
 #include "util/thread_pool.hpp"
 
@@ -222,23 +221,20 @@ void IncrementalSourceDp::bootstrap(const TemporalGraph& graph) {
     // level -- the version-iff-productive invariant, straight from the
     // engine. Levels ascend, so each node's list stays sorted by plain
     // appends.
-    for (const NodeId d : eng.last_changed())
-      append_bootstrap_version(d, k, eng.frontier_view(d));
+    for (const NodeId d : eng.last_changed()) {
+      const FrontierView f = eng.frontier_view(d);
+      Version v;
+      v.level = k;
+      v.ld.reserve(f.size());
+      v.ea.reserve(f.size());
+      for (std::size_t i = 0; i < f.size(); ++i) {
+        v.ld.push_back(f.ld(i));
+        v.ea.push_back(f.ea(i));
+      }
+      nodes_[d].versions.push_back(std::move(v));
+    }
+    max_level_ = k;
   }
-}
-
-void IncrementalSourceDp::append_bootstrap_version(NodeId node, int level,
-                                                   const FrontierView& f) {
-  Version v;
-  v.level = level;
-  v.ld.reserve(f.size());
-  v.ea.reserve(f.size());
-  for (std::size_t i = 0; i < f.size(); ++i) {
-    v.ld.push_back(f.ld(i));
-    v.ea.push_back(f.ea(i));
-  }
-  nodes_[node].versions.push_back(std::move(v));
-  if (level > max_level_) max_level_ = level;
 }
 
 bool IncrementalSourceDp::apply(const TemporalGraph& graph,
@@ -393,9 +389,6 @@ IncrementalAllPairsEngine::IncrementalAllPairsEngine(
   if (options_.max_hops < 1)
     throw std::invalid_argument(
         "IncrementalAllPairsEngine: max_hops must be >= 1");
-  if (options_.source_batch < 1)
-    throw std::invalid_argument(
-        "IncrementalAllPairsEngine: source_batch must be >= 1");
   cap_ = std::max(options_.max_hops, options_.max_levels);
   dps_.reserve(num_nodes);
   partials_.reserve(num_nodes);
@@ -425,37 +418,6 @@ std::uint64_t IncrementalAllPairsEngine::append(
   // read them: append_contacts already merged the new windows in if they
   // existed, and this materializes them on the very first epoch.
   graph_.neighbor_offsets();
-
-  // First (bulk) batch with batching enabled: seed blocks of consecutive
-  // DPs from one lockstep multi-source engine. Each lane's per-level
-  // change sets and frontiers are bit-identical to a cold per-source
-  // run, so the seeded version lists are too.
-  const std::size_t lanes = std::min<std::size_t>(
-      static_cast<std::size_t>(options_.source_batch),
-      std::max<std::size_t>(dps_.size(), 1));
-  if (old_count == 0 && lanes > 1) {
-    const std::size_t num_blocks = (dps_.size() + lanes - 1) / lanes;
-    pool.parallel_for(num_blocks, [&](std::size_t b, unsigned) {
-      const std::size_t lo = b * lanes;
-      const std::size_t width = std::min(lanes, dps_.size() - lo);
-      std::vector<NodeId> block(width);
-      for (std::size_t j = 0; j < width; ++j) block[j] = dps_[lo + j].source();
-      BatchedSourceEngine eng(graph_, block);
-      int k = 0;
-      while (k < cap_ && eng.step()) {
-        ++k;
-        // Lanes at their fixpoint publish empty change sets, so this
-        // feeds each DP exactly its own productive levels.
-        for (std::size_t l = 0; l < width; ++l) {
-          for (const NodeId d : eng.last_changed(l))
-            dps_[lo + l].append_bootstrap_version(d, k,
-                                                  eng.frontier_view(l, d));
-        }
-      }
-      for (std::size_t j = 0; j < width; ++j) dirty_[lo + j] = 1;
-    });
-    return graph_.epoch();
-  }
 
   pool.parallel_for(dps_.size(), [&](std::size_t i, unsigned) {
     if (old_count == 0) {

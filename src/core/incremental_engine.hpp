@@ -67,14 +67,6 @@ class IncrementalSourceDp {
   /// machinery. Only valid while the DP is empty (no batch applied yet).
   void bootstrap(const TemporalGraph& graph);
 
-  /// One productive-level version straight from a frontier view: the
-  /// feed the batched bootstrap uses per lane (core/batched_engine.hpp
-  /// reproduces the pooled engine's per-level change sets bit for bit).
-  /// Same contract as bootstrap(): levels must ascend per node and the
-  /// DP must still be empty.
-  void append_bootstrap_version(NodeId node, int level,
-                                const FrontierView& frontier);
-
   /// L_k(source, node) as a zero-copy SoA view (levels above the cap
   /// clamp to the cap; the fixpoint frontier for converged sources).
   FrontierView frontier_at(NodeId node, int level) const;
@@ -159,13 +151,6 @@ struct IncrementalCdfOptions {
   double t_hi = std::numeric_limits<double>::quiet_NaN();
   /// Worker threads for the per-source fan-out; 0 = shared pool.
   unsigned num_threads = 0;
-  /// Sources per batched block during the first (bulk/backlog) batch's
-  /// bootstrap: blocks of consecutive sources seed their DPs from one
-  /// lockstep multi-source engine (core/batched_engine.hpp) instead of
-  /// one cold engine each. 1 = per-source bootstrap; bit-identical
-  /// either way (the lanes reproduce the pooled engine's change sets
-  /// exactly). Later epochs always use the incremental machinery.
-  int source_batch = 1;
 };
 
 /// Live all-pairs engine: an owned growing TemporalGraph plus one

@@ -13,8 +13,7 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Feeds every useful extension of `pairs` through the contact window
-/// [begin, end] to `offer(PathPair)`. Shared by extend_frontier and the
-/// indexed engine's delta propagation.
+/// [begin, end] to `offer(PathPair)`.
 template <typename Offer>
 void for_each_extension(const std::vector<PathPair>& pairs, double begin,
                         double end, Offer&& offer) {
@@ -82,13 +81,6 @@ SingleSourceEngine::SingleSourceEngine(const TemporalGraph& graph,
   } else {
     frontiers_.resize(n);
     frontiers_[source_].insert(identity_pair());
-    if (mode_ == EngineMode::kIndexed) {
-      cur_delta_.resize(n);
-      next_delta_.resize(n);
-      cur_delta_[source_] = frontiers_[source_];
-      active_.push_back(source_);
-      dirty_mark_.assign(n, 0);
-    }
   }
   ++stats_.workspace_allocations;
 }
@@ -132,36 +124,14 @@ void SingleSourceEngine::reset(NodeId source) {
   } else {
     for (DeliveryFunction& f : frontiers_) f.clear();
     frontiers_[source_].insert(identity_pair());
-    if (mode_ == EngineMode::kIndexed) {
-      for (DeliveryFunction& d : cur_delta_) d.clear();
-      for (DeliveryFunction& d : next_delta_) d.clear();
-      active_.clear();
-      next_active_.clear();
-      std::fill(dirty_mark_.begin(), dirty_mark_.end(), 0);
-      cur_delta_[source_].insert(identity_pair());
-      active_.push_back(source_);
-    }
   }
   ++stats_.workspace_reuses;
 }
 
-void SingleSourceEngine::track_changes(bool enable) {
-  if (enable && mode_ == EngineMode::kLevelSweep)
-    throw std::logic_error(
-        "SingleSourceEngine: change tracking requires a delta mode "
-        "(EngineMode::kPooled or kIndexed)");
-  // kPooled snapshots are free (the superseded arena spans stay
-  // addressable), so tracking there is always on and this is a no-op.
-  track_changes_ = enable;
-}
-
 FrontierView SingleSourceEngine::previous_frontier_view(std::size_t i) const {
-  if (mode_ == EngineMode::kPooled) {
-    const PairSpan s = retired_spans_.at(i);
-    return FrontierView(arena_.ld() + s.offset, arena_.ea() + s.offset,
-                        s.length);
-  }
-  return retired_.at(i).view();
+  const PairSpan s = retired_spans_.at(i);
+  return FrontierView(arena_.ld() + s.offset, arena_.ea() + s.offset,
+                      s.length);
 }
 
 bool SingleSourceEngine::step() {
@@ -169,8 +139,6 @@ bool SingleSourceEngine::step() {
   switch (mode_) {
     case EngineMode::kPooled:
       return step_pooled();
-    case EngineMode::kIndexed:
-      return step_indexed();
     case EngineMode::kLevelSweep:
       return step_level_sweep();
   }
@@ -196,10 +164,12 @@ void SingleSourceEngine::record_arena_peaks() noexcept {
 }
 
 bool SingleSourceEngine::step_pooled() {
-  // Same delta propagation as step_indexed -- only pairs newly kept at
-  // the previous level generate candidates -- but pairs never leave the
-  // arenas and frontier maintenance is batched: candidates are collected
-  // raw into flat buffers, grouped by target with one counting sort,
+  // Delta propagation: only the pairs newly kept at the previous level
+  // (each active node's delta) can generate candidates that are not
+  // already dominated -- everything older was extended, and absorbed, at
+  // an earlier level. Pairs never leave the arenas and frontier
+  // maintenance is batched: candidates are collected raw into flat
+  // buffers, grouped by target with one counting sort,
   // pruned per target, and merged against the target's frontier span by
   // one two-way merge emitted into fresh arena space. The superseded
   // span is the pre-change snapshot, untouched and for free.
@@ -248,7 +218,11 @@ bool SingleSourceEngine::step_pooled() {
       // frontier -> kept; arrives at/after the frontier's max arrival ->
       // dominated) inside one tiny L1-resident array; only candidates
       // landing strictly inside the frontier hit the arena lanes.
-      auto offer = [&](double cld, double cea) {
+      // Forced inline: this is the engine's hottest call, and GCC's
+      // unit-growth heuristic can leave it out of line depending on the
+      // size of this file (GCC 12, x86-64: ~7% more all-pairs CPU).
+      auto offer = [&](double cld,
+                       double cea) __attribute__((always_inline)) {
         const PathPair lp = last_pair_[to];
         if (cld <= lp.ld) {
           if (lp.ea <= cea) {
@@ -271,8 +245,12 @@ bool SingleSourceEngine::step_pooled() {
       };
       // Same extension cases as for_each_extension, with a linear scan
       // (deltas hold a handful of pairs) and wait-candidate suppression:
-      // a window whose begin reaches the delta pair's successor EA draws
-      // its wait candidate from the successor chain instead.
+      // a window whose begin reaches the delta pair's successor EA (its
+      // successor in the node's full frontier, carried in the aux lane)
+      // draws its wait candidate from the successor chain -- pairs with
+      // strictly larger ld whose offers already happened the level after
+      // they entered -- so the delta's own wait candidate is provably
+      // dominated and is not offered at all.
       while (ride_hi < dn && dea[ride_hi] <= we) ++ride_hi;
       while (arr < dn && dea[arr] <= wb) ++arr;
       while (arr > 0 && dea[arr - 1] > wb) --arr;
@@ -365,101 +343,6 @@ bool SingleSourceEngine::step_pooled() {
   delta_spans_.swap(next_delta_spans_);
   active_.swap(next_active_);
   record_arena_peaks();
-  finish_level(changed);
-  return changed;
-}
-
-bool SingleSourceEngine::step_indexed() {
-  // Only the pairs newly kept at the previous level (each active node's
-  // delta) can generate candidates that are not already dominated;
-  // everything older was extended -- and absorbed -- at an earlier level.
-  stats_.frontier_copies_avoided +=
-      static_cast<std::uint64_t>(frontiers_.size() - active_.size());
-  next_active_.clear();
-
-  bool changed = false;
-  for (const NodeId u : active_) {
-    const std::vector<PathPair>& dp = cur_delta_[u].pairs();
-    const std::vector<PathPair>& fp = frontiers_[u].pairs();
-    // For each delta pair, the ea of its successor in u's full frontier
-    // (delta pairs are all present in fp; both lists are ea-sorted, so
-    // one merge walk finds every successor). A window whose begin
-    // reaches at or past that successor draws its wait candidate from
-    // the successor chain -- pairs with strictly larger ld whose offers
-    // already happened the level after they entered -- so the delta's
-    // wait candidate is provably dominated and is not offered at all.
-    succ_ea_.resize(dp.size());
-    for (std::size_t j = 0, pos = 0; j < dp.size(); ++j) {
-      while (fp[pos].ea < dp[j].ea) ++pos;
-      succ_ea_[j] = pos + 1 < fp.size()
-                        ? fp[pos + 1].ea
-                        : std::numeric_limits<double>::infinity();
-    }
-    // No delta pair can ride a contact that ends before the delta's
-    // earliest arrival (both extension cases need ea <= end), so the
-    // whole prefix of the by-end index below min_ea is skipped at once.
-    const double min_ea = dp.front().ea;
-    const auto nbrs = graph_->neighbors_by_end(u);
-    auto it = std::lower_bound(
-        nbrs.begin(), nbrs.end(), min_ea,
-        [](const NodeContact& nc, double t) { return nc.end < t; });
-    for (; it != nbrs.end(); ++it) {
-      const NodeId to = it->to;
-      const double wb = it->begin, we = it->end;
-      ++stats_.contacts_examined;
-      // Candidates are checked against the target's frontier -- still
-      // exactly L_k, inserts are buffered in next_delta_ until the end
-      // of the level -- and collected into the target's next delta,
-      // which prunes duplicates and same-level dominance on its own.
-      auto offer = [&](PathPair cand) {
-        if (frontiers_[to].is_dominated(cand) ||
-            !next_delta_[to].insert(cand)) {
-          ++stats_.pairs_dominated;
-          return;
-        }
-        ++stats_.pairs_inserted;
-        changed = true;
-        if (!dirty_mark_[to]) {
-          dirty_mark_[to] = 1;
-          next_active_.push_back(to);
-        }
-      };
-      // Same extension cases as for_each_extension, but with a linear
-      // scan: deltas hold a handful of pairs, where the binary search's
-      // setup cost exceeds the comparisons it saves.
-      std::size_t i = 0;
-      while (i < dp.size() && dp[i].ea <= wb) ++i;
-      if (i > 0 && wb < succ_ea_[i - 1])
-        offer({std::min(dp[i - 1].ld, we), wb});
-      for (; i < dp.size() && dp[i].ea <= we; ++i) {
-        offer({std::min(dp[i].ld, we), dp[i].ea});
-        if (dp[i].ld >= we) break;
-      }
-    }
-  }
-
-  // Publish the level: merge every collected delta into its frontier.
-  // No merge insert can fail -- each pair survived the L_k dominance
-  // check at offer time and same-level pruning inside its delta.
-  // When change tracking is on, snapshot each changed frontier first
-  // (copy-assignment into a recycled slot: no allocation once the slot's
-  // capacity has grown to fit) so callers can retract the pre-change
-  // integration. After the swap below, retired_[i] stays aligned with
-  // active_[i] == next_active_[i].
-  if (track_changes_ && retired_.size() < next_active_.size())
-    retired_.resize(next_active_.size());
-  for (std::size_t i = 0; i < next_active_.size(); ++i) {
-    const NodeId v = next_active_[i];
-    DeliveryFunction& f = frontiers_[v];
-    if (track_changes_) retired_[i] = f;
-    for (const PathPair& p : next_delta_[v].pairs()) f.insert(p);
-  }
-
-  // Recycle the spent deltas as next level's (empty) collection buffers.
-  for (const NodeId u : active_) cur_delta_[u].clear();
-  cur_delta_.swap(next_delta_);
-  active_.swap(next_active_);
-  for (const NodeId u : active_) dirty_mark_[u] = 0;
   finish_level(changed);
   return changed;
 }

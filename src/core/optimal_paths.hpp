@@ -16,24 +16,21 @@
 // iteration is L_infinity, and the level at which it is reached upper-
 // bounds the number of hops any delay-optimal path ever needs.
 //
-// Three propagation schemes compute IDENTICAL frontiers at every level:
+// Two propagation schemes compute IDENTICAL frontiers at every level:
 //
-//   kLevelSweep -- the seed reference semantics: full frontier snapshot +
-//       global contact rescan per level.
-//   kIndexed -- delta propagation over the per-node by-end contact index
-//       (only pairs newly kept at the previous level are re-extended,
-//       with by-end window pruning and wait-candidate suppression), with
-//       per-node heap-vector frontier storage and per-pair
-//       DeliveryFunction::insert maintenance. The PR 3 path, kept as the
-//       perf baseline for the pooled kernels.
-//   kPooled (default) -- the same delta propagation, but every pair of
-//       the engine lives in one arena (util/arena.hpp) in SoA form and
-//       the two hot kernels are batched: one level's candidates per
-//       destination are pruned and merged against the existing frontier
-//       by a single two-way sorted merge (core/frontier_kernels.hpp)
-//       emitted into fresh arena space -- no per-pair element shifting,
-//       no snapshot copies (the superseded span IS the pre-change
-//       snapshot), zero steady-state allocations across reset().
+//   kLevelSweep -- the seed reference semantics and the test oracle:
+//       full frontier snapshot + global contact rescan per level.
+//   kPooled (default, the production engine) -- delta propagation over
+//       the per-node by-end contact index: only pairs newly kept at the
+//       previous level are re-extended, with by-end window pruning and
+//       wait-candidate suppression. Every pair of the engine lives in one
+//       arena (util/arena.hpp) in SoA form and the two hot kernels are
+//       batched: one level's candidates per destination are pruned and
+//       merged against the existing frontier by a single two-way sorted
+//       merge (core/frontier_kernels.hpp) emitted into fresh arena space
+//       -- no per-pair element shifting, no snapshot copies (the
+//       superseded span IS the pre-change snapshot), zero steady-state
+//       allocations across reset().
 //
 // Per contact and per source, the extension step touches
 // O(log F + #useful pairs) frontier entries thanks to the double-monotone
@@ -59,7 +56,6 @@ inline constexpr int kUnboundedHops = std::numeric_limits<int>::max();
 /// frontiers at every level; see the file comment for the differences.
 enum class EngineMode {
   kPooled,
-  kIndexed,
   kLevelSweep,
 };
 
@@ -110,23 +106,6 @@ struct EngineStats {
   /// Cache entries evicted to make room, attributed to the query whose
   /// insert triggered them.
   std::uint64_t cache_evictions = 0;
-  /// Source blocks executed by the batched multi-source engine
-  /// (core/batched_engine.hpp): one per BatchedSourceEngine
-  /// construction or reset. Zero outside batched runs.
-  std::uint64_t batch_blocks = 0;
-  /// By-end index walks the batched engine avoided: for every (level,
-  /// node) the per-source path would walk the node's by-end neighbor
-  /// list once per active source lane, the batched engine walks it
-  /// once -- this counts the lanes beyond the first.
-  std::uint64_t index_walks_saved = 0;
-  /// Lane-levels actually executed by batched blocks (lanes not yet at
-  /// their fixpoint when the block advanced a level).
-  std::uint64_t batch_lane_steps = 0;
-  /// Lane-level slots offered by batched blocks (block width x levels
-  /// the block advanced). batch_lane_steps / batch_lane_slots is the
-  /// lane occupancy -- how well block members' fixpoint depths agree.
-  std::uint64_t batch_lane_slots = 0;
-
   void merge(const EngineStats& other) noexcept {
     contacts_examined += other.contacts_examined;
     pairs_inserted += other.pairs_inserted;
@@ -142,10 +121,6 @@ struct EngineStats {
     cache_hits += other.cache_hits;
     cache_misses += other.cache_misses;
     cache_evictions += other.cache_evictions;
-    batch_blocks += other.batch_blocks;
-    index_walks_saved += other.index_walks_saved;
-    batch_lane_steps += other.batch_lane_steps;
-    batch_lane_slots += other.batch_lane_slots;
   }
 };
 
@@ -204,42 +179,24 @@ class SingleSourceEngine {
 
   /// Rebinds the engine to a new source on the same graph: hop budget
   /// back to 0, every frontier and delta emptied. All buffers keep their
-  /// capacity (heap modes clear pair vectors in place; kPooled recycles
-  /// its arenas), so a worker that processes many sources through one
-  /// engine allocates its workspace exactly once -- reset() itself never
-  /// allocates once the slabs reached their high-water capacity. Counted
-  /// in stats().workspace_reuses; change tracking (track_changes)
-  /// survives the reset.
+  /// capacity (kPooled recycles its arenas, kLevelSweep clears its pair
+  /// vectors in place), so a worker that processes many sources through
+  /// one engine allocates its workspace exactly once -- reset() itself
+  /// never allocates once the slabs reached their high-water capacity.
+  /// Counted in stats().workspace_reuses.
   void reset(NodeId source);
 
-  /// Enables pre-change frontier snapshots: after each step() that
-  /// changed something, last_changed() lists the nodes whose frontier
-  /// grew at that level and previous_frontier_view(i) is
-  /// last_changed()[i]'s frontier as it was before the level. In
-  /// kIndexed the snapshot cost is one pair list copy per changed node
-  /// (capacity reused across levels); in kPooled snapshots are FREE --
-  /// the superseded arena span simply stays addressable until the next
-  /// reset, so tracking is always on and this call only validates the
-  /// mode. Throws std::logic_error in kLevelSweep.
-  void track_changes(bool enable);
-
   /// Nodes whose frontier changed at the last completed level, in
-  /// publication order (empty once the fixpoint step ran). Delta modes
-  /// (kPooled / kIndexed) only.
+  /// publication order (empty once the fixpoint step ran). kPooled only;
+  /// always empty in kLevelSweep.
   const std::vector<NodeId>& last_changed() const noexcept {
     return active_;
   }
 
-  /// Frontier of last_changed()[i] as it was BEFORE the last level.
-  /// kIndexed only (requires track_changes(true) before the step that
-  /// produced it); kPooled callers use previous_frontier_view.
-  const DeliveryFunction& previous_frontier(std::size_t i) const {
-    return retired_.at(i);
-  }
-
   /// View of last_changed()[i]'s frontier as it was BEFORE the last
-  /// level. Works in kPooled (arena span, valid until the next reset)
-  /// and kIndexed (requires track_changes(true)).
+  /// level (std::out_of_range past last_changed().size()). kPooled only:
+  /// the superseded arena span stays addressable until the next reset,
+  /// so pre-change snapshots cost nothing.
   FrontierView previous_frontier_view(std::size_t i) const;
 
   /// Advances the hop budget by one. Returns false (and does nothing)
@@ -258,7 +215,7 @@ class SingleSourceEngine {
   bool at_fixpoint() const noexcept { return fixpoint_; }
 
   /// Frontier (delivery function) for `dst` at the current hop budget,
-  /// BY VALUE: heap modes copy, kPooled materializes from its arena
+  /// BY VALUE: kLevelSweep copies, kPooled materializes from its arena
   /// span. Convenient and mode-agnostic; hot loops use frontier_view.
   DeliveryFunction frontier(NodeId dst) const;
 
@@ -282,7 +239,6 @@ class SingleSourceEngine {
   std::size_t total_pairs() const noexcept;
 
  private:
-  bool step_indexed();
   bool step_level_sweep();
   bool step_pooled();
   void finish_level(bool changed);
@@ -295,27 +251,10 @@ class SingleSourceEngine {
   int level_ = 0;
   bool fixpoint_ = false;
   EngineStats stats_;
-  // Heap modes (kIndexed / kLevelSweep): per-node frontier objects.
+  // kLevelSweep: per-node frontier objects, and their full snapshot at
+  // the start of each level.
   std::vector<DeliveryFunction> frontiers_;
-  // kLevelSweep: full snapshot of frontiers_ at the start of each level.
   std::vector<DeliveryFunction> scratch_;
-  // kIndexed: per-node deltas (pairs newly kept at the previous level,
-  // to extend now / at the current level, being collected), the nodes
-  // whose delta is non-empty, and a dedup mark for next_active_.
-  std::vector<DeliveryFunction> cur_delta_;
-  std::vector<DeliveryFunction> next_delta_;
-  std::vector<NodeId> active_;
-  std::vector<NodeId> next_active_;
-  std::vector<std::uint8_t> dirty_mark_;
-  // kIndexed scratch: per delta pair, the ea of its successor in the
-  // node's full frontier (used to suppress provably redundant wait
-  // candidates).
-  std::vector<double> succ_ea_;
-  // kIndexed: pre-change frontier snapshots, aligned with active_ (the
-  // nodes changed at the last level), populated only when track_changes_
-  // is set. Never shrunk, so each slot's pair storage is recycled.
-  std::vector<DeliveryFunction> retired_;
-  bool track_changes_ = false;
 
   // --- kPooled state ---------------------------------------------------
   // All frontier pairs live in arena_ as SoA lanes; fspan_[v] addresses
@@ -324,6 +263,12 @@ class SingleSourceEngine {
   PairArena arena_;
   std::vector<PairSpan> fspan_;
   std::vector<PairSpan> retired_spans_;
+  // The nodes whose frontier changed at the previous level (whose deltas
+  // are extended now), the ones being collected at the current level,
+  // and a dedup mark for next_active_.
+  std::vector<NodeId> active_;
+  std::vector<NodeId> next_active_;
+  std::vector<std::uint8_t> dirty_mark_;
   // Deltas (pairs newly kept at the previous level) ping-pong between
   // two arenas whose aux lane carries each pair's successor EA; spans
   // are aligned with active_ / next_active_.

@@ -1,13 +1,12 @@
 #include "core/query_engine.hpp"
 
-#include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <numeric>
 #include <optional>
 #include <stdexcept>
 #include <utility>
 
-#include "core/sharded_engine.hpp"
 #include "util/thread_pool.hpp"
 
 namespace odtn {
@@ -22,6 +21,26 @@ void append_pod(std::string& out, T v) {
   append_bytes(out, &v, sizeof v);
 }
 
+/// Cheap fingerprint of the served graph: identifies the trace and the
+/// transform chain that produced it. num_nodes/num_contacts/directedness
+/// plus the bit patterns of the span endpoints: stable across copies
+/// (and across snapshot views of the same trace), and any trace
+/// transform (filter, window restriction, import) perturbs at least one
+/// field.
+std::string graph_transform_key(const TemporalGraph& graph) {
+  std::uint64_t start_bits = 0, end_bits = 0;
+  const double start = graph.start_time(), end = graph.end_time();
+  std::memcpy(&start_bits, &start, sizeof start_bits);
+  std::memcpy(&end_bits, &end, sizeof end_bits);
+  char buf[96];
+  std::snprintf(buf, sizeof buf, "trace:n%zu:c%zu:d%d:s%016llx:e%016llx",
+                graph.num_nodes(), graph.num_contacts(),
+                graph.directed() ? 1 : 0,
+                static_cast<unsigned long long>(start_bits),
+                static_cast<unsigned long long>(end_bits));
+  return buf;
+}
+
 }  // namespace
 
 QueryEngine::QueryEngine(TemporalGraph graph, QueryEngineOptions options,
@@ -31,8 +50,6 @@ QueryEngine::QueryEngine(TemporalGraph graph, QueryEngineOptions options,
     throw std::invalid_argument("QueryEngine: empty delay grid");
   if (options_.max_hops < 1)
     throw std::invalid_argument("QueryEngine: max_hops must be >= 1");
-  if (options_.source_batch < 1)
-    throw std::invalid_argument("QueryEngine: source_batch must be >= 1");
   cache_ = cache ? std::move(cache)
                  : std::make_shared<ServeCache>(options_.cache_bytes,
                                                 options_.cache_shards);
@@ -96,7 +113,6 @@ DelayCdfOptions QueryEngine::cdf_options(double t_lo, double t_hi) const {
   o.num_threads = options_.num_threads;
   o.engine = options_.engine;
   o.accumulation = options_.accumulation;
-  o.source_batch = options_.source_batch;
   return o;
 }
 
@@ -115,68 +131,6 @@ DelayCdfResult QueryEngine::run(const std::vector<NodeId>& sources,
   };
   std::vector<CacheCounters> counters(pool.num_workers());
   OrderedCdfFolder folder(options.grid, options.max_hops, sources.size());
-
-  // Batched cold path: blocks of consecutive sources probe the cache
-  // first; only the misses within a block run, together, through one
-  // lockstep multi-source engine. Each partial -- hit or miss -- is
-  // submitted at its ORIGINAL source position, so the canonical fold
-  // (and hence every answer bit) is unchanged for any hit subset and
-  // any batch size.
-  const std::size_t batch = std::min<std::size_t>(
-      static_cast<std::size_t>(options.source_batch),
-      std::max<std::size_t>(sources.size(), 1));
-  if (batch > 1) {
-    if (options.engine != EngineMode::kPooled || !incremental)
-      throw std::invalid_argument(
-          "QueryEngine: batched execution (source_batch > 1) requires the "
-          "pooled engine with incremental accumulation");
-    const std::size_t num_blocks = (sources.size() + batch - 1) / batch;
-    std::vector<BatchedCdfWorker> workers(pool.num_workers());
-    std::vector<std::vector<SourceCdfPartial>> scratch(pool.num_workers());
-    pool.parallel_for(num_blocks, [&](std::size_t b, unsigned worker) {
-      const std::size_t lo = b * batch;
-      const std::size_t width = std::min(batch, sources.size() - lo);
-      std::vector<NodeId> miss_nodes;
-      std::vector<std::size_t> miss_pos;
-      std::vector<std::string> miss_keys;
-      for (std::size_t j = 0; j < width; ++j) {
-        std::string key = query_key(sources[lo + j], w);
-        if (const std::shared_ptr<const SourceCdfPartial> hit =
-                cache_->get(key)) {
-          ++counters[worker].hits;
-          folder.submit(lo + j, *hit);
-          continue;
-        }
-        ++counters[worker].misses;
-        miss_nodes.push_back(sources[lo + j]);
-        miss_pos.push_back(lo + j);
-        miss_keys.push_back(std::move(key));
-      }
-      if (miss_nodes.empty()) return;
-      std::vector<SourceCdfPartial>& outs = scratch[worker];
-      while (outs.size() < miss_nodes.size())
-        outs.emplace_back(options.grid, options.max_hops);
-      for (std::size_t j = 0; j < miss_nodes.size(); ++j) outs[j].clear();
-      process_source_block(graph_, miss_nodes, all_nodes_, is_endpoint_, w,
-                           options.max_hops, options.max_levels,
-                           workers[worker], outs);
-      for (std::size_t j = 0; j < miss_nodes.size(); ++j) {
-        counters[worker].evictions += cache_->put(
-            miss_keys[j], std::make_shared<SourceCdfPartial>(outs[j]),
-            partial_cost + miss_keys[j].size());
-        folder.submit(miss_pos[j], outs[j]);
-      }
-    });
-    EngineStats stats;
-    for (const BatchedCdfWorker& worker : workers)
-      stats.merge(worker.take_stats());
-    for (const CacheCounters& c : counters) {
-      stats.cache_hits += c.hits;
-      stats.cache_misses += c.misses;
-      stats.cache_evictions += c.evictions;
-    }
-    return finalize_delay_cdf(folder.total(), stats, options, incremental);
-  }
 
   // Same shape as compute_delay_cdf's driver (core/diameter.cpp), with
   // a cache probe in front of process_source. Hits and misses all land

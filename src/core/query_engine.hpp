@@ -19,7 +19,8 @@
 //   cache_hits / cache_misses / cache_evictions counters say why.
 //
 // Cache keys bind the partial to everything that determines its bytes:
-// the graph's transform key (core/sharded_engine.hpp), the engine mode,
+// the graph's transform key (a fingerprint of the trace and the transform
+// chain that produced it), the graph epoch, the engine mode,
 // accumulation scheme, hop budget, the grid's exact bit patterns, the
 // resolved start-time windows' bit patterns, and the source id. Engines
 // over different graphs can therefore safely SHARE one cache (pass the
@@ -60,14 +61,6 @@ struct QueryEngineOptions {
   std::size_t cache_shards = 8;
   /// Worker threads for all-pairs fan-out; 0 = shared pool.
   unsigned num_threads = 0;
-  /// Sources per batched block on the cold path (core/batched_engine.hpp):
-  /// cache misses within a block of consecutive sources run through one
-  /// lockstep multi-source engine. 1 = classic per-source path; > 1
-  /// requires the pooled engine with incremental accumulation. Cached
-  /// partial bytes are identical either way, so source_batch does NOT
-  /// participate in cache keys: warm entries stay valid across batch
-  /// size changes and mixed hit/miss folds stay bit-identical.
-  int source_batch = 1;
 };
 
 class QueryEngine {

@@ -18,18 +18,15 @@ void record_fixpoint(SourceCdfPartial& out, int fixpoint, int max_levels) {
 /// One destination's incremental CDF update: retract the pre-change
 /// frontier's integration (weight -1) and add the new one's (+1).
 ///
-/// Arena-resident frontiers (kPooled: both versions are SoA spans whose
-/// shared pairs are value-identical -- merge_frontier copies doubles
-/// verbatim) are first diffed: the common prefix and suffix would be
-/// retracted at -1 and re-added at +1 with identical segment arguments,
-/// so only the differing middle slice is integrated. Skipping a
-/// cancelling +/- pair never changes the exact sum, it only removes two
-/// rounding round-trips; the slices stay exact because the suffix is
-/// extended by one pair whenever its start boundary (the predecessor's
-/// ld) differs between the versions.
-///
-/// Shared verbatim by the per-source and the batched block drivers --
-/// one code path, so their partials agree bit for bit.
+/// Both versions are pooled-engine arena spans whose shared pairs are
+/// value-identical (merge_frontier copies doubles verbatim), so they are
+/// first diffed: the common prefix and suffix would be retracted at -1
+/// and re-added at +1 with identical segment arguments, so only the
+/// differing middle slice is integrated. Skipping a cancelling +/- pair
+/// never changes the exact sum, it only removes two rounding
+/// round-trips; the slices stay exact because the suffix is extended by
+/// one pair whenever its start boundary (the predecessor's ld) differs
+/// between the versions.
 void integrate_frontier_delta(const FrontierView& old_f,
                               const FrontierView& new_f, const TimeWindows& w,
                               MeasureCdfAccumulator& acc,
@@ -39,42 +36,34 @@ void integrate_frontier_delta(const FrontierView& old_f,
   const double* o_ea = old_f.soa_ea();
   const double* n_ld = new_f.soa_ld();
   const double* n_ea = new_f.soa_ea();
-  if (o_ld && n_ld) {
-    const std::size_t on = old_f.size(), nn = new_f.size();
-    const std::size_t match_max = std::min(on, nn);
-    // Equal runs are trimmed by the dispatched prefix/suffix scans
-    // (util/simd.hpp): vector value-equality compares under AVX2 /
-    // SSE4.2, the original 8-wide memcmp block loop on the scalar
-    // level -- both return the identical maximal counts.
-    const simd::Ops& sops = simd::ops();
-    const std::size_t p = sops.equal_prefix2(o_ld, o_ea, n_ld, n_ea, match_max);
-    std::size_t s =
-        sops.equal_suffix2(o_ld, o_ea, on, n_ld, n_ea, nn, match_max - p);
-    if (s > 0) {
-      // The first suffix pair's segment starts at its predecessor's
-      // ld; if the predecessors differ the pair belongs to the
-      // middle. One step suffices: the next suffix pair's
-      // predecessor is then itself a matched pair.
-      const double ob = on - s > 0 ? o_ld[on - s - 1] : kNegInf;
-      const double nb = nn - s > 0 ? n_ld[nn - s - 1] : kNegInf;
-      if (ob != nb) --s;
-    }
-    const double boundary = p > 0 ? o_ld[p - 1] : kNegInf;
-    const std::size_t om = on - p - s, nm = nn - p - s;
-    if (om + nm > 0) {
-      acc.add_delivery_segments(o_ld + p, o_ea + p, om, w.data(), w.size(),
-                                -1.0, boundary);
-      acc.add_delivery_segments(n_ld + p, n_ea + p, nm, w.data(), w.size(),
-                                +1.0, boundary);
-    }
-    pairs_integrated += om + nm;
-  } else {
-    for (const auto& [lo, hi] : w) {
-      old_f.accumulate_delay_measure(acc, lo, hi, -1.0);
-      new_f.accumulate_delay_measure(acc, lo, hi, +1.0);
-    }
-    pairs_integrated += old_f.size() + new_f.size();
+  const std::size_t on = old_f.size(), nn = new_f.size();
+  const std::size_t match_max = std::min(on, nn);
+  // Equal runs are trimmed by the dispatched prefix/suffix scans
+  // (util/simd.hpp): vector value-equality compares under AVX2 /
+  // SSE4.2, the original 8-wide memcmp block loop on the scalar level
+  // -- both return the identical maximal counts.
+  const simd::Ops& sops = simd::ops();
+  const std::size_t p = sops.equal_prefix2(o_ld, o_ea, n_ld, n_ea, match_max);
+  std::size_t s =
+      sops.equal_suffix2(o_ld, o_ea, on, n_ld, n_ea, nn, match_max - p);
+  if (s > 0) {
+    // The first suffix pair's segment starts at its predecessor's ld; if
+    // the predecessors differ the pair belongs to the middle. One step
+    // suffices: the next suffix pair's predecessor is then itself a
+    // matched pair.
+    const double ob = on - s > 0 ? o_ld[on - s - 1] : kNegInf;
+    const double nb = nn - s > 0 ? n_ld[nn - s - 1] : kNegInf;
+    if (ob != nb) --s;
   }
+  const double boundary = p > 0 ? o_ld[p - 1] : kNegInf;
+  const std::size_t om = on - p - s, nm = nn - p - s;
+  if (om + nm > 0) {
+    acc.add_delivery_segments(o_ld + p, o_ea + p, om, w.data(), w.size(),
+                              -1.0, boundary);
+    acc.add_delivery_segments(n_ld + p, n_ea + p, nm, w.data(), w.size(),
+                              +1.0, boundary);
+  }
+  pairs_integrated += om + nm;
 }
 
 void process_source_direct(const TemporalGraph& graph, NodeId src,
@@ -112,12 +101,16 @@ void process_source_incremental(const TemporalGraph& graph, NodeId src,
                                 int max_levels, EngineMode mode,
                                 SourceCdfWorker& worker,
                                 SourceCdfPartial& out) {
-  if (!worker.engine) {
+  // Only the pooled engine publishes per-level change sets: under the
+  // level sweep every delta would be empty and the partial silently zero.
+  if (mode != EngineMode::kPooled)
+    throw std::invalid_argument(
+        "process_source: incremental accumulation requires the pooled "
+        "engine (kPooled)");
+  if (!worker.engine)
     worker.engine.emplace(graph, src, mode);
-    worker.engine->track_changes(true);
-  } else {
+  else
     worker.engine->reset(src);
-  }
   SingleSourceEngine& engine = *worker.engine;
 
   // Observation measure for every (src, dst) pair of this source parks
@@ -205,8 +198,8 @@ bool use_incremental_accumulation(const DelayCdfOptions& options) {
        options.engine != EngineMode::kLevelSweep);
   if (incremental && options.engine == EngineMode::kLevelSweep)
     throw std::invalid_argument(
-        "compute_delay_cdf: incremental accumulation requires a delta "
-        "engine (kPooled or kIndexed)");
+        "compute_delay_cdf: incremental accumulation requires the pooled "
+        "engine (kPooled)");
   return incremental;
 }
 
@@ -250,67 +243,6 @@ void process_source(const TemporalGraph& graph, NodeId src,
   else
     process_source_direct(graph, src, endpoints, w, max_hops, max_levels,
                           mode, worker, out);
-}
-
-EngineStats BatchedCdfWorker::take_stats() const {
-  EngineStats out = stats;
-  if (engine) out.merge(engine->stats());
-  return out;
-}
-
-void process_source_block(const TemporalGraph& graph,
-                          std::span<const NodeId> block,
-                          const std::vector<NodeId>& endpoints,
-                          const std::vector<std::uint8_t>& is_endpoint,
-                          const TimeWindows& w, int max_hops, int max_levels,
-                          BatchedCdfWorker& worker,
-                          std::vector<SourceCdfPartial>& outs) {
-  if (!worker.engine)
-    worker.engine.emplace(graph, block);
-  else
-    worker.engine->reset(block);
-  BatchedSourceEngine& engine = *worker.engine;
-  const std::size_t lanes = engine.num_lanes();
-
-  // Observation measure for every (src, dst) pair of each lane parks in
-  // its hop-1 accumulator, as in the per-source incremental path.
-  const double obs = total_window_measure(w) *
-                     static_cast<double>(endpoints.size() - 1);
-  for (std::size_t l = 0; l < lanes; ++l)
-    outs[l].by_hops[0].add_observation_measure(obs);
-
-  auto apply_lane_deltas = [&](std::size_t l, MeasureCdfAccumulator& acc) {
-    const NodeId src = engine.source(l);
-    const std::vector<NodeId>& changed = engine.last_changed(l);
-    for (std::size_t i = 0; i < changed.size(); ++i) {
-      const NodeId dst = changed[i];
-      if (dst == src || !is_endpoint[dst]) continue;
-      integrate_frontier_delta(engine.previous_frontier_view(l, i),
-                               engine.frontier_view(l, dst), w, acc,
-                               worker.stats.cdf_pairs_integrated);
-    }
-  };
-  // The drive loop mirrors process_source_incremental per lane: a lane
-  // not yet at its fixpoint has advanced at every executed level, so its
-  // hop count equals engine.steps() and the shared loop bounds apply the
-  // per-source conditions to every live lane at once; fixpoint lanes are
-  // no-ops with empty change lists, exactly like a per-source engine
-  // stepped past its fixpoint.
-  for (int k = 1; k <= max_hops; ++k) {
-    engine.step();
-    for (std::size_t l = 0; l < lanes; ++l)
-      apply_lane_deltas(l, outs[l].by_hops[k - 1]);
-  }
-  while (!engine.all_at_fixpoint() && engine.steps() < max_levels) {
-    engine.step();
-    for (std::size_t l = 0; l < lanes; ++l)
-      apply_lane_deltas(l, outs[l].unbounded);
-  }
-  for (std::size_t l = 0; l < lanes; ++l)
-    record_fixpoint(
-        outs[l],
-        engine.lane_at_fixpoint(l) ? engine.lane_hops(l) : max_levels + 1,
-        max_levels);
 }
 
 OrderedCdfFolder::OrderedCdfFolder(const std::vector<double>& grid,

@@ -1,17 +1,17 @@
-// Per-source delay-CDF processing, shared by the unsharded and sharded
-// all-pairs drivers (core/diameter.cpp and core/sharded_engine.cpp).
+// Per-source delay-CDF processing behind every all-pairs computation
+// (compute_delay_cdf in core/diameter.cpp, QueryEngine and the live
+// IncrementalAllPairsEngine).
 //
 // One source's contribution to the all-pairs CDFs is integrated into a
 // private zeroed SourceCdfPartial, and partials are folded into the
 // running total in CANONICAL order: ascending endpoint index, one left
 // chain. Floating-point addition is not associative, so this fold order
 // -- not the execution order -- is the contract that makes results
-// bit-identical across thread counts, shard counts and partition
-// policies: however the sources were distributed, the same per-source
-// doubles are merged in the same sequence. Per-source partials
-// themselves are bitwise reproducible anywhere because every shard or
-// worker runs the identical deterministic DP over a byte-identical
-// contact array.
+// bit-identical across thread counts and cache hit subsets: however the
+// sources were distributed, the same per-source doubles are merged in
+// the same sequence. Per-source partials themselves are bitwise
+// reproducible anywhere because every worker runs the identical
+// deterministic DP over the same contact array.
 #pragma once
 
 #include <cstddef>
@@ -19,11 +19,9 @@
 #include <map>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <utility>
 #include <vector>
 
-#include "core/batched_engine.hpp"
 #include "core/diameter.hpp"
 #include "core/optimal_paths.hpp"
 #include "core/temporal_graph.hpp"
@@ -102,31 +100,6 @@ void process_source(const TemporalGraph& graph, NodeId src,
                     EngineMode mode, bool incremental,
                     SourceCdfWorker& worker, SourceCdfPartial& out);
 
-/// Per-worker state of the batched driver: one recycled multi-source
-/// block engine (core/batched_engine.hpp) plus the CDF-side counters.
-struct BatchedCdfWorker {
-  std::optional<BatchedSourceEngine> engine;
-  EngineStats stats;
-
-  /// Worker counters plus the recycled engine's counters (if any).
-  EngineStats take_stats() const;
-};
-
-/// Integrates a block of sources through one lockstep BatchedSourceEngine:
-/// outs[j] (which must be zeroed/cleared, outs.size() >= block.size())
-/// receives block[j]'s partial, BITWISE identical to what process_source
-/// produces for that source under the pooled engine with incremental
-/// accumulation -- the block path shares the per-destination delta
-/// integration code with the per-source path, and the engine reproduces
-/// each lane's change lists and frontier bytes exactly.
-void process_source_block(const TemporalGraph& graph,
-                          std::span<const NodeId> block,
-                          const std::vector<NodeId>& endpoints,
-                          const std::vector<std::uint8_t>& is_endpoint,
-                          const TimeWindows& w, int max_hops, int max_levels,
-                          BatchedCdfWorker& worker,
-                          std::vector<SourceCdfPartial>& outs);
-
 /// Thread-safe canonical-order folder: submit(i, partial) merges the
 /// partials into one total in ascending index order no matter the
 /// arrival order (out-of-order arrivals are buffered by copy until the
@@ -152,7 +125,7 @@ class OrderedCdfFolder {
   std::map<std::size_t, SourceCdfPartial> pending_;
 };
 
-/// Shared finalization of both all-pairs drivers: prefix-merges the
+/// Shared finalization of every all-pairs computation: prefix-merges the
 /// incremental deltas, evaluates the per-hop CDFs, clamps the hop
 /// monotonicity invariant, and fills the result scalars. `total` is
 /// consumed (its accumulators are prefix-merged in place).

@@ -43,7 +43,8 @@ struct NodeContact {
 /// buffer (an mmap-ed snapshot file, trace/snapshot.hpp) without copying
 /// a byte. Copies of a borrowed graph stay zero-copy too -- they share
 /// the backing buffer and its already-built indexes -- which keeps the
-/// sharded engine's per-shard "private graph copies" cheap on snapshots.
+/// per-engine graph copies (QueryEngine takes its graph by value) cheap
+/// on snapshots.
 class TemporalGraph {
  public:
   /// Builds a graph with `num_nodes` nodes. Contacts are validated

@@ -138,17 +138,6 @@ void MeasureCdfAccumulator::clear() noexcept {
   denominator_ = 0.0;
 }
 
-void MeasureCdfAccumulator::restore_raw(const std::vector<double>& const_diff,
-                                        const std::vector<double>& slope_diff,
-                                        double denominator) {
-  if (const_diff.size() != grid_.size() + 1 ||
-      slope_diff.size() != grid_.size() + 1)
-    throw std::invalid_argument("MeasureCdf: raw lane size mismatch");
-  const_diff_ = const_diff;
-  slope_diff_ = slope_diff;
-  denominator_ = denominator;
-}
-
 void MeasureCdfAccumulator::add_observation_measure(double measure) {
   assert(measure >= 0.0);
   denominator_ += measure;

@@ -114,7 +114,7 @@ class MeasureCdfAccumulator {
   /// one accumulator as per-source scratch: zero, integrate one source,
   /// merge into a running total, repeat -- the merge order (not the
   /// integration order) then fully determines the rounding, which is
-  /// what makes sharded and unsharded all-pairs runs bit-identical.
+  /// what makes all-pairs runs bit-identical across thread counts.
   void clear() noexcept;
 
   /// The evaluation grid.
@@ -122,25 +122,6 @@ class MeasureCdfAccumulator {
 
   /// Total denominator accumulated so far.
   double denominator() const noexcept { return denominator_; }
-
-  /// Raw difference-array lanes (size grid().size() + 1 each):
-  /// contribution at grid index j is prefix(const_diff)[j]
-  /// + prefix(slope_diff)[j] * grid[j]. Exposed so the shard message
-  /// layer can serialize an accumulator byte-exactly; merging a restored
-  /// copy is bit-identical to merging the original.
-  const std::vector<double>& const_diff() const noexcept {
-    return const_diff_;
-  }
-  const std::vector<double>& slope_diff() const noexcept {
-    return slope_diff_;
-  }
-
-  /// Overwrites this accumulator's state with previously captured raw
-  /// lanes (the inverse of const_diff()/slope_diff()/denominator()).
-  /// Both lanes must have size grid().size() + 1; throws
-  /// std::invalid_argument otherwise.
-  void restore_raw(const std::vector<double>& const_diff,
-                   const std::vector<double>& slope_diff, double denominator);
 
   /// P[delay <= grid[j]] for every j. Returns zeros when the denominator
   /// is zero. Values are clamped to [0, 1] against rounding noise.

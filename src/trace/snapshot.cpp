@@ -38,7 +38,7 @@ constexpr std::size_t align_up(std::size_t v) {
 }
 
 /// Little-endian primitive writer into a pre-sized buffer (the section
-/// offsets are known up front, unlike the append-only shard messages).
+/// offsets are known up front, so no append-only growth is needed).
 struct Cursor {
   std::uint8_t* base;
   std::size_t pos = 0;

@@ -33,15 +33,15 @@
 //
 //   Sections start at 64-byte-aligned offsets; gap bytes are zero.
 //
-// The decoder follows the PR 7 ShardRequest/ShardResult discipline --
-// magic + version check, every offset/size bounds-checked against the
-// buffer and cross-checked against the header counts (lying lengths),
-// total_size == buffer size (truncation AND trailing bytes) -- and then
-// validates the graph invariants the engines rely on (canonical contact
-// order, in-range node ids, monotone offset arrays, per-node end-sorted
-// neighbor runs, start/end matching the contact span), so a bit-flipped
-// file either loads into a fully usable graph or throws SnapshotError;
-// it can never produce out-of-bounds index arrays.
+// The decoder is strict about framing -- magic + version check, every
+// offset/size bounds-checked against the buffer and cross-checked
+// against the header counts (lying lengths), total_size == buffer size
+// (truncation AND trailing bytes) -- and then validates the graph
+// invariants the engines rely on (canonical contact order, in-range
+// node ids, monotone offset arrays, per-node end-sorted neighbor runs,
+// start/end matching the contact span), so a bit-flipped file either
+// loads into a fully usable graph or throws SnapshotError; it can never
+// produce out-of-bounds index arrays.
 #pragma once
 
 #include <cstddef>

@@ -28,7 +28,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace odtn {
 
@@ -123,37 +122,6 @@ class PairArena {
   std::size_t size_ = 0;
   std::size_t peak_pairs_ = 0;
   bool with_aux_ = false;
-};
-
-/// Blocked per-(node, source-lane) span addressing for the batched
-/// multi-source engine: one flat table holding, for every node, one
-/// PairSpan per source lane of the block, lane-major
-/// (`at(node, lane) == spans[lane * nodes + node]`). Lane-major order
-/// keeps each lane's per-node state the same size and layout as the
-/// per-source engine's span table, so one entry's walk (fixed lane,
-/// varying target) touches an L1-sized slice instead of striding the
-/// whole block. reset() recycles capacity like the arenas.
-class BlockedSpanTable {
- public:
-  void reset(std::size_t nodes, std::size_t lanes) {
-    nodes_ = nodes;
-    lanes_ = lanes;
-    spans_.assign(nodes * lanes, PairSpan{});
-  }
-
-  PairSpan& at(std::size_t node, std::size_t lane) noexcept {
-    return spans_[lane * nodes_ + node];
-  }
-  const PairSpan& at(std::size_t node, std::size_t lane) const noexcept {
-    return spans_[lane * nodes_ + node];
-  }
-
-  std::size_t lanes() const noexcept { return lanes_; }
-
- private:
-  std::vector<PairSpan> spans_;
-  std::size_t nodes_ = 0;
-  std::size_t lanes_ = 1;
 };
 
 }  // namespace odtn

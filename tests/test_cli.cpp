@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 
 #include "trace/trace_io.hpp"
@@ -62,6 +63,21 @@ TEST(Parse, CountsRejectNegatives) {
     EXPECT_NE(std::string(e.what()).find("--n"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("-3"), std::string::npos);
   }
+}
+
+TEST(Parse, OutOfRangeValuesAreRejected) {
+  // strtol saturates at LONG_MAX/LONG_MIN with ERANGE: never a value.
+  EXPECT_THROW(parse_long("99999999999999999999", "x"), CliError);
+  EXPECT_THROW(parse_long("-99999999999999999999", "x"), CliError);
+  EXPECT_THROW(parse_count("99999999999999999999", "x"), CliError);
+  // Caller-supplied ceilings guard the later narrowing casts.
+  EXPECT_EQ(parse_count("4294967295", "src", 4294967295ul), 4294967295ul);
+  EXPECT_THROW(parse_count("4294967296", "src", 4294967295ul), CliError);
+  EXPECT_EQ(parse_int("2147483647", "max-hops", 1), 2147483647);
+  EXPECT_THROW(parse_int("2147483648", "max-hops", 1), CliError);
+  EXPECT_THROW(parse_int("4294967297", "max-hops", 1), CliError);
+  EXPECT_THROW(parse_int("0", "max-hops", 1), CliError);
+  EXPECT_EQ(parse_int("0", "poll-ms", 0), 0);
 }
 
 TEST(Parse, Durations) {
@@ -177,20 +193,19 @@ TEST_F(CliCommands, CdfValidatesMaxHops) {
   EXPECT_EQ(run_cli({"cdf", trace, "--max-hops", "-4"}), 2);
 }
 
-TEST_F(CliCommands, CdfShardedMatchesUsage) {
+TEST_F(CliCommands, CdfRejectsRemovedShardAndBatchFlags) {
+  // The sharded and batched execution paths are gone: their flags are
+  // unrecognized arguments (usage error), while the same run without
+  // them succeeds.
   const std::string trace = track(path("tiny_shard.trace"));
   write_trace_file(
       trace, TemporalGraph(3, {{0, 1, 0.0, 600.0}, {1, 2, 900.0, 1800.0}}));
   EXPECT_EQ(run_cli({"cdf", trace, "--max-hops", "3", "--grid-lo", "60",
-                     "--grid-hi", "1h", "--shards", "2"}),
+                     "--grid-hi", "1h"}),
             0);
-  EXPECT_EQ(run_cli({"cdf", trace, "--shards", "2", "--shard-policy",
-                     "degree-balanced"}),
-            0);
-  EXPECT_EQ(run_cli({"cdf", trace, "--shards", "-2"}), 2);
-  EXPECT_EQ(run_cli({"cdf", trace, "--shards", "2", "--shard-policy",
-                     "round-robin"}),
-            2);
+  EXPECT_EQ(run_cli({"cdf", trace, "--shards", "2"}), 2);
+  EXPECT_EQ(run_cli({"cdf", trace, "--shard-policy", "contiguous"}), 2);
+  EXPECT_EQ(run_cli({"cdf", trace, "--batch-size", "4"}), 2);
 }
 
 TEST_F(CliCommands, GenerateRejectsNegativeSeed) {
@@ -262,6 +277,26 @@ TEST_F(CliCommands, NegativeCountsAreUsageErrors) {
                      "--internal", "-2"}),
             2);
   EXPECT_EQ(run_cli({"route", trace, "--src", "-1", "--dst", "1"}), 2);
+}
+
+TEST_F(CliCommands, NarrowingOverflowsAreUsageErrors) {
+  // Values that used to wrap in a static_cast to NodeId / int: 2^32
+  // became node 0 and 2^32 + 1 hops became 1.
+  const std::string trace = track(path("narrow.trace"));
+  write_trace_file(trace, TemporalGraph(2, {{0, 1, 0.0, 60.0}}));
+  EXPECT_EQ(run_cli({"cdf", trace, "--max-hops", "4294967297"}), 2);
+  EXPECT_EQ(run_cli({"cdf", trace, "--threads", "4294967297"}), 2);
+  EXPECT_EQ(run_cli({"route", trace, "--src", "4294967296", "--dst", "1"}),
+            2);
+  EXPECT_EQ(run_cli({"route", trace, "--src", "0", "--dst", "4294967297"}),
+            2);
+  EXPECT_EQ(run_cli({"serve", "--trace", trace, "--input", "/dev/null",
+                     "--max-hops", "4294967297"}),
+            2);
+  EXPECT_EQ(run_cli({"tail", trace, "--max-hops", "4294967297"}), 2);
+  EXPECT_EQ(run_cli({"tail", trace, "--max-levels", "4294967297"}), 2);
+  EXPECT_EQ(run_cli({"tail", trace, "--follow", "--poll-ms", "4294967296"}),
+            2);
 }
 
 TEST_F(CliCommands, RouteRejectsBadNodes) {
@@ -358,6 +393,29 @@ TEST_F(CliServe, ServeIngestAppendsAndRefreshesAnswers) {
   EXPECT_NE(out.find("ingest ok epoch=1 contacts=3"), std::string::npos);
   EXPECT_NE(out.find("reach src=2 t=0 count=2"), std::string::npos);
   EXPECT_NE(out.find("error"), std::string::npos);
+}
+
+TEST_F(CliServe, ServeIngestRejectsOutOfRangeNodes) {
+  // 2^32 used to wrap to node 0 and append a 0--1 contact.
+  const std::string trace = serve_trace("srv_wrap.trace");
+  const std::string queries = track(path("srv_wrap.q"));
+  {
+    std::ofstream out(queries);
+    out << "ingest 4294967296 1 2000 2001\n"
+        << "ingest 0 4294967297 2000 2001\n"
+        << "ingest 99999999999999999999 1 2000 2001\n";
+  }
+  ::testing::internal::CaptureStdout();
+  ASSERT_EQ(run_cli({"serve", "--trace", trace, "--input", queries,
+                     "--grid-lo", "60", "--grid-hi", "1h"}),
+            0);
+  const std::string out = ::testing::internal::GetCapturedStdout();
+  EXPECT_EQ(out.find("ingest ok"), std::string::npos) << out;
+  std::istringstream lines(out);
+  int errors = 0;
+  for (std::string line; std::getline(lines, line);)
+    if (line.rfind("error ", 0) == 0) ++errors;
+  EXPECT_EQ(errors, 3) << out;
 }
 
 /// Strips the us=<latency> token so two runs can be compared bit-exactly.

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/source_cdf.hpp"
 #include "sim/flooding.hpp"
 #include "stats/log_grid.hpp"
 #include "util/rng.hpp"
@@ -231,16 +232,16 @@ TEST(DelayCdf, EngineModesProduceIdenticalCdfs) {
     contacts.push_back({u, v, b, b + rng.uniform(0, 6)});
   }
   TemporalGraph g(10, std::move(contacts));
-  auto indexed_opt = base_options();
-  indexed_opt.num_threads = 1;
+  auto pooled_opt = base_options();
+  pooled_opt.num_threads = 1;
   // Pin the direct accumulation path on both sides: this test isolates
   // the two propagation schemes, which must agree to the bit. (Under
-  // kAuto the indexed engine would use incremental accumulation, whose
+  // kAuto the pooled engine would use incremental accumulation, whose
   // agreement is within rounding -- covered by the tests below.)
-  indexed_opt.accumulation = CdfAccumulation::kDirect;
-  auto sweep_opt = indexed_opt;
+  pooled_opt.accumulation = CdfAccumulation::kDirect;
+  auto sweep_opt = pooled_opt;
   sweep_opt.engine = EngineMode::kLevelSweep;
-  const auto a = compute_delay_cdf(g, indexed_opt);
+  const auto a = compute_delay_cdf(g, pooled_opt);
   const auto b = compute_delay_cdf(g, sweep_opt);
   ASSERT_EQ(a.cdf_by_hops.size(), b.cdf_by_hops.size());
   for (std::size_t k = 0; k < a.cdf_by_hops.size(); ++k)
@@ -250,7 +251,7 @@ TEST(DelayCdf, EngineModesProduceIdenticalCdfs) {
     ASSERT_EQ(a.cdf_unbounded[j], b.cdf_unbounded[j]);
   EXPECT_EQ(a.fixpoint_hops, b.fixpoint_hops);
   EXPECT_TRUE(a.converged);
-  // The indexed engine must examine no more contacts than the sweep and
+  // The pooled engine must examine no more contacts than the sweep and
   // must actually skip frontier snapshots.
   EXPECT_LE(a.stats.contacts_examined, b.stats.contacts_examined);
   EXPECT_GT(a.stats.frontier_copies_avoided, 0u);
@@ -345,7 +346,7 @@ TEST(DelayCdf, IncrementalReusesOneWorkspacePerWorker) {
   EXPECT_GT(dir.stats.cdf_pairs_integrated, 0u);
 }
 
-TEST(DelayCdf, IncrementalRequiresIndexedEngine) {
+TEST(DelayCdf, IncrementalRequiresPooledEngine) {
   TemporalGraph g(2, {{0, 1, 0.0, 1.0}});
   auto opt = base_options();
   opt.engine = EngineMode::kLevelSweep;
@@ -354,6 +355,15 @@ TEST(DelayCdf, IncrementalRequiresIndexedEngine) {
   // kAuto degrades to direct accumulation for the level-sweep engine.
   opt.accumulation = CdfAccumulation::kAuto;
   EXPECT_NO_THROW(compute_delay_cdf(g, opt));
+  // The per-source entry point refuses the combination too, instead of
+  // integrating the level sweep's (always empty) change sets.
+  const TimeWindows w = resolve_cdf_windows(g, opt);
+  SourceCdfWorker worker;
+  SourceCdfPartial partial(opt.grid, opt.max_hops);
+  EXPECT_THROW(process_source(g, 0, {0, 1}, {1, 1}, w, opt.max_hops,
+                              opt.max_levels, EngineMode::kLevelSweep,
+                              /*incremental=*/true, worker, partial),
+               std::invalid_argument);
 }
 
 TEST(DelayCdf, UnconvergedDiameterIsSentinel) {

@@ -39,35 +39,35 @@ TemporalGraph random_trace(Rng& rng, std::size_t nodes,
   return TemporalGraph(nodes, std::move(contacts), directed);
 }
 
-/// Steps the indexed engine and the level-sweep reference side by side
+/// Steps the pooled engine and the level-sweep oracle side by side
 /// and requires identical frontiers at EVERY hop level, plus agreement
 /// with flood() arrivals at sampled start times at every hop budget.
 void expect_modes_and_flooding_agree(const TemporalGraph& g, NodeId src,
                                      Rng& rng, double t_lo, double t_hi) {
-  SingleSourceEngine indexed(g, src, EngineMode::kIndexed);
+  SingleSourceEngine pooled(g, src, EngineMode::kPooled);
   SingleSourceEngine sweep(g, src, EngineMode::kLevelSweep);
   for (int hops = 1; hops <= 64; ++hops) {
-    const bool indexed_grew = indexed.step();
+    const bool pooled_grew = pooled.step();
     const bool sweep_grew = sweep.step();
-    ASSERT_EQ(indexed_grew, sweep_grew) << "src=" << src << " hops=" << hops;
-    ASSERT_EQ(indexed.hops(), sweep.hops());
+    ASSERT_EQ(pooled_grew, sweep_grew) << "src=" << src << " hops=" << hops;
+    ASSERT_EQ(pooled.hops(), sweep.hops());
     for (NodeId dst = 0; dst < g.num_nodes(); ++dst) {
-      ASSERT_EQ(indexed.frontier(dst), sweep.frontier(dst))
+      ASSERT_EQ(pooled.frontier(dst), sweep.frontier(dst))
           << "src=" << src << " dst=" << dst << " hops=" << hops;
     }
     for (int q = 0; q < 10; ++q) {
       const double t0 = rng.uniform(t_lo, t_hi);
-      const FloodingResult fr = flood(g, src, t0, indexed.hops());
+      const FloodingResult fr = flood(g, src, t0, pooled.hops());
       for (NodeId dst = 0; dst < g.num_nodes(); ++dst) {
-        ASSERT_EQ(indexed.frontier(dst).deliver_at(t0),
-                  fr.arrival_with_hops(dst, indexed.hops()))
+        ASSERT_EQ(pooled.frontier(dst).deliver_at(t0),
+                  fr.arrival_with_hops(dst, pooled.hops()))
             << "src=" << src << " dst=" << dst << " t0=" << t0
-            << " hops=" << indexed.hops();
+            << " hops=" << pooled.hops();
       }
     }
-    if (!indexed_grew) break;
+    if (!pooled_grew) break;
   }
-  ASSERT_TRUE(indexed.at_fixpoint());
+  ASSERT_TRUE(pooled.at_fixpoint());
   ASSERT_TRUE(sweep.at_fixpoint());
 }
 
@@ -145,7 +145,7 @@ TEST_P(EngineCrosscheck, UnboundedEqualsLargeHopFlooding) {
   }
 }
 
-TEST_P(EngineCrosscheck, IndexedMatchesLevelSweepUndirected) {
+TEST_P(EngineCrosscheck, PooledMatchesLevelSweepUndirected) {
   const auto param = GetParam();
   Rng rng(param.seed ^ 0xD1EDC0DE);
   const TemporalGraph g =
@@ -154,7 +154,7 @@ TEST_P(EngineCrosscheck, IndexedMatchesLevelSweepUndirected) {
     expect_modes_and_flooding_agree(g, src, rng, -5.0, 110.0);
 }
 
-TEST_P(EngineCrosscheck, IndexedMatchesLevelSweepDirected) {
+TEST_P(EngineCrosscheck, PooledMatchesLevelSweepDirected) {
   const auto param = GetParam();
   Rng rng(param.seed ^ 0xD1AEC7ED);
   const TemporalGraph g = random_trace(rng, param.nodes, param.contacts,
@@ -163,7 +163,7 @@ TEST_P(EngineCrosscheck, IndexedMatchesLevelSweepDirected) {
     expect_modes_and_flooding_agree(g, src, rng, -5.0, 110.0);
 }
 
-TEST_P(EngineCrosscheck, IndexedMatchesLevelSweepNegativeTimes) {
+TEST_P(EngineCrosscheck, PooledMatchesLevelSweepNegativeTimes) {
   const auto param = GetParam();
   Rng rng(param.seed ^ 0x4E6A71E5);
   // All timestamps strictly negative (epoch-shifted import regime).

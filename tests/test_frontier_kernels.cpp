@@ -227,29 +227,24 @@ TEST(FrontierKernels, MergeEdgeCases) {
 }
 
 // ---------------------------------------------------------------------
-// Engine level: kPooled vs kIndexed vs kLevelSweep, every hop level.
+// Engine level: kPooled vs the kLevelSweep oracle, every hop level.
 // ---------------------------------------------------------------------
 
-/// Steps all three modes side by side; frontiers must be bit-identical
+/// Steps both modes side by side; frontiers must be bit-identical
 /// at EVERY level, views must agree with materialized functions, and the
 /// pooled free snapshots must equal the node's pre-step frontier.
 void expect_pooled_identical(const TemporalGraph& g, NodeId src) {
   SingleSourceEngine pooled(g, src, EngineMode::kPooled);
-  SingleSourceEngine indexed(g, src, EngineMode::kIndexed);
   SingleSourceEngine sweep(g, src, EngineMode::kLevelSweep);
   Rng rng = Rng::keyed(0xF0B5, (static_cast<std::uint64_t>(src) << 32) ^
                                    g.num_contacts());
   for (int level = 1; level <= 64; ++level) {
     std::vector<DeliveryFunction> before = pooled.frontiers();
     const bool p_grew = pooled.step();
-    const bool i_grew = indexed.step();
     const bool s_grew = sweep.step();
-    ASSERT_EQ(p_grew, i_grew) << "src=" << src << " level=" << level;
     ASSERT_EQ(p_grew, s_grew) << "src=" << src << " level=" << level;
     for (NodeId dst = 0; dst < g.num_nodes(); ++dst) {
       const DeliveryFunction f = pooled.frontier(dst);
-      ASSERT_EQ(f, indexed.frontier(dst))
-          << "src=" << src << " dst=" << dst << " level=" << level;
       ASSERT_EQ(f, sweep.frontier(dst))
           << "src=" << src << " dst=" << dst << " level=" << level;
       // View parity: SoA arena view == materialized function.
@@ -280,7 +275,7 @@ void expect_pooled_identical(const TemporalGraph& g, NodeId src) {
     if (!p_grew) break;
   }
   ASSERT_TRUE(pooled.at_fixpoint());
-  ASSERT_TRUE(indexed.at_fixpoint());
+  ASSERT_TRUE(sweep.at_fixpoint());
 }
 
 struct TraceParam {
@@ -357,21 +352,10 @@ TEST(PooledEngine, ResetRecyclesArenasWithZeroGrowth) {
   // And a recycled engine still computes the right frontiers.
   engine.reset(3);
   engine.run_to_fixpoint();
-  SingleSourceEngine fresh(g, 3, EngineMode::kIndexed);
+  SingleSourceEngine fresh(g, 3, EngineMode::kLevelSweep);
   fresh.run_to_fixpoint();
   for (NodeId dst = 0; dst < g.num_nodes(); ++dst)
     ASSERT_EQ(engine.frontier(dst), fresh.frontier(dst)) << "dst=" << dst;
-}
-
-TEST(PooledEngine, TrackChangesContractPerMode) {
-  Rng rng = Rng::keyed(0xF0B7, 0);
-  const TemporalGraph g = random_trace(rng, 6, 30, 50.0);
-  // kPooled: tracking is inherently on; the call is a validated no-op.
-  SingleSourceEngine pooled(g, 0, EngineMode::kPooled);
-  EXPECT_NO_THROW(pooled.track_changes(true));
-  // kLevelSweep has no delta machinery at all.
-  SingleSourceEngine sweep(g, 0, EngineMode::kLevelSweep);
-  EXPECT_THROW(sweep.track_changes(true), std::logic_error);
 }
 
 // ---------------------------------------------------------------------

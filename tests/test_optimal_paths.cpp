@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <vector>
 
 namespace odtn {
 namespace {
@@ -236,24 +237,48 @@ TEST(Engine, ResetRejectsOutOfRangeSource) {
   EXPECT_THROW(e.reset(7), std::out_of_range);
 }
 
+/// Checks the pooled engine's change lists right after a step against a
+/// level-sweep engine still one level behind: last_changed() names
+/// exactly the nodes whose frontier moved, and previous_frontier_view(i)
+/// is last_changed()[i]'s frontier at the level the oracle still holds.
+void expect_changes_match_oracle(const TemporalGraph& g,
+                                 const SingleSourceEngine& pooled,
+                                 const SingleSourceEngine& behind) {
+  std::vector<bool> listed(g.num_nodes(), false);
+  const std::vector<NodeId>& changed = pooled.last_changed();
+  for (std::size_t i = 0; i < changed.size(); ++i) {
+    listed[changed[i]] = true;
+    EXPECT_EQ(materialize(pooled.previous_frontier_view(i)),
+              behind.frontier(changed[i]))
+        << "node " << changed[i];
+    EXPECT_NE(pooled.frontier(changed[i]), behind.frontier(changed[i]));
+  }
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (listed[v]) continue;
+    EXPECT_EQ(pooled.frontier(v), behind.frontier(v)) << "node " << v;
+  }
+}
+
 TEST(Engine, ChangeTrackingExposesExactDeltas) {
   // Relay route improves node 2's frontier at level 2 while the direct
   // late contact created it at level 1: last_changed() must name exactly
-  // the nodes whose frontier changed, and previous_frontier(i) must be
-  // the pre-merge state so old + published == new.
+  // the nodes whose frontier changed, and previous_frontier_view(i) must
+  // be the pre-merge state so old + published == new.
   TemporalGraph g(3, {{0, 2, 10.0, 11.0}, {0, 1, 0.0, 1.0}, {1, 2, 2.0, 3.0}});
-  SingleSourceEngine e(g, 0, EngineMode::kIndexed);
-  e.track_changes(true);
+  SingleSourceEngine e(g, 0, EngineMode::kPooled);
+  SingleSourceEngine behind(g, 0, EngineMode::kLevelSweep);
 
   e.step();  // level 1: nodes 1 and 2 gain their first pairs
   {
     const auto& changed = e.last_changed();
     ASSERT_EQ(changed.size(), 2u);
     for (std::size_t i = 0; i < changed.size(); ++i) {
-      EXPECT_TRUE(e.previous_frontier(i).empty());  // born this level
+      EXPECT_TRUE(e.previous_frontier_view(i).empty());  // born this level
       EXPECT_FALSE(e.frontier(changed[i]).empty());
     }
+    expect_changes_match_oracle(g, e, behind);
   }
+  behind.step();
 
   e.step();  // level 2: only node 2 improves (via the relay)
   {
@@ -261,34 +286,42 @@ TEST(Engine, ChangeTrackingExposesExactDeltas) {
     ASSERT_EQ(changed.size(), 1u);
     EXPECT_EQ(changed[0], NodeId{2});
     // Pre-change frontier: the single late direct pair.
-    ASSERT_EQ(e.previous_frontier(0).size(), 1u);
-    EXPECT_DOUBLE_EQ(e.previous_frontier(0).pairs()[0].ea, 10.0);
+    ASSERT_EQ(e.previous_frontier_view(0).size(), 1u);
+    EXPECT_DOUBLE_EQ(e.previous_frontier_view(0).ea(0), 10.0);
     // Post-change frontier: relay pair joined the direct pair.
     EXPECT_EQ(e.frontier(2).size(), 2u);
+    expect_changes_match_oracle(g, e, behind);
   }
+  behind.step();
 
   e.step();  // fixpoint: nothing changes
   EXPECT_TRUE(e.at_fixpoint());
   EXPECT_TRUE(e.last_changed().empty());
+  expect_changes_match_oracle(g, e, behind);
 }
 
 TEST(Engine, ChangeTrackingSurvivesReset) {
   TemporalGraph g(3, {{0, 1, 0.0, 1.0}, {1, 2, 2.0, 3.0}});
-  SingleSourceEngine e(g, 0, EngineMode::kIndexed);
-  e.track_changes(true);
+  SingleSourceEngine e(g, 0, EngineMode::kPooled);
   e.run_to_fixpoint();
   e.reset(2);
+  SingleSourceEngine behind(g, 2, EngineMode::kLevelSweep);
   e.step();
   // From source 2 the level-1 delta is node 1 (undirected contact).
   ASSERT_EQ(e.last_changed().size(), 1u);
   EXPECT_EQ(e.last_changed()[0], NodeId{1});
-  EXPECT_TRUE(e.previous_frontier(0).empty());
+  EXPECT_TRUE(e.previous_frontier_view(0).empty());
+  expect_changes_match_oracle(g, e, behind);
 }
 
-TEST(Engine, ChangeTrackingRequiresIndexedMode) {
+TEST(Engine, ChangeTrackingIsPooledOnly) {
+  // The level sweep has no delta machinery: it never lists a changed
+  // node, and there is no pre-change frontier to address.
   TemporalGraph g(2, {{0, 1, 0.0, 1.0}});
   SingleSourceEngine e(g, 0, EngineMode::kLevelSweep);
-  EXPECT_THROW(e.track_changes(true), std::logic_error);
+  ASSERT_TRUE(e.step());
+  EXPECT_TRUE(e.last_changed().empty());
+  EXPECT_THROW(e.previous_frontier_view(0), std::out_of_range);
 }
 
 }  // namespace

@@ -26,25 +26,12 @@
 // EVERY CPU-supported SIMD dispatch level (util/simd.hpp), each of
 // which must also match the scalar reference kernels bit for bit,
 // together with the flat primitives (tail counts, equal-run scans,
-// lower_bound4) on the same lanes -- and (b) runs the kPooled and
-// kIndexed engines level by level over an adversarial trace requiring
-// identical frontiers (exercising arena growth, span recycling via
-// reset, and the free pre-change snapshots), rotating the forced
+// lower_bound4) on the same lanes -- and (b) runs the kPooled engine and
+// the kLevelSweep oracle level by level over an adversarial trace
+// requiring identical frontiers (exercising arena growth, span recycling
+// via reset, and the free pre-change snapshots), rotating the forced
 // dispatch level per trial; under ASan/UBSan this doubles as a bounds
 // check on the arena spans and the vector loops.
-//
-// Shard mode (--shard N): differential of the sharded all-pairs driver
-// (core/sharded_engine) against the classic compute_delay_cdf on
-// adversarial traces with random shard counts, policies, hop budgets,
-// grids, accumulation schemes and endpoint subsets. The comparison is
-// bitwise (the canonical-fold contract), and every sharded run
-// round-trips the ShardRequest / ShardResult byte encodings.
-//
-// Batch mode (--batch N): differential of the batched multi-source
-// driver (core/batched_engine, source_batch > 1) against the per-source
-// one -- random batch sizes including ones past the source count, random
-// endpoint subsets, occasionally composed with the sharded driver. The
-// comparison is bitwise, including the additive engine counters.
 //
 // Snapshot mode (--snapshot N): round-trips the binary snapshot codec
 // (bit-identical re-encode, engine equivalence of the mmap-style view),
@@ -63,9 +50,8 @@
 // newline stripped so the flush() path runs -- and requires the result
 // to match the one-shot read_trace graph exactly.
 //
-// Usage: odtn_fuzz [--engine N] [--parser N] [--kernel N] [--shard N]
-//                  [--batch N] [--snapshot N] [--live N] [--corpus DIR]
-//                  [--seed S]
+// Usage: odtn_fuzz [--engine N] [--parser N] [--kernel N] [--snapshot N]
+//                  [--live N] [--corpus DIR] [--seed S]
 //        odtn_fuzz [trials] [base-seed]        (legacy: engine mode)
 #include <algorithm>
 #include <cmath>
@@ -85,7 +71,6 @@
 #include "core/frontier_kernels.hpp"
 #include "core/incremental_engine.hpp"
 #include "core/optimal_paths.hpp"
-#include "core/partition.hpp"
 #include "sim/flooding.hpp"
 #include "stats/log_grid.hpp"
 #include "trace/snapshot.hpp"
@@ -499,7 +484,7 @@ int kernel_trials(long trials, std::uint64_t base_seed) {
         kernel_failure("lower_bound4 diverged from scalar", seed);
     }
 
-    // (b) Engine differential: kPooled vs kIndexed level by level on an
+    // (b) Engine differential: kPooled vs kLevelSweep level by level on an
     // adversarial trace, then once more after reset() onto a new source
     // (exercising span recycling on warmed arenas). The forced dispatch
     // level rotates per trial so the full engine path (merge, diff-trim,
@@ -512,17 +497,17 @@ int kernel_trials(long trials, std::uint64_t base_seed) {
     const auto src = static_cast<NodeId>(rng.below(g.num_nodes()));
     SingleSourceEngine pooled(g, src, EngineMode::kPooled);
     auto crosscheck_from = [&](NodeId s) {
-      SingleSourceEngine indexed(g, s, EngineMode::kIndexed);
+      SingleSourceEngine sweep(g, s, EngineMode::kLevelSweep);
       for (int level = 1; level <= 64; ++level) {
         const bool p_grew = pooled.step();
-        const bool i_grew = indexed.step();
-        if (p_grew != i_grew)
-          kernel_failure("pooled and indexed disagree on progress", seed);
+        const bool s_grew = sweep.step();
+        if (p_grew != s_grew)
+          kernel_failure("pooled and level sweep disagree on progress", seed);
         for (NodeId dst = 0; dst < g.num_nodes(); ++dst)
-          if (pooled.frontier(dst) != indexed.frontier(dst)) {
+          if (pooled.frontier(dst) != sweep.frontier(dst)) {
             report_failure(g, s, dst, 0.0, level,
                            static_cast<double>(pooled.frontier(dst).size()),
-                           static_cast<double>(indexed.frontier(dst).size()),
+                           static_cast<double>(sweep.frontier(dst).size()),
                            seed);
           }
         if (!p_grew) break;
@@ -549,178 +534,6 @@ int kernel_trials(long trials, std::uint64_t base_seed) {
       static_cast<unsigned long long>(
           base_seed + static_cast<std::uint64_t>(trials) - 1),
       level_names.c_str());
-  return 0;
-}
-
-[[noreturn]] void shard_failure(const char* what, const TemporalGraph& g,
-                                std::size_t shards, int policy,
-                                std::uint64_t seed) {
-  std::fprintf(stderr,
-               "SHARD MISMATCH seed=%llu shards=%zu policy=%d: %s\n"
-               "reproducer trace:\n",
-               static_cast<unsigned long long>(seed), shards, policy, what);
-  std::ostringstream out;
-  write_trace(out, g);
-  std::fputs(out.str().c_str(), stderr);
-  std::exit(1);
-}
-
-/// Shard mode (--shard N): differential of the sharded all-pairs driver
-/// against the classic one on adversarial traces -- random shard count,
-/// policy, directedness, hop budget, grid, accumulation scheme and
-/// endpoint subset per trial. The contract is BIT-identity (the
-/// canonical fold), so every comparison is ==, never a tolerance; each
-/// sharded run also round-trips the ShardRequest/ShardResult byte
-/// encodings, fuzzing the wire format with real payloads.
-int shard_trials(long trials, std::uint64_t base_seed) {
-  for (long trial = 0; trial < trials; ++trial) {
-    const std::uint64_t seed = base_seed + static_cast<std::uint64_t>(trial);
-    Rng rng(seed);
-    TemporalGraph g = adversarial_trace(rng);
-    if (rng.bernoulli(0.3))
-      g = TemporalGraph(g.num_nodes(), g.contacts_vector(),
-                        /*directed=*/true);
-
-    DelayCdfOptions opt;
-    opt.grid = make_log_grid(0.5, 400.0, 8 + rng.below(17));
-    opt.max_hops = 1 + static_cast<int>(rng.below(6));
-    opt.num_threads = 1;
-    if (rng.bernoulli(0.25))
-      opt.accumulation = CdfAccumulation::kDirect;
-    if (rng.bernoulli(0.3)) {
-      // Random endpoint subset of >= 2 nodes.
-      for (NodeId n = 0; n < g.num_nodes(); ++n)
-        if (rng.bernoulli(0.6)) opt.endpoints.push_back(n);
-      while (opt.endpoints.size() < 2) {
-        const auto n = static_cast<NodeId>(rng.below(g.num_nodes()));
-        if (std::find(opt.endpoints.begin(), opt.endpoints.end(), n) ==
-            opt.endpoints.end())
-          opt.endpoints.push_back(n);
-      }
-      std::sort(opt.endpoints.begin(), opt.endpoints.end());
-    }
-
-    const std::size_t shards = 1 + rng.below(6);
-    const auto policy = static_cast<ShardPolicy>(rng.below(3));
-    const DelayCdfResult a = compute_delay_cdf(g, opt);
-    opt.sharding.num_shards = shards;
-    opt.sharding.policy = policy;
-    const DelayCdfResult b = compute_delay_cdf(g, opt);
-
-    const int p = static_cast<int>(policy);
-    if (a.cdf_by_hops != b.cdf_by_hops)
-      shard_failure("cdf_by_hops diverged", g, shards, p, seed);
-    if (a.cdf_unbounded != b.cdf_unbounded)
-      shard_failure("cdf_unbounded diverged", g, shards, p, seed);
-    if (a.fixpoint_hops != b.fixpoint_hops)
-      shard_failure("fixpoint_hops diverged", g, shards, p, seed);
-    if (a.converged != b.converged)
-      shard_failure("converged flag diverged", g, shards, p, seed);
-    if (a.denominator != b.denominator)
-      shard_failure("denominator diverged", g, shards, p, seed);
-    if (a.diameter(0.01) != b.diameter(0.01) ||
-        a.diameter_absolute(0.01) != b.diameter_absolute(0.01))
-      shard_failure("diameter diverged", g, shards, p, seed);
-    if (a.stats.cdf_pairs_integrated != b.stats.cdf_pairs_integrated ||
-        a.stats.contacts_examined != b.stats.contacts_examined ||
-        a.stats.pairs_inserted != b.stats.pairs_inserted)
-      shard_failure("additive engine counters diverged", g, shards, p, seed);
-  }
-  std::printf("odtn_fuzz: %ld shard trials passed (seeds %llu..%llu)\n",
-              trials, static_cast<unsigned long long>(base_seed),
-              static_cast<unsigned long long>(
-                  base_seed + static_cast<std::uint64_t>(trials) - 1));
-  return 0;
-}
-
-[[noreturn]] void batch_failure(const char* what, const TemporalGraph& g,
-                                int batch, std::size_t shards,
-                                std::uint64_t seed) {
-  std::fprintf(stderr,
-               "BATCH MISMATCH seed=%llu batch=%d shards=%zu: %s\n"
-               "reproducer trace:\n",
-               static_cast<unsigned long long>(seed), batch, shards, what);
-  std::ostringstream out;
-  write_trace(out, g);
-  std::fputs(out.str().c_str(), stderr);
-  std::exit(1);
-}
-
-/// Batch mode (--batch N): differential of the batched multi-source
-/// driver (source_batch > 1) against the per-source one on adversarial
-/// traces -- random batch size (occasionally larger than the source
-/// count, exercising the clamp), directedness, hop budget, grid and
-/// endpoint subset per trial, and occasionally composed with the
-/// sharded driver so the wire-carried source_batch is fuzzed with real
-/// payloads too. Accumulation stays kAuto (batching requires the
-/// incremental scheme; the kDirect combination is a tested hard error,
-/// not a fuzz target). The contract is BIT-identity at every batch
-/// size, so every comparison is ==, never a tolerance.
-int batch_trials(long trials, std::uint64_t base_seed) {
-  for (long trial = 0; trial < trials; ++trial) {
-    const std::uint64_t seed = base_seed + static_cast<std::uint64_t>(trial);
-    Rng rng(seed);
-    TemporalGraph g = adversarial_trace(rng);
-    if (rng.bernoulli(0.3))
-      g = TemporalGraph(g.num_nodes(), g.contacts_vector(),
-                        /*directed=*/true);
-
-    DelayCdfOptions opt;
-    opt.grid = make_log_grid(0.5, 400.0, 8 + rng.below(17));
-    opt.max_hops = 1 + static_cast<int>(rng.below(6));
-    opt.num_threads = 1;
-    if (rng.bernoulli(0.3)) {
-      // Random endpoint subset of >= 2 nodes.
-      for (NodeId n = 0; n < g.num_nodes(); ++n)
-        if (rng.bernoulli(0.6)) opt.endpoints.push_back(n);
-      while (opt.endpoints.size() < 2) {
-        const auto n = static_cast<NodeId>(rng.below(g.num_nodes()));
-        if (std::find(opt.endpoints.begin(), opt.endpoints.end(), n) ==
-            opt.endpoints.end())
-          opt.endpoints.push_back(n);
-      }
-      std::sort(opt.endpoints.begin(), opt.endpoints.end());
-    }
-
-    const DelayCdfResult a = compute_delay_cdf(g, opt);
-    const int batch =
-        rng.bernoulli(0.15)
-            ? static_cast<int>(g.num_nodes() + 1 + rng.below(40))
-            : static_cast<int>(2 + rng.below(7));
-    opt.source_batch = batch;
-    std::size_t shards = 0;
-    if (rng.bernoulli(0.25)) {
-      shards = 1 + rng.below(4);
-      opt.sharding.num_shards = shards;
-      opt.sharding.policy = static_cast<ShardPolicy>(rng.below(3));
-    }
-    const DelayCdfResult b = compute_delay_cdf(g, opt);
-
-    if (a.cdf_by_hops != b.cdf_by_hops)
-      batch_failure("cdf_by_hops diverged", g, batch, shards, seed);
-    if (a.cdf_unbounded != b.cdf_unbounded)
-      batch_failure("cdf_unbounded diverged", g, batch, shards, seed);
-    if (a.fixpoint_hops != b.fixpoint_hops)
-      batch_failure("fixpoint_hops diverged", g, batch, shards, seed);
-    if (a.converged != b.converged)
-      batch_failure("converged flag diverged", g, batch, shards, seed);
-    if (a.denominator != b.denominator)
-      batch_failure("denominator diverged", g, batch, shards, seed);
-    if (a.diameter(0.01) != b.diameter(0.01) ||
-        a.diameter_absolute(0.01) != b.diameter_absolute(0.01))
-      batch_failure("diameter diverged", g, batch, shards, seed);
-    if (a.stats.cdf_pairs_integrated != b.stats.cdf_pairs_integrated ||
-        a.stats.contacts_examined != b.stats.contacts_examined ||
-        a.stats.pairs_inserted != b.stats.pairs_inserted ||
-        a.stats.pairs_dominated != b.stats.pairs_dominated ||
-        a.stats.merge_batches != b.stats.merge_batches)
-      batch_failure("additive engine counters diverged", g, batch, shards,
-                    seed);
-  }
-  std::printf("odtn_fuzz: %ld batch trials passed (seeds %llu..%llu)\n",
-              trials, static_cast<unsigned long long>(base_seed),
-              static_cast<unsigned long long>(
-                  base_seed + static_cast<std::uint64_t>(trials) - 1));
   return 0;
 }
 
@@ -1003,8 +816,6 @@ int main(int argc, char** argv) {
   long engine_count = -1;
   long parser_count = -1;
   long kernel_count = -1;
-  long shard_count = -1;
-  long batch_count = -1;
   long snapshot_count = -1;
   long live_count = -1;
   std::string corpus_dir;
@@ -1025,10 +836,6 @@ int main(int argc, char** argv) {
       parser_count = std::strtol(next(), nullptr, 10);
     } else if (arg == "--kernel") {
       kernel_count = std::strtol(next(), nullptr, 10);
-    } else if (arg == "--shard") {
-      shard_count = std::strtol(next(), nullptr, 10);
-    } else if (arg == "--batch") {
-      batch_count = std::strtol(next(), nullptr, 10);
     } else if (arg == "--snapshot") {
       snapshot_count = std::strtol(next(), nullptr, 10);
     } else if (arg == "--live") {
@@ -1037,6 +844,9 @@ int main(int argc, char** argv) {
       corpus_dir = next();
     } else if (arg == "--seed") {
       seed = static_cast<std::uint64_t>(std::strtoll(next(), nullptr, 10));
+    } else if (arg.substr(0, 2) == "--") {
+      std::fprintf(stderr, "odtn_fuzz: unknown option %s\n", argv[i]);
+      return 2;
     } else {
       positional.emplace_back(arg);
     }
@@ -1048,16 +858,13 @@ int main(int argc, char** argv) {
     seed = static_cast<std::uint64_t>(
         std::strtoll(positional[1].c_str(), nullptr, 10));
   if (engine_count < 0 && parser_count < 0 && kernel_count < 0 &&
-      shard_count < 0 && batch_count < 0 && snapshot_count < 0 &&
-      live_count < 0 && corpus_dir.empty())
+      snapshot_count < 0 && live_count < 0 && corpus_dir.empty())
     engine_count = 200;
 
   int rc = 0;
   if (!corpus_dir.empty()) rc |= corpus_pass(corpus_dir);
   if (parser_count > 0) rc |= parser_trials(parser_count, seed);
   if (kernel_count > 0) rc |= kernel_trials(kernel_count, seed);
-  if (shard_count > 0) rc |= shard_trials(shard_count, seed);
-  if (batch_count > 0) rc |= batch_trials(batch_count, seed);
   if (snapshot_count > 0) rc |= snapshot_trials(snapshot_count, seed);
   if (live_count > 0) rc |= live_trials(live_count, seed);
   if (engine_count > 0) rc |= engine_trials(engine_count, seed);

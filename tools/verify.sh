@@ -4,9 +4,9 @@
 # ASan + UBSan (the `sanitize` CMake preset) plus fuzz smokes under the
 # same sanitizers -- parser (malformed-trace corpus + randomized byte
 # mutations), kernel (batched frontier merge vs per-pair insert
-# differential, pooled-vs-indexed engine parity, arena span bounds),
-# batch (lockstep multi-source blocks vs the per-source pooled driver)
-# and snapshot (framing rejection + round-trip bit-identity) --
+# differential, pooled-vs-level-sweep engine parity, arena span bounds),
+# snapshot (framing rejection + round-trip bit-identity) and live
+# (epoch splits vs cold recomputes) --
 # and a final pass of the concurrency suites (thread pool,
 # MC harness, empirical distribution, phase transition) under
 # ThreadSanitizer (the `tsan` preset). Run from the repository root.
@@ -28,18 +28,10 @@ cmake --preset sanitize
 cmake --build --preset sanitize -j
 ctest --preset sanitize
 
-echo "== tier-2b: parser + kernel + shard fuzz smoke under ASan+UBSan =="
+echo "== tier-2b: parser + kernel + snapshot + live fuzz smoke under ASan+UBSan =="
 ./build-sanitize/tools/odtn_fuzz --corpus tests/corpus
 ./build-sanitize/tools/odtn_fuzz --parser 300 --seed 1
 ./build-sanitize/tools/odtn_fuzz --kernel 300 --seed 1
-# Sharded-vs-unsharded differential: random shard counts and policies
-# must reproduce the classic driver bit for bit, and every run
-# round-trips the ShardRequest/ShardResult wire encodings.
-./build-sanitize/tools/odtn_fuzz --shard 60 --seed 1
-# Batched-vs-pooled differential: random traces, batch sizes and
-# endpoint subsets must reproduce the per-source pooled driver bit for
-# bit at every B (including B > num_sources and B = 1).
-./build-sanitize/tools/odtn_fuzz --batch 60 --seed 1
 # Snapshot framing: encode/decode round-trips bit-identically, every
 # prefix truncation, header lie and random bit flip must throw
 # SnapshotError (or decode to a graph that re-encodes to the mutated
