@@ -11,9 +11,9 @@
 // phase transition. The sweep runs through the deterministic parallel
 // harness twice, once on 1 thread and once on --threads N (default:
 // hardware concurrency); the bench exits non-zero if any per-point
-// success count differs (same gating pattern as bench_perf_engine), so
-// the CSV is bit-identical no matter the thread count. Wall-clock for
-// both configurations lands in bench_out/fig01_mc_timing.csv.
+// success count differs, so the CSV is bit-identical no matter the
+// thread count. Wall-clock for both configurations lands in
+// bench_out/fig01_mc_timing.csv.
 #include <cstdio>
 #include <vector>
 
@@ -160,8 +160,8 @@ int main(int argc, char** argv) {
       "MC outcomes bit-identical on 1 thread vs " +
           std::to_string(parallel.back().probe.mc.workers) + " worker(s)");
   if (parallel.back().probe.mc.workers >= 4) {
-    // Speedup is informational on small machines (bench_perf_engine
-    // pattern: shortfalls print FAIL but only divergence aborts).
+    // Speedup is informational on small machines: a shortfall prints
+    // FAIL but only divergence aborts.
     bench::check(speedup >= 3.0, "parallel sweep >= 3x faster");
   }
 

@@ -45,8 +45,8 @@ int main(int argc, char** argv) {
   // parallel harness: every (lambda, contact-case) run gets its own
   // seed, each trial its own keyed stream. The whole set runs twice --
   // 1 thread and --threads N -- and the bench exits non-zero unless the
-  // per-trial outcomes match bit-for-bit (bench_perf_engine pattern),
-  // which also keeps the CSV identical across thread counts.
+  // per-trial outcomes match bit-for-bit, which also keeps the CSV
+  // identical across thread counts.
   const std::size_t n = 3000;
   const std::size_t trials = 60;
   const std::size_t max_slots = 60000;

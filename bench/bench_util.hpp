@@ -7,10 +7,8 @@
 #pragma once
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <ctime>
 #include <filesystem>
 #include <limits>
 #include <string>
@@ -24,21 +22,6 @@
 #include "util/time_format.hpp"
 
 namespace odtn::bench {
-
-/// Monotonic wall clock in milliseconds (steady_clock).
-inline double now_ms() {
-  using namespace std::chrono;
-  return duration<double, std::milli>(steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// Process CPU time in milliseconds. For a single-threaded run this
-/// tracks wall time on an idle host but is immune to scheduler steal on
-/// a contended one, so single-thread perf gates ratio CPU time, not
-/// wall time.
-inline double cpu_now_ms() {
-  return 1000.0 * static_cast<double>(std::clock()) / CLOCKS_PER_SEC;
-}
 
 /// Prints the standard bench banner.
 inline void banner(const std::string& artifact, const std::string& caption) {
@@ -73,7 +56,7 @@ inline void print_mc_stats(const char* what, const McStats& s) {
               s.wall_ms, s.trials_per_second(), s.worker_utilization());
 }
 
-/// PASS/FAIL line in the bench_perf_engine style; returns `ok`.
+/// Prints one PASS/FAIL check line; returns `ok`.
 inline bool check(bool ok, const std::string& what) {
   std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", what.c_str());
   return ok;

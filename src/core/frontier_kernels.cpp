@@ -32,8 +32,9 @@ void sort_candidate_batch(PathPair* batch, std::size_t m) {
   }
 }
 
-}  // namespace
-
+// The collapse half of pruning: `batch[0, m)` is already sorted by
+// (ld, ea); collapses it to its Pareto front in place and returns the
+// pruned length.
 std::size_t collapse_sorted_batch_scalar(PathPair* batch, std::size_t m) {
   // One ascending pass: at equal ld only the first (minimal-ea) entry is
   // considered, and a kept entry evicts every earlier survivor it
@@ -48,6 +49,9 @@ std::size_t collapse_sorted_batch_scalar(PathPair* batch, std::size_t m) {
   return out;
 }
 
+// Dispatched collapse: bit-identical to the scalar reference at every
+// level (tests/test_frontier_kernels.cpp SimdParity, `odtn_fuzz
+// --kernel`).
 std::size_t collapse_sorted_batch(PathPair* batch, std::size_t m) {
   if (simd::active_level() == simd::Level::kScalar)
     return collapse_sorted_batch_scalar(batch, m);
@@ -81,6 +85,8 @@ std::size_t collapse_sorted_batch(PathPair* batch, std::size_t m) {
   }
   return out;
 }
+
+}  // namespace
 
 std::size_t prune_candidate_batch_scalar(PathPair* batch, std::size_t m) {
   if (m <= 1) return m;

@@ -16,8 +16,7 @@
 //
 // Both kernels reproduce the seed `DeliveryFunction::insert` semantics
 // bit for bit (the Pareto front of a pair set is unique); this is gated
-// by tests/test_frontier_kernels.cpp, `odtn_fuzz --kernel`, and the
-// `kernels` section of bench_perf_engine.
+// by tests/test_frontier_kernels.cpp and `odtn_fuzz --kernel`.
 #pragma once
 
 #include <cstddef>
@@ -72,17 +71,9 @@ inline bool frontier_dominates(const double* f_ld, const double* f_ea,
 std::size_t prune_candidate_batch(PathPair* batch, std::size_t m);
 
 /// The scalar reference for prune_candidate_batch (the pre-dispatch code
-/// kept verbatim). Exposed for the parity suite, the fuzzer's
-/// differential mode, and the per-kernel micro benches.
+/// kept verbatim). Exposed for the parity suite and the fuzzer's
+/// differential mode.
 std::size_t prune_candidate_batch_scalar(PathPair* batch, std::size_t m);
-
-/// The collapse half of prune_candidate_batch: `batch[0, m)` must
-/// already be sorted by (ld, ea); collapses it to its Pareto front in
-/// place and returns the pruned length. Dispatched / scalar reference
-/// pair, split out so the dominance tests can be benched without the
-/// sort dominating the measurement.
-std::size_t collapse_sorted_batch(PathPair* batch, std::size_t m);
-std::size_t collapse_sorted_batch_scalar(PathPair* batch, std::size_t m);
 
 /// Outcome of one merge_frontier call.
 struct FrontierMerge {
@@ -123,8 +114,8 @@ FrontierMerge merge_frontier(const double* f_ld, const double* f_ea,
                              double* delta_succ) noexcept;
 
 /// The scalar reference for merge_frontier (the pre-dispatch descending
-/// element walk kept verbatim). Exposed for the parity suite, the
-/// fuzzer, and the per-kernel micro benches.
+/// element walk kept verbatim). Exposed for the parity suite and the
+/// fuzzer.
 FrontierMerge merge_frontier_scalar(const double* f_ld, const double* f_ea,
                                     std::size_t fn, const PathPair* cand,
                                     std::size_t m, double* out_ld,

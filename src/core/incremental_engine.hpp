@@ -25,8 +25,9 @@
 // CDF emission then replays process_source's direct integration order
 // (same frontier views, same window loop, same fold), which makes each
 // epoch's DelayCdfResult bit-identical to a cold compute_delay_cdf with
-// CdfAccumulation::kDirect on the trace so far. bench_perf_live gates
-// both the identity and the >= 3x epoch-vs-cold cost advantage.
+// CdfAccumulation::kDirect on the trace so far. The IncrementalEngine
+// tests and `odtn_fuzz --live` gate the identity; the epoch cost is the
+// `live_tail` workload of odtnbench.
 #pragma once
 
 #include <cstddef>

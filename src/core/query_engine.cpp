@@ -68,9 +68,6 @@ void QueryEngine::rebuild_key_prefix() {
   key_prefix_ = graph_transform_key(graph_);
   key_prefix_ += ':';
   append_pod(key_prefix_, graph_.epoch());
-  append_pod(key_prefix_, static_cast<std::uint8_t>(options_.engine));
-  append_pod(key_prefix_,
-             static_cast<std::uint8_t>(options_.accumulation));
   append_pod(key_prefix_, static_cast<std::int32_t>(options_.max_hops));
   append_pod(key_prefix_, static_cast<std::int32_t>(options_.max_levels));
   // The full grid by bit pattern, not a hash: a hash collision would
@@ -111,8 +108,6 @@ DelayCdfOptions QueryEngine::cdf_options(double t_lo, double t_hi) const {
   o.t_lo = t_lo;
   o.t_hi = t_hi;
   o.num_threads = options_.num_threads;
-  o.engine = options_.engine;
-  o.accumulation = options_.accumulation;
   return o;
 }
 
@@ -185,7 +180,7 @@ DelayCdfResult QueryEngine::all_pairs(double t_lo, double t_hi) {
 std::size_t QueryEngine::reachable_count(NodeId source, double t) const {
   if (source >= graph_.num_nodes())
     throw std::invalid_argument("QueryEngine::reachable_count: bad source");
-  SingleSourceEngine engine(graph_, source, options_.engine);
+  SingleSourceEngine engine(graph_, source);
   engine.run_to_fixpoint(options_.max_levels);
   std::size_t reached = 0;
   for (NodeId n = 0; n < graph_.num_nodes(); ++n) {

@@ -20,11 +20,13 @@
 //
 // Cache keys bind the partial to everything that determines its bytes:
 // the graph's transform key (a fingerprint of the trace and the transform
-// chain that produced it), the graph epoch, the engine mode,
-// accumulation scheme, hop budget, the grid's exact bit patterns, the
-// resolved start-time windows' bit patterns, and the source id. Engines
-// over different graphs can therefore safely SHARE one cache (pass the
-// same shared_ptr): keys from different transform chains never collide.
+// chain that produced it), the graph epoch, the hop budget, the level
+// cap, the grid's exact bit patterns, the resolved start-time windows'
+// bit patterns, and the source id. The serve path always runs the
+// pooled engine with incremental accumulation, so neither is a key
+// ingredient. Engines over different graphs can therefore safely SHARE
+// one cache (pass the same shared_ptr): keys from different transform
+// chains never collide.
 #pragma once
 
 #include <cstddef>
@@ -53,8 +55,6 @@ struct QueryEngineOptions {
   std::vector<double> grid;
   int max_hops = 10;
   int max_levels = 64;
-  EngineMode engine = EngineMode::kPooled;
-  CdfAccumulation accumulation = CdfAccumulation::kAuto;
   /// Total cache budget in bytes, split across cache_shards. 0 disables
   /// caching (every query computes cold).
   std::size_t cache_bytes = 256u << 20;

@@ -6,10 +6,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <string>
 #include <utility>
 
 namespace odtn {
@@ -305,12 +307,31 @@ TemporalGraph decode_snapshot(
 void write_snapshot_file(const std::string& path,
                          const TemporalGraph& graph) {
   const std::vector<std::uint8_t> bytes = encode_snapshot(graph);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (!f) fail("cannot create '" + path + "': " + std::strerror(errno));
-  const std::size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  const bool flushed = std::fclose(f) == 0;
-  if (written != bytes.size() || !flushed)
-    fail("short write to '" + path + "'");
+  // Write a sibling temp file and rename it over `path`: the old inode
+  // stays intact for every process that has it mapped (truncating it in
+  // place would change or SIGBUS their views), and a failed write never
+  // leaves a partial file at `path`. "x" makes the create exclusive like
+  // mkstemp while keeping the umask-derived mode a plain create gives.
+  static std::atomic<unsigned> sequence{0};
+  std::string tmp;
+  std::FILE* f = nullptr;
+  for (int attempt = 0; f == nullptr && attempt < 100; ++attempt) {
+    tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+          std::to_string(sequence.fetch_add(1));
+    f = std::fopen(tmp.c_str(), "wbx");
+    if (f == nullptr && errno != EEXIST) break;
+  }
+  if (f == nullptr)
+    fail("cannot create '" + tmp + "': " + std::strerror(errno));
+  const auto abandon = [&](const char* what) {
+    const int err = errno;
+    std::remove(tmp.c_str());
+    fail(std::string(what) + " '" + path + "': " + std::strerror(err));
+  };
+  const bool complete =
+      std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
+  if (std::fclose(f) != 0 || !complete) abandon("short write to");
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) abandon("cannot replace");
 }
 
 namespace {

@@ -81,8 +81,12 @@ TemporalGraph decode_snapshot(const std::uint8_t* data, std::size_t size,
 TemporalGraph decode_snapshot(
     std::shared_ptr<const std::vector<std::uint8_t>> bytes);
 
-/// Writes encode_snapshot(graph) to `path`. Throws SnapshotError when
-/// the file cannot be created or fully written.
+/// Writes encode_snapshot(graph) to a temp file next to `path` and
+/// renames it over `path`, so processes that already mapped the old file
+/// keep reading it unchanged. Throws SnapshotError when the temp file
+/// cannot be created, fully written or renamed; `path` is then left
+/// untouched and the temp file removed. No fsync: the rename is atomic
+/// against readers, not durable against power loss.
 void write_snapshot_file(const std::string& path, const TemporalGraph& graph);
 
 /// mmap-s `path` read-only and decodes it in place: the returned graph

@@ -18,9 +18,9 @@
 // was dropped (ParseReport), and an opt-in canonicalization pass (sort
 // to canonical order, merge overlapping contacts of a pair, cross-check
 // the declared node count). The seed line-stream parser is kept as
-// read_trace_reference: bench_perf_trace_io gates the streaming parser
-// against it (>= 5x throughput, bit-identical graphs) and odtn_fuzz
-// cross-checks the two on randomized traces.
+// read_trace_reference: tests/test_trace_parse.cpp and `odtn_fuzz
+// --parser` cross-check the two on randomized traces; parse throughput
+// is the `ingest_1m` workload of odtnbench.
 #pragma once
 
 #include <cstddef>
@@ -224,9 +224,8 @@ TemporalGraph read_trace_file(const std::string& path,
 TemporalGraph read_trace_file(const std::string& path);
 
 /// The seed line-stream parser (one istringstream per line), kept as
-/// the differential oracle: bench_perf_trace_io measures the streaming
-/// parser against it and odtn_fuzz cross-checks both on randomized
-/// traces. Accepts the same valid inputs; its rejections carry no
+/// the differential oracle: tests/test_trace_parse.cpp and
+/// `odtn_fuzz --parser` cross-check both on randomized traces. Accepts the same valid inputs; its rejections carry no
 /// taxonomy and it predates the header-strictness hardening.
 TemporalGraph read_trace_reference(std::istream& in);
 

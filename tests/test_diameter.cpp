@@ -6,7 +6,10 @@
 #include "core/source_cdf.hpp"
 #include "sim/flooding.hpp"
 #include "stats/log_grid.hpp"
+#include "trace/datasets.hpp"
+#include "trace/transforms.hpp"
 #include "util/rng.hpp"
+#include "util/time_format.hpp"
 
 namespace odtn {
 namespace {
@@ -221,6 +224,38 @@ TEST(DelayCdf, ConvergedFlagReportsFixpointTruncation) {
   EXPECT_EQ(full.fixpoint_hops, 5);
 }
 
+/// Pooled and level-sweep engines, both on the direct accumulation path,
+/// must produce the same CDFs to the bit.
+void expect_engine_modes_identical(const TemporalGraph& g,
+                                   DelayCdfOptions pooled_opt,
+                                   const std::string& what) {
+  pooled_opt.num_threads = 1;
+  // Pin the direct accumulation path on both sides: this isolates the
+  // two propagation schemes, which must agree to the bit. (Under kAuto
+  // the pooled engine would use incremental accumulation, whose
+  // agreement is within rounding -- covered by the tests below.)
+  pooled_opt.accumulation = CdfAccumulation::kDirect;
+  auto sweep_opt = pooled_opt;
+  sweep_opt.engine = EngineMode::kLevelSweep;
+  const auto a = compute_delay_cdf(g, pooled_opt);
+  const auto b = compute_delay_cdf(g, sweep_opt);
+  ASSERT_EQ(a.cdf_by_hops.size(), b.cdf_by_hops.size()) << what;
+  for (std::size_t k = 0; k < a.cdf_by_hops.size(); ++k)
+    for (std::size_t j = 0; j < a.grid.size(); ++j)
+      ASSERT_EQ(a.cdf_by_hops[k][j], b.cdf_by_hops[k][j])
+          << what << " " << k << " " << j;
+  for (std::size_t j = 0; j < a.grid.size(); ++j)
+    ASSERT_EQ(a.cdf_unbounded[j], b.cdf_unbounded[j]) << what;
+  EXPECT_EQ(a.fixpoint_hops, b.fixpoint_hops) << what;
+  EXPECT_TRUE(a.converged) << what;
+  // The pooled engine must examine no more contacts than the sweep and
+  // must actually skip frontier snapshots.
+  EXPECT_LE(a.stats.contacts_examined, b.stats.contacts_examined) << what;
+  EXPECT_GT(a.stats.frontier_copies_avoided, 0u) << what;
+  EXPECT_EQ(b.stats.frontier_copies_avoided, 0u) << what;
+  EXPECT_GT(a.stats.pairs_inserted, 0u) << what;
+}
+
 TEST(DelayCdf, EngineModesProduceIdenticalCdfs) {
   Rng rng(77);
   std::vector<Contact> contacts;
@@ -231,32 +266,34 @@ TEST(DelayCdf, EngineModesProduceIdenticalCdfs) {
     const double b = rng.uniform(0, 80);
     contacts.push_back({u, v, b, b + rng.uniform(0, 6)});
   }
-  TemporalGraph g(10, std::move(contacts));
-  auto pooled_opt = base_options();
-  pooled_opt.num_threads = 1;
-  // Pin the direct accumulation path on both sides: this test isolates
-  // the two propagation schemes, which must agree to the bit. (Under
-  // kAuto the pooled engine would use incremental accumulation, whose
-  // agreement is within rounding -- covered by the tests below.)
-  pooled_opt.accumulation = CdfAccumulation::kDirect;
-  auto sweep_opt = pooled_opt;
-  sweep_opt.engine = EngineMode::kLevelSweep;
-  const auto a = compute_delay_cdf(g, pooled_opt);
-  const auto b = compute_delay_cdf(g, sweep_opt);
-  ASSERT_EQ(a.cdf_by_hops.size(), b.cdf_by_hops.size());
-  for (std::size_t k = 0; k < a.cdf_by_hops.size(); ++k)
-    for (std::size_t j = 0; j < a.grid.size(); ++j)
-      ASSERT_EQ(a.cdf_by_hops[k][j], b.cdf_by_hops[k][j]) << k << " " << j;
-  for (std::size_t j = 0; j < a.grid.size(); ++j)
-    ASSERT_EQ(a.cdf_unbounded[j], b.cdf_unbounded[j]);
-  EXPECT_EQ(a.fixpoint_hops, b.fixpoint_hops);
-  EXPECT_TRUE(a.converged);
-  // The pooled engine must examine no more contacts than the sweep and
-  // must actually skip frontier snapshots.
-  EXPECT_LE(a.stats.contacts_examined, b.stats.contacts_examined);
-  EXPECT_GT(a.stats.frontier_copies_avoided, 0u);
-  EXPECT_EQ(b.stats.frontier_copies_avoided, 0u);
-  EXPECT_GT(a.stats.pairs_inserted, 0u);
+  expect_engine_modes_identical(TemporalGraph(10, std::move(contacts)),
+                                base_options(), "random");
+
+  // The three Figure 9 data set presets, shrunk to test scale (14
+  // devices, two days) but keeping each one's structure: Infocom05 and
+  // Reality Mining restricted to internal contacts, Hong-Kong with its
+  // external devices as relays and only internal nodes as endpoints.
+  const std::pair<DatasetPreset, bool> presets[] = {
+      {dataset_infocom05(), false},
+      {dataset_reality_mining(), false},
+      {dataset_hong_kong(), true}};
+  for (auto [preset, relay_external] : presets) {
+    preset.spec.num_internal = 14;
+    preset.spec.num_communities =
+        std::min<std::size_t>(preset.spec.num_communities, 14);
+    preset.spec.num_external = relay_external ? 40 : 0;
+    preset.spec.duration = 2 * kDay;
+    const SyntheticTrace trace = preset.generate();
+    DelayCdfOptions opt = base_options();
+    opt.grid = make_log_grid(2 * kMinute, kWeek, 48);
+    opt.max_hops = 12;
+    if (relay_external) opt.endpoints = trace.internal_nodes();
+    expect_engine_modes_identical(
+        relay_external ? trace.graph
+                       : keep_internal_contacts(trace.graph,
+                                                trace.num_internal),
+        opt, preset.spec.name);
+  }
 }
 
 // Randomized property test for the hop-incremental accumulation scheme:
@@ -303,7 +340,7 @@ TEST(DelayCdf, IncrementalMatchesDirectOnRandomNetworks) {
       EXPECT_EQ(d.diameter_per_delay(eps), i.diameter_per_delay(eps))
           << "trial " << trial;
     }
-    for (const double tol : {0.001, 0.01, 0.1})
+    for (const double tol : {0.001, 0.01, 0.05, 0.1})
       EXPECT_EQ(d.diameter_absolute(tol), i.diameter_absolute(tol))
           << "trial " << trial;
     EXPECT_EQ(d.fixpoint_hops, i.fixpoint_hops) << "trial " << trial;
@@ -337,6 +374,15 @@ TEST(DelayCdf, IncrementalReusesOneWorkspacePerWorker) {
   EXPECT_EQ(inc.stats.workspace_allocations, 1u);
   EXPECT_EQ(inc.stats.workspace_reuses, g.num_nodes() - 1);
   EXPECT_GT(inc.stats.cdf_pairs_integrated, 0u);
+
+  // With several workers: at most one allocation per worker, and every
+  // source is either an allocation or a reuse.
+  opt.num_threads = 3;
+  const auto par = compute_delay_cdf(g, opt);
+  EXPECT_LE(par.stats.workspace_allocations, 3u);
+  EXPECT_EQ(par.stats.workspace_allocations + par.stats.workspace_reuses,
+            g.num_nodes());
+  opt.num_threads = 1;
 
   // Direct keeps the reference fresh-engine-per-source behavior.
   opt.accumulation = CdfAccumulation::kDirect;

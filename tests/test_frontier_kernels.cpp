@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/diameter.hpp"
@@ -390,8 +391,14 @@ TEST(PooledEngine, DelayCdfMatchesDirectWithinTolerance) {
   for (std::size_t j = 0; j < a.grid.size(); ++j)
     ASSERT_NEAR(a.cdf_unbounded[j], b.cdf_unbounded[j], 1e-9);
   EXPECT_EQ(a.fixpoint_hops, b.fixpoint_hops);
-  for (const double eps : {0.001, 0.01, 0.1})
+  for (const double eps : {0.001, 0.01, 0.05, 0.1, 0.5}) {
     EXPECT_EQ(a.diameter(eps), b.diameter(eps)) << "eps=" << eps;
+    EXPECT_EQ(a.diameter_per_delay(eps), b.diameter_per_delay(eps))
+        << "eps=" << eps;
+  }
+  for (const double tol : {0.001, 0.01, 0.05})
+    EXPECT_EQ(a.diameter_absolute(tol), b.diameter_absolute(tol))
+        << "tol=" << tol;
   // The pooled run recycles one workspace per worker thread.
   EXPECT_EQ(a.stats.workspace_allocations, 1u);
   EXPECT_GT(a.stats.arena_bytes_peak, 0u);
@@ -589,9 +596,49 @@ PathPair tricky_pair(Rng& rng) {
   return p;
 }
 
+/// Prunes `batch` through the dispatched and the scalar kernel, then
+/// merges the survivors into the frontier (f_ld, f_ea) through both
+/// merge variants; every output lane must agree bit for bit.
+void expect_prune_merge_parity(std::vector<PathPair> batch,
+                               const std::vector<double>& f_ld,
+                               const std::vector<double>& f_ea,
+                               const std::string& what) {
+  std::vector<PathPair> scalar_batch = batch;
+  const std::size_t kept = prune_candidate_batch(batch.data(), batch.size());
+  const std::size_t kept_ref = prune_candidate_batch_scalar(
+      scalar_batch.data(), scalar_batch.size());
+  ASSERT_EQ(kept, kept_ref) << what;
+  for (std::size_t i = 0; i < kept; ++i)
+    ASSERT_EQ(batch[i], scalar_batch[i]) << what << " i=" << i;
+
+  const std::size_t fn = f_ld.size(), m = kept;
+  std::vector<double> out_ld(fn + m), out_ea(fn + m);
+  std::vector<double> d_ld(m), d_ea(m), d_succ(m);
+  std::vector<double> ref_out_ld(fn + m), ref_out_ea(fn + m);
+  std::vector<double> ref_d_ld(m), ref_d_ea(m), ref_d_succ(m);
+  const FrontierMerge got = merge_frontier(
+      f_ld.data(), f_ea.data(), fn, batch.data(), m, out_ld.data(),
+      out_ea.data(), d_ld.data(), d_ea.data(), d_succ.data());
+  const FrontierMerge want = merge_frontier_scalar(
+      f_ld.data(), f_ea.data(), fn, batch.data(), m, ref_out_ld.data(),
+      ref_out_ea.data(), ref_d_ld.data(), ref_d_ea.data(), ref_d_succ.data());
+  ASSERT_EQ(got.kept, want.kept) << what;
+  ASSERT_EQ(got.kept_new, want.kept_new) << what;
+  for (std::size_t i = fn + m - got.kept; i < fn + m; ++i) {
+    ASSERT_EQ(out_ld[i], ref_out_ld[i]) << what;
+    ASSERT_EQ(out_ea[i], ref_out_ea[i]) << what;
+  }
+  for (std::size_t i = m - got.kept_new; i < m; ++i) {
+    ASSERT_EQ(d_ld[i], ref_d_ld[i]) << what;
+    ASSERT_EQ(d_ea[i], ref_d_ea[i]) << what;
+    ASSERT_EQ(d_succ[i], ref_d_succ[i]) << what;
+  }
+}
+
 TEST(SimdParity, PruneAndMergeBitIdenticalAcrossLevels) {
   for (const simd::Level level : vector_levels()) {
     ScopedSimdLevel forced(level);
+    const std::string name = simd::level_name(level);
     for (std::uint64_t trial = 0; trial < 150; ++trial) {
       Rng rng = Rng::keyed(0x51D3, (static_cast<std::uint64_t>(level) << 32) ^
                                        trial);
@@ -600,47 +647,52 @@ TEST(SimdParity, PruneAndMergeBitIdenticalAcrossLevels) {
       std::vector<PathPair> batch;
       const std::size_t raw = rng.below(64);
       for (std::size_t i = 0; i < raw; ++i) batch.push_back(tricky_pair(rng));
-      std::vector<PathPair> scalar_batch = batch;
-      const std::size_t kept =
-          prune_candidate_batch(batch.data(), batch.size());
-      const std::size_t kept_ref = prune_candidate_batch_scalar(
-          scalar_batch.data(), scalar_batch.size());
-      ASSERT_EQ(kept, kept_ref)
-          << simd::level_name(level) << " trial=" << trial;
-      for (std::size_t i = 0; i < kept; ++i)
-        ASSERT_EQ(batch[i], scalar_batch[i])
-            << simd::level_name(level) << " trial=" << trial << " i=" << i;
-
       DeliveryFunction base;
       const std::size_t attempts = rng.below(180);
       for (std::size_t i = 0; i < attempts; ++i) base.insert(tricky_pair(rng));
-      const std::vector<double> f_ld = ld_lane(base), f_ea = ea_lane(base);
-      const std::size_t fn = base.size(), m = kept;
-      std::vector<double> out_ld(fn + m), out_ea(fn + m);
-      std::vector<double> d_ld(m), d_ea(m), d_succ(m);
-      std::vector<double> ref_out_ld(fn + m), ref_out_ea(fn + m);
-      std::vector<double> ref_d_ld(m), ref_d_ea(m), ref_d_succ(m);
-      const FrontierMerge got = merge_frontier(
-          f_ld.data(), f_ea.data(), fn, batch.data(), m, out_ld.data(),
-          out_ea.data(), d_ld.data(), d_ea.data(), d_succ.data());
-      const FrontierMerge want = merge_frontier_scalar(
-          f_ld.data(), f_ea.data(), fn, batch.data(), m, ref_out_ld.data(),
-          ref_out_ea.data(), ref_d_ld.data(), ref_d_ea.data(),
-          ref_d_succ.data());
-      ASSERT_EQ(got.kept, want.kept)
-          << simd::level_name(level) << " trial=" << trial;
-      ASSERT_EQ(got.kept_new, want.kept_new)
-          << simd::level_name(level) << " trial=" << trial;
-      for (std::size_t i = fn + m - got.kept; i < fn + m; ++i) {
-        ASSERT_EQ(out_ld[i], ref_out_ld[i]) << "trial=" << trial;
-        ASSERT_EQ(out_ea[i], ref_out_ea[i]) << "trial=" << trial;
-      }
-      for (std::size_t i = m - got.kept_new; i < m; ++i) {
-        ASSERT_EQ(d_ld[i], ref_d_ld[i]) << "trial=" << trial;
-        ASSERT_EQ(d_ea[i], ref_d_ea[i]) << "trial=" << trial;
-        ASSERT_EQ(d_succ[i], ref_d_succ[i]) << "trial=" << trial;
-      }
+      expect_prune_merge_parity(std::move(batch), ld_lane(base),
+                                ea_lane(base),
+                                name + " trial=" + std::to_string(trial));
     }
+
+    // Sawtooth batches, already sorted: each tooth starts below all of
+    // the stacked previous one, so its first pair pops the whole stack
+    // in one run -- the long-pop regime of the vectorized collapse.
+    for (std::uint64_t b = 0; b < 8; ++b) {
+      Rng rng = Rng::keyed(0x9f0e, b);
+      std::vector<PathPair> batch;
+      double ld = 0.0, base_ea = 1e4;
+      for (int tooth = 0; tooth < 12; ++tooth) {
+        base_ea -= 1000.0;
+        double ea = base_ea;
+        for (int i = 0; i < 32; ++i) {
+          ld += rng.uniform(0.01, 1.0);
+          ea += rng.uniform(0.01, 1.0);
+          batch.push_back({ld, ea});
+        }
+      }
+      expect_prune_merge_parity(std::move(batch), {}, {},
+                                name + " sawtooth=" + std::to_string(b));
+    }
+
+    // A large frontier with candidates strictly between neighbors in
+    // both lanes: nothing is dominated and the merge is a few long
+    // survivor runs -- the bulk-copy regime of the dispatched walk.
+    Rng rng = Rng::keyed(0x3e46e, 0);
+    std::vector<double> f_ld, f_ea;
+    double ld = 0.0, ea = -2000.0;
+    for (int i = 0; i < 512; ++i) {
+      ld += rng.uniform(0.5, 4.0);
+      ea += rng.uniform(0.5, 4.0);
+      f_ld.push_back(ld);
+      f_ea.push_back(ea);
+    }
+    std::vector<PathPair> cands;
+    for (std::size_t i = 16; i < 512; i += 32)
+      cands.push_back({0.5 * (f_ld[i] + f_ld[i + 1]),
+                       0.5 * (f_ea[i] + f_ea[i + 1])});
+    expect_prune_merge_parity(std::move(cands), f_ld, f_ea,
+                              name + " interleaved");
   }
 }
 
@@ -681,6 +733,21 @@ TEST(SimdParity, AddDeliverySegmentsBitIdenticalAcrossLevels) {
       for (std::size_t j = 0; j < grid.size(); ++j)
         ASSERT_EQ(got[j], want[j])
             << simd::level_name(level) << " trial=" << trial << " j=" << j;
+
+      // The level sweep integrates the same frontier pair by pair
+      // (DeliveryFunction::accumulate_delay_measure); the dispatched SoA
+      // stream must match that too.
+      MeasureCdfAccumulator soa_acc(grid), aos_acc(grid);
+      {
+        ScopedSimdLevel forced(level);
+        soa_acc.add_delivery_segments(ld.data(), ea.data(), ld.size(), t_lo,
+                                      t_hi);
+      }
+      f.accumulate_delay_measure(aos_acc, t_lo, t_hi);
+      soa_acc.add_observation_measure(t_hi - t_lo);
+      aos_acc.add_observation_measure(t_hi - t_lo);
+      ASSERT_EQ(soa_acc.cdf(), aos_acc.cdf())
+          << simd::level_name(level) << " trial=" << trial;
     }
   }
 }

@@ -46,8 +46,10 @@ void expect_bit_identical(const DelayCdfResult& a, const DelayCdfResult& b) {
   EXPECT_EQ(a.fixpoint_hops, b.fixpoint_hops);
   EXPECT_EQ(a.converged, b.converged);
   EXPECT_EQ(a.denominator, b.denominator);
-  for (const double eps : {0.01, 0.05, 0.5})
+  for (const double eps : {0.001, 0.01, 0.05, 0.1, 0.5}) {
     EXPECT_EQ(a.diameter(eps), b.diameter(eps));
+    EXPECT_EQ(a.diameter_per_delay(eps), b.diameter_per_delay(eps));
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -41,8 +41,12 @@ void expect_bitwise_equal(const DelayCdfResult& a, const DelayCdfResult& b) {
   EXPECT_EQ(a.fixpoint_hops, b.fixpoint_hops);
   EXPECT_EQ(a.converged, b.converged);
   EXPECT_EQ(a.denominator, b.denominator);
-  EXPECT_EQ(a.diameter(0.01), b.diameter(0.01));
-  EXPECT_EQ(a.diameter_absolute(0.01), b.diameter_absolute(0.01));
+  for (const double eps : {0.001, 0.01, 0.05, 0.1, 0.5}) {
+    EXPECT_EQ(a.diameter(eps), b.diameter(eps));
+    EXPECT_EQ(a.diameter_per_delay(eps), b.diameter_per_delay(eps));
+  }
+  for (const double tol : {0.001, 0.01, 0.05})
+    EXPECT_EQ(a.diameter_absolute(tol), b.diameter_absolute(tol));
 }
 
 TEST(QueryEngine, ColdAllPairsMatchesComputeDelayCdfBitwise) {

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <memory>
 #include <string>
@@ -120,6 +122,53 @@ TEST(Snapshot, FileRoundTrip) {
   EXPECT_TRUE(back.is_view());
   EXPECT_EQ(encode_snapshot(back), encode_snapshot(g));
   std::remove(path.c_str());
+}
+
+TEST(Snapshot, RewriteLeavesLoadedViewsIntact) {
+  // `odtn snapshot` re-run over the file a running `odtn serve` mapped:
+  // the served view must keep its own contacts, not read the new ones.
+  const std::string path =
+      ::testing::TempDir() + "/odtn_snapshot_rewrite.odtns";
+  const TemporalGraph a = sample_graph();
+  std::vector<Contact> shifted = a.contacts_vector();
+  for (Contact& c : shifted) {
+    c.begin += 1000.0;
+    c.end += 1000.0;
+  }
+  const TemporalGraph b(a.num_nodes(), std::move(shifted));
+  ASSERT_EQ(encode_snapshot(a).size(), encode_snapshot(b).size());
+
+  write_snapshot_file(path, a);
+  const TemporalGraph view = load_snapshot_file(path);
+  write_snapshot_file(path, b);
+  EXPECT_TRUE(identical(view, a));
+  EXPECT_EQ(encode_snapshot(view), encode_snapshot(a));
+  EXPECT_TRUE(identical(load_snapshot_file(path), b));
+  std::remove(path.c_str());
+}
+
+TEST(Snapshot, WriteOverDirectoryFailsCleanly) {
+  namespace fs = std::filesystem;
+  const fs::path parent =
+      fs::path(::testing::TempDir()) / "odtn_snapshot_dir";
+  fs::remove_all(parent);
+  const fs::path target = parent / "target.odtns";
+  fs::create_directories(target);
+  std::ofstream(target / "inside") << "kept";
+  const auto listing = [](const fs::path& dir) {
+    std::vector<std::string> names;
+    for (const auto& entry : fs::directory_iterator(dir))
+      names.push_back(entry.path().filename().string());
+    std::sort(names.begin(), names.end());
+    return names;
+  };
+
+  EXPECT_THROW(write_snapshot_file(target.string(), sample_graph()),
+               SnapshotError);
+  EXPECT_TRUE(fs::is_directory(target));
+  EXPECT_EQ(listing(target), std::vector<std::string>{"inside"});
+  EXPECT_EQ(listing(parent), std::vector<std::string>{"target.odtns"});
+  fs::remove_all(parent);
 }
 
 TEST(Snapshot, ZeroContactFileRoundTripServesQueries) {

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "trace/generators.hpp"
+#include "util/rng.hpp"
 #include "util/time_format.hpp"
 
 namespace odtn {
@@ -247,6 +248,41 @@ TEST(TraceLenient, SkipsDefectiveRecordsAndReportsThem) {
   EXPECT_EQ(report.diagnostics[3].line, 7u);
   EXPECT_EQ(report.contact_lines, 2u);
   EXPECT_EQ(report.lines, 8u);
+
+  // A written trace with ~5% of its contact lines corrupted: each one is
+  // skipped and counted, every clean record is kept in order, and the
+  // stored diagnostics stop at the default cap.
+  Rng rng(99);
+  std::vector<Contact> contacts;
+  for (int i = 0; i < 2000; ++i) {
+    const auto u = static_cast<NodeId>(rng.below(30));
+    auto v = static_cast<NodeId>(rng.below(29));
+    if (v >= u) ++v;
+    const double begin = rng.uniform(0.0, kDay);
+    contacts.push_back({u, v, begin, begin + rng.uniform(0.0, kHour)});
+  }
+  const TemporalGraph original(30, std::move(contacts));
+  std::ostringstream out;
+  write_trace(out, original);
+  std::string text = out.str();
+  std::vector<Contact> clean;
+  std::size_t record = 0;
+  for (std::size_t at = 0; at < text.size(); at = text.find('\n', at) + 1) {
+    if (text[at] == '#') continue;
+    if (rng.bernoulli(0.05))
+      text[at] = 'x';
+    else
+      clean.push_back(original.contacts()[record]);
+    ++record;
+  }
+  ASSERT_EQ(record, original.num_contacts());
+  const std::size_t corrupted = record - clean.size();
+  ASSERT_GT(corrupted, ParseOptions{}.max_diagnostics);
+  std::istringstream broken(text);
+  const auto kept = read_trace(broken, {ParseMode::kLenient}, &report);
+  EXPECT_EQ(report.skipped, corrupted);
+  EXPECT_TRUE(std::ranges::equal(kept.contacts(), clean));
+  EXPECT_EQ(report.diagnostics.size(), ParseOptions{}.max_diagnostics);
 }
 
 TEST(TraceLenient, FirstHeaderWinsOnDuplicates) {
@@ -305,6 +341,30 @@ TEST(TraceCanonicalize, SortsMergesAndCrossChecks) {
   EXPECT_EQ(report.declared_nodes, 8u);
   EXPECT_EQ(report.max_node_id, 2u);
   EXPECT_EQ(report.unused_node_ids(), 5u);
+
+  // Dense unsorted records with many overlaps of the same pair: the
+  // parse-time pass equals merge_overlapping_contacts on the raw list.
+  Rng rng(7);
+  std::vector<Contact> raw;
+  std::string text = "# odtn-trace v1\n# nodes 12\n# directed 0\n";
+  char line[128];
+  for (int i = 0; i < 2000; ++i) {
+    const auto u = static_cast<NodeId>(rng.below(12));
+    auto v = static_cast<NodeId>(rng.below(11));
+    if (v >= u) ++v;
+    const double begin = rng.uniform(0.0, 500.0);
+    raw.push_back({u, v, begin, begin + rng.uniform(0.0, 50.0)});
+    std::snprintf(line, sizeof line, "%u %u %.17g %.17g\n", u, v, begin,
+                  raw.back().end);
+    text += line;
+  }
+  std::istringstream unsorted(text);
+  const auto canonical = read_trace(unsorted, options, &report);
+  const TemporalGraph expected(12, merge_overlapping_contacts(raw));
+  EXPECT_TRUE(std::ranges::equal(canonical.contacts(), expected.contacts()));
+  EXPECT_EQ(report.merged, raw.size() - canonical.num_contacts());
+  EXPECT_GT(report.merged, 0u);
+  EXPECT_GT(report.out_of_order, 0u);
 }
 
 TEST(TraceCanonicalize, ReportsSortedInputUntouched) {
