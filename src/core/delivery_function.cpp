@@ -106,6 +106,32 @@ void DeliveryFunction::assign_canonical(const FrontierView& v) {
   }
 }
 
+void DeliveryFunction::assign_union(const FrontierView& base,
+                                    const FrontierView& other) {
+  // Ascending merge by ld. In a canonical frontier the first pair with
+  // ld >= x has the smallest ea of all pairs departing at or after x, so
+  // a pair survives iff the other frontier's next pair (the first with a
+  // larger ld) arrives strictly later. Where both share an ld, the
+  // smaller ea wins and always survives: both successors arrive later.
+  pairs_.clear();
+  std::size_t i = 0, j = 0;
+  const std::size_t bn = base.size(), on = other.size();
+  while (i < bn || j < on) {
+    if (j == on || (i < bn && base.ld(i) < other.ld(j))) {
+      if (j == on || other.ea(j) > base.ea(i)) pairs_.push_back(base.pair(i));
+      ++i;
+    } else if (i == bn || other.ld(j) < base.ld(i)) {
+      if (i == bn || base.ea(i) > other.ea(j)) pairs_.push_back(other.pair(j));
+      ++j;
+    } else {
+      pairs_.push_back(base.ea(i) <= other.ea(j) ? base.pair(i)
+                                                 : other.pair(j));
+      ++i;
+      ++j;
+    }
+  }
+}
+
 double DeliveryFunction::deliver_at(double t) const noexcept {
   // del(t) = max(t, ea_i) for the first pair with ld_i >= t: its ea is
   // minimal among all usable pairs.

@@ -113,6 +113,14 @@ class DeliveryFunction {
   /// (asserted in debug builds). Capacity is reused like clear().
   void assign_canonical(const FrontierView& v);
 
+  /// Replaces the contents with the Pareto front of the union of two
+  /// canonical frontiers, in one linear merge. Bit-identical to
+  /// assign_canonical(base) followed by insert() of every pair of
+  /// `other`: the front of a union is unique, and where two pairs share
+  /// an ld the one with the smaller ea survives (`base` on a tie, as an
+  /// insert keeps the pair already present).
+  void assign_union(const FrontierView& base, const FrontierView& other);
+
   /// Ensures capacity for at least `n` pairs without changing contents.
   void reserve(std::size_t n) { pairs_.reserve(n); }
 

@@ -142,12 +142,10 @@ DeliveryFunction& IncrementalSourceDp::ensure_working(NodeId node, int level) {
   if (!s.active) {
     // Base = L'_{level-1} (the list is already updated through level-1),
     // then the pre-epoch L_level: together with the candidate extensions
-    // their Pareto merge is exactly L'_level. The base is a canonical
-    // frontier already, so it seeds the scratch with a plain copy.
-    s.working.assign_canonical(lookup(nodes_[node].versions, level - 1));
-    const FrontierView old_k = lookup_original(node, level);
-    for (std::size_t i = 0; i < old_k.size(); ++i)
-      s.working.insert(old_k.pair(i));
+    // their Pareto merge is exactly L'_level. Both are canonical
+    // frontiers, so one linear merge seeds the scratch.
+    s.working.assign_union(lookup(nodes_[node].versions, level - 1),
+                           lookup_original(node, level));
     s.active = true;
     level_active_.push_back(node);
   }
@@ -397,6 +395,11 @@ IncrementalAllPairsEngine::IncrementalAllPairsEngine(
     partials_.emplace_back(options_.grid, options_.max_hops);
   }
   dirty_.assign(num_nodes, 1);
+  const std::size_t slots =
+      num_nodes * (static_cast<std::size_t>(options_.max_hops) + 1);
+  checkpoint_numerators_.resize(
+      slots * MeasureCdfAccumulator(options_.grid).numerator_size());
+  checkpoint_resume_.resize(slots * num_nodes);
 }
 
 double IncrementalAllPairsEngine::watermark() const noexcept {
@@ -444,80 +447,99 @@ DelayCdfOptions IncrementalAllPairsEngine::cdf_options() const {
   return o;
 }
 
+bool IncrementalAllPairsEngine::windows_keep_checkpoints(
+    const TimeWindows& w) const {
+  // A NaN t_hi resolves to the graph's end time, which grows every
+  // epoch. Every frontier pair's ld is the end of some contact, so a
+  // final hi at or past the end time at the previous call clipped no
+  // stored segment, and neither does a larger one: only the
+  // denominators change, and integrate_lane adds those after the blocks.
+  // (The live engine's windows come from t_lo/t_hi: always exactly one.)
+  return have_windows_ && w[0].first == last_windows_[0].first &&
+         w[0].second > last_windows_[0].second &&
+         last_windows_[0].second >= last_end_time_;
+}
+
 void IncrementalAllPairsEngine::integrate_source(
-    NodeId src, const TimeWindows& w, SourceCdfPartial& out,
-    std::uint64_t* pairs_integrated) const {
-  // Byte-for-byte replay of process_source's direct scheme, reading the
-  // frontier history instead of stepping an engine: same per-window
-  // accumulate calls on the same SoA lanes in the same order.
-  out.clear();
+    NodeId src, const TimeWindows& w, double capture_block,
+    LaneScratch& scratch, SourceCdfPartial& out,
+    std::uint64_t& pairs_integrated) {
   const IncrementalSourceDp& dp = dps_[src];
-  const double window_measure = total_window_measure(w);
-  const NodeId n = static_cast<NodeId>(graph_.num_nodes());
-  const auto accumulate = [&](MeasureCdfAccumulator& acc, NodeId dst,
-                              int level) {
-    const FrontierView f = dp.frontier_at(dst, level);
-    for (const auto& [lo, hi] : w) f.accumulate_delay_measure(acc, lo, hi);
-    *pairs_integrated += f.size();
-    acc.add_observation_measure(window_measure);
-  };
+  const std::size_t n = graph_.num_nodes();
   // Levels past the source's deepest productive one read the fixpoint
   // frontier for EVERY destination, so the direct scheme would feed them
   // the exact addend sequence of level `last` -- integrate the productive
   // prefix once and copy that accumulator into the remaining hop budgets
   // (and, when the source converged within the budgets, the unbounded
-  // lane). Bit-identical to the full replay at a fraction of the cost.
+  // lane). Bit-identical to integrating every lane.
+  //
+  // A lane's checkpoint slot always holds the same level (lane k-1 level
+  // k, `unbounded` the cap), so a slot stays valid while its lane is a
+  // copy: the settled prefix of that level's frontiers is final whether
+  // or not it is integrated.
   const int deepest = std::max(dp.max_version_level(), 1);
   const int last = std::min(options_.max_hops, deepest);
-  for (int k = 1; k <= last; ++k) {
-    for (NodeId dst = 0; dst < n; ++dst) {
-      if (dst == src) continue;
-      accumulate(out.by_hops[static_cast<std::size_t>(k) - 1], dst, k);
-    }
-  }
+  const std::size_t numerator_size = out.unbounded.numerator_size();
+  const auto lane = [&](MeasureCdfAccumulator& acc, int index, int level) {
+    scratch.frontiers.clear();
+    for (NodeId dst = 0; dst < n; ++dst)
+      if (dst != src) scratch.frontiers.push_back(dp.frontier_at(dst, level));
+    const std::size_t slot =
+        src * (static_cast<std::size_t>(options_.max_hops) + 1) +
+        static_cast<std::size_t>(index);
+    const LaneCheckpoint checkpoint{
+        checkpoint_numerators_.data() + slot * numerator_size,
+        checkpoint_resume_.data() + slot * n};
+    pairs_integrated +=
+        integrate_lane(w, scratch, acc, &checkpoint, capture_block);
+  };
+  for (int k = 1; k <= last; ++k) lane(out.by_hops[k - 1], k - 1, k);
   for (int k = last + 1; k <= options_.max_hops; ++k)
-    out.by_hops[static_cast<std::size_t>(k) - 1] =
-        out.by_hops[static_cast<std::size_t>(last) - 1];
+    out.by_hops[k - 1] = out.by_hops[last - 1];
+  if (deepest > last)
+    lane(out.unbounded, options_.max_hops, cap_);
+  else
+    out.unbounded = out.by_hops[last - 1];
   // Same fixpoint a cold bounded run reports: the true level when it is
   // observable below the cap, the max_levels+1 "not converged" sentinel
   // otherwise.
-  const int fixpoint =
-      dp.max_version_level() < cap_ ? dp.max_version_level()
-                                    : options_.max_levels + 1;
-  if (fixpoint > options_.max_levels) out.converged = false;
-  out.fixpoint_hops = std::max(out.fixpoint_hops, fixpoint);
-  if (deepest <= last) {
-    out.unbounded = out.by_hops[static_cast<std::size_t>(last) - 1];
-  } else {
-    for (NodeId dst = 0; dst < n; ++dst) {
-      if (dst == src) continue;
-      accumulate(out.unbounded, dst, cap_);
-    }
-  }
+  out.fixpoint_hops = dp.max_version_level() < cap_ ? dp.max_version_level()
+                                                    : options_.max_levels + 1;
+  out.converged = out.fixpoint_hops <= options_.max_levels;
 }
 
 DelayCdfResult IncrementalAllPairsEngine::all_pairs() {
   const DelayCdfOptions o = cdf_options();
   const TimeWindows w = resolve_cdf_windows(graph_, o);
-  // A NaN window resolves to the growing trace span, which moves every
-  // epoch -- then every cached integration is stale. Fixed explicit
-  // windows keep clean sources cached across epochs.
+  // Fixed explicit windows keep clean sources cached across epochs. A
+  // NaN window resolves to the growing trace span: every source's
+  // denominators move, so every source re-integrates, but from its
+  // checkpoints (windows_keep_checkpoints).
   if (!have_windows_ || w != last_windows_) {
     std::fill(dirty_.begin(), dirty_.end(), 1);
+    if (!windows_keep_checkpoints(w)) {
+      std::fill(checkpoint_numerators_.begin(), checkpoint_numerators_.end(),
+                0.0);
+      std::fill(checkpoint_resume_.begin(), checkpoint_resume_.end(), 0u);
+    }
     last_windows_ = w;
     have_windows_ = true;
   }
+  last_end_time_ = graph_.end_time();
 
   std::optional<ThreadPool> local_pool;
   if (options_.num_threads != 0) local_pool.emplace(options_.num_threads);
   ThreadPool& pool = local_pool ? *local_pool : shared_thread_pool();
+  lane_scratch_.resize(pool.num_workers());
 
+  // Addends below the watermark's day block are final (integrate_lane).
+  const double capture_block = time_block(watermark());
   OrderedCdfFolder folder(options_.grid, options_.max_hops, dps_.size());
   std::vector<std::uint64_t> pairs(pool.num_workers(), 0);
   pool.parallel_for(dps_.size(), [&](std::size_t i, unsigned worker) {
     if (dirty_[i]) {
-      integrate_source(static_cast<NodeId>(i), w, partials_[i],
-                       &pairs[worker]);
+      integrate_source(static_cast<NodeId>(i), w, capture_block,
+                       lane_scratch_[worker], partials_[i], pairs[worker]);
       dirty_[i] = 0;
     }
     folder.submit(i, partials_[i]);

@@ -1,6 +1,7 @@
 #include "core/source_cdf.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -72,25 +73,19 @@ void process_source_direct(const TemporalGraph& graph, NodeId src,
                            EngineMode mode, SourceCdfWorker& worker,
                            SourceCdfPartial& out) {
   SingleSourceEngine engine(graph, src, mode);
-  const double window_measure = total_window_measure(w);
-  auto accumulate = [&](MeasureCdfAccumulator& acc, NodeId dst) {
-    const FrontierView f = engine.frontier_view(dst);
-    for (const auto& [lo, hi] : w) f.accumulate_delay_measure(acc, lo, hi);
-    worker.stats.cdf_pairs_integrated += f.size();
-    acc.add_observation_measure(window_measure);
+  LaneScratch& lane = worker.lane;
+  auto integrate = [&](MeasureCdfAccumulator& acc) {
+    lane.frontiers.clear();
+    for (NodeId dst : endpoints)
+      if (dst != src) lane.frontiers.push_back(engine.frontier_view(dst));
+    worker.stats.cdf_pairs_integrated += integrate_lane(w, lane, acc);
   };
   for (int k = 1; k <= max_hops; ++k) {
     engine.step();  // no-op once at fixpoint; frontiers stay L_inf
-    for (NodeId dst : endpoints) {
-      if (dst == src) continue;
-      accumulate(out.by_hops[k - 1], dst);
-    }
+    integrate(out.by_hops[k - 1]);
   }
   record_fixpoint(out, engine.run_to_fixpoint(max_levels), max_levels);
-  for (NodeId dst : endpoints) {
-    if (dst == src) continue;
-    accumulate(out.unbounded, dst);
-  }
+  integrate(out.unbounded);
   worker.stats.merge(engine.stats());
 }
 
@@ -149,6 +144,113 @@ void process_source_incremental(const TemporalGraph& graph, NodeId src,
 }
 
 }  // namespace
+
+std::uint64_t integrate_lane(const TimeWindows& w, LaneScratch& scratch,
+                             MeasureCdfAccumulator& acc,
+                             const LaneCheckpoint* checkpoint,
+                             double capture_block) {
+  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+  const std::vector<FrontierView>& frontiers = scratch.frontiers;
+  if (checkpoint)
+    acc.load_numerators(checkpoint->numerators);
+  else
+    acc.clear();
+
+  // ea ascends along a frontier, so each frontier's first and last walked
+  // pairs bound its blocks, and its pairs below the capture block are a
+  // prefix of its walk.
+  const auto start_of = [&](std::size_t j) -> std::uint32_t {
+    return checkpoint ? checkpoint->resume[j] : 0;
+  };
+  std::size_t total = 0;
+  double lo = std::numeric_limits<double>::infinity(), hi = kNegInf;
+  for (std::size_t j = 0; j < frontiers.size(); ++j) {
+    const FrontierView& f = frontiers[j];
+    const auto n = static_cast<std::uint32_t>(f.size());
+    assert(start_of(j) <= n);
+    if (start_of(j) == n) continue;
+    lo = std::min(lo, time_block(f.ea(start_of(j))));
+    hi = std::max(hi, time_block(f.ea(n - 1)));
+    total += n - start_of(j);
+  }
+  // One bucket per block of [lo, hi], or per distinct block when that
+  // range is sparse against the pair count.
+  std::vector<double>& distinct = scratch.blocks;
+  const bool dense = total == 0 || hi - lo < static_cast<double>(total) + 64.0;
+  distinct.clear();
+  if (!dense) {
+    for (std::size_t j = 0; j < frontiers.size(); ++j)
+      for (std::size_t i = start_of(j); i < frontiers[j].size(); ++i)
+        distinct.push_back(time_block(frontiers[j].ea(i)));
+    std::sort(distinct.begin(), distinct.end());
+    distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                   distinct.end());
+  }
+  const auto bucket_of = [&](double block) {
+    return dense ? static_cast<std::size_t>(block - lo)
+                 : static_cast<std::size_t>(
+                       std::lower_bound(distinct.begin(), distinct.end(),
+                                        block) -
+                       distinct.begin());
+  };
+  const std::size_t num_buckets =
+      total == 0 ? 0 : dense ? static_cast<std::size_t>(hi - lo) + 1
+                             : distinct.size();
+  std::vector<std::vector<LaneScratch::Pair>>& buckets = scratch.buckets;
+  if (buckets.size() < num_buckets) buckets.resize(num_buckets);
+  for (std::size_t b = 0; b < num_buckets; ++b) buckets[b].clear();
+
+  // Walk in (destination, pair) order; appending keeps that order within
+  // each bucket. Each pair carries its segment's lower boundary. The
+  // resume index is read before the walk overwrites it.
+  std::size_t settled = 0;  // walked pairs below the capture block
+  for (std::size_t j = 0; j < frontiers.size(); ++j) {
+    const FrontierView& f = frontiers[j];
+    const auto n = static_cast<std::uint32_t>(f.size());
+    const std::uint32_t start = start_of(j);
+    std::uint32_t below = 0;
+    double prev_ld = start > 0 ? f.ld(start - 1) : kNegInf;
+    for (std::uint32_t i = start; i < n; ++i) {
+      const double ld = f.ld(i), ea = f.ea(i);
+      const double block = time_block(ea);
+      buckets[bucket_of(block)].push_back({prev_ld, ld, ea});
+      below += block < capture_block;
+      prev_ld = ld;
+    }
+    settled += below;
+    if (checkpoint) checkpoint->resume[j] = start + below;
+  }
+
+  // Stream the segments in block order, storing the checkpoint where the
+  // first pair at or past the capture block begins.
+  SegmentBatcher sb(acc);
+  const auto capture = [&] {
+    sb.flush();
+    acc.store_numerators(checkpoint->numerators);
+  };
+  const std::pair<double, double>* windows = w.data();
+  const std::size_t num_windows = w.size();
+  std::size_t streamed = 0;
+  for (std::size_t b = 0; b < num_buckets; ++b) {
+    for (const LaneScratch::Pair& p : buckets[b]) {
+      if (checkpoint && streamed++ == settled) capture();
+      if (num_windows == 1) {
+        const double lo_t = std::max(p.prev_ld, windows[0].first);
+        const double hi_t = std::min(p.ld, windows[0].second);
+        if (lo_t < hi_t) sb.push(lo_t, hi_t, p.ea);
+        continue;
+      }
+      sb.push_frontier(&p.ld, &p.ea, 1, windows, num_windows, p.prev_ld);
+    }
+  }
+  if (checkpoint && settled == total) capture();
+  sb.flush();
+
+  const double window_measure = total_window_measure(w);
+  for (std::size_t j = 0; j < frontiers.size(); ++j)
+    acc.add_observation_measure(window_measure);
+  return total;
+}
 
 TimeWindows resolve_cdf_windows(const TemporalGraph& graph,
                                 const DelayCdfOptions& options) {

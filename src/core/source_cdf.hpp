@@ -12,8 +12,17 @@
 // the same sequence. Per-source partials themselves are bitwise
 // reproducible anywhere because every worker runs the identical
 // deterministic DP over the same contact array.
+//
+// Within a partial, the direct scheme (CdfAccumulation::kDirect) adds
+// each hop lane's segments in one canonical order too: by day block of
+// the pair's earliest arrival, then destination, then pair
+// (integrate_lane). The cold driver and the live IncrementalAllPairsEngine
+// both integrate through that one function; the block-major order is
+// what lets the live engine keep every addend below the watermark's day
+// as a checkpoint and re-integrate only the rest after an append.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -26,6 +35,7 @@
 #include "core/optimal_paths.hpp"
 #include "core/temporal_graph.hpp"
 #include "stats/measure_cdf.hpp"
+#include "util/time_format.hpp"
 
 namespace odtn {
 
@@ -75,14 +85,62 @@ struct SourceCdfPartial {
   void merge_from(const SourceCdfPartial& other);
 };
 
+/// Day block of an earliest-arrival time, floor(ea / kDay): the outer key
+/// of the canonical kDirect addend order below.
+inline double time_block(double t) { return std::floor(t / kDay); }
+
+/// Where the live engine keeps one lane's settled prefix: the
+/// accumulator numerators after every block below the capture block
+/// (MeasureCdfAccumulator::numerator_size() doubles) and, per
+/// destination, the index of its first pair at or past that block.
+struct LaneCheckpoint {
+  double* numerators = nullptr;
+  std::uint32_t* resume = nullptr;
+};
+
+/// Reusable buffers of integrate_lane (one per worker). The caller fills
+/// `frontiers` with one view per destination, in destination order.
+struct LaneScratch {
+  /// One frontier pair with its segment's lower boundary (the previous
+  /// pair's ld, -infinity for the first pair).
+  struct Pair {
+    double prev_ld, ld, ea;
+  };
+  std::vector<FrontierView> frontiers;
+  std::vector<std::vector<Pair>> buckets;  // walked pairs per block
+  std::vector<double> blocks;  // distinct blocks, when too sparse to index
+};
+
+/// Integrates one hop lane (a hop budget's accumulator, or `unbounded`)
+/// of one source under the direct scheme, in the canonical addend order
+/// (day block of the pair's ea, destination, pair): one walk over the
+/// frontiers buckets every pair by time_block(ea), appending in walk
+/// order, and the buckets' segments are then streamed in block order
+/// through one SegmentBatcher. The observation measure of every
+/// destination is added last. Returns the number of frontier pairs
+/// walked.
+///
+/// With `checkpoint`, the walk starts from the state an earlier call
+/// stored there (all zeros: from the start) and stores the state just
+/// before the first pair at or past `capture_block`. Every addend below
+/// the capture block is final once `capture_block` is the block of the
+/// graph's watermark: an append only adds or removes pairs with ea at or
+/// past the watermark, and a pair below it keeps its segment because its
+/// predecessor is below it too.
+std::uint64_t integrate_lane(const TimeWindows& w, LaneScratch& scratch,
+                             MeasureCdfAccumulator& acc,
+                             const LaneCheckpoint* checkpoint = nullptr,
+                             double capture_block = 0.0);
+
 /// Reusable per-worker state: the recycled engine workspace (incremental
-/// scheme) and the CDF-side counters. Engine counters are folded in by
-/// take_stats() -- additive counters are order-invariant, so worker
-/// totals merge into the same aggregate regardless of how sources were
-/// distributed.
+/// scheme), the lane buffers (direct scheme) and the CDF-side counters.
+/// Engine counters are folded in by take_stats() -- additive counters are
+/// order-invariant, so worker totals merge into the same aggregate
+/// regardless of how sources were distributed.
 struct SourceCdfWorker {
   std::optional<SingleSourceEngine> engine;
   EngineStats stats;
+  LaneScratch lane;  // direct scheme
 
   /// Worker counters plus the recycled engine's counters (if any).
   EngineStats take_stats() const;

@@ -11,21 +11,6 @@
 
 namespace odtn {
 
-namespace {
-
-// Clipped segments pending integration: the grid searches of two
-// segments (four lower_bound keys) run as one dispatched lower_bound4
-// call, which is where the SoA integration path recovers the
-// micro_integrate regression -- the diff-array updates themselves are
-// then applied in the original per-segment order, so the accumulator
-// state stays bit-identical to the scalar path.
-struct SegmentBatcher {
-  double a[2], b[2], arrival[2];
-  std::size_t pending = 0;
-};
-
-}  // namespace
-
 MeasureCdfAccumulator::MeasureCdfAccumulator(std::vector<double> grid)
     : grid_(std::move(grid)),
       const_diff_(grid_.size() + 1, 0.0),
@@ -43,93 +28,31 @@ void MeasureCdfAccumulator::add_delivery_segments(const double* ld,
                                                   double t_hi, double weight,
                                                   double prev_ld) {
   assert(t_lo <= t_hi);
-  if (simd::active_level() == simd::Level::kScalar) {
-    // Mandatory fallback: the original per-segment walk, verbatim.
-    for (std::size_t i = 0; i < n; ++i) {
-      const double a = std::max(prev_ld, t_lo);
-      const double b = std::min(ld[i], t_hi);
-      if (a < b) add_segment(a, b, ea[i], weight);
-      prev_ld = ld[i];
-      if (prev_ld >= t_hi) break;
-    }
-    return;
-  }
-  const simd::Ops& ops = simd::ops();
-  SegmentBatcher sb;
-  auto push = [&](double a, double b, double arrival) {
-    sb.a[sb.pending] = a;
-    sb.b[sb.pending] = b;
-    sb.arrival[sb.pending] = arrival;
-    if (++sb.pending < 2) return;
-    const double keys[4] = {sb.arrival[0] - sb.b[0], sb.arrival[0] - sb.a[0],
-                            sb.arrival[1] - sb.b[1], sb.arrival[1] - sb.a[1]};
-    std::uint32_t idx[4];
-    ops.lower_bound4(grid_.data(), grid_.size(), keys, idx);
-    add_segment_at(sb.a[0], sb.b[0], sb.arrival[0], weight, idx[0], idx[1]);
-    add_segment_at(sb.a[1], sb.b[1], sb.arrival[1], weight, idx[2], idx[3]);
-    sb.pending = 0;
-  };
-  for (std::size_t i = 0; i < n; ++i) {
-    const double a = std::max(prev_ld, t_lo);
-    const double b = std::min(ld[i], t_hi);
-    if (a < b) push(a, b, ea[i]);
-    prev_ld = ld[i];
-    if (prev_ld >= t_hi) break;
-  }
-  if (sb.pending == 1) add_segment(sb.a[0], sb.b[0], sb.arrival[0], weight);
+  // One window is the multi-window walk's degenerate case: every pair
+  // gets the same clipped segment and the walk ends at the same pair.
+  const std::pair<double, double> window(t_lo, t_hi);
+  add_delivery_segments(ld, ea, n, &window, 1, weight, prev_ld);
 }
 
 void MeasureCdfAccumulator::add_delivery_segments(
     const double* ld, const double* ea, std::size_t n,
     const std::pair<double, double>* windows, std::size_t num_windows,
     double weight, double prev_ld) {
-  // Pair segments (prev_ld, ld[i]] ascend, so the window cursor only
-  // moves forward; windows fully below the current segment are dropped
-  // for good, and the walk ends once every window is behind prev_ld.
-  if (simd::active_level() == simd::Level::kScalar) {
-    // Mandatory fallback: the original per-segment walk, verbatim.
-    std::size_t w0 = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double lo = prev_ld, hi = ld[i];
-      prev_ld = ld[i];
-      while (w0 < num_windows && windows[w0].second <= lo) ++w0;
-      if (w0 == num_windows) break;
-      for (std::size_t w = w0; w < num_windows && windows[w].first < hi; ++w) {
-        const double a = std::max(lo, windows[w].first);
-        const double b = std::min(hi, windows[w].second);
-        if (a < b) add_segment(a, b, ea[i], weight);
-      }
-    }
-    return;
-  }
-  const simd::Ops& ops = simd::ops();
-  SegmentBatcher sb;
-  auto push = [&](double a, double b, double arrival) {
-    sb.a[sb.pending] = a;
-    sb.b[sb.pending] = b;
-    sb.arrival[sb.pending] = arrival;
-    if (++sb.pending < 2) return;
-    const double keys[4] = {sb.arrival[0] - sb.b[0], sb.arrival[0] - sb.a[0],
-                            sb.arrival[1] - sb.b[1], sb.arrival[1] - sb.a[1]};
-    std::uint32_t idx[4];
-    ops.lower_bound4(grid_.data(), grid_.size(), keys, idx);
-    add_segment_at(sb.a[0], sb.b[0], sb.arrival[0], weight, idx[0], idx[1]);
-    add_segment_at(sb.a[1], sb.b[1], sb.arrival[1], weight, idx[2], idx[3]);
-    sb.pending = 0;
-  };
-  std::size_t w0 = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double lo = prev_ld, hi = ld[i];
-    prev_ld = ld[i];
-    while (w0 < num_windows && windows[w0].second <= lo) ++w0;
-    if (w0 == num_windows) break;
-    for (std::size_t w = w0; w < num_windows && windows[w].first < hi; ++w) {
-      const double a = std::max(lo, windows[w].first);
-      const double b = std::min(hi, windows[w].second);
-      if (a < b) push(a, b, ea[i]);
-    }
-  }
-  if (sb.pending == 1) add_segment(sb.a[0], sb.b[0], sb.arrival[0], weight);
+  SegmentBatcher sb(*this, weight);
+  sb.push_frontier(ld, ea, n, windows, num_windows, prev_ld);
+  sb.flush();
+}
+
+void MeasureCdfAccumulator::store_numerators(double* out) const noexcept {
+  std::copy(const_diff_.begin(), const_diff_.end(), out);
+  std::copy(slope_diff_.begin(), slope_diff_.end(), out + const_diff_.size());
+}
+
+void MeasureCdfAccumulator::load_numerators(const double* in) noexcept {
+  std::copy(in, in + const_diff_.size(), const_diff_.begin());
+  std::copy(in + const_diff_.size(), in + 2 * const_diff_.size(),
+            slope_diff_.begin());
+  denominator_ = 0.0;
 }
 
 void MeasureCdfAccumulator::clear() noexcept {
@@ -169,6 +92,24 @@ std::vector<double> MeasureCdfAccumulator::cdf() const {
     out[j] = std::clamp((c + s * grid_[j]) / denominator_, 0.0, 1.0);
   }
   return out;
+}
+
+SegmentBatcher::SegmentBatcher(MeasureCdfAccumulator& acc, double weight)
+    : acc_(acc),
+      weight_(weight),
+      lower_bound4_(simd::active_level() == simd::Level::kScalar
+                        ? nullptr
+                        : simd::ops().lower_bound4) {}
+
+void SegmentBatcher::apply_pair() {
+  const std::vector<double>& grid = acc_.grid_;
+  const double keys[4] = {arrival_[0] - b_[0], arrival_[0] - a_[0],
+                          arrival_[1] - b_[1], arrival_[1] - a_[1]};
+  std::uint32_t idx[4];
+  lower_bound4_(grid.data(), grid.size(), keys, idx);
+  acc_.add_segment_at(a_[0], b_[0], arrival_[0], weight_, idx[0], idx[1]);
+  acc_.add_segment_at(a_[1], b_[1], arrival_[1], weight_, idx[2], idx[3]);
+  pending_ = 0;
 }
 
 }  // namespace odtn

@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -117,6 +118,19 @@ class MeasureCdfAccumulator {
   /// what makes all-pairs runs bit-identical across thread counts.
   void clear() noexcept;
 
+  /// Size of the numerator state: both difference arrays,
+  /// grid().size() + 1 doubles each.
+  std::size_t numerator_size() const noexcept { return 2 * const_diff_.size(); }
+
+  /// Copies the numerator state (not the denominator) to `out`, which
+  /// holds numerator_size() doubles. The live all-pairs engine stores a
+  /// lane's settled prefix this way and resumes from it later.
+  void store_numerators(double* out) const noexcept;
+
+  /// Replaces the numerators with a state written by store_numerators and
+  /// zeroes the denominator.
+  void load_numerators(const double* in) noexcept;
+
   /// The evaluation grid.
   const std::vector<double>& grid() const noexcept { return grid_; }
 
@@ -130,10 +144,12 @@ class MeasureCdfAccumulator {
   std::vector<double> cdf() const;
 
  private:
+  friend class SegmentBatcher;
+
   /// The diff-array update half of add_segment: `lo`/`hi` must be the
   /// std::lower_bound indices of the keys (arrival - b) and (arrival - a)
-  /// and the segment must be non-empty (a < b). Split out so the batched
-  /// SoA path can feed it indices computed four-at-a-time by the
+  /// and the segment must be non-empty (a < b). Split out so
+  /// SegmentBatcher can feed it indices computed four-at-a-time by the
   /// dispatched simd::Ops::lower_bound4 -- the updates themselves run in
   /// the exact per-segment order of the scalar path, keeping the
   /// accumulator state bit-identical.
@@ -159,6 +175,74 @@ class MeasureCdfAccumulator {
   std::vector<double> const_diff_;
   std::vector<double> slope_diff_;
   double denominator_ = 0.0;
+};
+
+/// Streams clipped delivery segments into one accumulator. The grid
+/// searches of two consecutive segments (four lower_bound keys) run as one
+/// dispatched simd::Ops::lower_bound4 call; the diff-array updates are
+/// then applied in push order, so the accumulator ends up bit-identical
+/// to calling add_segment once per segment. The pairing carries across
+/// push_frontier calls, so a caller streaming many short frontier slices
+/// (the blocked kDirect order of core/source_cdf) keeps every search
+/// batched. On the scalar dispatch level each push is a plain
+/// add_segment. Call flush() before the accumulator is read or stored.
+class SegmentBatcher {
+ public:
+  explicit SegmentBatcher(MeasureCdfAccumulator& acc, double weight = 1.0);
+
+  /// Start times in (a, b] delivered at `arrival`; requires a < b.
+  void push(double a, double b, double arrival) {
+    if (!lower_bound4_) {
+      acc_.add_segment(a, b, arrival, weight_);
+      return;
+    }
+    a_[pending_] = a;
+    b_[pending_] = b;
+    arrival_[pending_] = arrival;
+    if (++pending_ == 2) apply_pair();
+  }
+
+  /// One frontier slice (parallel ascending ld/ea lanes) over sorted
+  /// disjoint windows: start times in (ld[i-1], ld[i]] are served at
+  /// ea[i], clipped to every window they overlap; `prev_ld` is the lower
+  /// boundary of the first pair (-infinity for a whole frontier).
+  void push_frontier(const double* ld, const double* ea, std::size_t n,
+                     const std::pair<double, double>* windows,
+                     std::size_t num_windows, double prev_ld) {
+    // Pair segments (prev_ld, ld[i]] ascend, so the window cursor only
+    // moves forward; windows fully below the current segment are dropped
+    // for good, and the walk ends once every window is behind prev_ld.
+    std::size_t w0 = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double lo = prev_ld, hi = ld[i];
+      prev_ld = ld[i];
+      while (w0 < num_windows && windows[w0].second <= lo) ++w0;
+      if (w0 == num_windows) break;
+      for (std::size_t w = w0; w < num_windows && windows[w].first < hi;
+           ++w) {
+        const double a = std::max(lo, windows[w].first);
+        const double b = std::min(hi, windows[w].second);
+        if (a < b) push(a, b, ea[i]);
+      }
+    }
+  }
+
+  /// Applies a pending unpaired segment.
+  void flush() {
+    if (pending_ == 1) acc_.add_segment(a_[0], b_[0], arrival_[0], weight_);
+    pending_ = 0;
+  }
+
+ private:
+  void apply_pair();
+
+  MeasureCdfAccumulator& acc_;
+  double weight_;
+  /// Dispatched simd::Ops::lower_bound4; nullptr on the scalar level.
+  void (*lower_bound4_)(const double*, std::size_t, const double*,
+                        std::uint32_t*) noexcept;
+  double a_[2] = {}, b_[2] = {}, arrival_[2] = {};
+  std::size_t pending_ = 0;
 };
 
 }  // namespace odtn

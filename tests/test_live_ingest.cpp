@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -206,19 +207,24 @@ DelayCdfOptions cold_options(const IncrementalCdfOptions& io) {
   return o;
 }
 
-void check_epoch_splits(const TemporalGraph& full, int epochs,
-                        IncrementalCdfOptions io) {
+/// Appends `full` in the epochs delimited by `cuts` (ascending contact
+/// indices; the last epoch runs to the end) and checks every epoch
+/// against a cold kDirect run on the prefix.
+void check_epoch_cuts(const TemporalGraph& full, std::vector<std::size_t> cuts,
+                      IncrementalCdfOptions io) {
   io.grid = test_grid(full);
   IncrementalAllPairsEngine engine(full.num_nodes(), full.directed(), io);
   const auto contacts = full.contacts();
-  const std::size_t step = contacts.size() / epochs + 1;
-  for (std::size_t at = 0; at < contacts.size(); at += step) {
-    const std::size_t n = std::min(step, contacts.size() - at);
-    engine.append(contacts.subspan(at, n));
+  cuts.push_back(contacts.size());
+  std::size_t at = 0;
+  for (const std::size_t cut : cuts) {
+    if (cut <= at) continue;
+    engine.append(contacts.subspan(at, cut - at));
+    at = cut;
     const TemporalGraph prefix(
         full.num_nodes(),
         std::vector<Contact>(contacts.begin(),
-                             contacts.begin() + static_cast<long>(at + n)),
+                             contacts.begin() + static_cast<long>(at)),
         full.directed());
     const DelayCdfResult cold = compute_delay_cdf(prefix, cold_options(io));
     const DelayCdfResult live = engine.all_pairs();
@@ -227,6 +233,32 @@ void check_epoch_splits(const TemporalGraph& full, int epochs,
     // partial cache path).
     expect_bit_identical(engine.all_pairs(), cold);
   }
+}
+
+void check_epoch_splits(const TemporalGraph& full, int epochs,
+                        IncrementalCdfOptions io) {
+  const std::size_t step = full.num_contacts() / epochs + 1;
+  std::vector<std::size_t> cuts;
+  for (std::size_t at = step; at < full.num_contacts(); at += step)
+    cuts.push_back(at);
+  check_epoch_cuts(full, cuts, io);
+}
+
+/// A synthetic trace over `days` days, every time shifted by
+/// `offset_days` (so day blocks fall at arbitrary points of the trace).
+TemporalGraph multi_day_graph(unsigned seed, double days, double offset_days,
+                              bool directed, std::size_t internal = 10) {
+  SyntheticTraceSpec spec;
+  spec.num_internal = internal;
+  spec.duration = days * kDay;
+  spec.pair_contacts_mean = 4.0 * days;
+  spec.num_communities = 3;
+  std::vector<Contact> contacts = generate_trace(spec, seed).graph.contacts_vector();
+  for (Contact& c : contacts) {
+    c.begin += offset_days * kDay;
+    c.end += offset_days * kDay;
+  }
+  return TemporalGraph(internal, std::move(contacts), directed);
 }
 
 TEST(IncrementalEngine, BitIdenticalToColdAcrossEpochSplits) {
@@ -246,6 +278,98 @@ TEST(IncrementalEngine, BitIdenticalWithExplicitWindowAndTightLevels) {
   io.t_lo = full.start_time();
   io.t_hi = full.end_time();
   check_epoch_splits(full, 4, io);
+}
+
+TEST(IncrementalEngine, MultiDayEpochSplitsAreBitIdentical) {
+  // Many epochs over several day blocks: each epoch resumes every dirty
+  // lane from its checkpoint at the previous watermark's block.
+  unsigned seed = 61;
+  for (const double offset : {2.37, -3.61}) {
+    for (const bool directed : {false, true}) {
+      const TemporalGraph full =
+          multi_day_graph(seed++, offset > 0 ? 4.5 : 4.0, offset, directed);
+      ASSERT_GT(full.duration(), 3 * kDay);
+      IncrementalCdfOptions loose;
+      loose.max_hops = 8;
+      check_epoch_splits(full, 30, loose);
+      IncrementalCdfOptions tight;
+      tight.max_hops = 5;
+      tight.max_levels = 2;  // unconverged sources, copied lanes
+      tight.t_lo = full.start_time() + 0.3 * kDay;
+      tight.t_hi = full.end_time() - 0.6 * kDay;
+      check_epoch_splits(full, 30, tight);
+    }
+  }
+}
+
+TEST(IncrementalEngine, EpochStartingOnADayBoundary) {
+  // Contacts beginning exactly at k * kDay, with epochs cut both just
+  // before them (the new pairs open block k) and just after them (the
+  // watermark, and so the capture block, sits exactly on the boundary).
+  std::vector<Contact> contacts =
+      multi_day_graph(67, 4.0, 0.0, false).contacts_vector();
+  contacts.push_back({0, 1, 2 * kDay, 2 * kDay + 600.0});
+  contacts.push_back({2, 3, 2 * kDay, 2 * kDay + 60.0});
+  contacts.push_back({1, 4, 3 * kDay, 3 * kDay + 300.0});
+  const TemporalGraph full(10, std::move(contacts), false);
+  const auto all = full.contacts();
+  std::vector<std::size_t> cuts;
+  for (const double day : {1.0, 2.0, 3.0}) {
+    const auto first = static_cast<std::size_t>(
+        std::lower_bound(all.begin(), all.end(), day * kDay,
+                         [](const Contact& c, double t) { return c.begin < t; }) -
+        all.begin());
+    ASSERT_LT(first, all.size());
+    cuts.insert(cuts.end(), {first - 3, first, first + 1, first + 2});
+  }
+  std::sort(cuts.begin(), cuts.end());
+  IncrementalCdfOptions io;
+  io.max_hops = 6;
+  check_epoch_cuts(full, cuts, io);
+}
+
+TEST(IncrementalEngine, GrowingDepthSwitchesCopiedLanesToIntegrated) {
+  // Day d brings the chain 0-1-...-(d+1), so source 0's deepest
+  // productive level grows every epoch: hop budgets that were copies of
+  // the last productive one become integrated lanes, and later
+  // `unbounded` does too. Each such lane starts from its own checkpoint
+  // slot, which was never captured while the lane was a copy.
+  std::vector<Contact> contacts;
+  for (int d = 0; d < 6; ++d)
+    for (int i = 0; i <= d; ++i)
+      contacts.push_back({static_cast<NodeId>(i), static_cast<NodeId>(i + 1),
+                          d * kDay + 600.0 * i + 100.0,
+                          d * kDay + 600.0 * i + 400.0});
+  const TemporalGraph full(7, std::move(contacts), false);
+  std::vector<std::size_t> cuts;
+  for (std::size_t d = 1, at = 0; d < 6; ++d) cuts.push_back(at += d);
+  for (const int max_hops : {2, 4}) {
+    IncrementalCdfOptions io;
+    io.max_hops = max_hops;
+    check_epoch_cuts(full, cuts, io);
+  }
+}
+
+TEST(IncrementalEngine, NanWindowKeepsCheckpoints) {
+  // A NaN t_hi resolves to the growing end time, so every epoch changes
+  // the window; the checkpoints must survive that (only denominators
+  // move) and stay bit-identical.
+  const TemporalGraph full = multi_day_graph(71, 4.5, 1.25, false);
+  IncrementalCdfOptions io;
+  io.max_hops = 6;
+  check_epoch_splits(full, 30, io);
+
+  io.grid = test_grid(full);
+  const auto contacts = full.contacts();
+  const std::size_t bulk = contacts.size() - 4;
+  IncrementalAllPairsEngine engine(full.num_nodes(), false, io);
+  engine.append(contacts.subspan(0, bulk));
+  const DelayCdfResult full_pass = engine.all_pairs();
+  engine.append(contacts.subspan(bulk));
+  const DelayCdfResult tail = engine.all_pairs();
+  expect_bit_identical(tail, compute_delay_cdf(full, cold_options(io)));
+  EXPECT_LT(2 * tail.stats.cdf_pairs_integrated,
+            full_pass.stats.cdf_pairs_integrated);
 }
 
 TEST(IncrementalEngine, EmptyAndSingleContactDegenerates) {

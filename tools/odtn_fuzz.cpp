@@ -44,11 +44,14 @@
 // epochs, runs them through IncrementalAllPairsEngine, and requires
 // every epoch's all_pairs() to be bit-identical to a cold
 // compute_delay_cdf(kDirect) on the prefix ingested so far (over the
-// same explicit full-span start window). It also replays the trace's
-// byte serialization through StreamingTraceParser under random chunk
-// splits -- sometimes one byte at a time, sometimes with the final
-// newline stripped so the flush() path runs -- and requires the result
-// to match the one-shot read_trace graph exactly.
+// same explicit full-span start window). Half of the trials first
+// stretch the trace over 3-6 days and shift it by a random non-integral
+// number of days, sometimes negative, so the engine's day-block
+// checkpoints are captured and resumed across several blocks. It also
+// replays the trace's byte serialization through StreamingTraceParser
+// under random chunk splits -- sometimes one byte at a time, sometimes
+// with the final newline stripped so the flush() path runs -- and
+// requires the result to match the one-shot read_trace graph exactly.
 //
 // Usage: odtn_fuzz [--engine N] [--parser N] [--kernel N] [--snapshot N]
 //                  [--live N] [--corpus DIR] [--seed S]
@@ -77,6 +80,7 @@
 #include "trace/trace_io.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
+#include "util/time_format.hpp"
 
 using namespace odtn;
 
@@ -658,6 +662,22 @@ bool cdf_results_identical(const DelayCdfResult& a, const DelayCdfResult& b) {
          a.diameter_per_delay(0.01) == b.diameter_per_delay(0.01);
 }
 
+/// Stretches an adversarial trace (times within a few hundred seconds)
+/// over 3-6 days and shifts it by a random non-integral number of days,
+/// possibly negative. Returns the time scale factor through `scale`.
+TemporalGraph spread_over_days(const TemporalGraph& g, Rng& rng,
+                               double& scale) {
+  const double span = std::max(g.end_time() - g.start_time(), 1.0);
+  scale = rng.uniform(3.0, 6.0) * kDay / span;
+  const double shift = rng.uniform(-8.0, 8.0) * kDay;
+  std::vector<Contact> contacts = g.contacts_vector();
+  for (Contact& c : contacts) {
+    c.begin = c.begin * scale + shift;
+    c.end = c.end * scale + shift;
+  }
+  return TemporalGraph(g.num_nodes(), std::move(contacts), g.directed());
+}
+
 /// Live mode (--live N): the tentpole differential. (a) Any K-way
 /// canonical-order split of a trace into append epochs must leave every
 /// epoch's incremental all-pairs result bit-identical to a cold
@@ -674,11 +694,16 @@ int live_trials(long trials, std::uint64_t base_seed) {
     if (rng.bernoulli(0.3))
       g = TemporalGraph(g.num_nodes(), g.contacts_vector(),
                         /*directed=*/true);
+    // A stream of its own, so the unscaled trials draw what they always
+    // drew.
+    Rng day_rng = Rng::keyed(seed, 0xda75);
+    double scale = 1.0;
+    if (day_rng.bernoulli(0.5)) g = spread_over_days(g, day_rng, scale);
     const auto contacts = g.contacts();
 
     // (a) Epoch-split differential against cold prefix recomputes.
     IncrementalCdfOptions io;
-    io.grid = make_log_grid(0.5, 400.0, 8 + rng.below(9));
+    io.grid = make_log_grid(0.5 * scale, 400.0 * scale, 8 + rng.below(9));
     io.max_hops = 1 + static_cast<int>(rng.below(6));
     io.num_threads = 1;
     io.t_lo = g.start_time();
