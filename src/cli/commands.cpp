@@ -162,12 +162,10 @@ int cmd_cdf(ArgList args) {
                  "diameter is undetermined beyond the evaluated budgets\n",
                  opt.max_levels);
   std::printf(
-      "engine: %llu contact extensions, %llu pairs kept, %llu dominated, "
-      "%llu frontier copies avoided\n",
+      "engine: %llu contact extensions, %llu pairs kept, %llu dominated\n",
       static_cast<unsigned long long>(result.stats.contacts_examined),
       static_cast<unsigned long long>(result.stats.pairs_inserted),
-      static_cast<unsigned long long>(result.stats.pairs_dominated),
-      static_cast<unsigned long long>(result.stats.frontier_copies_avoided));
+      static_cast<unsigned long long>(result.stats.pairs_dominated));
   std::printf(
       "cdf:    %llu pairs integrated, %llu workspace allocations, "
       "%llu reuses\n",

@@ -65,15 +65,8 @@ inline bool frontier_dominates(const double* f_ld, const double* f_ea,
 /// Sorts `batch[0, m)` in place and collapses it to its Pareto front
 /// (strictly increasing ld AND ea; at equal ld only the minimal ea
 /// survives). Returns the pruned length; the survivors occupy the
-/// prefix of `batch`. Dispatched: the dominance-pop scan runs through
-/// the active util/simd level; results are bit-identical to the scalar
-/// reference at every level.
+/// prefix of `batch`.
 std::size_t prune_candidate_batch(PathPair* batch, std::size_t m);
-
-/// The scalar reference for prune_candidate_batch (the pre-dispatch code
-/// kept verbatim). Exposed for the parity suite and the fuzzer's
-/// differential mode.
-std::size_t prune_candidate_batch_scalar(PathPair* batch, std::size_t m);
 
 /// Outcome of one merge_frontier call.
 struct FrontierMerge {
@@ -103,24 +96,10 @@ struct FrontierMerge {
 /// the EA of the pair's successor in the merged frontier (+infinity for
 /// the last pair) -- exactly the value the engine's wait-candidate
 /// suppression needs. Output regions must not alias the inputs.
-/// Dispatched: when a SIMD level is active the walk is restructured into
-/// per-candidate runs (binary search for the run boundary, a vector
-/// dominance-pop count, one bulk copy of the survivors) -- bit-identical
-/// output to the scalar walk, gated by the parity suite and the fuzzer.
 FrontierMerge merge_frontier(const double* f_ld, const double* f_ea,
                              std::size_t fn, const PathPair* cand,
                              std::size_t m, double* out_ld, double* out_ea,
                              double* delta_ld, double* delta_ea,
                              double* delta_succ) noexcept;
-
-/// The scalar reference for merge_frontier (the pre-dispatch descending
-/// element walk kept verbatim). Exposed for the parity suite and the
-/// fuzzer.
-FrontierMerge merge_frontier_scalar(const double* f_ld, const double* f_ea,
-                                    std::size_t fn, const PathPair* cand,
-                                    std::size_t m, double* out_ld,
-                                    double* out_ea, double* delta_ld,
-                                    double* delta_ea,
-                                    double* delta_succ) noexcept;
 
 }  // namespace odtn

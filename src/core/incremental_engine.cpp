@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/frontier_kernels.hpp"
 #include "core/optimal_paths.hpp"
 #include "util/thread_pool.hpp"
 
@@ -44,22 +45,6 @@ void frontier_diff(const DeliveryFunction& f, const FrontierView& old_view,
       ++j;
     }
   }
-}
-
-/// True iff some pair of `v` dominates `p` (ld >= p.ld with ea <= p.ea).
-/// Among pairs with ld >= p.ld the first has the minimal ea, so it is
-/// the only candidate to check -- DeliveryFunction::is_dominated over a
-/// view.
-bool view_dominates(const FrontierView& v, const PathPair& p) {
-  std::size_t lo = 0, hi = v.size();
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (v.ld(mid) < p.ld)
-      lo = mid + 1;
-    else
-      hi = mid;
-  }
-  return lo < v.size() && v.ea(lo) <= p.ea;
 }
 
 }  // namespace
@@ -262,9 +247,13 @@ bool IncrementalSourceDp::apply(const TemporalGraph& graph,
   // so skipping the write-back leaves its version list exact.
   const auto offer_to = [&](NodeId to, int k, PathPair cand) {
     Scratch& s = scratch_[to];
-    if (!s.active &&
-        (view_dominates(lookup(nodes_[to].versions, k - 1), cand) ||
-         view_dominates(lookup_original(to, k), cand)))
+    // Every version view is SoA, so the engine's shared probe applies.
+    const auto dominated_in = [&](const FrontierView& v) {
+      return frontier_dominates(v.soa_ld(), v.soa_ea(), v.size(), cand.ld,
+                                cand.ea);
+    };
+    if (!s.active && (dominated_in(lookup(nodes_[to].versions, k - 1)) ||
+                      dominated_in(lookup_original(to, k))))
       return;
     ensure_working(to, k).insert(cand);
   };

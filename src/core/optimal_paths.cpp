@@ -173,8 +173,6 @@ bool SingleSourceEngine::step_pooled() {
   // pruned per target, and merged against the target's frontier span by
   // one two-way merge emitted into fresh arena space. The superseded
   // span is the pre-change snapshot, untouched and for free.
-  stats_.frontier_copies_avoided +=
-      static_cast<std::uint64_t>(graph_->num_nodes() - active_.size());
   next_active_.clear();
 
   // Phase 1: extension. Nothing is allocated from arena_ or the current

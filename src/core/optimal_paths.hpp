@@ -70,9 +70,6 @@ struct EngineStats {
   /// Candidate pairs rejected as dominated (by the existing frontier at
   /// offer time, or by a same-level candidate at publish time).
   std::uint64_t pairs_dominated = 0;
-  /// Frontier snapshots skipped relative to the level-sweep scheme
-  /// (num_nodes - |active set|, summed over levels). Zero in kLevelSweep.
-  std::uint64_t frontier_copies_avoided = 0;
   /// Workspace allocations: +1 each time an engine materializes its
   /// per-node arrays (construction). reset() never re-allocates, so a
   /// worker that recycles one engine across sources stays at 1.
@@ -110,7 +107,6 @@ struct EngineStats {
     contacts_examined += other.contacts_examined;
     pairs_inserted += other.pairs_inserted;
     pairs_dominated += other.pairs_dominated;
-    frontier_copies_avoided += other.frontier_copies_avoided;
     workspace_allocations += other.workspace_allocations;
     workspace_reuses += other.workspace_reuses;
     cdf_pairs_integrated += other.cdf_pairs_integrated;

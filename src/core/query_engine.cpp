@@ -84,9 +84,18 @@ std::uint64_t QueryEngine::ingest(std::span<const Contact> batch) {
 }
 
 std::size_t QueryEngine::cached_partial_bytes() const noexcept {
-  return (static_cast<std::size_t>(options_.max_hops) + 1) *
-             (2 * (options_.grid.size() + 1) + 1) * sizeof(double) +
-         64;
+  // A cached partial is a copy of SourceCdfPartial(grid, max_hops): the
+  // object itself (holding `unbounded`), the max_hops accumulator headers
+  // of by_hops, and per accumulator its own copy of the G-point grid plus
+  // the two (G+1)-double difference arrays.
+  const std::size_t hops = static_cast<std::size_t>(options_.max_hops);
+  const std::size_t g = options_.grid.size();
+  const std::size_t lanes = (hops + 1) * (g + 2 * (g + 1)) * sizeof(double);
+  // The shared_ptr control block, the LRU list node and the hash-index
+  // node; the key's two heap copies are charged per put.
+  constexpr std::size_t kEntryOverhead = 160;
+  return sizeof(SourceCdfPartial) + hops * sizeof(MeasureCdfAccumulator) +
+         lanes + kEntryOverhead;
 }
 
 std::string QueryEngine::query_key(NodeId source,
@@ -152,7 +161,7 @@ DelayCdfResult QueryEngine::run(const std::vector<NodeId>& sources,
                    incremental, workers[worker], partial);
     counters[worker].evictions +=
         cache_->put(key, std::make_shared<SourceCdfPartial>(partial),
-                    partial_cost + key.size());
+                    partial_cost + 2 * key.size());
     folder.submit(i, partial);
   });
 

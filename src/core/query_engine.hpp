@@ -110,9 +110,10 @@ class QueryEngine {
   const QueryEngineOptions& options() const noexcept { return options_; }
   LruCacheStats cache_stats() const { return cache_->stats(); }
 
-  /// Bytes charged to the cache per stored partial: the raw lanes
-  /// ((max_hops+1) accumulators x (2*(grid+1)+1) doubles) plus a fixed
-  /// bookkeeping estimate.
+  /// Bytes charged to the cache per stored partial besides its key: the
+  /// partial's heap footprint ((max_hops+1) accumulators, each owning a
+  /// grid copy and two (grid+1)-double lanes, plus the headers) and a
+  /// fixed estimate for the cache's own entry bookkeeping.
   std::size_t cached_partial_bytes() const noexcept;
 
  private:

@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
-
-#include "util/simd.hpp"
 
 namespace odtn {
 namespace {
@@ -14,6 +13,45 @@ namespace {
 void record_fixpoint(SourceCdfPartial& out, int fixpoint, int max_levels) {
   if (fixpoint > max_levels) out.converged = false;
   out.fixpoint_hops = std::max(out.fixpoint_hops, fixpoint);
+}
+
+bool blocks_equal(const double* a, const double* b, std::size_t k) noexcept {
+  return std::memcmp(a, b, k * sizeof(double)) == 0;
+}
+
+constexpr std::size_t kTrimBlock = 8;
+
+/// Length of the longest common prefix of the lane pairs (a0, a1) and
+/// (b0, b1)[0, n) under value equality. Bitwise-equal runs are found
+/// block-first (memcmp), then refined per element under operator==, so a
+/// lone +0.0/-0.0 flip inside a block does not end the prefix early.
+std::size_t equal_prefix2(const double* a0, const double* a1,
+                          const double* b0, const double* b1,
+                          std::size_t n) noexcept {
+  std::size_t p = 0;
+  while (p + kTrimBlock <= n && blocks_equal(a0 + p, b0 + p, kTrimBlock) &&
+         blocks_equal(a1 + p, b1 + p, kTrimBlock))
+    p += kTrimBlock;
+  while (p < n && a0[p] == b0[p] && a1[p] == b1[p]) ++p;
+  return p;
+}
+
+/// Longest common suffix of (a0, a1)[0, an) and (b0, b1)[0, bn) under
+/// value equality, capped at max_n.
+std::size_t equal_suffix2(const double* a0, const double* a1, std::size_t an,
+                          const double* b0, const double* b1, std::size_t bn,
+                          std::size_t max_n) noexcept {
+  std::size_t s = 0;
+  while (s + kTrimBlock <= max_n &&
+         blocks_equal(a0 + an - s - kTrimBlock, b0 + bn - s - kTrimBlock,
+                      kTrimBlock) &&
+         blocks_equal(a1 + an - s - kTrimBlock, b1 + bn - s - kTrimBlock,
+                      kTrimBlock))
+    s += kTrimBlock;
+  while (s < max_n && a0[an - 1 - s] == b0[bn - 1 - s] &&
+         a1[an - 1 - s] == b1[bn - 1 - s])
+    ++s;
+  return s;
 }
 
 /// One destination's incremental CDF update: retract the pre-change
@@ -39,14 +77,8 @@ void integrate_frontier_delta(const FrontierView& old_f,
   const double* n_ea = new_f.soa_ea();
   const std::size_t on = old_f.size(), nn = new_f.size();
   const std::size_t match_max = std::min(on, nn);
-  // Equal runs are trimmed by the dispatched prefix/suffix scans
-  // (util/simd.hpp): vector value-equality compares under AVX2 /
-  // SSE4.2, the original 8-wide memcmp block loop on the scalar level
-  // -- both return the identical maximal counts.
-  const simd::Ops& sops = simd::ops();
-  const std::size_t p = sops.equal_prefix2(o_ld, o_ea, n_ld, n_ea, match_max);
-  std::size_t s =
-      sops.equal_suffix2(o_ld, o_ea, on, n_ld, n_ea, nn, match_max - p);
+  const std::size_t p = equal_prefix2(o_ld, o_ea, n_ld, n_ea, match_max);
+  std::size_t s = equal_suffix2(o_ld, o_ea, on, n_ld, n_ea, nn, match_max - p);
   if (s > 0) {
     // The first suffix pair's segment starts at its predecessor's ld; if
     // the predecessors differ the pair belongs to the middle. One step

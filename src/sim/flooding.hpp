@@ -3,7 +3,8 @@
 // This is an *independent* implementation of optimal delivery (the quantity
 // del(t0) of the paper) used as a correctness oracle for the Pareto-pair
 // engine, and as the building block of the flooding-per-boundary baseline
-// (sim/profile_baseline.hpp) that mirrors the comparator [8] cited in §4.4.
+// (profiles_by_flooding in tests/test_engine_crosscheck.cpp) that mirrors
+// the comparator [8] cited in §4.4.
 //
 // It also records predecessor contacts, so an explicit delay-optimal
 // contact sequence can be reconstructed and checked against Eq. (2).

@@ -187,8 +187,12 @@ std::vector<std::uint8_t> encode_snapshot(const TemporalGraph& graph) {
   return out;
 }
 
-TemporalGraph decode_snapshot(const std::uint8_t* data, std::size_t size,
-                              std::shared_ptr<const void> backing) {
+// Cache-line aligned so the validation sweeps below keep one code layout
+// whatever else is linked before this file: at a 16-mod-64 start their
+// loops ran ~10% slower and less steadily on a 1M-contact load.
+__attribute__((aligned(64))) TemporalGraph decode_snapshot(
+    const std::uint8_t* data, std::size_t size,
+    std::shared_ptr<const void> backing) {
   if (reinterpret_cast<std::uintptr_t>(data) % alignof(double) != 0)
     fail("buffer base is not 8-byte aligned");
   const Header h = parse_header(data, size);

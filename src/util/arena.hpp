@@ -14,9 +14,9 @@
 //
 // Alignment contract: every lane base is 32-byte aligned and allocate()
 // rounds the bump pointer up to a multiple of 4 doubles, so ld()+offset
-// and ea()+offset of EVERY span start on a 32-byte boundary. The SIMD
-// frontier kernels (util/simd.hpp) rely on this to process spans in
-// whole 4-lane blocks; the padding pairs between spans are never
+// and ea()+offset of EVERY span start on a 32-byte boundary (whole
+// 4-double blocks); no current kernel depends on it, the frontier
+// kernels are scalar. The padding pairs between spans are never
 // addressed. truncate()/reset() only move the bump pointer backward to
 // previously returned (hence aligned) offsets, so the guarantee survives
 // recycle cycles -- gated by tests/test_arena.cpp.

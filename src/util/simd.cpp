@@ -1,9 +1,8 @@
 // Level detection and dispatch state for the SIMD primitive tables.
 //
 // The per-ISA tables live in their own translation units (simd_scalar.cpp,
-// simd_sse42.cpp, simd_avx2.cpp) because the SSE4.2/AVX2 ones must be
-// compiled with -msse4.2 / -mavx2 while the rest of the library is not;
-// this file only picks between them.
+// simd_avx2.cpp) because the AVX2 one must be compiled with -mavx2 while
+// the rest of the library is not; this file only picks between them.
 
 #include "util/simd.hpp"
 
@@ -14,7 +13,6 @@ namespace odtn::simd {
 
 extern const Ops kScalarOps;
 #if defined(ODTN_SIMD_X86)
-extern const Ops kSse42Ops;
 extern const Ops kAvx2Ops;
 #endif
 
@@ -22,14 +20,7 @@ namespace {
 
 const Ops* table_for(Level level) noexcept {
 #if defined(ODTN_SIMD_X86)
-  switch (level) {
-    case Level::kAvx2:
-      return &kAvx2Ops;
-    case Level::kSse42:
-      return &kSse42Ops;
-    case Level::kScalar:
-      break;
-  }
+  if (level == Level::kAvx2) return &kAvx2Ops;
 #else
   (void)level;
 #endif
@@ -40,7 +31,6 @@ Level detect_best() noexcept {
 #if defined(ODTN_SIMD_X86)
   __builtin_cpu_init();
   if (__builtin_cpu_supports("avx2")) return Level::kAvx2;
-  if (__builtin_cpu_supports("sse4.2")) return Level::kSse42;
 #endif
   return Level::kScalar;
 }
@@ -90,22 +80,12 @@ const Ops& ops() noexcept { return *table_for(active_level()); }
 const Ops& ops_for(Level level) noexcept { return *table_for(level); }
 
 const char* level_name(Level level) noexcept {
-  switch (level) {
-    case Level::kAvx2:
-      return "avx2";
-    case Level::kSse42:
-      return "sse42";
-    case Level::kScalar:
-      break;
-  }
-  return "scalar";
+  return level == Level::kAvx2 ? "avx2" : "scalar";
 }
 
 bool parse_level(std::string_view text, Level& out) noexcept {
   if (text == "scalar") {
     out = Level::kScalar;
-  } else if (text == "sse42") {
-    out = Level::kSse42;
   } else if (text == "avx2") {
     out = Level::kAvx2;
   } else {

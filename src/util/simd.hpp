@@ -1,24 +1,21 @@
-// Runtime-dispatched SIMD primitives for the frontier-kernel layer.
+// Runtime-dispatched SIMD primitive for the delay-CDF integration.
 //
-// The pooled engine's hot loops (dominance pops in prune_candidate_batch,
-// the compare loop of merge_frontier, the diff-trim prefix/suffix scan in
-// the incremental delay-CDF path, and the grid searches of
-// MeasureCdfAccumulator) all reduce to a handful of flat primitives over
-// double lanes. This header exposes those primitives behind a function-
-// pointer table selected ONCE at startup from CPUID (AVX2 > SSE4.2 >
-// scalar), so the rest of the codebase stays ISA-agnostic and the build
-// needs no global -march flags: only the per-ISA translation units are
-// compiled with -mavx2 / -msse4.2.
+// SegmentBatcher (stats/measure_cdf.hpp) pairs the grid searches of two
+// consecutive delivery segments into one four-key lower_bound. This
+// header exposes that search behind a function-pointer table selected
+// ONCE at startup from CPUID (AVX2 > scalar), so the rest of the codebase
+// stays ISA-agnostic and the build needs no global -march flags: only the
+// AVX2 translation unit is compiled with -mavx2.
 //
-// Contract: every variant of every primitive is BIT-IDENTICAL to the
-// scalar reference on NaN-free input -- the primitives only evaluate
-// exact comparisons and indices, never arithmetic, so there is no
-// rounding to diverge. This is enforced by the parity suite in
-// tests/test_frontier_kernels.cpp and by `odtn_fuzz --kernel`, which
-// differential-tests every CPU-supported variant against scalar.
+// Contract: the AVX2 variant is BIT-IDENTICAL to the scalar reference on
+// NaN-free input -- it only evaluates exact comparisons and indices,
+// never arithmetic, so there is no rounding to diverge. This is enforced
+// by the parity suite in tests/test_frontier_kernels.cpp and by
+// `odtn_fuzz --kernel`, which differential-tests the CPU-supported
+// variant against scalar.
 //
 // The active level can be forced with the ODTN_SIMD environment variable
-// ("scalar", "sse42" or "avx2", clamped to what the CPU supports) or
+// ("scalar" or "avx2", clamped to what the CPU supports) or
 // programmatically with set_level() (tests / fuzzer). The level lives in
 // an atomic, so flipping it between single-threaded test phases is safe;
 // it is not intended to be raced against in-flight kernels.
@@ -32,51 +29,23 @@ namespace odtn::simd {
 
 /// Instruction-set tiers, ordered: a CPU supporting a level supports all
 /// lower ones. kScalar is the mandatory fallback and always available.
-enum class Level : int { kScalar = 0, kSse42 = 1, kAvx2 = 2 };
+enum class Level : int { kScalar = 0, kAvx2 = 1 };
 
 /// Flat primitive table. All functions are noexcept and never read out of
 /// bounds (vector chunks stay fully inside [0, n); tails fall back to
 /// scalar element steps).
 struct Ops {
-  /// Number of trailing elements of v[0, n) with v[k] >= bound, counted
-  /// from index n-1 downward and stopping at the first element below
-  /// bound. This is the dominance-pop count of the monotone-stack prune
-  /// and of merge_frontier's descending walk.
-  std::size_t (*count_tail_ge)(const double* v, std::size_t n,
-                               double bound) noexcept;
-
-  /// Same, over strided storage: element k lives at v[2 * k]. Used for
-  /// the `ea` lane of an AoS PathPair array (pass &pairs[0].ea).
-  std::size_t (*count_tail_ge_stride2)(const double* v, std::size_t n,
-                                       double bound) noexcept;
-
-  /// Length of the longest common prefix of the lane PAIRS (a0, a1) and
-  /// (b0, b1) under value equality (operator==; +0.0 equals -0.0): the
-  /// first index where either lane differs ends the prefix. Input must
-  /// be NaN-free (frontier lanes always are).
-  std::size_t (*equal_prefix2)(const double* a0, const double* a1,
-                               const double* b0, const double* b1,
-                               std::size_t n) noexcept;
-
-  /// Longest common suffix of (a0, a1)[0, an) and (b0, b1)[0, bn) under
-  /// value equality, capped at max_n (callers pass min(an, bn) minus the
-  /// already-matched prefix). Input must be NaN-free.
-  std::size_t (*equal_suffix2)(const double* a0, const double* a1,
-                               std::size_t an, const double* b0,
-                               const double* b1, std::size_t bn,
-                               std::size_t max_n) noexcept;
-
   /// Four simultaneous std::lower_bound probes over one ascending grid:
   /// out[k] = index of the first grid element >= keys[k]. The vector
-  /// variants count elements below the key with predictable compare
-  /// sweeps on small grids (the delay-CDF regime) and fall back to
+  /// variant counts elements below the key with predictable compare
+  /// sweeps on small grids (the delay-CDF regime) and falls back to
   /// branchless halving searches on large ones; results are exactly
   /// std::lower_bound's for every key (including +/-infinity and keys
   /// equal to grid values).
   void (*lower_bound4)(const double* grid, std::size_t n,
                        const double* keys, std::uint32_t* out) noexcept;
 
-  /// Human-readable level name ("scalar", "sse42", "avx2").
+  /// Human-readable level name ("scalar", "avx2").
   const char* name;
 };
 
@@ -100,7 +69,7 @@ const Ops& ops() noexcept;
 /// Primitive table of a specific level; `level` must be CPU-supported.
 const Ops& ops_for(Level level) noexcept;
 
-/// "scalar", "sse42" or "avx2".
+/// "scalar" or "avx2".
 const char* level_name(Level level) noexcept;
 
 /// Parses a level name (as accepted by ODTN_SIMD). Returns false on an

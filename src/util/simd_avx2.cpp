@@ -2,9 +2,9 @@
 // (see src/CMakeLists.txt) and is only ever entered through the dispatch
 // table after a CPUID check, so no other TU needs arch flags.
 //
-// Every loop processes full 4-lane chunks strictly inside [0, n) and
-// finishes with scalar element steps -- no over-reads, so the variants
-// are clean under ASan. All comparisons are exact (ordered, quiet), so
+// The sweep processes full 4-lane chunks strictly inside [0, n) and
+// finishes with scalar element steps -- no over-reads, so the variant is
+// clean under ASan. All comparisons are exact (ordered, quiet), so
 // results are bit-identical to the scalar reference on NaN-free input.
 
 #include <immintrin.h>
@@ -16,96 +16,6 @@
 namespace odtn::simd {
 
 namespace {
-
-// Count of consecutive set bits of the 4-bit mask m from bit 3 downward;
-// callers guarantee m != 0xF.
-inline std::size_t high_run4(int m) noexcept {
-  return static_cast<std::size_t>(
-      __builtin_clz(static_cast<unsigned>(m ^ 0xF)) - 28);
-}
-
-// Count of consecutive set bits of the 4-bit mask m from bit 0 upward;
-// callers guarantee m != 0xF.
-inline std::size_t low_run4(int m) noexcept {
-  return static_cast<std::size_t>(__builtin_ctz(static_cast<unsigned>(m ^ 0xF)));
-}
-
-std::size_t count_tail_ge_avx2(const double* v, std::size_t n,
-                               double bound) noexcept {
-  const __m256d b = _mm256_set1_pd(bound);
-  std::size_t c = 0;
-  while (c + 4 <= n) {
-    const __m256d x = _mm256_loadu_pd(v + n - c - 4);
-    const int m = _mm256_movemask_pd(_mm256_cmp_pd(x, b, _CMP_GE_OQ));
-    if (m != 0xF) return c + high_run4(m);
-    c += 4;
-  }
-  while (c < n && v[n - 1 - c] >= bound) ++c;
-  return c;
-}
-
-std::size_t count_tail_ge_stride2_avx2(const double* v, std::size_t n,
-                                       double bound) noexcept {
-  const __m256d b = _mm256_set1_pd(bound);
-  std::size_t c = 0;
-  while (c + 4 <= n) {
-    // Elements k..k+3 live at v[2k], v[2k+2], v[2k+4], v[2k+6]. The last
-    // valid double of the strided buffer is v[2n-2], so the top chunk
-    // may not load two full 32-byte vectors (that would touch v[2n-1]);
-    // the even lanes are assembled from 16/8-byte loads that stop at
-    // base[6] exactly.
-    const double* base = v + 2 * (n - c - 4);
-    const __m128d p01 = _mm_shuffle_pd(_mm_loadu_pd(base),
-                                       _mm_loadu_pd(base + 2), 0x0);
-    const __m128d p23 = _mm_shuffle_pd(_mm_loadu_pd(base + 4),
-                                       _mm_load_sd(base + 6), 0x0);
-    const __m256d ev = _mm256_set_m128d(p23, p01);
-    const int m = _mm256_movemask_pd(_mm256_cmp_pd(ev, b, _CMP_GE_OQ));
-    if (m != 0xF) return c + high_run4(m);
-    c += 4;
-  }
-  while (c < n && v[2 * (n - 1 - c)] >= bound) ++c;
-  return c;
-}
-
-std::size_t equal_prefix2_avx2(const double* a0, const double* a1,
-                               const double* b0, const double* b1,
-                               std::size_t n) noexcept {
-  std::size_t p = 0;
-  while (p + 4 <= n) {
-    const __m256d e0 = _mm256_cmp_pd(_mm256_loadu_pd(a0 + p),
-                                     _mm256_loadu_pd(b0 + p), _CMP_EQ_OQ);
-    const __m256d e1 = _mm256_cmp_pd(_mm256_loadu_pd(a1 + p),
-                                     _mm256_loadu_pd(b1 + p), _CMP_EQ_OQ);
-    const int m = _mm256_movemask_pd(_mm256_and_pd(e0, e1));
-    if (m != 0xF) return p + low_run4(m);
-    p += 4;
-  }
-  while (p < n && a0[p] == b0[p] && a1[p] == b1[p]) ++p;
-  return p;
-}
-
-std::size_t equal_suffix2_avx2(const double* a0, const double* a1,
-                               std::size_t an, const double* b0,
-                               const double* b1, std::size_t bn,
-                               std::size_t max_n) noexcept {
-  std::size_t s = 0;
-  while (s + 4 <= max_n) {
-    const __m256d e0 =
-        _mm256_cmp_pd(_mm256_loadu_pd(a0 + an - s - 4),
-                      _mm256_loadu_pd(b0 + bn - s - 4), _CMP_EQ_OQ);
-    const __m256d e1 =
-        _mm256_cmp_pd(_mm256_loadu_pd(a1 + an - s - 4),
-                      _mm256_loadu_pd(b1 + bn - s - 4), _CMP_EQ_OQ);
-    const int m = _mm256_movemask_pd(_mm256_and_pd(e0, e1));
-    if (m != 0xF) return s + high_run4(m);
-    s += 4;
-  }
-  while (s < max_n && a0[an - 1 - s] == b0[bn - 1 - s] &&
-         a1[an - 1 - s] == b1[bn - 1 - s])
-    ++s;
-  return s;
-}
 
 void lower_bound4_avx2(const double* grid, std::size_t n, const double* keys,
                        std::uint32_t* out) noexcept {
@@ -183,10 +93,6 @@ void lower_bound4_avx2(const double* grid, std::size_t n, const double* keys,
 }  // namespace
 
 extern const Ops kAvx2Ops;
-const Ops kAvx2Ops = {
-    count_tail_ge_avx2,    count_tail_ge_stride2_avx2,
-    equal_prefix2_avx2,    equal_suffix2_avx2,
-    lower_bound4_avx2,     "avx2",
-};
+const Ops kAvx2Ops = {lower_bound4_avx2, "avx2"};
 
 }  // namespace odtn::simd

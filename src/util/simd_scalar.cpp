@@ -1,65 +1,11 @@
-// Scalar reference table: the mandatory fallback every vector variant is
-// differential-tested against. The prefix/suffix scans keep the pooled
-// engine's original 8-wide memcmp block structure verbatim (moved here
-// from core/diameter.cpp); the other primitives are the plain loops the
-// kernels used inline before dispatch existed.
-
-#include <cstring>
+// Scalar reference table: the mandatory fallback the AVX2 variant is
+// differential-tested against -- a plain std::lower_bound loop per key.
 
 #include "util/simd.hpp"
 
 namespace odtn::simd {
 
 namespace {
-
-std::size_t count_tail_ge_scalar(const double* v, std::size_t n,
-                                 double bound) noexcept {
-  std::size_t c = 0;
-  while (c < n && v[n - 1 - c] >= bound) ++c;
-  return c;
-}
-
-std::size_t count_tail_ge_stride2_scalar(const double* v, std::size_t n,
-                                         double bound) noexcept {
-  std::size_t c = 0;
-  while (c < n && v[2 * (n - 1 - c)] >= bound) ++c;
-  return c;
-}
-
-bool blocks_equal(const double* a, const double* b, std::size_t k) noexcept {
-  return std::memcmp(a, b, k * sizeof(double)) == 0;
-}
-
-std::size_t equal_prefix2_scalar(const double* a0, const double* a1,
-                                 const double* b0, const double* b1,
-                                 std::size_t n) noexcept {
-  // Bitwise-equal runs are found block-first (SIMD memcmp), then refined
-  // per element under value equality, so a lone +0.0/-0.0 flip inside a
-  // block does not end the prefix early.
-  constexpr std::size_t kBlk = 8;
-  std::size_t p = 0;
-  while (p + kBlk <= n && blocks_equal(a0 + p, b0 + p, kBlk) &&
-         blocks_equal(a1 + p, b1 + p, kBlk))
-    p += kBlk;
-  while (p < n && a0[p] == b0[p] && a1[p] == b1[p]) ++p;
-  return p;
-}
-
-std::size_t equal_suffix2_scalar(const double* a0, const double* a1,
-                                 std::size_t an, const double* b0,
-                                 const double* b1, std::size_t bn,
-                                 std::size_t max_n) noexcept {
-  constexpr std::size_t kBlk = 8;
-  std::size_t s = 0;
-  while (s + kBlk <= max_n &&
-         blocks_equal(a0 + an - s - kBlk, b0 + bn - s - kBlk, kBlk) &&
-         blocks_equal(a1 + an - s - kBlk, b1 + bn - s - kBlk, kBlk))
-    s += kBlk;
-  while (s < max_n && a0[an - 1 - s] == b0[bn - 1 - s] &&
-         a1[an - 1 - s] == b1[bn - 1 - s])
-    ++s;
-  return s;
-}
 
 void lower_bound4_scalar(const double* grid, std::size_t n,
                          const double* keys, std::uint32_t* out) noexcept {
@@ -82,10 +28,6 @@ void lower_bound4_scalar(const double* grid, std::size_t n,
 }  // namespace
 
 extern const Ops kScalarOps;
-const Ops kScalarOps = {
-    count_tail_ge_scalar,    count_tail_ge_stride2_scalar,
-    equal_prefix2_scalar,    equal_suffix2_scalar,
-    lower_bound4_scalar,     "scalar",
-};
+const Ops kScalarOps = {lower_bound4_scalar, "scalar"};
 
 }  // namespace odtn::simd

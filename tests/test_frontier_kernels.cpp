@@ -101,6 +101,48 @@ TEST(FrontierKernels, LowerBoundAndDominatesMatchDeliveryFunction) {
   }
 }
 
+/// Random pair stream with occasional -0.0 lanes and denormal-scale
+/// values, still frontier-legal (no NaNs).
+PathPair tricky_pair(Rng& rng) {
+  PathPair p = random_pair(rng);
+  if (p.ld == 0.0 && rng.bernoulli(0.5)) p.ld = -0.0;
+  if (p.ea == 0.0 && rng.bernoulli(0.5)) p.ea = -0.0;
+  if (rng.bernoulli(0.05))
+    p.ea = std::numeric_limits<double>::denorm_min() *
+           static_cast<double>(1 + rng.below(8));
+  return p;
+}
+
+/// Sawtooth batch, already sorted: each tooth starts below all of the
+/// stacked previous one, so its first pair evicts the whole stack in
+/// one run -- the deep-eviction regime of the monotone-stack collapse.
+std::vector<PathPair> sawtooth_batch(std::uint64_t seed) {
+  Rng rng = Rng::keyed(0x9f0e, seed);
+  std::vector<PathPair> batch;
+  double ld = 0.0, base_ea = 1e4;
+  for (int tooth = 0; tooth < 12; ++tooth) {
+    base_ea -= 1000.0;
+    double ea = base_ea;
+    for (int i = 0; i < 32; ++i) {
+      ld += rng.uniform(0.01, 1.0);
+      ea += rng.uniform(0.01, 1.0);
+      batch.push_back({ld, ea});
+    }
+  }
+  return batch;
+}
+
+/// prune_candidate_batch must leave exactly insert()'s Pareto front.
+void expect_prune_equals_insert(std::vector<PathPair> batch,
+                                const std::string& what) {
+  DeliveryFunction ref;
+  for (const PathPair& p : batch) ref.insert(p);
+  const std::size_t kept = prune_candidate_batch(batch.data(), batch.size());
+  ASSERT_EQ(kept, ref.size()) << what;
+  for (std::size_t i = 0; i < kept; ++i)
+    ASSERT_EQ(batch[i], ref.pairs()[i]) << what << " i=" << i;
+}
+
 TEST(FrontierKernels, PruneBatchEqualsInsertAll) {
   for (std::uint64_t trial = 0; trial < 200; ++trial) {
     Rng rng = Rng::keyed(0xF0B2, trial);
@@ -112,16 +154,70 @@ TEST(FrontierKernels, PruneBatchEqualsInsertAll) {
       if (!batch.empty() && rng.bernoulli(0.15))
         batch.push_back(batch[rng.below(batch.size())]);
     }
-    DeliveryFunction ref;
-    for (const PathPair& p : batch) ref.insert(p);
+    expect_prune_equals_insert(std::move(batch),
+                               "trial=" + std::to_string(trial));
+  }
+  // Larger batches past the insertion-sort cutoff, with signed zeros and
+  // denormals.
+  for (std::uint64_t trial = 0; trial < 150; ++trial) {
+    Rng rng = Rng::keyed(0x51D3, trial);
+    std::vector<PathPair> batch;
+    const std::size_t raw = rng.below(64);
+    for (std::size_t i = 0; i < raw; ++i) batch.push_back(tricky_pair(rng));
+    expect_prune_equals_insert(std::move(batch),
+                               "tricky=" + std::to_string(trial));
+  }
+  for (std::uint64_t b = 0; b < 8; ++b)
+    expect_prune_equals_insert(sawtooth_batch(b),
+                               "sawtooth=" + std::to_string(b));
+}
 
-    std::vector<PathPair> scratch = batch;
-    const std::size_t kept = prune_candidate_batch(scratch.data(),
-                                                   scratch.size());
-    ASSERT_EQ(kept, ref.size()) << "trial=" << trial;
-    for (std::size_t i = 0; i < kept; ++i)
-      ASSERT_EQ(scratch[i], ref.pairs()[i]) << "trial=" << trial
-                                            << " i=" << i;
+/// Prunes `batch`, merges it into `base` and checks the merged frontier
+/// and the delta against insert()-ing the pruned batch into `base`.
+void expect_merge_equals_insert(const DeliveryFunction& base,
+                                std::vector<PathPair> batch,
+                                const std::string& what) {
+  const std::vector<double> f_ld = ld_lane(base), f_ea = ea_lane(base);
+  const std::size_t m = prune_candidate_batch(batch.data(), batch.size());
+  batch.resize(m);
+
+  DeliveryFunction ref = base;
+  for (const PathPair& p : batch) ref.insert(p);
+
+  const std::size_t fn = base.size();
+  std::vector<double> out_ld(fn + m), out_ea(fn + m);
+  std::vector<double> d_ld(m), d_ea(m), d_succ(m);
+  const FrontierMerge r = merge_frontier(
+      f_ld.data(), f_ea.data(), fn, batch.data(), m, out_ld.data(),
+      out_ea.data(), d_ld.data(), d_ea.data(), d_succ.data());
+
+  // Merged frontier occupies the LAST kept slots, ascending, and is
+  // bit-identical to the insert() reference.
+  ASSERT_EQ(r.kept, ref.size()) << what;
+  const std::size_t off = fn + m - r.kept;
+  for (std::size_t i = 0; i < r.kept; ++i) {
+    ASSERT_EQ(out_ld[off + i], ref.pairs()[i].ld) << what;
+    ASSERT_EQ(out_ea[off + i], ref.pairs()[i].ea) << what;
+  }
+
+  // Delta = merged pairs that are NOT bitwise present in the base,
+  // ascending in the last kept_new slots, each with its successor's EA.
+  std::vector<PathPair> expected_new;
+  for (const PathPair& p : ref.pairs())
+    if (std::find(base.pairs().begin(), base.pairs().end(), p) ==
+        base.pairs().end())
+      expected_new.push_back(p);
+  ASSERT_EQ(r.kept_new, expected_new.size()) << what;
+  const std::size_t doff = m - r.kept_new;
+  for (std::size_t i = 0; i < r.kept_new; ++i) {
+    const PathPair got{d_ld[doff + i], d_ea[doff + i]};
+    ASSERT_EQ(got, expected_new[i]) << what << " i=" << i;
+    // Successor EA in the merged frontier, +inf for the global last.
+    const auto it = std::find(ref.pairs().begin(), ref.pairs().end(), got);
+    ASSERT_NE(it, ref.pairs().end());
+    const double succ =
+        (it + 1 == ref.pairs().end()) ? kInf : (it + 1)->ea;
+    ASSERT_EQ(d_succ[doff + i], succ) << what << " i=" << i;
   }
 }
 
@@ -129,8 +225,6 @@ TEST(FrontierKernels, MergeFrontierEqualsInsertReference) {
   for (std::uint64_t trial = 0; trial < 300; ++trial) {
     Rng rng = Rng::keyed(0xF0B3, trial);
     const DeliveryFunction base = random_frontier(rng, rng.below(30));
-    const std::vector<double> f_ld = ld_lane(base), f_ea = ea_lane(base);
-
     std::vector<PathPair> batch;
     const std::size_t raw = rng.below(16);
     for (std::size_t i = 0; i < raw; ++i) {
@@ -142,48 +236,43 @@ TEST(FrontierKernels, MergeFrontierEqualsInsertReference) {
         batch.push_back(random_pair(rng));
       }
     }
-    const std::size_t m = prune_candidate_batch(batch.data(), batch.size());
-    batch.resize(m);
-
-    DeliveryFunction ref = base;
-    for (const PathPair& p : batch) ref.insert(p);
-
-    const std::size_t fn = base.size();
-    std::vector<double> out_ld(fn + m), out_ea(fn + m);
-    std::vector<double> d_ld(m), d_ea(m), d_succ(m);
-    const FrontierMerge r = merge_frontier(
-        f_ld.data(), f_ea.data(), fn, batch.data(), m, out_ld.data(),
-        out_ea.data(), d_ld.data(), d_ea.data(), d_succ.data());
-
-    // Merged frontier occupies the LAST kept slots, ascending, and is
-    // bit-identical to the insert() reference.
-    ASSERT_EQ(r.kept, ref.size()) << "trial=" << trial;
-    const std::size_t off = fn + m - r.kept;
-    for (std::size_t i = 0; i < r.kept; ++i) {
-      ASSERT_EQ(out_ld[off + i], ref.pairs()[i].ld) << "trial=" << trial;
-      ASSERT_EQ(out_ea[off + i], ref.pairs()[i].ea) << "trial=" << trial;
-    }
-
-    // Delta = merged pairs that are NOT bitwise present in the base,
-    // ascending in the last kept_new slots, each with its successor's EA.
-    std::vector<PathPair> expected_new;
-    for (const PathPair& p : ref.pairs())
-      if (std::find(base.pairs().begin(), base.pairs().end(), p) ==
-          base.pairs().end())
-        expected_new.push_back(p);
-    ASSERT_EQ(r.kept_new, expected_new.size()) << "trial=" << trial;
-    const std::size_t doff = m - r.kept_new;
-    for (std::size_t i = 0; i < r.kept_new; ++i) {
-      const PathPair got{d_ld[doff + i], d_ea[doff + i]};
-      ASSERT_EQ(got, expected_new[i]) << "trial=" << trial << " i=" << i;
-      // Successor EA in the merged frontier, +inf for the global last.
-      const auto it = std::find(ref.pairs().begin(), ref.pairs().end(), got);
-      ASSERT_NE(it, ref.pairs().end());
-      const double succ =
-          (it + 1 == ref.pairs().end()) ? kInf : (it + 1)->ea;
-      ASSERT_EQ(d_succ[doff + i], succ) << "trial=" << trial << " i=" << i;
-    }
+    expect_merge_equals_insert(base, std::move(batch),
+                               "trial=" + std::to_string(trial));
   }
+  // Larger frontiers and batches, with signed zeros and denormals.
+  for (std::uint64_t trial = 0; trial < 150; ++trial) {
+    Rng rng = Rng::keyed(0x51D3, trial);
+    std::vector<PathPair> batch;
+    const std::size_t raw = rng.below(64);
+    for (std::size_t i = 0; i < raw; ++i) batch.push_back(tricky_pair(rng));
+    DeliveryFunction base;
+    const std::size_t attempts = rng.below(180);
+    for (std::size_t i = 0; i < attempts; ++i) base.insert(tricky_pair(rng));
+    expect_merge_equals_insert(base, std::move(batch),
+                               "tricky=" + std::to_string(trial));
+  }
+  // Sawtooth batches into an empty frontier.
+  for (std::uint64_t b = 0; b < 8; ++b)
+    expect_merge_equals_insert(DeliveryFunction(), sawtooth_batch(b),
+                               "sawtooth=" + std::to_string(b));
+  // A large frontier with candidates strictly between neighbors in both
+  // lanes: nothing is dominated and the merge is a few long survivor
+  // runs between the new pairs.
+  Rng rng = Rng::keyed(0x3e46e, 0);
+  DeliveryFunction base;
+  std::vector<PathPair> pairs;
+  double ld = 0.0, ea = -2000.0;
+  for (int i = 0; i < 512; ++i) {
+    ld += rng.uniform(0.5, 4.0);
+    ea += rng.uniform(0.5, 4.0);
+    pairs.push_back({ld, ea});
+    base.insert(pairs.back());
+  }
+  std::vector<PathPair> cands;
+  for (std::size_t i = 16; i < 512; i += 32)
+    cands.push_back({0.5 * (pairs[i].ld + pairs[i + 1].ld),
+                     0.5 * (pairs[i].ea + pairs[i + 1].ea)});
+  expect_merge_equals_insert(base, std::move(cands), "interleaved");
 }
 
 TEST(FrontierKernels, MergeEdgeCases) {
@@ -405,16 +494,14 @@ TEST(PooledEngine, DelayCdfMatchesDirectWithinTolerance) {
 }
 
 // ---------------------------------------------------------------------
-// SIMD dispatch: every CPU-supported level must be bit-identical to the
-// scalar reference -- primitives first (unaligned offsets, tail lengths
-// 0..15, denormals, +/-0.0), then the dispatched kernels, then a whole
-// delay-CDF run.
+// SIMD dispatch: the CPU-supported vector level must be bit-identical to
+// the scalar reference -- the lower_bound4 primitive first (tail lengths,
+// denormals, +/-0.0, infinities), then the segment stream it feeds, then
+// a whole delay-CDF run.
 // ---------------------------------------------------------------------
 
 std::vector<simd::Level> vector_levels() {
   std::vector<simd::Level> out;
-  if (simd::cpu_supports(simd::Level::kSse42))
-    out.push_back(simd::Level::kSse42);
   if (simd::cpu_supports(simd::Level::kAvx2))
     out.push_back(simd::Level::kAvx2);
   return out;
@@ -452,87 +539,6 @@ double tricky_value(Rng& rng) {
       -kInf,
   };
   return pool[rng.below(sizeof(pool) / sizeof(pool[0]))];
-}
-
-TEST(SimdParity, CountTailGeMatchesScalar) {
-  const simd::Ops& ref = simd::ops_for(simd::Level::kScalar);
-  for (const simd::Level level : vector_levels()) {
-    const simd::Ops& ops = simd::ops_for(level);
-    for (std::uint64_t trial = 0; trial < 40; ++trial) {
-      Rng rng = Rng::keyed(0x51D0, (static_cast<std::uint64_t>(level) << 32) ^
-                                       trial);
-      std::vector<double> buf(96);
-      for (double& v : buf) v = tricky_value(rng);
-      for (std::size_t off = 0; off < 8; ++off) {
-        for (std::size_t n = 0; n <= 16; ++n) {
-          const double bound = tricky_value(rng);
-          ASSERT_EQ(ops.count_tail_ge(buf.data() + off, n, bound),
-                    ref.count_tail_ge(buf.data() + off, n, bound))
-              << simd::level_name(level) << " off=" << off << " n=" << n
-              << " bound=" << bound;
-        }
-        const std::size_t big = 17 + rng.below(60);
-        const double bound = tricky_value(rng);
-        ASSERT_EQ(ops.count_tail_ge(buf.data() + off, big, bound),
-                  ref.count_tail_ge(buf.data() + off, big, bound))
-            << simd::level_name(level) << " off=" << off << " n=" << big;
-      }
-      // Strided (AoS ea lane) form over the same buffer.
-      for (std::size_t n = 0; n <= 15; ++n) {
-        const double bound = tricky_value(rng);
-        ASSERT_EQ(ops.count_tail_ge_stride2(buf.data() + 1, n, bound),
-                  ref.count_tail_ge_stride2(buf.data() + 1, n, bound))
-            << simd::level_name(level) << " n=" << n;
-      }
-      const std::size_t big = 16 + rng.below(32);
-      const double bound = tricky_value(rng);
-      ASSERT_EQ(ops.count_tail_ge_stride2(buf.data() + 1, big, bound),
-                ref.count_tail_ge_stride2(buf.data() + 1, big, bound))
-          << simd::level_name(level) << " n=" << big;
-    }
-  }
-}
-
-TEST(SimdParity, EqualPrefixSuffixMatchesScalar) {
-  const simd::Ops& ref = simd::ops_for(simd::Level::kScalar);
-  for (const simd::Level level : vector_levels()) {
-    const simd::Ops& ops = simd::ops_for(level);
-    for (std::uint64_t trial = 0; trial < 60; ++trial) {
-      Rng rng = Rng::keyed(0x51D1, (static_cast<std::uint64_t>(level) << 32) ^
-                                       trial);
-      const std::size_t an = rng.below(40), bn = rng.below(40);
-      std::vector<double> a0(an), a1(an), b0(bn), b1(bn);
-      for (std::size_t i = 0; i < an; ++i) {
-        a0[i] = tricky_value(rng);
-        a1[i] = tricky_value(rng);
-      }
-      // Start from a copy so long shared prefixes/suffixes are the norm,
-      // then knock holes into it; +/-0.0 flips stay value-equal and must
-      // NOT end a run.
-      for (std::size_t i = 0; i < bn; ++i) {
-        b0[i] = i < an ? a0[i] : tricky_value(rng);
-        b1[i] = i < an ? a1[i] : tricky_value(rng);
-        if (rng.bernoulli(0.12)) b0[i] = tricky_value(rng);
-        if (rng.bernoulli(0.12)) b1[i] = tricky_value(rng);
-        if (b0[i] == 0.0 && rng.bernoulli(0.5)) b0[i] = -b0[i];
-        if (b1[i] == 0.0 && rng.bernoulli(0.5)) b1[i] = -b1[i];
-      }
-      const std::size_t match_max = std::min(an, bn);
-      const std::size_t p_ref =
-          ref.equal_prefix2(a0.data(), a1.data(), b0.data(), b1.data(),
-                            match_max);
-      ASSERT_EQ(ops.equal_prefix2(a0.data(), a1.data(), b0.data(), b1.data(),
-                                  match_max),
-                p_ref)
-          << simd::level_name(level) << " trial=" << trial;
-      const std::size_t cap = match_max - p_ref;
-      ASSERT_EQ(ops.equal_suffix2(a0.data(), a1.data(), an, b0.data(),
-                                  b1.data(), bn, cap),
-                ref.equal_suffix2(a0.data(), a1.data(), an, b0.data(),
-                                  b1.data(), bn, cap))
-          << simd::level_name(level) << " trial=" << trial;
-    }
-  }
 }
 
 TEST(SimdParity, LowerBound4MatchesStdLowerBound) {
@@ -581,118 +587,6 @@ TEST(SimdParity, LowerBound4MatchesStdLowerBound) {
         }
       }
     }
-  }
-}
-
-/// Random pair stream with occasional -0.0 lanes and denormal-scale
-/// values, still frontier-legal (no NaNs).
-PathPair tricky_pair(Rng& rng) {
-  PathPair p = random_pair(rng);
-  if (p.ld == 0.0 && rng.bernoulli(0.5)) p.ld = -0.0;
-  if (p.ea == 0.0 && rng.bernoulli(0.5)) p.ea = -0.0;
-  if (rng.bernoulli(0.05))
-    p.ea = std::numeric_limits<double>::denorm_min() *
-           static_cast<double>(1 + rng.below(8));
-  return p;
-}
-
-/// Prunes `batch` through the dispatched and the scalar kernel, then
-/// merges the survivors into the frontier (f_ld, f_ea) through both
-/// merge variants; every output lane must agree bit for bit.
-void expect_prune_merge_parity(std::vector<PathPair> batch,
-                               const std::vector<double>& f_ld,
-                               const std::vector<double>& f_ea,
-                               const std::string& what) {
-  std::vector<PathPair> scalar_batch = batch;
-  const std::size_t kept = prune_candidate_batch(batch.data(), batch.size());
-  const std::size_t kept_ref = prune_candidate_batch_scalar(
-      scalar_batch.data(), scalar_batch.size());
-  ASSERT_EQ(kept, kept_ref) << what;
-  for (std::size_t i = 0; i < kept; ++i)
-    ASSERT_EQ(batch[i], scalar_batch[i]) << what << " i=" << i;
-
-  const std::size_t fn = f_ld.size(), m = kept;
-  std::vector<double> out_ld(fn + m), out_ea(fn + m);
-  std::vector<double> d_ld(m), d_ea(m), d_succ(m);
-  std::vector<double> ref_out_ld(fn + m), ref_out_ea(fn + m);
-  std::vector<double> ref_d_ld(m), ref_d_ea(m), ref_d_succ(m);
-  const FrontierMerge got = merge_frontier(
-      f_ld.data(), f_ea.data(), fn, batch.data(), m, out_ld.data(),
-      out_ea.data(), d_ld.data(), d_ea.data(), d_succ.data());
-  const FrontierMerge want = merge_frontier_scalar(
-      f_ld.data(), f_ea.data(), fn, batch.data(), m, ref_out_ld.data(),
-      ref_out_ea.data(), ref_d_ld.data(), ref_d_ea.data(), ref_d_succ.data());
-  ASSERT_EQ(got.kept, want.kept) << what;
-  ASSERT_EQ(got.kept_new, want.kept_new) << what;
-  for (std::size_t i = fn + m - got.kept; i < fn + m; ++i) {
-    ASSERT_EQ(out_ld[i], ref_out_ld[i]) << what;
-    ASSERT_EQ(out_ea[i], ref_out_ea[i]) << what;
-  }
-  for (std::size_t i = m - got.kept_new; i < m; ++i) {
-    ASSERT_EQ(d_ld[i], ref_d_ld[i]) << what;
-    ASSERT_EQ(d_ea[i], ref_d_ea[i]) << what;
-    ASSERT_EQ(d_succ[i], ref_d_succ[i]) << what;
-  }
-}
-
-TEST(SimdParity, PruneAndMergeBitIdenticalAcrossLevels) {
-  for (const simd::Level level : vector_levels()) {
-    ScopedSimdLevel forced(level);
-    const std::string name = simd::level_name(level);
-    for (std::uint64_t trial = 0; trial < 150; ++trial) {
-      Rng rng = Rng::keyed(0x51D3, (static_cast<std::uint64_t>(level) << 32) ^
-                                       trial);
-      // Large enough batches and frontiers to exercise the vector loops,
-      // small enough that ties and dominance chains stay common.
-      std::vector<PathPair> batch;
-      const std::size_t raw = rng.below(64);
-      for (std::size_t i = 0; i < raw; ++i) batch.push_back(tricky_pair(rng));
-      DeliveryFunction base;
-      const std::size_t attempts = rng.below(180);
-      for (std::size_t i = 0; i < attempts; ++i) base.insert(tricky_pair(rng));
-      expect_prune_merge_parity(std::move(batch), ld_lane(base),
-                                ea_lane(base),
-                                name + " trial=" + std::to_string(trial));
-    }
-
-    // Sawtooth batches, already sorted: each tooth starts below all of
-    // the stacked previous one, so its first pair pops the whole stack
-    // in one run -- the long-pop regime of the vectorized collapse.
-    for (std::uint64_t b = 0; b < 8; ++b) {
-      Rng rng = Rng::keyed(0x9f0e, b);
-      std::vector<PathPair> batch;
-      double ld = 0.0, base_ea = 1e4;
-      for (int tooth = 0; tooth < 12; ++tooth) {
-        base_ea -= 1000.0;
-        double ea = base_ea;
-        for (int i = 0; i < 32; ++i) {
-          ld += rng.uniform(0.01, 1.0);
-          ea += rng.uniform(0.01, 1.0);
-          batch.push_back({ld, ea});
-        }
-      }
-      expect_prune_merge_parity(std::move(batch), {}, {},
-                                name + " sawtooth=" + std::to_string(b));
-    }
-
-    // A large frontier with candidates strictly between neighbors in
-    // both lanes: nothing is dominated and the merge is a few long
-    // survivor runs -- the bulk-copy regime of the dispatched walk.
-    Rng rng = Rng::keyed(0x3e46e, 0);
-    std::vector<double> f_ld, f_ea;
-    double ld = 0.0, ea = -2000.0;
-    for (int i = 0; i < 512; ++i) {
-      ld += rng.uniform(0.5, 4.0);
-      ea += rng.uniform(0.5, 4.0);
-      f_ld.push_back(ld);
-      f_ea.push_back(ea);
-    }
-    std::vector<PathPair> cands;
-    for (std::size_t i = 16; i < 512; i += 32)
-      cands.push_back({0.5 * (f_ld[i] + f_ld[i + 1]),
-                       0.5 * (f_ea[i] + f_ea[i + 1])});
-    expect_prune_merge_parity(std::move(cands), f_ld, f_ea,
-                              name + " interleaved");
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/diameter.hpp"
@@ -112,6 +113,42 @@ TEST(QueryEngine, TinyCacheBudgetStillBitIdentical) {
   EXPECT_GT(first.stats.cache_evictions, 0u);
   EXPECT_EQ(engine.cache_stats().evictions,
             first.stats.cache_evictions + second.stats.cache_evictions);
+}
+
+/// Heap bytes one cached partial holds: the object itself, the by_hops
+/// header array, and per accumulator its grid copy plus both difference
+/// arrays.
+std::size_t partial_heap_bytes(const SourceCdfPartial& p) {
+  const auto lanes = [](const MeasureCdfAccumulator& a) {
+    return (a.grid().capacity() + a.numerator_size()) * sizeof(double);
+  };
+  std::size_t bytes = sizeof(SourceCdfPartial) +
+                      p.by_hops.capacity() * sizeof(MeasureCdfAccumulator) +
+                      lanes(p.unbounded);
+  for (const MeasureCdfAccumulator& a : p.by_hops) bytes += lanes(a);
+  return bytes;
+}
+
+TEST(QueryEngine, CachedPartialChargeCoversItsHeapBytes) {
+  const TemporalGraph g = workload_graph();
+  // Small options, the CLI defaults (G = 40, max_hops = 10), and a fine grid.
+  for (const auto& [points, hops] :
+       std::vector<std::pair<std::size_t, int>>{{24, 5}, {40, 10}, {200, 20}}) {
+    QueryEngineOptions qo = small_options();
+    qo.grid = make_log_grid(60.0, 2.0 * kDay, points);
+    qo.max_hops = hops;
+    QueryEngine engine(g, qo);
+    // The cache stores a copy of a partial shaped like this one.
+    const SourceCdfPartial shape(qo.grid, qo.max_hops);
+    const SourceCdfPartial stored(shape);
+    const std::size_t heap = partial_heap_bytes(stored);
+    EXPECT_GE(engine.cached_partial_bytes(), heap)
+        << "G=" << points << " max_hops=" << hops;
+    engine.source_cdf(0);
+    EXPECT_EQ(engine.cache_stats().entries, 1u);
+    EXPECT_GE(engine.cache_stats().bytes, heap)
+        << "G=" << points << " max_hops=" << hops;
+  }
 }
 
 TEST(QueryEngine, SourceCdfHitsAfterAllPairs) {

@@ -22,16 +22,15 @@
 // Kernel mode (--kernel N): differentials for the pooled engine's
 // batched frontier kernels. Each trial (a) feeds a random mutated pair
 // batch through prune_candidate_batch + merge_frontier and cross-checks
-// the result bit for bit against DeliveryFunction::insert -- under
-// EVERY CPU-supported SIMD dispatch level (util/simd.hpp), each of
-// which must also match the scalar reference kernels bit for bit,
-// together with the flat primitives (tail counts, equal-run scans,
-// lower_bound4) on the same lanes -- and (b) runs the kPooled engine and
-// the kLevelSweep oracle level by level over an adversarial trace
-// requiring identical frontiers (exercising arena growth, span recycling
-// via reset, and the free pre-change snapshots), rotating the forced
+// the result bit for bit against DeliveryFunction::insert, then checks
+// the dispatched lower_bound4 (util/simd.hpp) of every CPU-supported
+// level up to the entry level (ODTN_SIMD=scalar|avx2) against the scalar
+// table on a random grid, and (b) runs the kPooled engine and the
+// kLevelSweep oracle level by level over an adversarial trace requiring
+// identical frontiers (exercising arena growth, span recycling via
+// reset, and the free pre-change snapshots), rotating the forced
 // dispatch level per trial; under ASan/UBSan this doubles as a bounds
-// check on the arena spans and the vector loops.
+// check on the arena spans and the vector loop.
 //
 // Snapshot mode (--snapshot N): round-trips the binary snapshot codec
 // (bit-identical re-encode, engine equivalence of the mmap-style view),
@@ -317,22 +316,16 @@ PathPair random_kernel_pair(Rng& rng) {
           std::floor(rng.uniform(-10.0, 20.0 * scale)) / scale};
 }
 
-/// Bitwise lane equality (distinguishes +0.0 from -0.0, unlike ==).
-bool lanes_bitwise_equal(const double* a, const double* b, std::size_t n) {
-  return n == 0 || std::memcmp(a, b, n * sizeof(double)) == 0;
-}
-
 int kernel_trials(long trials, std::uint64_t base_seed) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   // Dispatch levels under test: scalar up to the ENTRY level, so a
   // forced-scalar run (ODTN_SIMD=scalar, used by the sanitizer tier of
   // tools/verify.sh and CI) genuinely stays scalar, while a default run
-  // sweeps every CPU-supported vector variant against the scalar
+  // checks the CPU-supported vector variant against the scalar
   // reference.
   const simd::Level entry = simd::active_level();
   std::vector<simd::Level> levels;
-  for (const simd::Level l :
-       {simd::Level::kScalar, simd::Level::kSse42, simd::Level::kAvx2})
+  for (const simd::Level l : {simd::Level::kScalar, simd::Level::kAvx2})
     if (static_cast<int>(l) <= static_cast<int>(entry) && simd::cpu_supports(l))
       levels.push_back(l);
   const simd::Ops& sops = simd::ops_for(simd::Level::kScalar);
@@ -341,8 +334,7 @@ int kernel_trials(long trials, std::uint64_t base_seed) {
     const std::uint64_t seed = base_seed + static_cast<std::uint64_t>(trial);
     Rng rng(seed);
 
-    // (a) Kernel differential: scalar prune + merge vs insert() bit for
-    // bit, then every dispatched level vs the scalar result bit for bit.
+    // (a) Kernel differential: prune + merge vs insert() bit for bit.
     DeliveryFunction base;
     const std::size_t warm = rng.below(40);
     for (std::size_t i = 0; i < warm; ++i)
@@ -363,8 +355,7 @@ int kernel_trials(long trials, std::uint64_t base_seed) {
         raw_batch.push_back(random_kernel_pair(rng));
     }
     std::vector<PathPair> batch = raw_batch;
-    const std::size_t m =
-        prune_candidate_batch_scalar(batch.data(), batch.size());
+    const std::size_t m = prune_candidate_batch(batch.data(), batch.size());
     batch.resize(m);
     DeliveryFunction ref = base;
     for (const PathPair& p : batch) ref.insert(p);
@@ -372,7 +363,7 @@ int kernel_trials(long trials, std::uint64_t base_seed) {
     const std::size_t fn = base.size();
     std::vector<double> out_ld(fn + m), out_ea(fn + m);
     std::vector<double> d_ld(m), d_ea(m), d_succ(m);
-    const FrontierMerge r = merge_frontier_scalar(
+    const FrontierMerge r = merge_frontier(
         f_ld.data(), f_ea.data(), fn, batch.data(), m, out_ld.data(),
         out_ea.data(), d_ld.data(), d_ea.data(), d_succ.data());
     if (r.kept != ref.size())
@@ -397,8 +388,8 @@ int kernel_trials(long trials, std::uint64_t base_seed) {
         kernel_failure("delta successor EA diverged", seed);
     }
 
-    // Random inputs for the flat-primitive differentials: a sorted grid
-    // with duplicates plus keys that hit grid values and +/-infinity.
+    // lower_bound4 differential: a sorted grid with duplicates plus keys
+    // that hit grid values and +/-infinity.
     std::vector<double> grid(rng.below(70));
     for (double& gv : grid) gv = std::floor(rng.uniform(-8.0, 60.0)) / 2.0;
     std::sort(grid.begin(), grid.end());
@@ -412,78 +403,11 @@ int kernel_trials(long trials, std::uint64_t base_seed) {
       else
         k = rng.uniform(-10.0, 62.0);
     }
-    // Mutated copies of the frontier lanes for the equal-run scans.
-    std::vector<double> g_ld = f_ld, g_ea = f_ea;
-    if (fn > 0 && rng.bernoulli(0.7)) {
-      const std::size_t at = rng.below(fn);
-      if (rng.bernoulli(0.5))
-        g_ld[at] += 1.0;
-      else
-        g_ea[at] = -g_ea[at];  // may flip a zero's sign: value-equal
-    }
-    const double bound = rng.bernoulli(0.3) && fn > 0
-                             ? f_ea[rng.below(fn)]
-                             : std::floor(rng.uniform(-12.0, 22.0));
-
+    std::uint32_t idx_s[4];
+    sops.lower_bound4(grid.data(), grid.size(), keys, idx_s);
     for (const simd::Level level : levels) {
-      if (!simd::set_level(level))
-        kernel_failure("set_level refused a CPU-supported level", seed);
-
-      // Dispatched prune must reproduce the scalar prune bit for bit.
-      std::vector<PathPair> vb = raw_batch;
-      const std::size_t vm = prune_candidate_batch(vb.data(), vb.size());
-      if (vm != m)
-        kernel_failure("dispatched prune kept-count diverged from scalar",
-                       seed);
-      if (m > 0 && std::memcmp(vb.data(), batch.data(),
-                               m * sizeof(PathPair)) != 0)
-        kernel_failure("dispatched prune output diverged from scalar", seed);
-
-      // Dispatched merge must reproduce the scalar merge bit for bit.
-      std::vector<double> v_out_ld(fn + m), v_out_ea(fn + m);
-      std::vector<double> v_d_ld(m), v_d_ea(m), v_d_succ(m);
-      const FrontierMerge vr = merge_frontier(
-          f_ld.data(), f_ea.data(), fn, batch.data(), m, v_out_ld.data(),
-          v_out_ea.data(), v_d_ld.data(), v_d_ea.data(), v_d_succ.data());
-      if (vr.kept != r.kept || vr.kept_new != r.kept_new)
-        kernel_failure("dispatched merge counts diverged from scalar", seed);
-      if (!lanes_bitwise_equal(v_out_ld.data() + off, out_ld.data() + off,
-                               r.kept) ||
-          !lanes_bitwise_equal(v_out_ea.data() + off, out_ea.data() + off,
-                               r.kept))
-        kernel_failure("dispatched merge lanes diverged from scalar", seed);
-      if (!lanes_bitwise_equal(v_d_ld.data() + doff, d_ld.data() + doff,
-                               r.kept_new) ||
-          !lanes_bitwise_equal(v_d_ea.data() + doff, d_ea.data() + doff,
-                               r.kept_new) ||
-          !lanes_bitwise_equal(v_d_succ.data() + doff, d_succ.data() + doff,
-                               r.kept_new))
-        kernel_failure("dispatched merge delta diverged from scalar", seed);
-
-      // Flat primitives against the scalar table on the same inputs.
-      const simd::Ops& vops = simd::ops_for(level);
-      if (vops.count_tail_ge(f_ea.data(), fn, bound) !=
-          sops.count_tail_ge(f_ea.data(), fn, bound))
-        kernel_failure("count_tail_ge diverged from scalar", seed);
-      if (!raw_batch.empty() &&
-          vops.count_tail_ge_stride2(&raw_batch[0].ea, raw_batch.size(),
-                                     bound) !=
-              sops.count_tail_ge_stride2(&raw_batch[0].ea, raw_batch.size(),
-                                         bound))
-        kernel_failure("count_tail_ge_stride2 diverged from scalar", seed);
-      if (vops.equal_prefix2(f_ld.data(), f_ea.data(), g_ld.data(),
-                             g_ea.data(), fn) !=
-          sops.equal_prefix2(f_ld.data(), f_ea.data(), g_ld.data(),
-                             g_ea.data(), fn))
-        kernel_failure("equal_prefix2 diverged from scalar", seed);
-      if (vops.equal_suffix2(f_ld.data(), f_ea.data(), fn, g_ld.data(),
-                             g_ea.data(), fn, fn) !=
-          sops.equal_suffix2(f_ld.data(), f_ea.data(), fn, g_ld.data(),
-                             g_ea.data(), fn, fn))
-        kernel_failure("equal_suffix2 diverged from scalar", seed);
-      std::uint32_t idx_v[4], idx_s[4];
-      vops.lower_bound4(grid.data(), grid.size(), keys, idx_v);
-      sops.lower_bound4(grid.data(), grid.size(), keys, idx_s);
+      std::uint32_t idx_v[4];
+      simd::ops_for(level).lower_bound4(grid.data(), grid.size(), keys, idx_v);
       if (std::memcmp(idx_v, idx_s, sizeof idx_v) != 0)
         kernel_failure("lower_bound4 diverged from scalar", seed);
     }
@@ -491,9 +415,11 @@ int kernel_trials(long trials, std::uint64_t base_seed) {
     // (b) Engine differential: kPooled vs kLevelSweep level by level on an
     // adversarial trace, then once more after reset() onto a new source
     // (exercising span recycling on warmed arenas). The forced dispatch
-    // level rotates per trial so the full engine path (merge, diff-trim,
-    // CDF integration) is exercised at every level across a run.
-    simd::set_level(levels[static_cast<std::size_t>(trial) % levels.size()]);
+    // level rotates per trial, so a run drives the engine under every
+    // level it tests.
+    if (!simd::set_level(levels[static_cast<std::size_t>(trial) %
+                                levels.size()]))
+      kernel_failure("set_level refused a CPU-supported level", seed);
     TemporalGraph g = adversarial_trace(rng);
     if (rng.bernoulli(0.3))
       g = TemporalGraph(g.num_nodes(), g.contacts_vector(),

@@ -42,9 +42,11 @@ echo "== tier-2b: parser + kernel + snapshot + live fuzz smoke under ASan+UBSan 
 # parses (including a stripped final newline) must match the one-shot
 # parser.
 ./build-sanitize/tools/odtn_fuzz --live 60 --seed 1
-# Forced-scalar pass: pins the dispatch layer to the mandatory fallback
-# so the scalar kernels stay exercised under the sanitizers even on
-# AVX2 hardware (the default run sweeps scalar..best-supported).
+# Forced-scalar pass (ODTN_SIMD=scalar|avx2): pins the dispatch layer
+# to the mandatory fallback so the scalar SegmentBatcher path stays
+# exercised under the sanitizers even on AVX2 hardware (the default run
+# checks lower_bound4 at scalar and avx2 and rotates the engine
+# differential over both).
 ODTN_SIMD=scalar ./build-sanitize/tools/odtn_fuzz --kernel 300 --seed 1
 
 echo "== tier-3: TSan build + concurrency suites =="
