@@ -398,7 +398,7 @@ std::string usage_text() {
          "                                      snapshot (parse + index once)\n"
          "  serve --snapshot <file> | --trace <file>\n"
          "      [--input <file>] [--socket <path> [--once]] [--max-hops K]\n"
-         "      [--grid-lo D --grid-hi D] [--cache-mb M] [--cache-shards S]\n"
+         "      [--grid-lo D --grid-hi D] [--cache-mb M]\n"
          "                                      answer line-delimited query\n"
          "                                      batches (cdf, diameter,\n"
          "                                      reach, journey, stats,\n"

@@ -324,7 +324,6 @@ int cmd_serve(ArgList args) {
   const auto grid_lo = args.take_option("grid-lo");
   const auto grid_hi = args.take_option("grid-hi");
   const auto cache_mb = args.take_option("cache-mb");
-  const auto cache_shards = args.take_option("cache-shards");
   args.expect_empty();
 
   if (snapshot.has_value() == trace.has_value())
@@ -355,17 +354,15 @@ int cmd_serve(ArgList args) {
                                  std::numeric_limits<std::size_t>::max() >> 20)
                    : 256)
       << 20;
-  qo.cache_shards =
-      cache_shards ? parse_count(*cache_shards, "cache-shards") : 8;
 
   const bool view = g.is_view();
   QueryEngine engine(std::move(g), qo);
   std::fprintf(stderr,
                "odtn serve: %zu nodes, %zu contacts (%s), grid %zu points, "
-               "max-hops %d, cache %zu MiB / %zu shards\n",
+               "max-hops %d, cache %zu MiB\n",
                engine.graph().num_nodes(), engine.graph().num_contacts(),
                view ? "snapshot view" : "parsed trace", qo.grid.size(),
-               qo.max_hops, qo.cache_bytes >> 20, qo.cache_shards);
+               qo.max_hops, qo.cache_bytes >> 20);
 
   if (socket_path) return serve_socket(engine, *socket_path, once);
 

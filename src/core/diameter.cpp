@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <stdexcept>
 #include <vector>
 
 #include "core/source_cdf.hpp"
-#include "util/thread_pool.hpp"
 
 namespace odtn {
 
@@ -72,37 +70,17 @@ DelayCdfResult compute_delay_cdf(const TemporalGraph& graph,
   std::vector<std::uint8_t> is_endpoint(graph.num_nodes(), 0);
   for (NodeId n : endpoints) is_endpoint[n] = 1;
 
-  // Reusable pool with dynamic source hand-out: expensive sources (dense
-  // neighborhoods, long traces) no longer serialize behind a strided
-  // static partition. num_threads == 0 reuses the shared pool.
-  std::optional<ThreadPool> local_pool;
-  if (options.num_threads != 0) local_pool.emplace(options.num_threads);
-  ThreadPool& pool = local_pool ? *local_pool : shared_thread_pool();
-
-  // Each worker integrates one source at a time into its private zeroed
-  // scratch partial; the folder merges partials in ascending endpoint
-  // index no matter which worker produced them. The result is therefore
-  // bit-identical across thread counts.
-  std::vector<SourceCdfWorker> workers(pool.num_workers());
-  std::vector<SourceCdfPartial> scratch;
-  scratch.reserve(pool.num_workers());
-  for (unsigned t = 0; t < pool.num_workers(); ++t)
-    scratch.emplace_back(options.grid, options.max_hops);
-  OrderedCdfFolder folder(options.grid, options.max_hops, endpoints.size());
-
-  pool.parallel_for(endpoints.size(), [&](std::size_t i, unsigned worker) {
-    SourceCdfPartial& partial = scratch[worker];
-    partial.clear();
-    process_source(graph, endpoints[i], endpoints, is_endpoint, w,
-                   options.max_hops, options.max_levels, options.engine,
-                   incremental, workers[worker], partial);
-    folder.submit(i, partial);
-  });
-
-  EngineStats stats;
-  for (const SourceCdfWorker& worker : workers)
-    stats.merge(worker.take_stats());
-  return finalize_delay_cdf(folder.total(), stats, options, incremental);
+  // Each source is integrated into the worker's zeroed scratch partial
+  // and folded in ascending endpoint index (fold_sources).
+  return fold_sources(
+      endpoints.size(), options, incremental,
+      [&](std::size_t i, SourceCdfWorker& worker, SourceCdfPartial& partial,
+          OrderedCdfFolder& folder) {
+        process_source(graph, endpoints[i], endpoints, is_endpoint, w,
+                       options.max_hops, options.max_levels, options.engine,
+                       incremental, worker, partial);
+        folder.submit(i, partial);
+      });
 }
 
 }  // namespace odtn

@@ -449,11 +449,13 @@ bool IncrementalAllPairsEngine::windows_keep_checkpoints(
          last_windows_[0].second >= last_end_time_;
 }
 
-void IncrementalAllPairsEngine::integrate_source(
-    NodeId src, const TimeWindows& w, double capture_block,
-    LaneScratch& scratch, SourceCdfPartial& out,
-    std::uint64_t& pairs_integrated) {
+void IncrementalAllPairsEngine::integrate_source(NodeId src,
+                                                 const TimeWindows& w,
+                                                 double capture_block,
+                                                 SourceCdfWorker& worker) {
   const IncrementalSourceDp& dp = dps_[src];
+  SourceCdfPartial& out = partials_[src];
+  LaneScratch& scratch = worker.lane;
   const std::size_t n = graph_.num_nodes();
   // Levels past the source's deepest productive one read the fixpoint
   // frontier for EVERY destination, so the direct scheme would feed them
@@ -479,7 +481,7 @@ void IncrementalAllPairsEngine::integrate_source(
     const LaneCheckpoint checkpoint{
         checkpoint_numerators_.data() + slot * numerator_size,
         checkpoint_resume_.data() + slot * n};
-    pairs_integrated +=
+    worker.stats.cdf_pairs_integrated +=
         integrate_lane(w, scratch, acc, &checkpoint, capture_block);
   };
   for (int k = 1; k <= last; ++k) lane(out.by_hops[k - 1], k - 1, k);
@@ -516,27 +518,19 @@ DelayCdfResult IncrementalAllPairsEngine::all_pairs() {
   }
   last_end_time_ = graph_.end_time();
 
-  std::optional<ThreadPool> local_pool;
-  if (options_.num_threads != 0) local_pool.emplace(options_.num_threads);
-  ThreadPool& pool = local_pool ? *local_pool : shared_thread_pool();
-  lane_scratch_.resize(pool.num_workers());
-
   // Addends below the watermark's day block are final (integrate_lane).
+  // Clean sources fold their kept partial; the scratch goes unused.
   const double capture_block = time_block(watermark());
-  OrderedCdfFolder folder(options_.grid, options_.max_hops, dps_.size());
-  std::vector<std::uint64_t> pairs(pool.num_workers(), 0);
-  pool.parallel_for(dps_.size(), [&](std::size_t i, unsigned worker) {
-    if (dirty_[i]) {
-      integrate_source(static_cast<NodeId>(i), w, capture_block,
-                       lane_scratch_[worker], partials_[i], pairs[worker]);
-      dirty_[i] = 0;
-    }
-    folder.submit(i, partials_[i]);
-  });
-
-  EngineStats stats;
-  for (const std::uint64_t p : pairs) stats.cdf_pairs_integrated += p;
-  return finalize_delay_cdf(folder.total(), stats, o, /*incremental=*/false);
+  return fold_sources(
+      dps_.size(), o, /*incremental=*/false,
+      [&](std::size_t i, SourceCdfWorker& worker, SourceCdfPartial&,
+          OrderedCdfFolder& folder) {
+        if (dirty_[i]) {
+          integrate_source(static_cast<NodeId>(i), w, capture_block, worker);
+          dirty_[i] = 0;
+        }
+        folder.submit(i, partials_[i]);
+      });
 }
 
 }  // namespace odtn

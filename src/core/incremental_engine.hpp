@@ -24,7 +24,8 @@
 // SingleSourceEngine computes on the concatenated trace. The per-epoch
 // CDF emission integrates each lane through the same integrate_lane
 // (core/source_cdf) as the cold direct scheme, in its (ea day block,
-// destination, pair) order, and folds sources in canonical order, which
+// destination, pair) order, and folds sources through the same driver
+// (fold_sources) in canonical order, which
 // makes each epoch's DelayCdfResult bit-identical to a cold
 // compute_delay_cdf with CdfAccumulation::kDirect on the trace so far.
 //
@@ -197,10 +198,10 @@ class IncrementalAllPairsEngine {
   DelayCdfOptions cdf_options() const;
   /// Whether checkpoints taken under `last_windows_` stay valid under `w`.
   bool windows_keep_checkpoints(const TimeWindows& w) const;
+  /// Re-integrates partials_[src] from its checkpoints with the
+  /// worker's lane buffers, counting into worker.stats.
   void integrate_source(NodeId src, const TimeWindows& w,
-                        double capture_block, LaneScratch& scratch,
-                        SourceCdfPartial& out,
-                        std::uint64_t& pairs_integrated);
+                        double capture_block, SourceCdfWorker& worker);
 
   TemporalGraph graph_;
   IncrementalCdfOptions options_;
@@ -216,7 +217,6 @@ class IncrementalAllPairsEngine {
   // (one per destination) in another. All zeros is the empty checkpoint.
   std::vector<double> checkpoint_numerators_;
   std::vector<std::uint32_t> checkpoint_resume_;
-  std::vector<LaneScratch> lane_scratch_;  // one per pool worker
 };
 
 }  // namespace odtn

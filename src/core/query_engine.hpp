@@ -1,6 +1,6 @@
 // QueryEngine: the serving-path facade behind `odtn serve`. It owns (or
 // borrows) a TemporalGraph -- typically a zero-copy snapshot view
-// (trace/snapshot.hpp) -- and answers batched queries through a sharded,
+// (trace/snapshot.hpp) -- and answers batched queries through a
 // byte-budgeted LRU result cache (util/lru_cache.hpp).
 //
 // What is cached, and why the answers stay bit-identical:
@@ -8,25 +8,27 @@
 //   The unit of caching is one source's PRE-FINALIZE SourceCdfPartial --
 //   the raw difference-array lanes that compute_delay_cdf's workers
 //   produce. All-pairs answers are the canonical ascending-endpoint
-//   left-chain fold of those partials (core/source_cdf.hpp), so a run
-//   that pulls some partials from cache and computes the rest folds THE
-//   SAME DOUBLES IN THE SAME ORDER as a cold run: every CDF value,
-//   diameter and denominator is bit-identical, whatever subset hit.
-//   Finalization (prefix-merge + evaluation) always happens fresh on the
-//   folded total. Only the instrumentation counters differ between warm
-//   and cold runs -- a cache hit skips the propagation engine, so
-//   contacts_examined et al. count only the computed sources, and the
-//   cache_hits / cache_misses / cache_evictions counters say why.
+//   left-chain fold of those partials, run by the same driver
+//   (fold_sources, core/source_cdf.hpp) with a cache probe in front of
+//   each source, so a run that pulls some partials from cache and
+//   computes the rest folds THE SAME DOUBLES IN THE SAME ORDER as a cold
+//   run: every CDF value, diameter and denominator is bit-identical,
+//   whatever subset hit. Finalization (prefix-merge + evaluation) always
+//   happens fresh on the folded total. Only the instrumentation counters
+//   differ between warm and cold runs -- a cache hit skips the
+//   propagation engine, so contacts_examined et al. count only the
+//   computed sources, and the cache_hits / cache_misses /
+//   cache_evictions counters say why.
 //
 // Cache keys bind the partial to everything that determines its bytes:
-// the graph's transform key (a fingerprint of the trace and the transform
-// chain that produced it), the graph epoch, the hop budget, the level
-// cap, the grid's exact bit patterns, the resolved start-time windows'
-// bit patterns, and the source id. The serve path always runs the
-// pooled engine with incremental accumulation, so neither is a key
-// ingredient. Engines over different graphs can therefore safely SHARE
-// one cache (pass the same shared_ptr): keys from different transform
-// chains never collide.
+// a generation drawn from a process-wide counter at construction and at
+// every ingest (no two engine states share one), the hop budget, the
+// level cap, the grid's exact bit patterns, the resolved start-time
+// windows' bit patterns, and the source id. The serve path always runs
+// the pooled engine with incremental accumulation, so neither is a key
+// ingredient. Engines can therefore safely SHARE one cache (pass the
+// same shared_ptr): keys of different engines never collide, even over
+// graphs that agree in size and span.
 #pragma once
 
 #include <cstddef>
@@ -47,7 +49,7 @@ namespace odtn {
 
 /// The serve-path result cache: key = query fingerprint (binary string),
 /// value = one source's pre-finalize CDF partial.
-using ServeCache = ShardedLruCache<std::string, SourceCdfPartial>;
+using ServeCache = LruCache<std::string, SourceCdfPartial>;
 
 struct QueryEngineOptions {
   /// Delay grid for CDF queries (positive, strictly increasing). Must be
@@ -55,10 +57,9 @@ struct QueryEngineOptions {
   std::vector<double> grid;
   int max_hops = 10;
   int max_levels = 64;
-  /// Total cache budget in bytes, split across cache_shards. 0 disables
-  /// caching (every query computes cold).
+  /// Total cache budget in bytes. 0 disables caching (every query
+  /// computes cold).
   std::size_t cache_bytes = 256u << 20;
-  std::size_t cache_shards = 8;
   /// Worker threads for all-pairs fan-out; 0 = shared pool.
   unsigned num_threads = 0;
 };
@@ -96,8 +97,8 @@ class QueryEngine {
   JourneyOptima journey(NodeId source, NodeId destination) const;
 
   /// Appends one canonical-order contact batch to the served graph
-  /// (TemporalGraph::append_contacts semantics) and bumps the cache-key
-  /// prefix with the new graph epoch, so every pre-append cached partial
+  /// (TemporalGraph::append_contacts semantics) and draws a new cache-key
+  /// generation, so every pre-append cached partial
   /// becomes unreachable -- stale entries age out of the LRU instead of
   /// ever being served. Snapshot-view engines cannot ingest (the view is
   /// read-only); the underlying append throws std::logic_error. Not
@@ -126,7 +127,7 @@ class QueryEngine {
   TemporalGraph graph_;
   QueryEngineOptions options_;
   std::shared_ptr<ServeCache> cache_;
-  std::string key_prefix_;  // transform key + engine/grid fingerprint
+  std::string key_prefix_;  // generation + hop/level budgets + grid bytes
   std::vector<NodeId> all_nodes_;
   std::vector<std::uint8_t> is_endpoint_;  // all-ones mask over nodes
 };

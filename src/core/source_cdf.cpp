@@ -5,7 +5,10 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <stdexcept>
+
+#include "util/thread_pool.hpp"
 
 namespace odtn {
 namespace {
@@ -406,6 +409,32 @@ SourceCdfPartial& OrderedCdfFolder::total() {
   if (next_ != count_ || !pending_.empty())
     throw std::logic_error("OrderedCdfFolder: fold incomplete");
   return total_;
+}
+
+DelayCdfResult fold_sources(std::size_t count, const DelayCdfOptions& options,
+                            bool incremental, const FoldSourceFn& source) {
+  // Dynamic hand-out: expensive sources (dense neighborhoods, long
+  // traces) do not serialize behind a strided static partition.
+  std::optional<ThreadPool> local_pool;
+  if (options.num_threads != 0) local_pool.emplace(options.num_threads);
+  ThreadPool& pool = local_pool ? *local_pool : shared_thread_pool();
+
+  std::vector<SourceCdfWorker> workers(pool.num_workers());
+  std::vector<SourceCdfPartial> scratch;
+  scratch.reserve(pool.num_workers());
+  for (unsigned t = 0; t < pool.num_workers(); ++t)
+    scratch.emplace_back(options.grid, options.max_hops);
+  OrderedCdfFolder folder(options.grid, options.max_hops, count);
+
+  pool.parallel_for(count, [&](std::size_t i, unsigned worker) {
+    scratch[worker].clear();
+    source(i, workers[worker], scratch[worker], folder);
+  });
+
+  EngineStats stats;
+  for (const SourceCdfWorker& worker : workers)
+    stats.merge(worker.take_stats());
+  return finalize_delay_cdf(folder.total(), stats, options, incremental);
 }
 
 DelayCdfResult finalize_delay_cdf(SourceCdfPartial& total,

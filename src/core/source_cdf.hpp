@@ -1,6 +1,7 @@
-// Per-source delay-CDF processing behind every all-pairs computation
-// (compute_delay_cdf in core/diameter.cpp, QueryEngine and the live
-// IncrementalAllPairsEngine).
+// Per-source delay-CDF processing and the one all-pairs driver,
+// fold_sources, behind every all-pairs computation: compute_delay_cdf
+// (core/diameter.cpp), QueryEngine and the live
+// IncrementalAllPairsEngine each supply only a per-source callback.
 //
 // One source's contribution to the all-pairs CDFs is integrated into a
 // private zeroed SourceCdfPartial, and partials are folded into the
@@ -25,6 +26,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -191,5 +193,24 @@ DelayCdfResult finalize_delay_cdf(SourceCdfPartial& total,
                                   const EngineStats& stats,
                                   const DelayCdfOptions& options,
                                   bool incremental);
+
+/// Per-source step of fold_sources: handles source index `index` with
+/// the calling worker's state and submits exactly one partial for
+/// `index` to the folder -- `scratch` (zeroed on entry), a cached copy
+/// or one the caller keeps. Counters go to `worker.stats`.
+using FoldSourceFn = std::function<void(std::size_t index,
+                                        SourceCdfWorker& worker,
+                                        SourceCdfPartial& scratch,
+                                        OrderedCdfFolder& folder)>;
+
+/// The one all-pairs driver: runs `source` for every index in
+/// [0, count), handed out dynamically over a pool of
+/// options.num_threads workers (0 = the shared pool), with one
+/// SourceCdfWorker and one scratch partial per worker. The folder merges
+/// the submitted partials in ascending index order, so the result is
+/// bit-identical across thread counts. Merges every worker's
+/// take_stats() and finalizes (finalize_delay_cdf) with `incremental`.
+DelayCdfResult fold_sources(std::size_t count, const DelayCdfOptions& options,
+                            bool incremental, const FoldSourceFn& source);
 
 }  // namespace odtn

@@ -90,9 +90,7 @@ class TemporalGraph {
   std::uint64_t append_contacts(std::span<const Contact> batch);
 
   /// Monotone append counter: 0 for a freshly built graph, +1 per
-  /// non-empty append_contacts batch. Cache layers fold it into their
-  /// transform keys so entries computed before an ingest become
-  /// unreachable instead of stale.
+  /// non-empty append_contacts batch.
   std::uint64_t epoch() const noexcept { return epoch_; }
 
   std::size_t num_nodes() const noexcept { return num_nodes_; }

@@ -1,66 +1,19 @@
 #include "util/arena.hpp"
 
 #include <algorithm>
-#include <cstring>
-#include <new>
 
 namespace odtn {
-
-namespace {
-
-double* alloc_lane(std::size_t cap) {
-  return static_cast<double*>(::operator new(
-      cap * sizeof(double), std::align_val_t{PairArena::kLaneAlignment}));
-}
-
-void free_lane(double* lane) noexcept {
-  ::operator delete(lane, std::align_val_t{PairArena::kLaneAlignment});
-}
-
-}  // namespace
 
 void PairArena::grow(std::size_t needed) {
   // Geometric growth keeps the amortized allocate() cost constant; the
   // floor avoids a flurry of tiny reallocations while the first source
-  // warms the slab up. std::vector is no longer usable here: its buffer
-  // is only alignof(double)-aligned, while the SIMD kernels need every
-  // lane base on a 32-byte boundary.
+  // warms the slab up. New pairs are zeroed, as resize() value-
+  // initializes them.
   constexpr std::size_t kMinCapacity = 256;
-  std::size_t cap = std::max({needed, cap_ * 2, kMinCapacity});
-  cap = (cap + kSpanAlignPairs - 1) & ~(kSpanAlignPairs - 1);
-  const auto regrow = [&](double*& lane) {
-    double* next = alloc_lane(cap);
-    if (lane != nullptr) {
-      std::memcpy(next, lane, cap_ * sizeof(double));
-      free_lane(lane);
-    }
-    std::memset(next + cap_, 0, (cap - cap_) * sizeof(double));
-    lane = next;
-  };
-  regrow(ld_);
-  regrow(ea_);
-  if (with_aux_) regrow(aux_);
-  cap_ = cap;
-}
-
-void PairArena::release() noexcept {
-  free_lane(ld_);
-  free_lane(ea_);
-  free_lane(aux_);
-  ld_ = ea_ = aux_ = nullptr;
-  cap_ = 0;
-}
-
-void PairArena::move_from(PairArena& other) noexcept {
-  ld_ = other.ld_;
-  ea_ = other.ea_;
-  aux_ = other.aux_;
-  cap_ = other.cap_;
-  size_ = other.size_;
-  peak_pairs_ = other.peak_pairs_;
-  with_aux_ = other.with_aux_;
-  other.ld_ = other.ea_ = other.aux_ = nullptr;
-  other.cap_ = other.size_ = other.peak_pairs_ = 0;
+  const std::size_t cap = std::max({needed, 2 * ld_.size(), kMinCapacity});
+  ld_.resize(cap);
+  ea_.resize(cap);
+  if (with_aux_) aux_.resize(cap);
 }
 
 }  // namespace odtn

@@ -12,22 +12,16 @@
 // next source, so the steady-state all-pairs loop performs zero heap
 // allocations once the high-water capacity has been reached.
 //
-// Alignment contract: every lane base is 32-byte aligned and allocate()
-// rounds the bump pointer up to a multiple of 4 doubles, so ld()+offset
-// and ea()+offset of EVERY span start on a 32-byte boundary (whole
-// 4-double blocks); no current kernel depends on it, the frontier
-// kernels are scalar. The padding pairs between spans are never
-// addressed. truncate()/reset() only move the bump pointer backward to
-// previously returned (hence aligned) offsets, so the guarantee survives
-// recycle cycles -- gated by tests/test_arena.cpp.
-//
 // Growth moves the arrays, so raw pointers obtained via ld()/ea()/aux()
 // are invalidated by allocate(); spans (offsets) stay valid forever.
-// Callers re-fetch base pointers after every allocate().
+// Callers re-fetch base pointers after every allocate(). The lanes are
+// plain std::vector<double>; spans are packed back to back, with no
+// alignment padding between them.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 namespace odtn {
 
@@ -44,37 +38,22 @@ struct PairSpan {
 
 class PairArena {
  public:
-  /// Lane bases and span starts are aligned to this many bytes.
-  static constexpr std::size_t kLaneAlignment = 32;
-  /// allocate() rounds offsets up to a multiple of this many pairs.
-  static constexpr std::size_t kSpanAlignPairs =
-      kLaneAlignment / sizeof(double);
-
   /// `with_aux` adds a third parallel double lane (aux()), grown and
   /// recycled in lockstep with ld/ea.
   explicit PairArena(bool with_aux = false) noexcept : with_aux_(with_aux) {}
 
   PairArena(const PairArena&) = delete;
   PairArena& operator=(const PairArena&) = delete;
-  PairArena(PairArena&& other) noexcept { move_from(other); }
-  PairArena& operator=(PairArena&& other) noexcept {
-    if (this != &other) {
-      release();
-      move_from(other);
-    }
-    return *this;
-  }
-  ~PairArena() { release(); }
+  PairArena(PairArena&&) noexcept = default;
+  PairArena& operator=(PairArena&&) noexcept = default;
 
-  /// Reserves `n` contiguous pairs and returns their offset (always a
-  /// multiple of kSpanAlignPairs -- see the alignment contract above).
-  /// Amortized O(1); grows geometrically when the slab is exhausted (the
-  /// only code path that touches the heap).
+  /// Reserves `n` contiguous pairs right after the previous allocation
+  /// and returns their offset. Amortized O(1); grows geometrically when
+  /// the slab is exhausted (the only code path that touches the heap).
   std::size_t allocate(std::size_t n) {
-    size_ = (size_ + kSpanAlignPairs - 1) & ~(kSpanAlignPairs - 1);
     const std::size_t offset = size_;
     size_ += n;
-    if (size_ > cap_) grow(size_);
+    if (size_ > ld_.size()) grow(size_);
     if (size_ > peak_pairs_) peak_pairs_ = size_;
     return offset;
   }
@@ -88,37 +67,35 @@ class PairArena {
   /// re-fills the same slabs without allocating.
   void reset() noexcept { size_ = 0; }
 
-  /// Pairs currently allocated (the bump pointer), including alignment
-  /// padding between spans.
+  /// Pairs currently allocated (the bump pointer).
   std::size_t size() const noexcept { return size_; }
 
   /// Pairs the slabs can hold before the next growth.
-  std::size_t capacity() const noexcept { return cap_; }
+  std::size_t capacity() const noexcept { return ld_.size(); }
 
   /// High-water mark of size() over the arena's lifetime.
   std::size_t peak_pairs() const noexcept { return peak_pairs_; }
 
   /// Bytes committed to the slabs (capacity across all lanes). Monotone.
   std::size_t capacity_bytes() const noexcept {
-    return cap_ * sizeof(double) * (with_aux_ ? 3 : 2);
+    return capacity() * sizeof(double) * (with_aux_ ? 3 : 2);
   }
 
-  double* ld() noexcept { return ld_; }
-  const double* ld() const noexcept { return ld_; }
-  double* ea() noexcept { return ea_; }
-  const double* ea() const noexcept { return ea_; }
-  double* aux() noexcept { return aux_; }
-  const double* aux() const noexcept { return aux_; }
+  double* ld() noexcept { return ld_.data(); }
+  const double* ld() const noexcept { return ld_.data(); }
+  double* ea() noexcept { return ea_.data(); }
+  const double* ea() const noexcept { return ea_.data(); }
+  double* aux() noexcept { return aux_.data(); }
+  const double* aux() const noexcept { return aux_.data(); }
 
  private:
   void grow(std::size_t needed);
-  void release() noexcept;
-  void move_from(PairArena& other) noexcept;
 
-  double* ld_ = nullptr;
-  double* ea_ = nullptr;
-  double* aux_ = nullptr;
-  std::size_t cap_ = 0;
+  // Each lane's size() is the arena's capacity; pairs past size_ are
+  // spare slab, not live data.
+  std::vector<double> ld_;
+  std::vector<double> ea_;
+  std::vector<double> aux_;  // empty unless with_aux_
   std::size_t size_ = 0;
   std::size_t peak_pairs_ = 0;
   bool with_aux_ = false;

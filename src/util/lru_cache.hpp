@@ -1,24 +1,24 @@
-// ShardedLruCache: a byte-budgeted, sharded LRU map for the serve-path
-// result cache (core/query_engine.hpp).
+// LruCache: a byte-budgeted LRU map for the serve-path result cache
+// (core/query_engine.hpp).
 //
 // Design:
-//   - The keyspace is split across S independent shards, each with its
-//     own mutex, intrusive recency list and hash index, so concurrent
-//     query workers touching different sources rarely contend.
+//   - One mutex guards one recency list and one hash index over the
+//     whole budget. A get or put holds the lock for one hash probe and
+//     one list splice, against milliseconds of engine work per miss, so
+//     the lock is not where concurrent query workers wait.
 //   - The budget is in BYTES, not entries: every insert carries an
 //     explicit cost (key bytes + value payload + bookkeeping estimate),
-//     and each shard evicts from its own LRU tail until it fits within
-//     budget_bytes / S. An entry larger than a whole shard's budget is
-//     admitted and then immediately evicted -- the caller still gets
-//     exact eviction accounting, and a pathological value cannot pin
-//     the cache above budget.
+//     and put evicts from the LRU tail until the cache fits within
+//     budget_bytes. An entry larger than the whole budget is admitted
+//     and then immediately evicted -- the caller still gets exact
+//     eviction accounting, and a pathological value cannot pin the
+//     cache above budget.
 //   - Values are handed out as shared_ptr<const Value>: a hit stays
 //     valid even if another thread evicts the entry a microsecond
 //     later, and the cache never copies payloads.
 //   - put() returns the number of entries evicted BY THAT CALL, so the
 //     engine can attribute evictions to individual queries exactly
-//     (the bench CSV and EngineStats cache_evictions counters rely on
-//     this adding up).
+//     (the EngineStats cache_evictions counters rely on this adding up).
 #pragma once
 
 #include <cstddef>
@@ -29,13 +29,11 @@
 #include <mutex>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 namespace odtn {
 
-/// Aggregate counters across all shards; deltas of successive snapshots
-/// are exact because every hit/miss/eviction increments under the owning
-/// shard's lock.
+/// Cache counters; deltas of successive snapshots are exact because
+/// every hit/miss/eviction increments under the cache's lock.
 struct LruCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -46,94 +44,71 @@ struct LruCacheStats {
 };
 
 template <typename Key, typename Value, typename Hash = std::hash<Key>>
-class ShardedLruCache {
+class LruCache {
  public:
-  /// `budget_bytes` is split evenly across `num_shards` (each at least
-  /// 1). Zero budget means "cache nothing": every put is evicted
+  /// Zero budget means "cache nothing": every put is evicted
   /// immediately, every get misses -- handy for forcing cold paths in
   /// tests without branching at the call sites.
-  explicit ShardedLruCache(std::size_t budget_bytes,
-                           std::size_t num_shards = 8) {
-    if (num_shards == 0) num_shards = 1;
-    shards_.reserve(num_shards);
-    for (std::size_t i = 0; i < num_shards; ++i)
-      shards_.push_back(std::make_unique<Shard>());
-    const std::size_t per = budget_bytes / num_shards;
-    for (auto& s : shards_) s->budget = per;
-  }
-
-  std::size_t num_shards() const noexcept { return shards_.size(); }
+  explicit LruCache(std::size_t budget_bytes) : budget_(budget_bytes) {}
 
   /// Returns the cached value and refreshes its recency, or nullptr on
   /// miss.
   std::shared_ptr<const Value> get(const Key& key) {
-    Shard& s = shard_for(key);
-    const std::lock_guard<std::mutex> lock(s.mutex);
-    const auto it = s.index.find(key);
-    if (it == s.index.end()) {
-      ++s.misses;
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = index_.find(key);
+    if (it == index_.end()) {
+      ++stats_.misses;
       return nullptr;
     }
-    ++s.hits;
-    s.order.splice(s.order.begin(), s.order, it->second);  // move to MRU
+    ++stats_.hits;
+    order_.splice(order_.begin(), order_, it->second);  // move to MRU
     return it->second->value;
   }
 
   /// Inserts (or overwrites) `key` with a value costing `cost_bytes`,
-  /// then evicts LRU-first until the shard is back within budget.
+  /// then evicts LRU-first until the cache is back within budget.
   /// Returns how many entries THIS call evicted (an oversized entry
   /// counts itself).
   std::size_t put(const Key& key, std::shared_ptr<const Value> value,
                   std::size_t cost_bytes) {
-    Shard& s = shard_for(key);
-    const std::lock_guard<std::mutex> lock(s.mutex);
-    const auto it = s.index.find(key);
-    if (it != s.index.end()) {
-      s.bytes -= it->second->cost;
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = index_.find(key);
+    if (it != index_.end()) {
+      stats_.bytes -= it->second->cost;
       it->second->value = std::move(value);
       it->second->cost = cost_bytes;
-      s.bytes += cost_bytes;
-      s.order.splice(s.order.begin(), s.order, it->second);
+      order_.splice(order_.begin(), order_, it->second);
     } else {
-      s.order.push_front(Entry{key, std::move(value), cost_bytes});
-      s.index.emplace(key, s.order.begin());
-      s.bytes += cost_bytes;
-      ++s.inserts;
+      order_.push_front(Entry{key, std::move(value), cost_bytes});
+      index_.emplace(key, order_.begin());
+      ++stats_.inserts;
     }
+    stats_.bytes += cost_bytes;
     std::size_t evicted = 0;
-    while (s.bytes > s.budget && !s.order.empty()) {
-      const Entry& victim = s.order.back();
-      s.bytes -= victim.cost;
-      s.index.erase(victim.key);
-      s.order.pop_back();
+    while (stats_.bytes > budget_ && !order_.empty()) {
+      const Entry& victim = order_.back();
+      stats_.bytes -= victim.cost;
+      index_.erase(victim.key);
+      order_.pop_back();
       ++evicted;
     }
-    s.evictions += evicted;
+    stats_.evictions += evicted;
     return evicted;
   }
 
   /// Drops every entry; counters keep accumulating (clear is not a
   /// statistics reset, so long-lived serve sessions report totals).
   void clear() {
-    for (auto& sp : shards_) {
-      const std::lock_guard<std::mutex> lock(sp->mutex);
-      sp->order.clear();
-      sp->index.clear();
-      sp->bytes = 0;
-    }
+    const std::lock_guard<std::mutex> lock(mutex_);
+    order_.clear();
+    index_.clear();
+    stats_.bytes = 0;
   }
 
   LruCacheStats stats() const {
-    LruCacheStats out;
-    for (const auto& sp : shards_) {
-      const std::lock_guard<std::mutex> lock(sp->mutex);
-      out.hits += sp->hits;
-      out.misses += sp->misses;
-      out.evictions += sp->evictions;
-      out.inserts += sp->inserts;
-      out.bytes += sp->bytes;
-      out.entries += sp->order.size();
-    }
+    const std::lock_guard<std::mutex> lock(mutex_);
+    LruCacheStats out = stats_;
+    out.entries = order_.size();
     return out;
   }
 
@@ -144,30 +119,11 @@ class ShardedLruCache {
     std::size_t cost;
   };
 
-  struct Shard {
-    mutable std::mutex mutex;
-    std::list<Entry> order;  // front = most recently used
-    std::unordered_map<Key, typename std::list<Entry>::iterator, Hash> index;
-    std::size_t budget = 0;
-    std::size_t bytes = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t inserts = 0;
-  };
-
-  Shard& shard_for(const Key& key) {
-    // Mix the hash before reducing: std::hash for integers is commonly
-    // the identity, which would pin sequential sources to one shard.
-    std::uint64_t h = static_cast<std::uint64_t>(Hash{}(key));
-    h ^= h >> 33;
-    h *= 0xFF51AFD7ED558CCDull;
-    h ^= h >> 33;
-    return *shards_[h % shards_.size()];
-  }
-
-  // unique_ptr, not value: Shard holds a mutex and must never move.
-  std::vector<std::unique_ptr<Shard>> shards_;
+  mutable std::mutex mutex_;
+  std::list<Entry> order_;  // front = most recently used
+  std::unordered_map<Key, typename std::list<Entry>::iterator, Hash> index_;
+  std::size_t budget_;
+  LruCacheStats stats_;  // `entries` is read off order_
 };
 
 }  // namespace odtn

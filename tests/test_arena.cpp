@@ -1,13 +1,11 @@
-// PairArena alignment and recycling contract (util/arena.hpp): every
-// span start must land on a 32-byte boundary in every lane -- the SIMD
-// frontier kernels consume spans in whole 4-double blocks -- and the
-// guarantee must survive growth, truncate() rollbacks, reset() recycling
-// and moves.
+// PairArena bump-allocation and recycling contract (util/arena.hpp):
+// spans are packed back to back, contents survive growth, truncate()
+// rolls the bump pointer back, reset() recycles the capacity, and moves
+// hand the lanes over.
 #include <gtest/gtest.h>
 
-#include <cstdint>
+#include <cstddef>
 #include <utility>
-#include <vector>
 
 #include "util/arena.hpp"
 #include "util/rng.hpp"
@@ -15,45 +13,33 @@
 namespace odtn {
 namespace {
 
-bool aligned32(const double* p) {
-  return reinterpret_cast<std::uintptr_t>(p) % PairArena::kLaneAlignment == 0;
-}
-
-void expect_span_aligned(const PairArena& arena, std::size_t offset) {
-  EXPECT_EQ(offset % PairArena::kSpanAlignPairs, 0u);
-  EXPECT_TRUE(aligned32(arena.ld() + offset));
-  EXPECT_TRUE(aligned32(arena.ea() + offset));
-}
-
-TEST(PairArena, SpanStartsStay32ByteAlignedAcrossRecycleCycles) {
+TEST(PairArena, SpansPackAcrossTruncateAndRecycleCycles) {
   PairArena arena(/*with_aux=*/true);
   Rng rng = Rng::keyed(0xA11A, 0);
   for (int cycle = 0; cycle < 6; ++cycle) {
-    std::vector<std::size_t> offsets;
-    // Odd sizes force padding between spans; big ones force growth.
+    std::size_t expected = 0;
+    // Odd sizes, and big ones that force growth.
     for (int i = 0; i < 40; ++i) {
       const std::size_t n = 1 + rng.below(97);
       const std::size_t off = arena.allocate(n);
-      expect_span_aligned(arena, off);
-      EXPECT_TRUE(aligned32(arena.aux() + off));
-      offsets.push_back(off);
+      EXPECT_EQ(off, expected);
+      expected += n;
+      arena.ld()[off + n - 1] = 1.0;
+      arena.aux()[off + n - 1] = 2.0;
       if (rng.bernoulli(0.2)) {
-        // Speculative allocation rolled back: the bump pointer returns
-        // to a previously returned (hence aligned) offset.
+        // Speculative allocation rolled back: the next span reuses it.
         arena.truncate(off);
-        offsets.pop_back();
+        expected = off;
       }
+      EXPECT_EQ(arena.size(), expected);
     }
-    // Lane bases themselves are aligned.
-    EXPECT_TRUE(aligned32(arena.ld()));
-    EXPECT_TRUE(aligned32(arena.ea()));
-    EXPECT_TRUE(aligned32(arena.aux()));
+    EXPECT_GE(arena.capacity(), arena.size());
     arena.reset();
     EXPECT_EQ(arena.size(), 0u);
   }
 }
 
-TEST(PairArena, GrowthPreservesContentsAndAlignment) {
+TEST(PairArena, GrowthPreservesContents) {
   PairArena arena;
   const std::size_t first = arena.allocate(10);
   for (std::size_t i = 0; i < 10; ++i) {
@@ -62,8 +48,8 @@ TEST(PairArena, GrowthPreservesContentsAndAlignment) {
   }
   // Blow far past the current capacity so the lanes must move.
   const std::size_t big = arena.allocate(8192);
-  expect_span_aligned(arena, big);
-  expect_span_aligned(arena, first);
+  EXPECT_EQ(big, 10u);
+  EXPECT_GE(arena.capacity(), 8202u);
   for (std::size_t i = 0; i < 10; ++i) {
     EXPECT_EQ(arena.ld()[first + i], 100.0 + static_cast<double>(i));
     EXPECT_EQ(arena.ea()[first + i], 200.0 + static_cast<double>(i));
@@ -77,26 +63,23 @@ TEST(PairArena, RecycledCapacityDoesNotRegrow) {
   const std::size_t bytes = arena.capacity_bytes();
   for (int cycle = 0; cycle < 4; ++cycle) {
     arena.reset();
-    for (int i = 0; i < 20; ++i) {
-      const std::size_t off = arena.allocate(50);
-      expect_span_aligned(arena, off);
-    }
+    for (int i = 0; i < 20; ++i)
+      EXPECT_EQ(arena.allocate(50), static_cast<std::size_t>(50 * i));
   }
   EXPECT_EQ(arena.capacity(), cap);
   EXPECT_EQ(arena.capacity_bytes(), bytes);
 }
 
-TEST(PairArena, PeakTracksPaddedHighWater) {
+TEST(PairArena, PeakTracksHighWater) {
   PairArena arena;
   const std::size_t a = arena.allocate(5);
   EXPECT_EQ(a, 0u);
   const std::size_t b = arena.allocate(3);
-  // 5 rounds up to 8: one padded gap between the spans.
-  EXPECT_EQ(b, 8u);
-  EXPECT_EQ(arena.size(), 11u);
-  EXPECT_EQ(arena.peak_pairs(), 11u);
+  EXPECT_EQ(b, 5u);  // no padding between spans
+  EXPECT_EQ(arena.size(), 8u);
+  EXPECT_EQ(arena.peak_pairs(), 8u);
   arena.reset();
-  EXPECT_EQ(arena.peak_pairs(), 11u);
+  EXPECT_EQ(arena.peak_pairs(), 8u);
 }
 
 TEST(PairArena, MoveTransfersLanesAndEmptiesSource) {
@@ -109,9 +92,8 @@ TEST(PairArena, MoveTransfersLanesAndEmptiesSource) {
   EXPECT_EQ(dst.ld()[off], 42.0);
   EXPECT_EQ(dst.size(), 16u);
   EXPECT_EQ(src.capacity(), 0u);  // NOLINT(bugprone-use-after-move)
-  // And the moved-to arena still honors the alignment contract.
-  const std::size_t next = dst.allocate(7);
-  expect_span_aligned(dst, next);
+  // The moved-to arena keeps bump-allocating after the moved span.
+  EXPECT_EQ(dst.allocate(7), 16u);
 }
 
 }  // namespace

@@ -370,6 +370,27 @@ TEST_F(CliServe, ServeAnswersFinalLineWithoutNewline) {
   EXPECT_NE(out.find("cdf src=1"), std::string::npos);
 }
 
+TEST_F(CliServe, ServeRejectsRemovedCacheShardsFlag) {
+  // The serve cache is one LRU: --cache-shards is an unrecognized
+  // argument (usage error), while the same run without it succeeds and
+  // neither the usage text nor the start-up banner mentions shards.
+  const std::string trace = serve_trace("srv_shards.trace");
+  const std::string queries = track(path("srv_shards.q"));
+  { std::ofstream out(queries); }
+  EXPECT_EQ(run_cli({"serve", "--trace", trace, "--input", queries,
+                     "--cache-shards", "4"}),
+            2);
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(run_cli({"serve", "--trace", trace, "--input", queries}), 0);
+  const std::string banner = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(banner.find("odtn serve:"), std::string::npos) << banner;
+  EXPECT_EQ(banner.find("shard"), std::string::npos) << banner;
+  ::testing::internal::CaptureStdout();
+  EXPECT_EQ(run_cli({"help"}), 0);
+  EXPECT_EQ(::testing::internal::GetCapturedStdout().find("cache-shards"),
+            std::string::npos);
+}
+
 TEST_F(CliServe, ServeIngestAppendsAndRefreshesAnswers) {
   const std::string trace = serve_trace("srv_ing.trace");
   const std::string queries = track(path("srv_ing.q"));

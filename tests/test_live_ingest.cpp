@@ -372,6 +372,34 @@ TEST(IncrementalEngine, NanWindowKeepsCheckpoints) {
             full_pass.stats.cdf_pairs_integrated);
 }
 
+TEST(IncrementalEngine, ThreadCountsGiveIdenticalEpochs) {
+  // The same epoch split at 1 and 3 workers: every epoch folds the same
+  // partials, re-integrated from the same checkpoints.
+  const TemporalGraph full = multi_day_graph(73, 4.0, 0.5, false);
+  const auto contacts = full.contacts();
+  const std::size_t step = contacts.size() / 8 + 1;
+  std::vector<std::vector<DelayCdfResult>> runs;
+  for (const unsigned threads : {1u, 3u}) {
+    IncrementalCdfOptions io;
+    io.grid = test_grid(full);
+    io.max_hops = 6;
+    io.num_threads = threads;
+    IncrementalAllPairsEngine engine(full.num_nodes(), full.directed(), io);
+    std::vector<DelayCdfResult>& epochs = runs.emplace_back();
+    for (std::size_t at = 0; at < contacts.size(); at += step) {
+      engine.append(contacts.subspan(at, std::min(step, contacts.size() - at)));
+      epochs.push_back(engine.all_pairs());
+    }
+  }
+  ASSERT_EQ(runs[0].size(), runs[1].size());
+  for (std::size_t i = 0; i < runs[0].size(); ++i) {
+    expect_bit_identical(runs[0][i], runs[1][i]);
+    EXPECT_EQ(runs[0][i].stats.cdf_pairs_integrated,
+              runs[1][i].stats.cdf_pairs_integrated)
+        << "epoch " << i;
+  }
+}
+
 TEST(IncrementalEngine, EmptyAndSingleContactDegenerates) {
   IncrementalCdfOptions io;
   io.grid = make_log_grid(kMinute, kHour, 8);

@@ -9,14 +9,14 @@
 namespace odtn {
 namespace {
 
-using Cache = ShardedLruCache<int, std::string>;
+using Cache = LruCache<int, std::string>;
 
 std::shared_ptr<const std::string> val(const char* s) {
   return std::make_shared<const std::string>(s);
 }
 
 TEST(LruCache, MissThenHit) {
-  Cache cache(1024, 1);
+  Cache cache(1024);
   EXPECT_EQ(cache.get(1), nullptr);
   EXPECT_EQ(cache.put(1, val("one"), 100), 0u);
   const auto hit = cache.get(1);
@@ -32,9 +32,8 @@ TEST(LruCache, MissThenHit) {
 }
 
 TEST(LruCache, EvictsLeastRecentlyUsedFirst) {
-  // One shard so the eviction order is fully deterministic: budget fits
-  // exactly three 100-byte entries.
-  Cache cache(300, 1);
+  // The budget fits exactly three 100-byte entries.
+  Cache cache(300);
   cache.put(1, val("a"), 100);
   cache.put(2, val("b"), 100);
   cache.put(3, val("c"), 100);
@@ -48,7 +47,7 @@ TEST(LruCache, EvictsLeastRecentlyUsedFirst) {
 }
 
 TEST(LruCache, ByteBudgetNotEntryCount) {
-  Cache cache(250, 1);
+  Cache cache(250);
   cache.put(1, val("a"), 100);
   cache.put(2, val("b"), 100);
   // A 200-byte insert must displace BOTH residents (100+100+200 > 250).
@@ -60,7 +59,7 @@ TEST(LruCache, ByteBudgetNotEntryCount) {
 }
 
 TEST(LruCache, OversizedEntryEvictsItself) {
-  Cache cache(100, 1);
+  Cache cache(100);
   EXPECT_EQ(cache.put(1, val("huge"), 500), 1u);
   EXPECT_EQ(cache.get(1), nullptr);
   const LruCacheStats s = cache.stats();
@@ -70,7 +69,7 @@ TEST(LruCache, OversizedEntryEvictsItself) {
 }
 
 TEST(LruCache, OverwriteReplacesValueAndCost) {
-  Cache cache(1000, 1);
+  Cache cache(1000);
   cache.put(1, val("old"), 400);
   cache.put(1, val("new"), 100);
   const auto hit = cache.get(1);
@@ -83,7 +82,7 @@ TEST(LruCache, OverwriteReplacesValueAndCost) {
 }
 
 TEST(LruCache, OverwriteRefreshesRecency) {
-  Cache cache(300, 1);
+  Cache cache(300);
   cache.put(1, val("a"), 100);
   cache.put(2, val("b"), 100);
   cache.put(1, val("a2"), 100);  // 2 is now the LRU
@@ -94,7 +93,7 @@ TEST(LruCache, OverwriteRefreshesRecency) {
 }
 
 TEST(LruCache, HitKeepsValueAliveAcrossEviction) {
-  Cache cache(100, 1);
+  Cache cache(100);
   cache.put(1, val("pinned"), 100);
   const auto pinned = cache.get(1);
   ASSERT_NE(pinned, nullptr);
@@ -104,7 +103,7 @@ TEST(LruCache, HitKeepsValueAliveAcrossEviction) {
 }
 
 TEST(LruCache, ClearDropsEntriesKeepsCounters) {
-  Cache cache(1000, 2);
+  Cache cache(1000);
   cache.put(1, val("a"), 10);
   cache.put(2, val("b"), 10);
   cache.get(1);
@@ -118,24 +117,17 @@ TEST(LruCache, ClearDropsEntriesKeepsCounters) {
 }
 
 TEST(LruCache, ZeroBudgetCachesNothing) {
-  Cache cache(0, 4);
+  Cache cache(0);
   EXPECT_EQ(cache.put(1, val("x"), 1), 1u);
   EXPECT_EQ(cache.get(1), nullptr);
   EXPECT_EQ(cache.stats().entries, 0u);
 }
 
-TEST(LruCache, ShardCountClampedToOne) {
-  Cache cache(100, 0);
-  EXPECT_EQ(cache.num_shards(), 1u);
-  cache.put(7, val("x"), 10);
-  EXPECT_NE(cache.get(7), nullptr);
-}
-
 TEST(LruCache, CountersAreExactAcrossMixedTraffic) {
-  Cache cache(10 * 64, 1);
+  Cache cache(10 * 64);
   std::uint64_t expect_evictions = 0;
   for (int i = 0; i < 100; ++i) expect_evictions += cache.put(i, val("v"), 64);
-  // 100 inserts into a 10-slot shard: the first 10 fill it, each of the
+  // 100 inserts into a 10-slot cache: the first 10 fill it, each of the
   // remaining 90 displaces exactly one.
   EXPECT_EQ(expect_evictions, 90u);
   const LruCacheStats s = cache.stats();
@@ -151,9 +143,9 @@ TEST(LruCache, CountersAreExactAcrossMixedTraffic) {
 }
 
 // Concurrent readers/writers over a small shared cache; run under TSan
-// (the tsan preset) this is the data-race gate for the sharded locking.
+// (the tsan preset) this is the data-race gate for the cache's lock.
 TEST(LruCache, ConcurrentGetPutIsSafe) {
-  ShardedLruCache<int, int> cache(64 * 32, 4);
+  LruCache<int, int> cache(64 * 32);
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 2000;
   std::vector<std::thread> threads;
@@ -185,7 +177,7 @@ TEST(LruCache, OverwriteReleasesOldCostBeforeCharging) {
   // Regression guard for overwrite accounting: replacing a resident key
   // must release the old entry's bytes first, never double-charge, and
   // never count the replacement itself as an eviction.
-  Cache cache(300, 1);
+  Cache cache(300);
   EXPECT_EQ(cache.put(1, val("a"), 100), 0u);
   EXPECT_EQ(cache.put(1, val("bigger"), 250), 0u);  // 100 released, 250 fits
   LruCacheStats s = cache.stats();
@@ -205,7 +197,7 @@ TEST(LruCache, OverwriteReleasesOldCostBeforeCharging) {
 }
 
 TEST(LruCache, GrowingOverwriteEvictsOthersNotItself) {
-  Cache cache(300, 1);
+  Cache cache(300);
   cache.put(1, val("a"), 100);
   cache.put(2, val("b"), 100);
   cache.put(3, val("c"), 100);

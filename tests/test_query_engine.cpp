@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -100,10 +102,8 @@ TEST(QueryEngine, TinyCacheBudgetStillBitIdentical) {
   QueryEngine reference(g, small_options());
   const DelayCdfResult expected = reference.all_pairs();
 
-  // Room for roughly two partials across 2 shards: constant evictions,
-  // same answers.
+  // Room for roughly two partials: constant evictions, same answers.
   QueryEngineOptions qo = small_options();
-  qo.cache_shards = 2;
   qo.cache_bytes = 2 * reference.cached_partial_bytes();
   QueryEngine engine(g, qo);
   const DelayCdfResult first = engine.all_pairs();
@@ -192,7 +192,7 @@ TEST(QueryEngine, SharedCacheCrossTransformKeysNoContamination) {
   const TemporalGraph h = workload_graph(977);
 
   const QueryEngineOptions qo = small_options();
-  auto cache = std::make_shared<ServeCache>(qo.cache_bytes, qo.cache_shards);
+  auto cache = std::make_shared<ServeCache>(qo.cache_bytes);
   QueryEngine eg(g, qo, cache);
   QueryEngine eh(h, qo, cache);
 
@@ -218,7 +218,7 @@ TEST(QueryEngine, SharedCacheCrossTransformKeysNoContamination) {
 TEST(QueryEngine, CacheKeyBindsEngineParameters) {
   const TemporalGraph g = workload_graph();
   const QueryEngineOptions qo = small_options();
-  auto cache = std::make_shared<ServeCache>(qo.cache_bytes, qo.cache_shards);
+  auto cache = std::make_shared<ServeCache>(qo.cache_bytes);
   QueryEngine a(g, qo, cache);
   (void)a.all_pairs();
 
@@ -235,6 +235,124 @@ TEST(QueryEngine, CacheKeyBindsEngineParameters) {
   ref.max_hops = qo2.max_hops;
   ref.num_threads = qo2.num_threads;
   expect_bitwise_equal(compute_delay_cdf(g, ref), r);
+}
+
+TEST(QueryEngine, SharedCacheSeparatesGraphsOfEqualShape) {
+  // Same node count, contact count, directedness and span, different
+  // contact order: 0 reaches 2 in one hop at [40, 50] either way, but
+  // only A also relays through 1 ([0, 10] then [20, 30]).
+  const TemporalGraph a(
+      3, {{0, 1, 0.0, 10.0}, {1, 2, 20.0, 30.0}, {0, 2, 40.0, 50.0}});
+  const TemporalGraph b(
+      3, {{1, 2, 0.0, 10.0}, {0, 1, 20.0, 30.0}, {0, 2, 40.0, 50.0}});
+  QueryEngineOptions qo;
+  qo.grid = make_log_grid(1.0, 100.0, 8);
+  qo.max_hops = 3;
+  auto cache = std::make_shared<ServeCache>(qo.cache_bytes);
+  QueryEngine ea(a, qo, cache);
+  QueryEngine eb(b, qo, cache);
+
+  const DelayCdfResult ra = ea.source_cdf(0);
+  const DelayCdfResult rb = eb.source_cdf(0);
+  EXPECT_EQ(rb.stats.cache_hits, 0u);
+  EXPECT_EQ(rb.stats.cache_misses, 1u);
+  QueryEngine cold_b(b, qo);
+  expect_bitwise_equal(cold_b.source_cdf(0), rb);
+  EXPECT_NE(ra.cdf_unbounded, rb.cdf_unbounded);
+}
+
+TEST(QueryEngine, AllPairsIsBitIdenticalAcrossThreadCounts) {
+  const TemporalGraph g = workload_graph();
+  std::vector<DelayCdfResult> results;
+  for (const unsigned threads : {1u, 3u}) {
+    QueryEngineOptions qo = small_options();
+    qo.num_threads = threads;
+    QueryEngine engine(g, qo);
+    for (int call = 0; call < 2; ++call) {  // cold, then warm
+      DelayCdfResult r = engine.all_pairs();
+      EXPECT_EQ(r.stats.cache_hits + r.stats.cache_misses, g.num_nodes())
+          << "threads=" << threads << " call=" << call;
+      results.push_back(std::move(r));
+    }
+  }
+  for (std::size_t i = 1; i < results.size(); ++i)
+    expect_bitwise_equal(results[0], results[i]);
+  EXPECT_EQ(results[0].stats.contacts_examined,
+            results[2].stats.contacts_examined);
+}
+
+bool same_journey(const JourneyOptima& a, const JourneyOptima& b) {
+  return std::memcmp(&a.fastest_duration, &b.fastest_duration,
+                     sizeof(double)) == 0 &&
+         std::memcmp(&a.fastest_departure, &b.fastest_departure,
+                     sizeof(double)) == 0 &&
+         a.shortest_hops == b.shortest_hops;
+}
+
+TEST(QueryEngine, ConcurrentQueriesMatchColdAnswers) {
+  // The serve loop runs one batch's queries concurrently on one engine.
+  // Four threads mix windowed source_cdf, all_pairs, reachable_count and
+  // journey over a cache that holds two partials, so hits, misses and
+  // evictions interleave; every answer must equal a cold engine's.
+  const TemporalGraph g = workload_graph();
+  const QueryEngineOptions qo = small_options();
+  const double lo = g.start_time(), mid = lo + g.duration() / 2;
+  constexpr double kAll = QueryEngine::kWholeSpan;
+  const double windows[][2] = {{kAll, kAll}, {lo, mid}, {mid, g.end_time()}};
+  const std::size_t n = g.num_nodes();
+
+  QueryEngineOptions cold_options = qo;
+  cold_options.cache_bytes = 0;
+  QueryEngine cold(g, cold_options);
+  std::vector<std::vector<DelayCdfResult>> want_cdf(3);
+  for (int wi = 0; wi < 3; ++wi)
+    for (NodeId src = 0; src < n; ++src)
+      want_cdf[wi].push_back(
+          cold.source_cdf(src, windows[wi][0], windows[wi][1]));
+  const DelayCdfResult want_all = cold.all_pairs(lo, mid);
+  std::vector<std::size_t> want_reach;
+  std::vector<JourneyOptima> want_journey;
+  for (NodeId src = 0; src < n; ++src) {
+    want_reach.push_back(cold.reachable_count(src, mid));
+    want_journey.push_back(cold.journey(src, (src + 5) % n));
+  }
+
+  QueryEngineOptions shared_options = qo;
+  shared_options.cache_bytes = 2 * cold.cached_partial_bytes();
+  QueryEngine engine(g, shared_options);
+  constexpr int kThreads = 4;
+  constexpr int kQueries = 24;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int q = 0; q < kQueries; ++q) {
+        const auto src = static_cast<NodeId>((7 * t + 5 * q) % n);
+        switch ((t + q) % 4) {
+          case 0: {
+            const int wi = (t + q / 4) % 3;
+            expect_bitwise_equal(
+                want_cdf[wi][src],
+                engine.source_cdf(src, windows[wi][0], windows[wi][1]));
+            break;
+          }
+          case 1:
+            if (q / 4 % 3 == 0)
+              expect_bitwise_equal(want_all, engine.all_pairs(lo, mid));
+            break;
+          case 2:
+            EXPECT_EQ(want_reach[src], engine.reachable_count(src, mid));
+            break;
+          default:
+            EXPECT_TRUE(same_journey(want_journey[src],
+                                     engine.journey(src, (src + 5) % n)));
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  const LruCacheStats cs = engine.cache_stats();
+  EXPECT_GT(cs.hits + cs.misses, 0u);
+  EXPECT_LE(cs.bytes, shared_options.cache_bytes);
 }
 
 TEST(QueryEngine, ReachableCountAndJourney) {

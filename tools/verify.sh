@@ -8,8 +8,9 @@
 # snapshot (framing rejection + round-trip bit-identity) and live
 # (epoch splits vs cold recomputes) --
 # and a final pass of the concurrency suites (thread pool,
-# MC harness, empirical distribution, phase transition) under
-# ThreadSanitizer (the `tsan` preset). Run from the repository root.
+# MC harness, empirical distribution, phase transition, LRU cache,
+# query engine) under ThreadSanitizer (the `tsan` preset). Run from the
+# repository root.
 # Exits non-zero on the first failure.
 set -eu
 
