@@ -1,6 +1,8 @@
 #include "core/incremental_engine.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <numeric>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -27,23 +29,22 @@ bool frontier_equals(const DeliveryFunction& f, const FrontierView& v) {
   return true;
 }
 
-/// Pairs of `f` absent from `old_view` (both sorted with strictly
-/// increasing ld, at most one pair per ld), appended to `out`.
-void frontier_diff(const DeliveryFunction& f, const FrontierView& old_view,
-                   std::vector<PathPair>& out) {
+/// Whether `v` holds `p`, advancing the cursor `j` (frontiers are sorted
+/// with strictly increasing ld, at most one pair per ld).
+bool holds(const FrontierView& v, std::size_t& j, const PathPair& p) {
+  while (j < v.size() && v.ld(j) < p.ld) ++j;
+  return j < v.size() && v.ld(j) == p.ld && v.ea(j) == p.ea;
+}
+
+/// Pairs of `f` absent from both `below` and `old_view`, into `out`.
+void fresh_pairs(const DeliveryFunction& f, const FrontierView& below,
+                 const FrontierView& old_view, std::vector<PathPair>& out) {
   out.clear();
-  const std::vector<PathPair>& p = f.pairs();
-  std::size_t i = 0, j = 0;
-  while (i < p.size()) {
-    if (j == old_view.size() || p[i].ld < old_view.ld(j)) {
-      out.push_back(p[i++]);
-    } else if (old_view.ld(j) < p[i].ld) {
-      ++j;
-    } else {
-      if (p[i].ea != old_view.ea(j)) out.push_back(p[i]);
-      ++i;
-      ++j;
-    }
+  std::size_t j = 0, m = 0;
+  for (const PathPair& p : f.pairs()) {
+    const bool in_below = holds(below, j, p);
+    const bool in_old = holds(old_view, m, p);
+    if (!in_below && !in_old) out.push_back(p);
   }
 }
 
@@ -195,6 +196,28 @@ void IncrementalSourceDp::erase_exact_version(NodeId node, int level) {
   }
 }
 
+const IncrementalSourceDp::Version* IncrementalSourceDp::version_at(
+    NodeId node, int level) const {
+  const std::vector<Version>& vs = nodes_[node].versions;
+  const auto it = std::lower_bound(
+      vs.begin(), vs.end(), level,
+      [](const Version& v, int l) { return v.level < l; });
+  return it != vs.end() && it->level == level ? &*it : nullptr;
+}
+
+bool IncrementalSourceDp::take_changed(std::vector<NodeId>& out) {
+  out.clear();
+  for (const NodeId d : changed_) scratch_[d].reported = false;
+  const bool all = all_changed_;
+  if (!all) {
+    out.swap(changed_);
+    std::sort(out.begin(), out.end());
+  }
+  changed_.clear();
+  all_changed_ = false;
+  return !all;
+}
+
 void IncrementalSourceDp::bootstrap(const TemporalGraph& graph) {
   SingleSourceEngine eng(graph, source_, EngineMode::kPooled);
   int k = 0;
@@ -218,6 +241,7 @@ void IncrementalSourceDp::bootstrap(const TemporalGraph& graph) {
     }
     max_level_ = k;
   }
+  all_changed_ = true;
 }
 
 bool IncrementalSourceDp::apply(const TemporalGraph& graph,
@@ -231,20 +255,18 @@ bool IncrementalSourceDp::apply(const TemporalGraph& graph,
   for (NodeId d : touched_) {
     scratch_[d].touched = false;
     scratch_[d].saved_count = 0;
-    scratch_[d].delta.clear();
-    scratch_[d].next_delta.clear();
+    scratch_[d].fresh.clear();
+    scratch_[d].next_fresh.clear();
   }
   touched_.clear();
-  delta_active_.clear();
+  fresh_active_.clear();
+  carry_.clear();
 
   // Routes one candidate into `to`'s level-k working frontier, but only
   // materializes the scratch once a candidate actually survives: a pair
   // dominated by the base L'_{k-1} or by the pre-epoch L_k is dominated
   // by their Pareto merge too, so it cannot change the node's level-k
-  // value. Nodes whose own level-(k-1) value changed still materialize
-  // unconditionally (the delta carryover below); every other node has
-  // L'_{k-1} == old L_{k-1}, whose merge with old L_k is old L_k itself,
-  // so skipping the write-back leaves its version list exact.
+  // value.
   const auto offer_to = [&](NodeId to, int k, PathPair cand) {
     Scratch& s = scratch_[to];
     // Every version view is SoA, so the engine's shared probe applies.
@@ -264,34 +286,33 @@ bool IncrementalSourceDp::apply(const TemporalGraph& graph,
   // at their own level + 1; see the quiescence argument in DESIGN.md §9).
   const auto fire_new_contact = [&](NodeId u, NodeId to, const Contact& c,
                                     int k) {
-    const std::vector<Version>& vs = nodes_[u].versions;
-    const auto it = std::lower_bound(
-        vs.begin(), vs.end(), k - 1,
-        [](const Version& v, int l) { return v.level < l; });
-    if (it == vs.end() || it->level != k - 1) return;
+    const Version* v = version_at(u, k - 1);
+    if (!v) return;
     for_each_frontier_extension(
-        FrontierView(it->ld.data(), it->ea.data(), it->ld.size()), c.begin,
+        FrontierView(v->ld.data(), v->ea.data(), v->ld.size()), c.begin,
         c.end, [&](PathPair cand) { offer_to(to, k, cand); });
   };
 
   for (int k = 1; k <= cap_; ++k) {
-    // Two candidate feeds keep the level alive: pending deltas, and new
-    // contacts touching any node versioned at exactly k-1 (bounded by
-    // the deepest version, so the loop stops one past the last
-    // productive level instead of sweeping to the cap).
-    if (delta_active_.empty() && k > max_level_ + 1) break;
+    // Two candidate feeds keep the level alive: pending fresh pairs, and
+    // new contacts touching any node versioned at exactly k-1 (bounded
+    // by the deepest version, so the loop stops one past the last
+    // productive level instead of sweeping to the cap). Carried nodes
+    // only matter where they have a pre-epoch version, at or below the
+    // deepest one.
+    if (fresh_active_.empty() && k > max_level_ + 1) break;
     level_active_.clear();
 
-    for (NodeId u : delta_active_) {
+    for (NodeId u : fresh_active_) {
       Scratch& su = scratch_[u];
-      const std::vector<PathPair>& dp = su.delta;
-      // Per delta pair, the ea of its successor in u's full L'_{k-1}
-      // frontier (deltas are a subsequence of it; both ea-sorted, one
-      // merge walk finds every successor). A window whose begin reaches
-      // at or past that successor draws its wait candidate from the
-      // successor chain -- pairs with larger ld whose extensions were
+      const std::vector<PathPair>& dp = su.fresh;
+      // Per fresh pair, the ea of its successor in u's full L'_{k-1}
+      // frontier (fresh pairs are a subsequence of it; both ea-sorted,
+      // one merge walk finds every successor). A window whose begin
+      // reaches at or past that successor draws its wait candidate from
+      // the successor chain -- pairs with larger ld whose extensions were
       // already absorbed the level after they entered, this epoch or an
-      // earlier one -- so the delta's wait candidate is provably
+      // earlier one -- so the fresh pair's wait candidate is provably
       // dominated and is not offered at all (the engines' wait-candidate
       // suppression, carried across epochs by the same quiescence
       // argument fire_new_contact relies on).
@@ -301,7 +322,7 @@ bool IncrementalSourceDp::apply(const TemporalGraph& graph,
         while (fp.ea(pos) < dp[j].ea) ++pos;
         succ_ea_[j] = pos + 1 < fp.size() ? fp.ea(pos + 1) : kInf;
       }
-      // The first delta pair's ea is the earliest arrival; windows
+      // The first fresh pair's ea is the earliest arrival; windows
       // ending before it are unusable, the same by-end skip the delta
       // engines make.
       const double min_ea = dp.front().ea;
@@ -313,7 +334,7 @@ bool IncrementalSourceDp::apply(const TemporalGraph& graph,
         const NodeId to = it->to;
         const double wb = it->begin, we = it->end;
         // Same extension cases as for_each_frontier_extension, with a
-        // linear scan (deltas hold a handful of pairs) and the wait
+        // linear scan (fresh sets hold a handful of pairs) and the wait
         // suppression above.
         std::size_t i = 0;
         while (i < dp.size() && dp[i].ea <= wb) ++i;
@@ -324,9 +345,6 @@ bool IncrementalSourceDp::apply(const TemporalGraph& graph,
           if (dp[i].ld >= we) break;
         }
       }
-      // The node's own carryover: even with no inbound candidates its
-      // level-k value must absorb D_{k-1} (and re-diff against old L_k).
-      ensure_working(u, k);
     }
 
     for (const Contact& c : batch) {
@@ -334,7 +352,15 @@ bool IncrementalSourceDp::apply(const TemporalGraph& graph,
       if (!directed) fire_new_contact(c.v, c.u, c, k);
     }
 
-    next_delta_active_.clear();
+    // A carried node without candidates has L'_k = Pareto(L'_{k-1} u
+    // old L_k). Where it had no pre-epoch version at k, old L_k is old
+    // L_{k-1}, which L'_{k-1} dominates, so L'_k = L'_{k-1} holds with
+    // no version; only a pre-epoch version at k needs rewriting.
+    for (NodeId d : carry_)
+      if (!scratch_[d].active && version_at(d, k)) ensure_working(d, k);
+
+    next_fresh_active_.clear();
+    next_carry_.clear();
     for (NodeId d : level_active_) {
       Scratch& s = scratch_[d];
       const DeliveryFunction& f = s.working;
@@ -344,18 +370,35 @@ bool IncrementalSourceDp::apply(const TemporalGraph& graph,
         write_version(d, k, f);
       else
         erase_exact_version(d, k);
+      // A rewritten node stays carried while its level-k value differs
+      // from the pre-epoch one.
       const FrontierView old_k = lookup_original(d, k);
-      if (!frontier_equals(f, old_k)) changed = true;
-      frontier_diff(f, old_k, s.next_delta);
-      if (!s.next_delta.empty()) next_delta_active_.push_back(d);
-      s.active = false;
+      if (!frontier_equals(f, old_k)) {
+        changed = true;
+        next_carry_.push_back(d);
+        if (!s.reported) {
+          s.reported = true;
+          changed_.push_back(d);
+        }
+      }
+      // Only fresh pairs need extending at k+1: a pair of L'_k \ old L_k
+      // that is also in L'_{k-1} was not in old L_{k-1} (old L_k would
+      // hold a pair dominating it, and so would L'_k), so it was fresh
+      // at an earlier level and its extensions were offered then.
+      fresh_pairs(f, lookup(nodes_[d].versions, k - 1), old_k, s.next_fresh);
+      if (!s.next_fresh.empty()) next_fresh_active_.push_back(d);
     }
-    for (NodeId u : delta_active_) scratch_[u].delta.clear();
-    for (NodeId d : next_delta_active_) {
-      scratch_[d].delta.swap(scratch_[d].next_delta);
-      scratch_[d].next_delta.clear();
+    // Carried nodes not rewritten at k keep L'_k = L'_{k-1} != old L_k.
+    for (NodeId d : carry_)
+      if (!scratch_[d].active) next_carry_.push_back(d);
+    for (NodeId d : level_active_) scratch_[d].active = false;
+    carry_.swap(next_carry_);
+    for (NodeId u : fresh_active_) scratch_[u].fresh.clear();
+    for (NodeId d : next_fresh_active_) {
+      scratch_[d].fresh.swap(scratch_[d].next_fresh);
+      scratch_[d].next_fresh.clear();
     }
-    delta_active_.swap(next_delta_active_);
+    fresh_active_.swap(next_fresh_active_);
   }
 
   // Deletions can lower the deepest productive level (a new direct
@@ -389,6 +432,8 @@ IncrementalAllPairsEngine::IncrementalAllPairsEngine(
   checkpoint_numerators_.resize(
       slots * MeasureCdfAccumulator(options_.grid).numerator_size());
   checkpoint_resume_.resize(slots * num_nodes);
+  open_destinations_.resize(slots * num_nodes);
+  open_counts_.assign(slots, kNoOpenSet);
 }
 
 double IncrementalAllPairsEngine::watermark() const noexcept {
@@ -453,7 +498,7 @@ void IncrementalAllPairsEngine::integrate_source(NodeId src,
                                                  const TimeWindows& w,
                                                  double capture_block,
                                                  SourceCdfWorker& worker) {
-  const IncrementalSourceDp& dp = dps_[src];
+  IncrementalSourceDp& dp = dps_[src];
   SourceCdfPartial& out = partials_[src];
   LaneScratch& scratch = worker.lane;
   const std::size_t n = graph_.num_nodes();
@@ -467,30 +512,58 @@ void IncrementalAllPairsEngine::integrate_source(NodeId src,
   // A lane's checkpoint slot always holds the same level (lane k-1 level
   // k, `unbounded` the cap), so a slot stays valid while its lane is a
   // copy: the settled prefix of that level's frontiers is final whether
-  // or not it is integrated.
+  // or not it is integrated. Its open set does not: the changes of the
+  // epochs it was a copy went unrecorded, so it is dropped.
   const int deepest = std::max(dp.max_version_level(), 1);
   const int last = std::min(options_.max_hops, deepest);
   const std::size_t numerator_size = out.unbounded.numerator_size();
+  const std::size_t lanes = static_cast<std::size_t>(options_.max_hops) + 1;
+  // Resume slot j is destination j + (j >= src): the source is skipped.
+  std::vector<NodeId> changed;
+  const bool walk_all = !dp.take_changed(changed);
+  std::erase(changed, src);
+  for (NodeId& d : changed) d -= d > src;
   const auto lane = [&](MeasureCdfAccumulator& acc, int index, int level) {
+    const std::size_t slot = src * lanes + static_cast<std::size_t>(index);
+    std::uint32_t* open = open_destinations_.data() + slot * n;
+    std::uint32_t& open_count = open_counts_[slot];
+    // A destination neither open nor changed has all of its pairs below
+    // the resume index: it adds no segment, only its observation measure.
+    std::vector<std::uint32_t>& walked = scratch.resume_slots;
+    walked.clear();
+    if (walk_all || open_count == kNoOpenSet) {
+      walked.resize(n - 1);
+      std::iota(walked.begin(), walked.end(), 0u);
+    } else {
+      std::set_union(open, open + open_count, changed.begin(), changed.end(),
+                     std::back_inserter(walked));
+    }
     scratch.frontiers.clear();
-    for (NodeId dst = 0; dst < n; ++dst)
-      if (dst != src) scratch.frontiers.push_back(dp.frontier_at(dst, level));
-    const std::size_t slot =
-        src * (static_cast<std::size_t>(options_.max_hops) + 1) +
-        static_cast<std::size_t>(index);
+    for (const std::uint32_t j : walked)
+      scratch.frontiers.push_back(dp.frontier_at(j + (j >= src), level));
+    scratch.destinations = n - 1;
     const LaneCheckpoint checkpoint{
         checkpoint_numerators_.data() + slot * numerator_size,
         checkpoint_resume_.data() + slot * n};
     worker.stats.cdf_pairs_integrated +=
         integrate_lane(w, scratch, acc, &checkpoint, capture_block);
+    open_count = 0;
+    for (std::size_t i = 0; i < walked.size(); ++i)
+      if (checkpoint.resume[walked[i]] < scratch.frontiers[i].size())
+        open[open_count++] = walked[i];
   };
   for (int k = 1; k <= last; ++k) lane(out.by_hops[k - 1], k - 1, k);
-  for (int k = last + 1; k <= options_.max_hops; ++k)
+  for (int k = last + 1; k <= options_.max_hops; ++k) {
     out.by_hops[k - 1] = out.by_hops[last - 1];
-  if (deepest > last)
+    open_counts_[src * lanes + static_cast<std::size_t>(k - 1)] = kNoOpenSet;
+  }
+  if (deepest > last) {
     lane(out.unbounded, options_.max_hops, cap_);
-  else
+  } else {
     out.unbounded = out.by_hops[last - 1];
+    open_counts_[src * lanes + static_cast<std::size_t>(options_.max_hops)] =
+        kNoOpenSet;
+  }
   // Same fixpoint a cold bounded run reports: the true level when it is
   // observable below the cap, the max_levels+1 "not converged" sentinel
   // otherwise.
@@ -512,13 +585,14 @@ DelayCdfResult IncrementalAllPairsEngine::all_pairs() {
       std::fill(checkpoint_numerators_.begin(), checkpoint_numerators_.end(),
                 0.0);
       std::fill(checkpoint_resume_.begin(), checkpoint_resume_.end(), 0u);
+      std::fill(open_counts_.begin(), open_counts_.end(), kNoOpenSet);
     }
     last_windows_ = w;
     have_windows_ = true;
   }
   last_end_time_ = graph_.end_time();
 
-  // Addends below the watermark's day block are final (integrate_lane).
+  // Addends below the watermark's hour block are final (integrate_lane).
   // Clean sources fold their kept partial; the scratch goes unused.
   const double capture_block = time_block(watermark());
   return fold_sources(

@@ -12,9 +12,14 @@
 // (one version per productive hop level, exactly the levels where
 // L_k != L_{k-1}), and per append epoch advances only
 //
-//   - extensions of the previous level's CHANGED pairs (the PR 3 delta
-//     idea, persisted across epochs instead of within one run), and
-//   - extensions of existing frontiers through the NEW contacts,
+//   - extensions of the previous level's FRESH pairs, those that entered
+//     the frontier at that level and were not there before the epoch
+//     (the pooled engine's change deltas, persisted across epochs
+//     instead of within one run; a pair is extended once, at the level
+//     after it enters),
+//   - extensions of existing frontiers through the NEW contacts, and
+//   - a rewrite of a changed node's higher levels only where the node
+//     had a pre-epoch version,
 //
 // so epoch cost is O(new contacts x affected frontiers), not O(trace).
 //
@@ -23,7 +28,7 @@
 // of epochs every stored frontier is BIT-identical to the one a cold
 // SingleSourceEngine computes on the concatenated trace. The per-epoch
 // CDF emission integrates each lane through the same integrate_lane
-// (core/source_cdf) as the cold direct scheme, in its (ea day block,
+// (core/source_cdf) as the cold direct scheme, in its (ea hour block,
 // destination, pair) order, and folds sources through the same driver
 // (fold_sources) in canonical order, which
 // makes each epoch's DelayCdfResult bit-identical to a cold
@@ -32,12 +37,15 @@
 // That order is checkpointed. An append only adds or removes frontier
 // pairs with ea at or past the pre-append watermark W, and a pair below
 // W keeps its segment (its predecessor is below W too), so every addend
-// in a day block below block(W) is final. Per (source, lane) the engine
-// keeps the lane's numerator state at the watermark's block and each
-// destination's resume index, and a dirty source re-integrates only the
-// pairs from there: a few percent of a full pass on the live_tail
-// workload. The IncrementalEngine tests and `odtn_fuzz --live` gate the
-// identity; the epoch cost is the `live_tail` workload of odtnbench.
+// in an hour block below block(W) is final. Per (source, lane) the
+// engine keeps the lane's numerator state at the watermark's block, each
+// destination's resume index and the lane's OPEN destinations (those
+// with pairs past the resume index). A dirty source re-integrates only
+// the pairs from there, and walks only the open destinations plus those
+// whose frontier changed: a fraction of a percent of a full pass on the
+// live_tail workload. The IncrementalEngine tests and `odtn_fuzz --live`
+// gate the identity; the epoch cost is the `live_tail` workload of
+// odtnbench.
 #pragma once
 
 #include <cstddef>
@@ -89,6 +97,12 @@ class IncrementalSourceDp {
   int level_cap() const noexcept { return cap_; }
   NodeId source() const noexcept { return source_; }
 
+  /// Moves into `out`, ascending, the nodes whose frontier changed at
+  /// some level since the previous call. Returns false instead when
+  /// every node may have changed (nothing taken since construction or
+  /// bootstrap); `out` is then empty.
+  bool take_changed(std::vector<NodeId>& out);
+
  private:
   /// One productive level's frontier, SoA so frontier_at can hand the
   /// CDF integration the same lane layout as the pooled engine's arena.
@@ -115,11 +129,13 @@ class IncrementalSourceDp {
   struct Scratch {
     bool touched = false;  // has stashes to reset next epoch
     bool active = false;   // working initialized at the current level
+    bool reported = false;  // listed in changed_
     std::size_t saved_count = 0;      // live prefix of `saved`
     std::vector<SavedVersion> saved;  // copy-on-write pre-epoch overlay
     DeliveryFunction working;         // L'_k being assembled
-    std::vector<PathPair> delta;      // D_{k-1} = L'_{k-1} \ old L_{k-1}
-    std::vector<PathPair> next_delta;
+    /// Fresh pairs of L'_{k-1}: in neither L'_{k-2} nor old L_{k-1}.
+    std::vector<PathPair> fresh;
+    std::vector<PathPair> next_fresh;
   };
 
   DeliveryFunction& ensure_working(NodeId node, int level);
@@ -135,6 +151,8 @@ class IncrementalSourceDp {
   void stash(NodeId node, int level, Version* old_entry);
   void write_version(NodeId node, int level, const DeliveryFunction& f);
   void erase_exact_version(NodeId node, int level);
+  /// The version at exactly `level`, if any.
+  const Version* version_at(NodeId node, int level) const;
 
   NodeId source_;
   std::size_t num_nodes_;
@@ -142,11 +160,20 @@ class IncrementalSourceDp {
   int max_level_ = 0;
   std::vector<NodeState> nodes_;
 
+  // Nodes changed since the last take_changed(); all of them when
+  // all_changed_.
+  bool all_changed_ = true;
+  std::vector<NodeId> changed_;
+
   // Epoch scratch.
   std::vector<Scratch> scratch_;
   std::vector<NodeId> touched_;
-  std::vector<NodeId> delta_active_;
-  std::vector<NodeId> next_delta_active_;
+  std::vector<NodeId> fresh_active_;
+  std::vector<NodeId> next_fresh_active_;
+  /// Nodes whose L'_{k-1} differs from old L_{k-1}: rewritten at level k
+  /// only where they had a pre-epoch version at exactly k.
+  std::vector<NodeId> carry_;
+  std::vector<NodeId> next_carry_;
   std::vector<NodeId> level_active_;
   std::vector<double> succ_ea_;
 };
@@ -169,7 +196,7 @@ struct IncrementalCdfOptions {
 /// partials and per-lane checkpoints. append() advances every source by
 /// one epoch; all_pairs() re-integrates only the sources whose frontiers
 /// (or resolved windows) changed, each from its checkpoint at the
-/// watermark's day block (integrate_lane), and folds all partials in
+/// watermark's hour block (integrate_lane), and folds all partials in
 /// canonical order, yielding a result bit-identical to a cold
 /// compute_delay_cdf(graph(), {accumulation = kDirect, ...}) on the
 /// contacts ingested so far.
@@ -194,6 +221,9 @@ class IncrementalAllPairsEngine {
   /// (-infinity while empty). Appended batches may not sort before it.
   double watermark() const noexcept;
 
+  /// The DP state of one source (its version lists).
+  const IncrementalSourceDp& source_dp(NodeId src) const { return dps_[src]; }
+
  private:
   DelayCdfOptions cdf_options() const;
   /// Whether checkpoints taken under `last_windows_` stay valid under `w`.
@@ -215,8 +245,13 @@ class IncrementalAllPairsEngine {
   // Checkpoints, one slot per (source, lane) with lane max_hops standing
   // for `unbounded`: numerator state in one flat buffer, resume indices
   // (one per destination) in another. All zeros is the empty checkpoint.
+  // Per slot, the open destinations after its last integration (resume
+  // slots, ascending) and their count; kNoOpenSet when unknown.
+  static constexpr std::uint32_t kNoOpenSet = ~std::uint32_t{0};
   std::vector<double> checkpoint_numerators_;
   std::vector<std::uint32_t> checkpoint_resume_;
+  std::vector<std::uint32_t> open_destinations_;
+  std::vector<std::uint32_t> open_counts_;
 };
 
 }  // namespace odtn

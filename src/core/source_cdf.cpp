@@ -113,6 +113,7 @@ void process_source_direct(const TemporalGraph& graph, NodeId src,
     lane.frontiers.clear();
     for (NodeId dst : endpoints)
       if (dst != src) lane.frontiers.push_back(engine.frontier_view(dst));
+    lane.destinations = lane.frontiers.size();
     worker.stats.cdf_pairs_integrated += integrate_lane(w, lane, acc);
   };
   for (int k = 1; k <= max_hops; ++k) {
@@ -195,7 +196,7 @@ std::uint64_t integrate_lane(const TimeWindows& w, LaneScratch& scratch,
   // pairs bound its blocks, and its pairs below the capture block are a
   // prefix of its walk.
   const auto start_of = [&](std::size_t j) -> std::uint32_t {
-    return checkpoint ? checkpoint->resume[j] : 0;
+    return checkpoint ? checkpoint->resume[scratch.resume_slots[j]] : 0;
   };
   std::size_t total = 0;
   double lo = std::numeric_limits<double>::infinity(), hi = kNegInf;
@@ -253,7 +254,7 @@ std::uint64_t integrate_lane(const TimeWindows& w, LaneScratch& scratch,
       prev_ld = ld;
     }
     settled += below;
-    if (checkpoint) checkpoint->resume[j] = start + below;
+    if (checkpoint) checkpoint->resume[scratch.resume_slots[j]] = start + below;
   }
 
   // Stream the segments in block order, storing the checkpoint where the
@@ -282,7 +283,7 @@ std::uint64_t integrate_lane(const TimeWindows& w, LaneScratch& scratch,
   sb.flush();
 
   const double window_measure = total_window_measure(w);
-  for (std::size_t j = 0; j < frontiers.size(); ++j)
+  for (std::size_t j = 0; j < scratch.destinations; ++j)
     acc.add_observation_measure(window_measure);
   return total;
 }
@@ -414,22 +415,32 @@ SourceCdfPartial& OrderedCdfFolder::total() {
 DelayCdfResult fold_sources(std::size_t count, const DelayCdfOptions& options,
                             bool incremental, const FoldSourceFn& source) {
   // Dynamic hand-out: expensive sources (dense neighborhoods, long
-  // traces) do not serialize behind a strided static partition.
+  // traces) do not serialize behind a strided static partition. One
+  // source (a serve cdf query) runs inline: waking or spawning a pool
+  // would cost more than the source itself on a cache hit.
   std::optional<ThreadPool> local_pool;
-  if (options.num_threads != 0) local_pool.emplace(options.num_threads);
-  ThreadPool& pool = local_pool ? *local_pool : shared_thread_pool();
+  ThreadPool* pool = nullptr;
+  if (count > 1) {
+    if (options.num_threads != 0) local_pool.emplace(options.num_threads);
+    pool = local_pool ? &*local_pool : &shared_thread_pool();
+  }
+  const unsigned num_workers = pool ? pool->num_workers() : 1;
 
-  std::vector<SourceCdfWorker> workers(pool.num_workers());
+  std::vector<SourceCdfWorker> workers(num_workers);
   std::vector<SourceCdfPartial> scratch;
-  scratch.reserve(pool.num_workers());
-  for (unsigned t = 0; t < pool.num_workers(); ++t)
+  scratch.reserve(num_workers);
+  for (unsigned t = 0; t < num_workers; ++t)
     scratch.emplace_back(options.grid, options.max_hops);
   OrderedCdfFolder folder(options.grid, options.max_hops, count);
 
-  pool.parallel_for(count, [&](std::size_t i, unsigned worker) {
+  const auto run = [&](std::size_t i, unsigned worker) {
     scratch[worker].clear();
     source(i, workers[worker], scratch[worker], folder);
-  });
+  };
+  if (pool)
+    pool->parallel_for(count, run);
+  else
+    for (std::size_t i = 0; i < count; ++i) run(i, 0);
 
   EngineStats stats;
   for (const SourceCdfWorker& worker : workers)

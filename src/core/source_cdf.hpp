@@ -15,12 +15,13 @@
 // deterministic DP over the same contact array.
 //
 // Within a partial, the direct scheme (CdfAccumulation::kDirect) adds
-// each hop lane's segments in one canonical order too: by day block of
+// each hop lane's segments in one canonical order too: by hour block of
 // the pair's earliest arrival, then destination, then pair
 // (integrate_lane). The cold driver and the live IncrementalAllPairsEngine
 // both integrate through that one function; the block-major order is
-// what lets the live engine keep every addend below the watermark's day
-// as a checkpoint and re-integrate only the rest after an append.
+// what lets the live engine keep every addend below the watermark's hour
+// as a checkpoint and re-integrate only the rest after an append, walking
+// only the destinations that still hold unsettled pairs.
 #pragma once
 
 #include <cmath>
@@ -87,9 +88,9 @@ struct SourceCdfPartial {
   void merge_from(const SourceCdfPartial& other);
 };
 
-/// Day block of an earliest-arrival time, floor(ea / kDay): the outer key
-/// of the canonical kDirect addend order below.
-inline double time_block(double t) { return std::floor(t / kDay); }
+/// Hour block of an earliest-arrival time, floor(ea / kHour): the outer
+/// key of the canonical kDirect addend order below.
+inline double time_block(double t) { return std::floor(t / kHour); }
 
 /// Where the live engine keeps one lane's settled prefix: the
 /// accumulator numerators after every block below the capture block
@@ -101,7 +102,8 @@ struct LaneCheckpoint {
 };
 
 /// Reusable buffers of integrate_lane (one per worker). The caller fills
-/// `frontiers` with one view per destination, in destination order.
+/// `frontiers` with one view per walked destination, in destination
+/// order, and sets `destinations` to the lane's destination count.
 struct LaneScratch {
   /// One frontier pair with its segment's lower boundary (the previous
   /// pair's ld, -infinity for the first pair).
@@ -109,13 +111,19 @@ struct LaneScratch {
     double prev_ld, ld, ea;
   };
   std::vector<FrontierView> frontiers;
+  /// With a checkpoint: frontiers[j]'s index into LaneCheckpoint::resume.
+  std::vector<std::uint32_t> resume_slots;
+  /// Destinations whose observation measure the lane adds. A checkpointed
+  /// lane may walk fewer: a destination whose pairs are all settled and
+  /// whose frontier did not change adds no segment.
+  std::size_t destinations = 0;
   std::vector<std::vector<Pair>> buckets;  // walked pairs per block
   std::vector<double> blocks;  // distinct blocks, when too sparse to index
 };
 
 /// Integrates one hop lane (a hop budget's accumulator, or `unbounded`)
 /// of one source under the direct scheme, in the canonical addend order
-/// (day block of the pair's ea, destination, pair): one walk over the
+/// (hour block of the pair's ea, destination, pair): one walk over the
 /// frontiers buckets every pair by time_block(ea), appending in walk
 /// order, and the buckets' segments are then streamed in block order
 /// through one SegmentBatcher. The observation measure of every
@@ -206,7 +214,8 @@ using FoldSourceFn = std::function<void(std::size_t index,
 /// The one all-pairs driver: runs `source` for every index in
 /// [0, count), handed out dynamically over a pool of
 /// options.num_threads workers (0 = the shared pool), with one
-/// SourceCdfWorker and one scratch partial per worker. The folder merges
+/// SourceCdfWorker and one scratch partial per worker. A fold of at
+/// most one source runs on the calling thread, with no pool. The folder merges
 /// the submitted partials in ascending index order, so the result is
 /// bit-identical across thread counts. Merges every worker's
 /// take_stats() and finalizes (finalize_delay_cdf) with `incremental`.

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <iterator>
+#include <thread>
+
 #include "core/source_cdf.hpp"
 #include "sim/flooding.hpp"
 #include "stats/log_grid.hpp"
@@ -471,6 +475,47 @@ TEST(DelayCdf, SingleThreadAndMultiThreadAgree) {
     EXPECT_EQ(r1.fixpoint_hops, rn.fixpoint_hops);
     EXPECT_EQ(r1.converged, rn.converged);
   }
+}
+
+TEST(DelayCdf, SingleSourceFoldRunsOnTheCaller) {
+  // A one-source fold (a serve cdf query) runs inline: on the calling
+  // thread, with no pool threads alive while its callback runs, however
+  // many workers the options ask for.
+  const std::filesystem::path tasks = "/proc/self/task";
+  if (!std::filesystem::exists(tasks))
+    GTEST_SKIP() << "no per-thread listing to count threads with";
+  const auto thread_count = [&] {
+    return std::distance(std::filesystem::directory_iterator(tasks),
+                         std::filesystem::directory_iterator());
+  };
+  const TemporalGraph g(3, {{0, 1, 1.0, 2.0}, {1, 2, 3.0, 4.0}});
+  DelayCdfOptions opt = base_options();
+  opt.num_threads = 4;
+  const auto before = thread_count();
+  const std::thread::id caller = std::this_thread::get_id();
+  int calls = 0;
+  const DelayCdfResult r = fold_sources(
+      1, opt, /*incremental=*/false,
+      [&](std::size_t i, SourceCdfWorker&, SourceCdfPartial& scratch,
+          OrderedCdfFolder& folder) {
+        ++calls;
+        EXPECT_EQ(i, 0u);
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        EXPECT_EQ(thread_count(), before);
+        scratch.unbounded.add_observation_measure(1.0);
+        folder.submit(i, scratch);
+      });
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(r.denominator, 1.0);
+  // An empty fold calls nothing and still finalizes.
+  EXPECT_EQ(fold_sources(0, opt, false,
+                         [&](std::size_t, SourceCdfWorker&,
+                             SourceCdfPartial&, OrderedCdfFolder&) {
+                           ++calls;
+                         })
+                .denominator,
+            0.0);
+  EXPECT_EQ(calls, 1);
 }
 
 }  // namespace

@@ -207,18 +207,47 @@ DelayCdfOptions cold_options(const IncrementalCdfOptions& io) {
   return o;
 }
 
+/// Every source's version lists against a cold pooled engine stepped
+/// level by level over `graph`: frontier_at(d, k) for every node and
+/// every level up to the cap, and the deepest productive level.
+void expect_versions_match_cold(const IncrementalAllPairsEngine& engine,
+                                const TemporalGraph& graph) {
+  const auto same = [](const FrontierView& a, const FrontierView& b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t i = 0; i < a.size(); ++i)
+      if (a.ld(i) != b.ld(i) || a.ea(i) != b.ea(i)) return false;
+    return true;
+  };
+  for (NodeId src = 0; src < graph.num_nodes(); ++src) {
+    const IncrementalSourceDp& dp = engine.source_dp(src);
+    SingleSourceEngine cold(graph, src, EngineMode::kPooled);
+    int deepest = 0;
+    for (int k = 0; k <= dp.level_cap(); ++k) {
+      if (k > 0 && cold.step() && !cold.last_changed().empty()) deepest = k;
+      for (NodeId d = 0; d < graph.num_nodes(); ++d)
+        ASSERT_TRUE(same(dp.frontier_at(d, k), cold.frontier_view(d)))
+            << "source " << src << " node " << d << " level " << k;
+    }
+    ASSERT_EQ(dp.max_version_level(), deepest) << "source " << src;
+  }
+}
+
 /// Appends `full` in the epochs delimited by `cuts` (ascending contact
-/// indices; the last epoch runs to the end) and checks every epoch
-/// against a cold kDirect run on the prefix.
-void check_epoch_cuts(const TemporalGraph& full, std::vector<std::size_t> cuts,
-                      IncrementalCdfOptions io) {
+/// indices; the last epoch runs to the end; a repeated cut is an empty
+/// epoch) and checks every epoch against a cold kDirect run on the
+/// prefix, and every source's version lists against a cold engine.
+/// Returns the epochs' results.
+std::vector<DelayCdfResult> check_epoch_cuts(const TemporalGraph& full,
+                                             std::vector<std::size_t> cuts,
+                                             IncrementalCdfOptions io) {
   io.grid = test_grid(full);
   IncrementalAllPairsEngine engine(full.num_nodes(), full.directed(), io);
   const auto contacts = full.contacts();
   cuts.push_back(contacts.size());
+  std::vector<DelayCdfResult> epochs;
   std::size_t at = 0;
   for (const std::size_t cut : cuts) {
-    if (cut <= at) continue;
+    if (cut < at) continue;
     engine.append(contacts.subspan(at, cut - at));
     at = cut;
     const TemporalGraph prefix(
@@ -227,12 +256,14 @@ void check_epoch_cuts(const TemporalGraph& full, std::vector<std::size_t> cuts,
                              contacts.begin() + static_cast<long>(at)),
         full.directed());
     const DelayCdfResult cold = compute_delay_cdf(prefix, cold_options(io));
-    const DelayCdfResult live = engine.all_pairs();
-    expect_bit_identical(live, cold);
+    epochs.push_back(engine.all_pairs());
+    expect_bit_identical(epochs.back(), cold);
     // A second call without an append must replay identically (the
     // partial cache path).
     expect_bit_identical(engine.all_pairs(), cold);
+    expect_versions_match_cold(engine, prefix);
   }
+  return epochs;
 }
 
 void check_epoch_splits(const TemporalGraph& full, int epochs,
@@ -303,26 +334,34 @@ TEST(IncrementalEngine, MultiDayEpochSplitsAreBitIdentical) {
 }
 
 TEST(IncrementalEngine, EpochStartingOnADayBoundary) {
-  // Contacts beginning exactly at k * kDay, with epochs cut both just
-  // before them (the new pairs open block k) and just after them (the
-  // watermark, and so the capture block, sits exactly on the boundary).
+  // Contacts beginning exactly at k * kDay and at whole hours (the
+  // blocks' boundaries), with epochs cut both just before them (the new
+  // pairs open a block) and just after them (the watermark, and so the
+  // capture block, sits exactly on the boundary). The second 3-5
+  // contact begins at the watermark the first one set and replaces its
+  // pair, which lies in the capture block and so must not be settled.
   std::vector<Contact> contacts =
       multi_day_graph(67, 4.0, 0.0, false).contacts_vector();
   contacts.push_back({0, 1, 2 * kDay, 2 * kDay + 600.0});
   contacts.push_back({2, 3, 2 * kDay, 2 * kDay + 60.0});
   contacts.push_back({1, 4, 3 * kDay, 3 * kDay + 300.0});
+  contacts.push_back({3, 5, kDay + 7 * kHour, kDay + 7 * kHour + 900.0});
+  contacts.push_back({3, 5, kDay + 7 * kHour, kDay + 7 * kHour + 2000.0});
+  contacts.push_back({5, 6, 2 * kDay + 13 * kHour, 2 * kDay + 14 * kHour});
   const TemporalGraph full(10, std::move(contacts), false);
   const auto all = full.contacts();
   std::vector<std::size_t> cuts;
-  for (const double day : {1.0, 2.0, 3.0}) {
+  for (const double t : {1.0 * kDay, kDay + 7 * kHour, 2.0 * kDay,
+                         2 * kDay + 13 * kHour, 3.0 * kDay}) {
     const auto first = static_cast<std::size_t>(
-        std::lower_bound(all.begin(), all.end(), day * kDay,
-                         [](const Contact& c, double t) { return c.begin < t; }) -
+        std::lower_bound(all.begin(), all.end(), t,
+                         [](const Contact& c, double b) { return c.begin < b; }) -
         all.begin());
     ASSERT_LT(first, all.size());
     cuts.insert(cuts.end(), {first - 3, first, first + 1, first + 2});
   }
   std::sort(cuts.begin(), cuts.end());
+  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
   IncrementalCdfOptions io;
   io.max_hops = 6;
   check_epoch_cuts(full, cuts, io);
@@ -350,6 +389,32 @@ TEST(IncrementalEngine, GrowingDepthSwitchesCopiedLanesToIntegrated) {
   }
 }
 
+TEST(IncrementalEngine, LaneCopiedForAnEpochWalksEveryDestination) {
+  // Source 0's deepest level drops from 3 to 2 and comes back: the second
+  // epoch's direct contact 0-3 (beginning at the watermark) dominates the
+  // only level-3 pair, so lane 3 (and, with two hop budgets, `unbounded`)
+  // is a copy for that epoch while node 4, settled until then, gains a
+  // pair; the third epoch's contact 2-5 makes level 3 productive again
+  // without touching node 4. The lane's next integration must still walk
+  // node 4.
+  const std::vector<Contact> contacts{
+      {0, 1, 1 * kHour, 1 * kHour + 100},
+      {0, 4, 1.5 * kHour, 1.5 * kHour + 100},
+      {1, 2, 2 * kHour, 2 * kHour + 100},
+      {2, 3, 5 * kHour, 5 * kHour + 100},
+      {0, 3, 5 * kHour, 5 * kHour + 200},
+      {0, 4, 5 * kHour + 60, 5 * kHour + 160},
+      {2, 5, 6 * kHour, 6 * kHour + 100}};
+  const TemporalGraph full(6, contacts, false);
+  for (const int max_hops : {2, 3}) {
+    IncrementalCdfOptions io;
+    io.max_hops = max_hops;
+    io.t_lo = full.start_time();
+    io.t_hi = full.end_time();
+    check_epoch_cuts(full, {4, 6}, io);
+  }
+}
+
 TEST(IncrementalEngine, NanWindowKeepsCheckpoints) {
   // A NaN t_hi resolves to the growing end time, so every epoch changes
   // the window; the checkpoints must survive that (only denominators
@@ -370,6 +435,60 @@ TEST(IncrementalEngine, NanWindowKeepsCheckpoints) {
   expect_bit_identical(tail, compute_delay_cdf(full, cold_options(io)));
   EXPECT_LT(2 * tail.stats.cdf_pairs_integrated,
             full_pass.stats.cdf_pairs_integrated);
+}
+
+TEST(IncrementalEngine, VersionListsMatchColdEngineEveryEpoch) {
+  // Directed and undirected splits, with tight max_levels (the level
+  // loop runs into the cap, sources stay unconverged) and loose ones.
+  unsigned seed = 81;
+  for (const bool directed : {false, true}) {
+    const TemporalGraph full = multi_day_graph(seed++, 3.0, 0.7, directed);
+    for (const int max_levels : {2, 3, 64}) {
+      IncrementalCdfOptions io;
+      io.max_hops = 4;
+      io.max_levels = max_levels;
+      check_epoch_splits(full, 25, io);
+    }
+  }
+  IncrementalCdfOptions io;
+  io.max_hops = 8;
+  check_epoch_splits(sample_graph(83), 9, io);
+}
+
+TEST(IncrementalEngine, EmptyFirstAppendThenBulkAndTail) {
+  // An empty epoch first (every lane integrated over no pairs), then the
+  // bulk backlog seeds the DPs through bootstrap, then small tail
+  // epochs: each lane's next integration must walk every destination
+  // the bulk load gave pairs to, with the explicit window and the
+  // growing NaN one.
+  const TemporalGraph full = multi_day_graph(87, 3.0, 0.3, false);
+  const std::size_t n = full.num_contacts();
+  const std::vector<std::size_t> cuts{0, 0, n - 9, n - 6, n - 5, n - 2};
+  for (const bool explicit_window : {true, false}) {
+    IncrementalCdfOptions io;
+    io.max_hops = 6;
+    if (explicit_window) {
+      io.t_lo = full.start_time();
+      io.t_hi = full.end_time();
+    }
+    check_epoch_cuts(full, cuts, io);
+  }
+}
+
+TEST(IncrementalEngine, OneContactTailEpochIntegratesFewPairs) {
+  // A one-contact tail epoch on a multi-day trace re-integrates only the
+  // watermark's hour, and only for the destinations with pairs there.
+  const TemporalGraph full = multi_day_graph(89, 4.5, 0.2, false, 14);
+  const std::size_t n = full.num_contacts();
+  IncrementalCdfOptions io;
+  io.max_hops = 6;
+  io.t_lo = full.start_time();
+  io.t_hi = full.end_time();
+  const std::vector<DelayCdfResult> epochs =
+      check_epoch_cuts(full, {n - 1}, io);
+  ASSERT_EQ(epochs.size(), 2u);
+  EXPECT_LT(100 * epochs[1].stats.cdf_pairs_integrated,
+            epochs[0].stats.cdf_pairs_integrated);
 }
 
 TEST(IncrementalEngine, ThreadCountsGiveIdenticalEpochs) {

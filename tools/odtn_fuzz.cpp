@@ -42,11 +42,15 @@
 // Each trial splits an adversarial trace into a random number of append
 // epochs, runs them through IncrementalAllPairsEngine, and requires
 // every epoch's all_pairs() to be bit-identical to a cold
-// compute_delay_cdf(kDirect) on the prefix ingested so far (over the
-// same explicit full-span start window). Half of the trials first
-// stretch the trace over 3-6 days and shift it by a random non-integral
-// number of days, sometimes negative, so the engine's day-block
-// checkpoints are captured and resumed across several blocks. It also
+// compute_delay_cdf(kDirect) on the prefix ingested so far, and every
+// source's version lists to equal a cold engine's frontiers at every
+// level. Half of the trials use the explicit full-span start window,
+// the other half the growing trace span (NaN bounds, as `odtn tail`
+// does), which keeps the checkpoints across epochs. Half of the trials
+// first stretch the trace over 3-6 days and shift it by a random
+// non-integral number of days, sometimes negative, so the engine's
+// hour-block checkpoints are captured and resumed across many blocks.
+// It also
 // replays the trace's byte serialization through StreamingTraceParser
 // under random chunk splits -- sometimes one byte at a time, sometimes
 // with the final newline stripped so the flush() path runs -- and
@@ -604,11 +608,46 @@ TemporalGraph spread_over_days(const TemporalGraph& g, Rng& rng,
   return TemporalGraph(g.num_nodes(), std::move(contacts), g.directed());
 }
 
+/// Whether every source's version lists in `engine` equal a cold pooled
+/// engine's frontiers on `g` at every level up to the cap, and its
+/// deepest productive level the cold one.
+bool versions_match_cold(const IncrementalAllPairsEngine& engine,
+                         const TemporalGraph& g) {
+  const auto same = [](const FrontierView& a, const FrontierView& b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t i = 0; i < a.size(); ++i)
+      if (a.ld(i) != b.ld(i) || a.ea(i) != b.ea(i)) return false;
+    return true;
+  };
+  for (NodeId src = 0; src < g.num_nodes(); ++src) {
+    const IncrementalSourceDp& dp = engine.source_dp(src);
+    SingleSourceEngine cold(g, src, EngineMode::kPooled);
+    const auto level_matches = [&](int k) {
+      for (NodeId d = 0; d < g.num_nodes(); ++d)
+        if (!same(dp.frontier_at(d, k), cold.frontier_view(d))) return false;
+      return true;
+    };
+    // Past the cold fixpoint every frontier is final, and so must the
+    // version lists be: checking the cap covers the levels in between.
+    int k = 0, deepest = 0;
+    if (!level_matches(0)) return false;
+    while (k < dp.level_cap() && cold.step()) {
+      ++k;
+      if (!cold.last_changed().empty()) deepest = k;
+      if (!level_matches(k)) return false;
+    }
+    if (!level_matches(dp.level_cap()) || dp.max_version_level() != deepest)
+      return false;
+  }
+  return true;
+}
+
 /// Live mode (--live N): the tentpole differential. (a) Any K-way
 /// canonical-order split of a trace into append epochs must leave every
 /// epoch's incremental all-pairs result bit-identical to a cold
 /// kDirect run on the prefix ingested so far (empty epochs allowed --
-/// they must be clean no-ops). (b) Any byte-split of the trace's
+/// they must be clean no-ops), with every version list equal to a cold
+/// engine's frontiers. (b) Any byte-split of the trace's
 /// serialization through StreamingTraceParser must reproduce the
 /// one-shot read_trace graph, including a final line with its newline
 /// stripped (the flush() path).
@@ -634,6 +673,11 @@ int live_trials(long trials, std::uint64_t base_seed) {
     io.num_threads = 1;
     io.t_lo = g.start_time();
     io.t_hi = g.end_time();
+    // A stream of its own too: the growing window (NaN bounds resolve to
+    // the prefix's span, and only its end moves once contacts arrived).
+    Rng window_rng = Rng::keyed(seed, 0x7a11);
+    if (window_rng.bernoulli(0.5))
+      io.t_lo = io.t_hi = std::numeric_limits<double>::quiet_NaN();
     DelayCdfOptions cold_opt;
     cold_opt.grid = io.grid;
     cold_opt.max_hops = io.max_hops;
@@ -663,6 +707,8 @@ int live_trials(long trials, std::uint64_t base_seed) {
       if (!cdf_results_identical(live, cold))
         live_failure("incremental epoch diverged from cold prefix recompute",
                      g, seed);
+      if (!versions_match_cold(engine, prefix))
+        live_failure("version lists diverged from a cold engine", g, seed);
     }
 
     // (b) Byte-split streaming parse vs the one-shot parser.

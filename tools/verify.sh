@@ -9,8 +9,9 @@
 # (epoch splits vs cold recomputes) --
 # and a final pass of the concurrency suites (thread pool,
 # MC harness, empirical distribution, phase transition, LRU cache,
-# query engine) under ThreadSanitizer (the `tsan` preset). Run from the
-# repository root.
+# query engine, live ingest -- whose all_pairs updates per-source state
+# inside the parallel fold) under ThreadSanitizer (the `tsan` preset).
+# Run from the repository root.
 # Exits non-zero on the first failure.
 set -eu
 
