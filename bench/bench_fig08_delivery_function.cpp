@@ -73,7 +73,7 @@ int main() {
     }
     std::printf("\n    %-22s %-22s %s\n", "last departure (LD)",
                 "earliest arrival (EA)", "kind");
-    for (const PathPair& p : f.pairs()) {
+    for (const PathPair& p : f.to_pairs()) {
       std::printf("    %-22s %-22s %s\n", format_timestamp(p.ld).c_str(),
                   format_timestamp(p.ea).c_str(),
                   p.ea <= p.ld ? "contemporaneous" : "store-and-forward");

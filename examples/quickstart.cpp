@@ -32,7 +32,7 @@ int main() {
 
   std::printf("Delay-optimal paths from node 0 to node 3:\n");
   const DeliveryFunction to3 = engine.frontier(3);
-  for (const PathPair& p : to3.pairs()) {
+  for (const PathPair& p : to3.to_pairs()) {
     std::printf("  depart by t=%-5.0f -> arrive at t=%-5.0f (%s)\n", p.ld,
                 p.ea,
                 p.ea <= p.ld ? "contemporaneous" : "store-and-forward");

@@ -7,51 +7,44 @@
 // EA_k = min{ EA_l : l >= k }. The surviving list is a Pareto frontier:
 // both LD and EA strictly increase along it, and each surviving pair is
 // exactly one delay-optimal path (one discontinuity of del).
+//
+// Every frontier in the repository has one layout: two parallel lanes
+// of doubles, ld and ea (structure of arrays). DeliveryFunction owns its
+// lanes; FrontierView reads any lane pair -- a DeliveryFunction, a span
+// of the pooled engine's pair arena or a live engine version -- so the
+// CDF integration and the dominance probes never convert layouts.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 #include "core/path_pair.hpp"
-#include "stats/measure_cdf.hpp"
 
 namespace odtn {
 
-/// Non-owning read view of one Pareto frontier, over either layout the
-/// repository uses: the seed array-of-structs (DeliveryFunction's
-/// std::vector<PathPair>) or the pooled engine's structure-of-arrays
-/// arena spans. The layout branch inside each accessor is perfectly
-/// predicted (a given view never changes layout), so views are the
-/// uniform cheap accessor for engine consumers; the pooled hot kernels
-/// bypass views and touch the SoA lanes directly.
+/// Non-owning read view of one Pareto frontier: two parallel lanes
+/// (ld, ea), both strictly ascending. The one layout every frontier of
+/// the repository uses -- DeliveryFunction's lanes, the pooled engine's
+/// arena spans and the live engine's versions -- so hot kernels take
+/// the lanes straight from ld_data()/ea_data().
 class FrontierView {
  public:
   FrontierView() = default;
 
-  /// SoA view: parallel ld/ea arrays of length n, both ascending.
+  /// Parallel ld/ea lanes of length n, both ascending.
   FrontierView(const double* ld, const double* ea, std::size_t n) noexcept
       : ld_(ld), ea_(ea), n_(n) {}
-
-  /// AoS view over a (sorted, pruned) pair list.
-  explicit FrontierView(const std::vector<PathPair>& pairs) noexcept
-      : aos_(pairs.data()), n_(pairs.size()) {}
 
   std::size_t size() const noexcept { return n_; }
   bool empty() const noexcept { return n_ == 0; }
 
-  double ld(std::size_t i) const noexcept {
-    return aos_ ? aos_[i].ld : ld_[i];
-  }
-  double ea(std::size_t i) const noexcept {
-    return aos_ ? aos_[i].ea : ea_[i];
-  }
+  double ld(std::size_t i) const noexcept { return ld_[i]; }
+  double ea(std::size_t i) const noexcept { return ea_[i]; }
+  PathPair pair(std::size_t i) const noexcept { return {ld_[i], ea_[i]}; }
 
-  /// Raw SoA lanes, nullptr when the view wraps an AoS pair list. The
-  /// incremental CDF scheme uses these to diff two arena-resident
-  /// frontier versions without materializing either.
-  const double* soa_ld() const noexcept { return aos_ ? nullptr : ld_; }
-  const double* soa_ea() const noexcept { return aos_ ? nullptr : ea_; }
-  PathPair pair(std::size_t i) const noexcept { return {ld(i), ea(i)}; }
+  /// The raw lanes (size() doubles each).
+  const double* ld_data() const noexcept { return ld_; }
+  const double* ea_data() const noexcept { return ea_; }
 
   /// Optimal delivery time del(t); +infinity when no pair departs at or
   /// after `t`. Same contract as DeliveryFunction::deliver_at.
@@ -60,24 +53,21 @@ class FrontierView {
   /// Latest useful departure time (-infinity when empty).
   double last_departure() const noexcept;
 
-  /// Exact delay-distribution integration over start times uniform on
-  /// [t_lo, t_hi]; same contract as
-  /// DeliveryFunction::accumulate_delay_measure. SoA views stream both
-  /// lanes straight into MeasureCdfAccumulator::add_delivery_segments.
-  void accumulate_delay_measure(MeasureCdfAccumulator& acc, double t_lo,
-                                double t_hi, double weight = 1.0) const;
-
  private:
   const double* ld_ = nullptr;
   const double* ea_ = nullptr;
-  const PathPair* aos_ = nullptr;
   std::size_t n_ = 0;
 };
 
-/// Pareto frontier of (LD, EA) pairs for one source-destination pair.
+/// Pareto frontier of (LD, EA) pairs for one source-destination pair,
+/// stored as two lanes.
 ///
 /// Invariant: pairs are sorted with strictly increasing ld AND strictly
 /// increasing ea (later departure always costs later arrival).
+///
+/// This class is the reference the batched kernels of
+/// core/frontier_kernels.hpp are tested against, so its search is its
+/// own std::lower_bound and shares no code with them.
 class DeliveryFunction {
  public:
   DeliveryFunction() = default;
@@ -96,21 +86,21 @@ class DeliveryFunction {
   /// +infinity when no path departs at or after `t`.
   double deliver_at(double t) const noexcept;
 
-  /// Optimal delay del(t) - t (0 when the pair is contemporaneously
-  /// connected at t; +infinity when unreachable).
-  double delay(double t) const noexcept;
-
   /// Number of delay-optimal paths (frontier size).
-  std::size_t size() const noexcept { return pairs_.size(); }
-  bool empty() const noexcept { return pairs_.empty(); }
+  std::size_t size() const noexcept { return ld_.size(); }
+  bool empty() const noexcept { return ld_.empty(); }
 
   /// Removes every pair (capacity is kept, for reusable scratch buffers).
-  void clear() noexcept { pairs_.clear(); }
+  void clear() noexcept {
+    ld_.clear();
+    ea_.clear();
+  }
 
   /// Replaces the contents with an already-canonical frontier (strictly
-  /// ascending in both lanes, e.g. a stored frontier version). O(n) copy
-  /// with no dominance checks -- the caller vouches for the invariant
-  /// (asserted in debug builds). Capacity is reused like clear().
+  /// ascending in both lanes, e.g. a stored frontier version). O(n) lane
+  /// copy with no dominance checks -- the caller vouches for the
+  /// invariant (asserted in debug builds). Capacity is reused like
+  /// clear().
   void assign_canonical(const FrontierView& v);
 
   /// Replaces the contents with the Pareto front of the union of two
@@ -121,25 +111,14 @@ class DeliveryFunction {
   /// insert keeps the pair already present).
   void assign_union(const FrontierView& base, const FrontierView& other);
 
-  /// Ensures capacity for at least `n` pairs without changing contents.
-  void reserve(std::size_t n) { pairs_.reserve(n); }
+  /// Read view over the two lanes. Invalidated by any mutation.
+  FrontierView view() const noexcept {
+    return FrontierView(ld_.data(), ea_.data(), ld_.size());
+  }
 
-  const std::vector<PathPair>& pairs() const noexcept { return pairs_; }
-
-  /// Read view over this frontier's pair list. Invalidated by any
-  /// mutation.
-  FrontierView view() const noexcept { return FrontierView(pairs_); }
-
-  /// Integrates this function's delay distribution for start times
-  /// uniform on [t_lo, t_hi] into `acc` (numerator only; the caller adds
-  /// the (t_hi - t_lo) observation measure), scaled by `weight`. Exact,
-  /// no sampling. weight = -1 retracts an earlier weight = +1
-  /// integration of the same frontier exactly (see
-  /// MeasureCdfAccumulator::add_segment), which is how the incremental
-  /// all-pairs scheme swaps a changed destination's old frontier for its
-  /// new one.
-  void accumulate_delay_measure(MeasureCdfAccumulator& acc, double t_lo,
-                                double t_hi, double weight = 1.0) const;
+  /// The pairs as an owning list, ascending (a copy: bind it to a local
+  /// before taking iterators).
+  std::vector<PathPair> to_pairs() const;
 
   /// Latest useful departure time (+infinity never occurs; -infinity when
   /// empty).
@@ -154,11 +133,11 @@ class DeliveryFunction {
   /// ea among all pairs usable at departure x).
   std::size_t lower_bound_ld(double x) const noexcept;
 
-  std::vector<PathPair> pairs_;
+  std::vector<double> ld_;
+  std::vector<double> ea_;
 };
 
-/// Materializes a view (any layout) into an owning DeliveryFunction with
-/// identical pair list.
+/// Copies a (canonical) view's lanes into an owning DeliveryFunction.
 DeliveryFunction materialize(const FrontierView& view);
 
 /// Reference implementation of del(t) straight from Eq. (3), evaluated

@@ -60,6 +60,7 @@ struct DelayCdfOptions {
   std::vector<NodeId> endpoints;
 
   /// Start-time window; NaN means the graph's [start_time, end_time].
+  /// Infinite bounds (here or in `windows`) are rejected.
   double t_lo = std::numeric_limits<double>::quiet_NaN();
   double t_hi = std::numeric_limits<double>::quiet_NaN();
 

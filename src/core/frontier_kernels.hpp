@@ -1,7 +1,7 @@
 // Batched Pareto-frontier kernels over structure-of-arrays pair storage.
 //
-// The seed representation (DeliveryFunction) maintains a frontier by
-// per-candidate `insert()`: a binary search plus a mid-vector element
+// DeliveryFunction, the reference, maintains its two lanes by
+// per-candidate `insert()`: a binary search plus a mid-lane element
 // shift, i.e. O(F) moved bytes PER KEPT CANDIDATE. These kernels replace
 // that with batched operations exploiting the double-monotone invariant
 // (both LD and EA strictly increase along a frontier):
@@ -14,8 +14,8 @@
 //       needed for wait-candidate suppression) in one pass: O(F + m)
 //       total, independent of how many candidates are kept.
 //
-// Both kernels reproduce the seed `DeliveryFunction::insert` semantics
-// bit for bit (the Pareto front of a pair set is unique); this is gated
+// Both kernels reproduce `DeliveryFunction::insert` semantics bit for
+// bit (the Pareto front of a pair set is unique); this is gated
 // by tests/test_frontier_kernels.cpp and `odtn_fuzz --kernel`.
 #pragma once
 

@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <iterator>
 #include <numeric>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "core/frontier_kernels.hpp"
 #include "core/optimal_paths.hpp"
-#include "util/thread_pool.hpp"
 
 namespace odtn {
 
@@ -21,11 +19,10 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// before any contact (same literal the engines use).
 PathPair identity_pair() { return {kInf, -kInf}; }
 
-bool frontier_equals(const DeliveryFunction& f, const FrontierView& v) {
-  if (f.size() != v.size()) return false;
-  const std::vector<PathPair>& p = f.pairs();
-  for (std::size_t i = 0; i < p.size(); ++i)
-    if (p[i].ld != v.ld(i) || p[i].ea != v.ea(i)) return false;
+bool frontier_equals(const FrontierView& a, const FrontierView& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (a.ld(i) != b.ld(i) || a.ea(i) != b.ea(i)) return false;
   return true;
 }
 
@@ -37,11 +34,12 @@ bool holds(const FrontierView& v, std::size_t& j, const PathPair& p) {
 }
 
 /// Pairs of `f` absent from both `below` and `old_view`, into `out`.
-void fresh_pairs(const DeliveryFunction& f, const FrontierView& below,
+void fresh_pairs(const FrontierView& f, const FrontierView& below,
                  const FrontierView& old_view, std::vector<PathPair>& out) {
   out.clear();
   std::size_t j = 0, m = 0;
-  for (const PathPair& p : f.pairs()) {
+  for (std::size_t i = 0; i < f.size(); ++i) {
+    const PathPair p = f.pair(i);
     const bool in_below = holds(below, j, p);
     const bool in_old = holds(old_view, m, p);
     if (!in_below && !in_old) out.push_back(p);
@@ -60,9 +58,7 @@ IncrementalSourceDp::IncrementalSourceDp(NodeId source, std::size_t num_nodes,
   nodes_.resize(num_nodes_);
   scratch_.resize(num_nodes_);
   Version seed;
-  seed.level = 0;
-  seed.ld.push_back(identity_pair().ld);
-  seed.ea.push_back(identity_pair().ea);
+  seed.frontier.insert(identity_pair());
   nodes_[source_].versions.push_back(std::move(seed));
 }
 
@@ -76,8 +72,7 @@ FrontierView IncrementalSourceDp::lookup(const std::vector<Version>& versions,
       versions.begin(), versions.end(), level,
       [](int l, const Version& v) { return l < v.level; });
   if (it == versions.begin()) return FrontierView();
-  const Version& best = *(it - 1);
-  return FrontierView(best.ld.data(), best.ea.data(), best.ld.size());
+  return (it - 1)->frontier.view();
 }
 
 FrontierView IncrementalSourceDp::frontier_at(NodeId node, int level) const {
@@ -109,13 +104,10 @@ FrontierView IncrementalSourceDp::lookup_original(NodeId node,
     const int ls = j >= 0 ? saved[static_cast<std::size_t>(j)].level : -1;
     if (lv > ls) {
       // No stash covers (ls, level], so the live entry is pre-epoch.
-      const Version& best = vs[static_cast<std::size_t>(i)];
-      return FrontierView(best.ld.data(), best.ea.data(), best.ld.size());
+      return vs[static_cast<std::size_t>(i)].frontier.view();
     }
     const SavedVersion& s = saved[static_cast<std::size_t>(j)];
-    if (s.existed)
-      return FrontierView(s.version.ld.data(), s.version.ea.data(),
-                          s.version.ld.size());
+    if (s.existed) return s.version.frontier.view();
     // Tombstone: the level had no version pre-epoch; skip it entirely.
     if (lv == ls) --i;
     --j;
@@ -152,17 +144,15 @@ void IncrementalSourceDp::stash(NodeId node, int level, Version* old_entry) {
   SavedVersion& sv = s.saved[s.saved_count++];
   sv.level = level;
   sv.existed = old_entry != nullptr;
-  sv.version.ld.clear();
-  sv.version.ea.clear();
+  sv.version.frontier.clear();
   if (old_entry) {
     sv.version.level = old_entry->level;
-    sv.version.ld.swap(old_entry->ld);
-    sv.version.ea.swap(old_entry->ea);
+    std::swap(sv.version.frontier, old_entry->frontier);
   }
 }
 
 void IncrementalSourceDp::write_version(NodeId node, int level,
-                                        const DeliveryFunction& f) {
+                                        const FrontierView& f) {
   std::vector<Version>& vs = nodes_[node].versions;
   auto it = std::lower_bound(
       vs.begin(), vs.end(), level,
@@ -174,14 +164,7 @@ void IncrementalSourceDp::write_version(NodeId node, int level,
     stash(node, level, &*it);  // moves the old lanes into the overlay
   }
   it->level = level;
-  it->ld.clear();
-  it->ea.clear();
-  it->ld.reserve(f.size());
-  it->ea.reserve(f.size());
-  for (const PathPair& p : f.pairs()) {
-    it->ld.push_back(p.ld);
-    it->ea.push_back(p.ea);
-  }
+  it->frontier.assign_canonical(f);
   if (level > max_level_) max_level_ = level;
 }
 
@@ -228,16 +211,9 @@ void IncrementalSourceDp::bootstrap(const TemporalGraph& graph) {
     // engine. Levels ascend, so each node's list stays sorted by plain
     // appends.
     for (const NodeId d : eng.last_changed()) {
-      const FrontierView f = eng.frontier_view(d);
-      Version v;
+      Version& v = nodes_[d].versions.emplace_back();
       v.level = k;
-      v.ld.reserve(f.size());
-      v.ea.reserve(f.size());
-      for (std::size_t i = 0; i < f.size(); ++i) {
-        v.ld.push_back(f.ld(i));
-        v.ea.push_back(f.ea(i));
-      }
-      nodes_[d].versions.push_back(std::move(v));
+      v.frontier.assign_canonical(eng.frontier_view(d));
     }
     max_level_ = k;
   }
@@ -269,9 +245,8 @@ bool IncrementalSourceDp::apply(const TemporalGraph& graph,
   // value.
   const auto offer_to = [&](NodeId to, int k, PathPair cand) {
     Scratch& s = scratch_[to];
-    // Every version view is SoA, so the engine's shared probe applies.
     const auto dominated_in = [&](const FrontierView& v) {
-      return frontier_dominates(v.soa_ld(), v.soa_ea(), v.size(), cand.ld,
+      return frontier_dominates(v.ld_data(), v.ea_data(), v.size(), cand.ld,
                                 cand.ea);
     };
     if (!s.active && (dominated_in(lookup(nodes_[to].versions, k - 1)) ||
@@ -288,9 +263,8 @@ bool IncrementalSourceDp::apply(const TemporalGraph& graph,
                                     int k) {
     const Version* v = version_at(u, k - 1);
     if (!v) return;
-    for_each_frontier_extension(
-        FrontierView(v->ld.data(), v->ea.data(), v->ld.size()), c.begin,
-        c.end, [&](PathPair cand) { offer_to(to, k, cand); });
+    for_each_frontier_extension(v->frontier.view(), c.begin, c.end,
+                                [&](PathPair cand) { offer_to(to, k, cand); });
   };
 
   for (int k = 1; k <= cap_; ++k) {
@@ -363,7 +337,7 @@ bool IncrementalSourceDp::apply(const TemporalGraph& graph,
     next_carry_.clear();
     for (NodeId d : level_active_) {
       Scratch& s = scratch_[d];
-      const DeliveryFunction& f = s.working;
+      const FrontierView f = s.working.view();
       // Version-iff-productive invariant: a version at k exists exactly
       // when L'_k != L'_{k-1}.
       if (!frontier_equals(f, lookup(nodes_[d].versions, k - 1)))
@@ -426,6 +400,8 @@ IncrementalAllPairsEngine::IncrementalAllPairsEngine(
     dps_.emplace_back(s, num_nodes, cap_);
     partials_.emplace_back(options_.grid, options_.max_hops);
   }
+  if (options_.num_threads != 0)
+    pool_ = std::make_unique<ThreadPool>(options_.num_threads);
   dirty_.assign(num_nodes, 1);
   const std::size_t slots =
       num_nodes * (static_cast<std::size_t>(options_.max_hops) + 1);
@@ -434,6 +410,10 @@ IncrementalAllPairsEngine::IncrementalAllPairsEngine(
   checkpoint_resume_.resize(slots * num_nodes);
   open_destinations_.resize(slots * num_nodes);
   open_counts_.assign(slots, kNoOpenSet);
+}
+
+ThreadPool& IncrementalAllPairsEngine::pool() const {
+  return pool_ ? *pool_ : shared_thread_pool();
 }
 
 double IncrementalAllPairsEngine::watermark() const noexcept {
@@ -448,15 +428,12 @@ std::uint64_t IncrementalAllPairsEngine::append(
   const std::size_t old_count = graph_.num_contacts();
   graph_.append_contacts(batch);
 
-  std::optional<ThreadPool> local_pool;
-  if (options_.num_threads != 0) local_pool.emplace(options_.num_threads);
-  ThreadPool& pool = local_pool ? *local_pool : shared_thread_pool();
   // Build (or grow) the indexes before fanning out, so the workers only
   // read them: append_contacts already merged the new windows in if they
   // existed, and this materializes them on the very first epoch.
   graph_.neighbor_offsets();
 
-  pool.parallel_for(dps_.size(), [&](std::size_t i, unsigned) {
+  pool().parallel_for(dps_.size(), [&](std::size_t i, unsigned) {
     if (old_count == 0) {
       // First (bulk) batch: seed each DP from a cold pooled run instead
       // of replaying the epoch machinery -- same frontiers, batch cost.
@@ -604,7 +581,8 @@ DelayCdfResult IncrementalAllPairsEngine::all_pairs() {
           dirty_[i] = 0;
         }
         folder.submit(i, partials_[i]);
-      });
+      },
+      &pool());
 }
 
 }  // namespace odtn

@@ -51,6 +51,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -58,6 +59,7 @@
 #include "core/diameter.hpp"
 #include "core/source_cdf.hpp"
 #include "core/temporal_graph.hpp"
+#include "util/thread_pool.hpp"
 
 namespace odtn {
 
@@ -104,12 +106,10 @@ class IncrementalSourceDp {
   bool take_changed(std::vector<NodeId>& out);
 
  private:
-  /// One productive level's frontier, SoA so frontier_at can hand the
-  /// CDF integration the same lane layout as the pooled engine's arena.
+  /// One productive level's frontier.
   struct Version {
     int level = 0;
-    std::vector<double> ld;
-    std::vector<double> ea;
+    DeliveryFunction frontier;
   };
   struct NodeState {
     std::vector<Version> versions;  // ascending level, one per change
@@ -149,7 +149,7 @@ class IncrementalSourceDp {
   /// only) modification this epoch; moves `old_entry` out when the level
   /// had a version.
   void stash(NodeId node, int level, Version* old_entry);
-  void write_version(NodeId node, int level, const DeliveryFunction& f);
+  void write_version(NodeId node, int level, const FrontierView& f);
   void erase_exact_version(NodeId node, int level);
   /// The version at exactly `level`, if any.
   const Version* version_at(NodeId node, int level) const;
@@ -187,7 +187,9 @@ struct IncrementalCdfOptions {
   int max_levels = 64;
   double t_lo = std::numeric_limits<double>::quiet_NaN();
   double t_hi = std::numeric_limits<double>::quiet_NaN();
-  /// Worker threads for the per-source fan-out; 0 = shared pool.
+  /// Worker threads for the per-source fan-out and the fold; 0 = the
+  /// shared pool. Otherwise the engine builds its own pool once and runs
+  /// every epoch on it.
   unsigned num_threads = 0;
 };
 
@@ -232,9 +234,14 @@ class IncrementalAllPairsEngine {
   /// worker's lane buffers, counting into worker.stats.
   void integrate_source(NodeId src, const TimeWindows& w,
                         double capture_block, SourceCdfWorker& worker);
+  /// The engine's own pool, or the shared one when num_threads is 0.
+  ThreadPool& pool() const;
 
   TemporalGraph graph_;
   IncrementalCdfOptions options_;
+  // Built once when options_.num_threads != 0; a pointer keeps the
+  // engine movable.
+  std::unique_ptr<ThreadPool> pool_;
   int cap_;
   std::vector<IncrementalSourceDp> dps_;
   std::vector<SourceCdfPartial> partials_;

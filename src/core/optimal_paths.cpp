@@ -12,40 +12,15 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Feeds every useful extension of `pairs` through the contact window
-/// [begin, end] to `offer(PathPair)`.
-template <typename Offer>
-void for_each_extension(const std::vector<PathPair>& pairs, double begin,
-                        double end, Offer&& offer) {
-  // Pairs with ea <= begin all extend to (min(ld, end), begin); the one
-  // with the largest ld dominates the rest. Pairs are sorted by
-  // increasing ea, so that is the last pair before `first_late`.
-  const auto first_late = static_cast<std::size_t>(
-      std::upper_bound(pairs.begin(), pairs.end(), begin,
-                       [](double x, const PathPair& p) { return x < p.ea; }) -
-      pairs.begin());
-  if (first_late > 0) {
-    const PathPair& p = pairs[first_late - 1];
-    offer({std::min(p.ld, end), begin});
-  }
-  // Pairs with begin < ea <= end extend to (min(ld, end), ea). Once a
-  // pair has ld >= end, later pairs (larger ld AND larger ea) only yield
-  // dominated (end, larger-ea) candidates.
-  for (std::size_t i = first_late; i < pairs.size() && pairs[i].ea <= end;
-       ++i) {
-    const PathPair& p = pairs[i];
-    offer({std::min(p.ld, end), p.ea});
-    if (p.ld >= end) break;
-  }
-}
+/// The empty sequence: the message is at the source at all times.
+constexpr PathPair identity_pair() noexcept { return {kInf, -kInf}; }
 
 }  // namespace
 
 bool extend_frontier(const DeliveryFunction& from, double begin, double end,
                      DeliveryFunction& into, EngineStats* stats) {
-  if (from.pairs().empty()) return false;
   bool changed = false;
-  for_each_extension(from.pairs(), begin, end, [&](PathPair candidate) {
+  for_each_frontier_extension(from.view(), begin, end, [&](PathPair candidate) {
     const bool kept = into.insert(candidate);
     if (stats) {
       if (kept)
@@ -57,13 +32,6 @@ bool extend_frontier(const DeliveryFunction& from, double begin, double end,
   });
   return changed;
 }
-
-namespace {
-
-/// The empty sequence: the message is at the source at all times.
-constexpr PathPair identity_pair() noexcept { return {kInf, -kInf}; }
-
-}  // namespace
 
 SingleSourceEngine::SingleSourceEngine(const TemporalGraph& graph,
                                        NodeId source, EngineMode mode)
@@ -241,14 +209,14 @@ bool SingleSourceEngine::step_pooled() {
           next_active_.push_back(to);
         }
       };
-      // Same extension cases as for_each_extension, with a linear scan
-      // (deltas hold a handful of pairs) and wait-candidate suppression:
-      // a window whose begin reaches the delta pair's successor EA (its
-      // successor in the node's full frontier, carried in the aux lane)
-      // draws its wait candidate from the successor chain -- pairs with
-      // strictly larger ld whose offers already happened the level after
-      // they entered -- so the delta's own wait candidate is provably
-      // dominated and is not offered at all.
+      // Same extension cases as for_each_frontier_extension, with a
+      // linear scan (deltas hold a handful of pairs) and wait-candidate
+      // suppression: a window whose begin reaches the delta pair's
+      // successor EA (its successor in the node's full frontier, carried
+      // in the aux lane) draws its wait candidate from the successor
+      // chain -- pairs with strictly larger ld whose offers already
+      // happened the level after they entered -- so the delta's own wait
+      // candidate is provably dominated and is not offered at all.
       while (ride_hi < dn && dea[ride_hi] <= we) ++ride_hi;
       while (arr < dn && dea[arr] <= wb) ++arr;
       while (arr > 0 && dea[arr - 1] > wb) --arr;
@@ -368,8 +336,7 @@ int SingleSourceEngine::run_to_fixpoint(int max_levels) {
 }
 
 DeliveryFunction SingleSourceEngine::frontier(NodeId dst) const {
-  if (mode_ == EngineMode::kPooled) return materialize(frontier_view(dst));
-  return frontiers_[dst];
+  return materialize(frontier_view(dst));
 }
 
 FrontierView SingleSourceEngine::frontier_view(NodeId dst) const {
@@ -382,7 +349,6 @@ FrontierView SingleSourceEngine::frontier_view(NodeId dst) const {
 }
 
 std::vector<DeliveryFunction> SingleSourceEngine::frontiers() const {
-  if (mode_ != EngineMode::kPooled) return frontiers_;
   std::vector<DeliveryFunction> out(graph_->num_nodes());
   for (NodeId v = 0; v < graph_->num_nodes(); ++v)
     out[v] = materialize(frontier_view(v));
@@ -390,13 +356,9 @@ std::vector<DeliveryFunction> SingleSourceEngine::frontiers() const {
 }
 
 std::size_t SingleSourceEngine::total_pairs() const noexcept {
-  if (mode_ == EngineMode::kPooled) {
-    std::size_t total = 0;
-    for (const PairSpan& s : fspan_) total += s.length;
-    return total;
-  }
   std::size_t total = 0;
-  for (const auto& f : frontiers_) total += f.size();
+  for (NodeId v = 0; v < graph_->num_nodes(); ++v)
+    total += frontier_view(v).size();
   return total;
 }
 

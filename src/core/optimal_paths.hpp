@@ -130,11 +130,9 @@ bool extend_frontier(const DeliveryFunction& from, double begin, double end,
 
 /// Enumerates the candidate pairs that extending the frontier `from`
 /// through one contact window [begin, end] yields, calling `offer` on
-/// each in the exact order extend_frontier inserts them. `from` must be
-/// a canonical frontier (both lanes strictly ascending). View-layout
-/// counterpart of extend_frontier for callers that keep frontiers in SoA
-/// version storage and want the candidates without materializing a
-/// DeliveryFunction first.
+/// each in order. `from` must be a canonical frontier (both lanes
+/// strictly ascending). extend_frontier inserts exactly these candidates;
+/// the live engine offers them straight from its stored versions.
 template <typename Offer>
 void for_each_frontier_extension(const FrontierView& from, double begin,
                                  double end, Offer&& offer) {
@@ -175,8 +173,8 @@ class SingleSourceEngine {
 
   /// Rebinds the engine to a new source on the same graph: hop budget
   /// back to 0, every frontier and delta emptied. All buffers keep their
-  /// capacity (kPooled recycles its arenas, kLevelSweep clears its pair
-  /// vectors in place), so a worker that processes many sources through
+  /// capacity (kPooled recycles its arenas, kLevelSweep clears its
+  /// frontier lanes in place), so a worker that processes many sources through
   /// one engine allocates its workspace exactly once -- reset() itself
   /// never allocates once the slabs reached their high-water capacity.
   /// Counted in stats().workspace_reuses.
@@ -211,8 +209,8 @@ class SingleSourceEngine {
   bool at_fixpoint() const noexcept { return fixpoint_; }
 
   /// Frontier (delivery function) for `dst` at the current hop budget,
-  /// BY VALUE: kLevelSweep copies, kPooled materializes from its arena
-  /// span. Convenient and mode-agnostic; hot loops use frontier_view.
+  /// BY VALUE: a lane copy of frontier_view(dst) in either mode.
+  /// Convenient; hot loops use frontier_view.
   DeliveryFunction frontier(NodeId dst) const;
 
   /// Zero-copy read view of `dst`'s frontier in any mode. Invalidated

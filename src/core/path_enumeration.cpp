@@ -18,7 +18,7 @@ std::vector<OptimalRoute> enumerate_optimal_routes(const TemporalGraph& graph,
 
   std::vector<OptimalRoute> routes;
   routes.reserve(frontier.size());
-  for (const PathPair& pair : frontier.pairs()) {
+  for (const PathPair& pair : frontier.to_pairs()) {
     // A message created at t0 = min(LD, EA) is delivered at exactly EA
     // by a path using this pair (contemporaneous pairs deliver at the
     // creation instant EA <= LD; store-and-forward pairs depart by LD

@@ -1,6 +1,7 @@
 #include "core/query_engine.hpp"
 
 #include <atomic>
+#include <cmath>
 #include <numeric>
 #include <stdexcept>
 #include <utility>
@@ -151,6 +152,8 @@ DelayCdfResult QueryEngine::all_pairs(double t_lo, double t_hi) {
 std::size_t QueryEngine::reachable_count(NodeId source, double t) const {
   if (source >= graph_.num_nodes())
     throw std::invalid_argument("QueryEngine::reachable_count: bad source");
+  if (std::isnan(t))
+    throw std::invalid_argument("QueryEngine::reachable_count: NaN time");
   SingleSourceEngine engine(graph_, source);
   engine.run_to_fixpoint(options_.max_levels);
   std::size_t reached = 0;

@@ -89,7 +89,8 @@ class QueryEngine {
   DelayCdfResult all_pairs(double t_lo = kWholeSpan, double t_hi = kWholeSpan);
 
   /// Number of nodes (excluding the source) reachable by a message
-  /// created at `source` at time `t`, unlimited hops.
+  /// created at `source` at time `t`, unlimited hops. Throws
+  /// std::invalid_argument on a NaN `t`.
   std::size_t reachable_count(NodeId source, double t) const;
 
   /// Journey optima (foremost/fastest/shortest) from source to

@@ -74,10 +74,10 @@ void integrate_frontier_delta(const FrontierView& old_f,
                               MeasureCdfAccumulator& acc,
                               std::uint64_t& pairs_integrated) {
   constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-  const double* o_ld = old_f.soa_ld();
-  const double* o_ea = old_f.soa_ea();
-  const double* n_ld = new_f.soa_ld();
-  const double* n_ea = new_f.soa_ea();
+  const double* o_ld = old_f.ld_data();
+  const double* o_ea = old_f.ea_data();
+  const double* n_ld = new_f.ld_data();
+  const double* n_ea = new_f.ea_data();
   const std::size_t on = old_f.size(), nn = new_f.size();
   const std::size_t match_max = std::min(on, nn);
   const std::size_t p = equal_prefix2(o_ld, o_ea, n_ld, n_ea, match_max);
@@ -290,9 +290,17 @@ std::uint64_t integrate_lane(const TimeWindows& w, LaneScratch& scratch,
 
 TimeWindows resolve_cdf_windows(const TemporalGraph& graph,
                                 const DelayCdfOptions& options) {
+  // An infinite bound makes the observation measure infinite: the CDF
+  // would read NaN or zero instead of failing.
+  const auto require_finite = [](double lo, double hi) {
+    if (std::isinf(lo) || std::isinf(hi))
+      throw std::invalid_argument(
+          "compute_delay_cdf: start-time window bounds must be finite");
+  };
   if (!options.windows.empty()) {
     double prev = -std::numeric_limits<double>::infinity();
     for (const auto& [lo, hi] : options.windows) {
+      require_finite(lo, hi);
       if (!(lo <= hi) || lo < prev)
         throw std::invalid_argument(
             "compute_delay_cdf: windows must be disjoint and increasing");
@@ -301,6 +309,7 @@ TimeWindows resolve_cdf_windows(const TemporalGraph& graph,
     return options.windows;
   }
   double lo = options.t_lo, hi = options.t_hi;
+  require_finite(lo, hi);
   if (std::isnan(lo)) lo = graph.start_time();
   if (std::isnan(hi)) hi = graph.end_time();
   if (!(lo <= hi))
@@ -413,14 +422,16 @@ SourceCdfPartial& OrderedCdfFolder::total() {
 }
 
 DelayCdfResult fold_sources(std::size_t count, const DelayCdfOptions& options,
-                            bool incremental, const FoldSourceFn& source) {
+                            bool incremental, const FoldSourceFn& source,
+                            ThreadPool* pool) {
   // Dynamic hand-out: expensive sources (dense neighborhoods, long
   // traces) do not serialize behind a strided static partition. One
   // source (a serve cdf query) runs inline: waking or spawning a pool
   // would cost more than the source itself on a cache hit.
   std::optional<ThreadPool> local_pool;
-  ThreadPool* pool = nullptr;
-  if (count > 1) {
+  if (count <= 1) {
+    pool = nullptr;
+  } else if (!pool) {
     if (options.num_threads != 0) local_pool.emplace(options.num_threads);
     pool = local_pool ? &*local_pool : &shared_thread_pool();
   }

@@ -42,13 +42,16 @@
 
 namespace odtn {
 
+class ThreadPool;
+
 /// Disjoint increasing start-time windows (resolved form of
 /// DelayCdfOptions::{windows, t_lo, t_hi}).
 using TimeWindows = std::vector<std::pair<double, double>>;
 
-/// Resolves the options' start-time windows against the graph span.
-/// Throws std::invalid_argument on overlapping/decreasing windows or an
-/// empty [t_lo, t_hi].
+/// Resolves the options' start-time windows against the graph span (a
+/// NaN t_lo / t_hi is the graph's start / end time). Throws
+/// std::invalid_argument on overlapping/decreasing windows, an empty
+/// [t_lo, t_hi] or an infinite bound.
 TimeWindows resolve_cdf_windows(const TemporalGraph& graph,
                                 const DelayCdfOptions& options);
 
@@ -212,14 +215,16 @@ using FoldSourceFn = std::function<void(std::size_t index,
                                         OrderedCdfFolder& folder)>;
 
 /// The one all-pairs driver: runs `source` for every index in
-/// [0, count), handed out dynamically over a pool of
-/// options.num_threads workers (0 = the shared pool), with one
-/// SourceCdfWorker and one scratch partial per worker. A fold of at
-/// most one source runs on the calling thread, with no pool. The folder merges
-/// the submitted partials in ascending index order, so the result is
-/// bit-identical across thread counts. Merges every worker's
-/// take_stats() and finalizes (finalize_delay_cdf) with `incremental`.
+/// [0, count), handed out dynamically over `pool` when the caller owns
+/// one, else over a pool of options.num_threads workers (0 = the shared
+/// pool), with one SourceCdfWorker and one scratch partial per worker.
+/// A fold of at most one source runs on the calling thread, with no
+/// pool. The folder merges the submitted partials in ascending index
+/// order, so the result is bit-identical across thread counts. Merges
+/// every worker's take_stats() and finalizes (finalize_delay_cdf) with
+/// `incremental`.
 DelayCdfResult fold_sources(std::size_t count, const DelayCdfOptions& options,
-                            bool incremental, const FoldSourceFn& source);
+                            bool incremental, const FoldSourceFn& source,
+                            ThreadPool* pool = nullptr);
 
 }  // namespace odtn

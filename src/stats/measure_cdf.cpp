@@ -22,18 +22,6 @@ MeasureCdfAccumulator::MeasureCdfAccumulator(std::vector<double> grid)
   }
 }
 
-void MeasureCdfAccumulator::add_delivery_segments(const double* ld,
-                                                  const double* ea,
-                                                  std::size_t n, double t_lo,
-                                                  double t_hi, double weight,
-                                                  double prev_ld) {
-  assert(t_lo <= t_hi);
-  // One window is the multi-window walk's degenerate case: every pair
-  // gets the same clipped segment and the walk ends at the same pair.
-  const std::pair<double, double> window(t_lo, t_hi);
-  add_delivery_segments(ld, ea, n, &window, 1, weight, prev_ld);
-}
-
 void MeasureCdfAccumulator::add_delivery_segments(
     const double* ld, const double* ea, std::size_t n,
     const std::pair<double, double>* windows, std::size_t num_windows,

@@ -61,29 +61,19 @@ class MeasureCdfAccumulator {
     add_segment_at(a, b, arrival, weight, lo, hi);
   }
 
-  /// Batched form of accumulate_delay_measure for structure-of-arrays
-  /// delivery functions: streams a whole frontier (parallel ld/ea lanes,
-  /// both ascending, as stored in the pooled engine's pair arena) in one
-  /// call. Start times in (ld[i-1], ld[i]] are served by pair i at
-  /// arrival ea[i]; each segment is clipped to [t_lo, t_hi] and fed to
-  /// add_segment, so the result is bit-identical to the per-pair path.
-  /// `prev_ld` is the lower start-time boundary of the FIRST pair --
-  /// -infinity for a whole frontier; a real departure time when `ld`/`ea`
-  /// are an interior slice of a larger frontier (the incremental scheme
-  /// integrates only the slice where consecutive hop levels differ, with
-  /// prev_ld = the last pair of the shared prefix).
-  /// Hot: this is the pooled all-pairs CDF integration kernel.
-  void add_delivery_segments(
-      const double* ld, const double* ea, std::size_t n, double t_lo,
-      double t_hi, double weight = 1.0,
-      double prev_ld = -std::numeric_limits<double>::infinity());
-
-  /// Multi-window form: one walk over the frontier slice feeding every
-  /// window it overlaps (`windows` sorted, disjoint), instead of one
-  /// walk per window -- O(n + W) rather than O(n * W). Equivalent to
-  /// calling the single-window form once per window: every add_segment
-  /// receives identical clipped arguments, only their order changes
-  /// (grouped by pair instead of by window).
+  /// Streams a whole structure-of-arrays delivery function (parallel
+  /// ld/ea lanes, both ascending -- the one frontier layout, see
+  /// core/delivery_function.hpp) in one call, feeding every start-time
+  /// window it overlaps (`windows` sorted, disjoint; one window is the
+  /// one-element array). Start times in (ld[i-1], ld[i]] are served by
+  /// pair i at arrival ea[i]; each segment is clipped to every window
+  /// and fed to add_segment, one walk over the lanes for all windows:
+  /// O(n + W) rather than O(n * W). `prev_ld` is the lower start-time
+  /// boundary of the FIRST pair -- -infinity for a whole frontier; a real
+  /// departure time when `ld`/`ea` are an interior slice of a larger
+  /// frontier (the incremental scheme integrates only the slice where
+  /// consecutive hop levels differ, with prev_ld = the last pair of the
+  /// shared prefix).
   void add_delivery_segments(
       const double* ld, const double* ea, std::size_t n,
       const std::pair<double, double>* windows, std::size_t num_windows,

@@ -439,6 +439,35 @@ TEST_F(CliServe, ServeIngestRejectsOutOfRangeNodes) {
   EXPECT_EQ(errors, 3) << out;
 }
 
+TEST_F(CliServe, ServeRejectsNonFiniteQueryTimes) {
+  // Each query used to get a silently wrong answer: 40 -nan values, all
+  // zeros, value=1 and count=0.
+  const std::string trace = serve_trace("srv_inf.trace");
+  const std::string queries = track(path("srv_inf.q"));
+  {
+    std::ofstream out(queries);
+    out << "cdf 0 inf inf\n"
+        << "cdf 0 -inf inf\n"
+        << "diameter 0.01 inf inf\n"
+        << "reach 0 nan\n";
+  }
+  ::testing::internal::CaptureStdout();
+  ASSERT_EQ(run_cli({"serve", "--trace", trace, "--input", queries}), 0);
+  const std::string out = ::testing::internal::GetCapturedStdout();
+  std::istringstream lines(out);
+  int errors = 0;
+  for (std::string line; std::getline(lines, line);)
+    if (line.rfind("error ", 0) == 0) ++errors;
+  EXPECT_EQ(errors, 4) << out;
+}
+
+TEST_F(CliServe, TailRejectsInfiniteWindow) {
+  const std::string trace = serve_trace("tail_inf.trace");
+  ::testing::internal::CaptureStdout();
+  EXPECT_NE(run_cli({"tail", trace, "--window-hi", "inf"}), 0);
+  ::testing::internal::GetCapturedStdout();
+}
+
 /// Strips the us=<latency> token so two runs can be compared bit-exactly.
 std::string strip_latency(const std::string& text) {
   std::string out;

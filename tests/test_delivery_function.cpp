@@ -4,9 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "stats/log_grid.hpp"
+#include "stats/measure_cdf.hpp"
 #include "util/rng.hpp"
 
 namespace odtn {
@@ -14,8 +20,17 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Integrates `f` over start times uniform on [t_lo, t_hi] through the
+/// accumulator's lane stream, one window.
+void accumulate(const DeliveryFunction& f, MeasureCdfAccumulator& acc,
+                double t_lo, double t_hi) {
+  const FrontierView v = f.view();
+  const std::pair<double, double> window(t_lo, t_hi);
+  acc.add_delivery_segments(v.ld_data(), v.ea_data(), v.size(), &window, 1);
+}
+
 void expect_invariants(const DeliveryFunction& f) {
-  const auto& ps = f.pairs();
+  const std::vector<PathPair> ps = f.to_pairs();
   for (std::size_t i = 1; i < ps.size(); ++i) {
     ASSERT_LT(ps[i - 1].ld, ps[i].ld) << "LD must strictly increase";
     ASSERT_LT(ps[i - 1].ea, ps[i].ea) << "EA must strictly increase";
@@ -26,7 +41,6 @@ TEST(DeliveryFunction, EmptyIsUnreachable) {
   DeliveryFunction f;
   EXPECT_TRUE(f.empty());
   EXPECT_EQ(f.deliver_at(0.0), kInf);
-  EXPECT_EQ(f.delay(0.0), kInf);
   EXPECT_EQ(f.last_departure(), -kInf);
 }
 
@@ -36,8 +50,6 @@ TEST(DeliveryFunction, SinglePair) {
   EXPECT_DOUBLE_EQ(f.deliver_at(0.0), 4.0);
   EXPECT_DOUBLE_EQ(f.deliver_at(7.0), 7.0);
   EXPECT_EQ(f.deliver_at(11.0), kInf);
-  EXPECT_DOUBLE_EQ(f.delay(0.0), 4.0);
-  EXPECT_DOUBLE_EQ(f.delay(7.0), 0.0);
 }
 
 TEST(DeliveryFunction, DominatedInsertRejected) {
@@ -55,7 +67,7 @@ TEST(DeliveryFunction, DominatingInsertEvictsWorsePairs) {
   f.insert({8.0, 6.0});
   EXPECT_TRUE(f.insert({9.0, 2.0}));  // dominates both
   EXPECT_EQ(f.size(), 1u);
-  EXPECT_DOUBLE_EQ(f.pairs()[0].ld, 9.0);
+  EXPECT_DOUBLE_EQ(f.to_pairs()[0].ld, 9.0);
   expect_invariants(f);
 }
 
@@ -64,7 +76,7 @@ TEST(DeliveryFunction, EqualLdBetterEaReplaces) {
   f.insert({5.0, 3.0});
   EXPECT_TRUE(f.insert({5.0, 1.0}));
   EXPECT_EQ(f.size(), 1u);
-  EXPECT_DOUBLE_EQ(f.pairs()[0].ea, 1.0);
+  EXPECT_DOUBLE_EQ(f.to_pairs()[0].ea, 1.0);
   expect_invariants(f);
 }
 
@@ -73,7 +85,7 @@ TEST(DeliveryFunction, EqualEaLaterLdReplaces) {
   f.insert({5.0, 3.0});
   EXPECT_TRUE(f.insert({7.0, 3.0}));
   EXPECT_EQ(f.size(), 1u);
-  EXPECT_DOUBLE_EQ(f.pairs()[0].ld, 7.0);
+  EXPECT_DOUBLE_EQ(f.to_pairs()[0].ld, 7.0);
   expect_invariants(f);
 }
 
@@ -153,7 +165,7 @@ TEST_P(DeliveryFunctionRandom, ConditionFourAndCompleteness) {
     f.insert(p);
   }
   // Condition (4): EA strictly increasing along the LD-sorted frontier.
-  const auto& ps = f.pairs();
+  const std::vector<PathPair> ps = f.to_pairs();
   for (std::size_t k = 0; k + 1 < ps.size(); ++k) {
     ASSERT_LT(ps[k].ld, ps[k + 1].ld);
     ASSERT_LT(ps[k].ea, ps[k + 1].ea);
@@ -174,13 +186,94 @@ TEST_P(DeliveryFunctionRandom, ConditionFourAndCompleteness) {
 INSTANTIATE_TEST_SUITE_P(Seeds, DeliveryFunctionRandom,
                          ::testing::Values(1u, 77u, 2024u, 0xFEEDu));
 
+/// Pair from a small quantized set, with zeros of both signs, so equal-ld
+/// and equal-ea ties (including -0.0 against 0.0) are common.
+PathPair tie_prone_pair(Rng& rng) {
+  const auto value = [&rng](double lo, double hi) {
+    const double v = std::floor(rng.uniform(lo, hi)) / 2.0;
+    return v == 0.0 && rng.bernoulli(0.5) ? -0.0 : v;
+  };
+  const double ld = value(0.0, 24.0);
+  return {ld, value(-6.0, 24.0)};
+}
+
+DeliveryFunction tie_prone_frontier(Rng& rng, std::size_t attempts) {
+  DeliveryFunction f;
+  for (std::size_t i = 0; i < attempts; ++i) f.insert(tie_prone_pair(rng));
+  return f;
+}
+
+/// Equality down to the bit pattern: `==` on doubles cannot tell -0.0
+/// from 0.0, and which of two tied pairs survives is part of the
+/// contract.
+void expect_same_bits(const DeliveryFunction& got, const DeliveryFunction& want,
+                      const std::string& what) {
+  const FrontierView a = got.view(), b = want.view();
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(a.ld(i)),
+              std::bit_cast<std::uint64_t>(b.ld(i)))
+        << what << " ld i=" << i;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(a.ea(i)),
+              std::bit_cast<std::uint64_t>(b.ea(i)))
+        << what << " ea i=" << i;
+  }
+}
+
+// The header contract of assign_union: bit-identical to
+// assign_canonical(base) followed by insert() of every pair of `other`.
+// `other` mixes fresh pairs with copies of base pairs whose ea (equal-ld
+// ties) or ld (equal-ea ties) is moved, or whose zero flips its sign.
+TEST(DeliveryFunction, AssignUnionEqualsCanonicalPlusInserts) {
+  for (std::uint64_t trial = 0; trial < 400; ++trial) {
+    Rng rng = Rng::keyed(0xA55E, trial);
+    const DeliveryFunction base = tie_prone_frontier(rng, rng.below(24));
+    const std::vector<PathPair> base_pairs = base.to_pairs();
+    DeliveryFunction other;
+    const std::size_t extra = rng.below(24);
+    for (std::size_t i = 0; i < extra; ++i) {
+      PathPair p = tie_prone_pair(rng);
+      if (!base_pairs.empty() && rng.bernoulli(0.6)) {
+        p = base_pairs[rng.below(base_pairs.size())];
+        switch (rng.below(4)) {
+          case 0:  // equal ld, ea moved either way
+            p.ea += rng.bernoulli(0.5) ? 0.5 : -0.5;
+            break;
+          case 1:  // equal ea, ld moved either way
+            p.ld += rng.bernoulli(0.5) ? 0.5 : -0.5;
+            break;
+          case 2:  // the same pair, signs of zero flipped
+            if (p.ld == 0.0) p.ld = -p.ld;
+            if (p.ea == 0.0) p.ea = -p.ea;
+            break;
+          default:  // an exact copy
+            break;
+        }
+      }
+      other.insert(p);
+    }
+    const std::string what = "trial=" + std::to_string(trial);
+
+    DeliveryFunction want;
+    want.assign_canonical(base.view());
+    expect_same_bits(want, base, what + " assign_canonical");
+    for (const PathPair& p : other.to_pairs()) want.insert(p);
+
+    DeliveryFunction got;
+    got.insert({1e9, 1e9});  // stale contents must be replaced
+    got.assign_union(base.view(), other.view());
+    expect_same_bits(got, want, what);
+    expect_invariants(got);
+  }
+}
+
 TEST(DeliveryFunction, AccumulateMatchesClosedForm) {
   DeliveryFunction f;
   f.insert({10.0, 5.0});
   f.insert({30.0, 25.0});
   const std::vector<double> grid{1.0, 5.0, 20.0};
   MeasureCdfAccumulator acc(grid);
-  f.accumulate_delay_measure(acc, 0.0, 40.0);
+  accumulate(f, acc, 0.0, 40.0);
   acc.add_observation_measure(40.0);
   const auto cdf = acc.cdf();
   // Segment 1: t in (0, 10], arrival 5 -> delay max(0, 5-t).
@@ -199,7 +292,7 @@ TEST(DeliveryFunction, AccumulateRespectsWindowClipping) {
   f.insert({10.0, 5.0});
   const std::vector<double> grid{100.0};
   MeasureCdfAccumulator acc(grid);
-  f.accumulate_delay_measure(acc, 2.0, 6.0);  // only t in (2, 6]
+  accumulate(f, acc, 2.0, 6.0);  // only t in (2, 6]
   acc.add_observation_measure(4.0);
   EXPECT_NEAR(acc.cdf()[0], 1.0, 1e-12);  // all 4 units delivered
 }

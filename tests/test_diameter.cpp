@@ -5,6 +5,8 @@
 
 #include <filesystem>
 #include <iterator>
+#include <limits>
+#include <utility>
 #include <thread>
 
 #include "core/source_cdf.hpp"
@@ -204,6 +206,33 @@ TEST(DelayCdf, InvalidOptionsThrow) {
   opt.t_lo = 5.0;
   opt.t_hi = 1.0;
   EXPECT_THROW(compute_delay_cdf(g, opt), std::invalid_argument);
+}
+
+TEST(DelayCdf, InfiniteWindowBoundsThrow) {
+  // An infinite bound makes the observation measure infinite; it used to
+  // yield NaN or all-zero CDFs instead of an error. NaN still means the
+  // graph's span.
+  TemporalGraph g(2, {{0, 1, 0.0, 1.0}});
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::pair<double, double> bad[] = {
+      {0.0, inf}, {inf, inf}, {-inf, inf}, {-inf, 0.5}, {nan, inf},
+      {-inf, nan}};
+  for (const auto& [lo, hi] : bad) {
+    auto opt = base_options();
+    opt.t_lo = lo;
+    opt.t_hi = hi;
+    EXPECT_THROW(compute_delay_cdf(g, opt), std::invalid_argument)
+        << lo << " " << hi;
+    opt.t_lo = opt.t_hi = nan;
+    opt.windows = {{-1.0, 0.0}, {lo, hi}};
+    EXPECT_THROW(compute_delay_cdf(g, opt), std::invalid_argument)
+        << "windows " << lo << " " << hi;
+  }
+  auto opt = base_options();
+  opt.t_hi = 0.5;  // t_lo NaN: the graph's start
+  const TimeWindows w = resolve_cdf_windows(g, opt);
+  EXPECT_EQ(w, (TimeWindows{{0.0, 0.5}}));
 }
 
 TEST(DelayCdf, ConvergedFlagReportsFixpointTruncation) {

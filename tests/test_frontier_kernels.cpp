@@ -2,8 +2,8 @@
 // (core/frontier_kernels.hpp) and the PairArena-backed propagation mode.
 //
 // The Pareto front of a pair set is unique, so the batched prune+merge
-// path must reproduce the seed DeliveryFunction::insert semantics BIT
-// FOR BIT -- every test here asserts exact equality, not tolerance,
+// path must reproduce the reference DeliveryFunction::insert semantics
+// BIT FOR BIT -- every test here asserts exact equality, not tolerance,
 // except the all-pairs CDF cross-check (two accumulation orders, gated
 // at 1e-9). Streams are derived with Rng::keyed so each trial is
 // reproducible in isolation.
@@ -45,17 +45,28 @@ DeliveryFunction random_frontier(Rng& rng, std::size_t attempts) {
 }
 
 std::vector<double> ld_lane(const DeliveryFunction& f) {
-  std::vector<double> out;
-  out.reserve(f.size());
-  for (const PathPair& p : f.pairs()) out.push_back(p.ld);
-  return out;
+  const FrontierView v = f.view();
+  return {v.ld_data(), v.ld_data() + v.size()};
 }
 
 std::vector<double> ea_lane(const DeliveryFunction& f) {
-  std::vector<double> out;
-  out.reserve(f.size());
-  for (const PathPair& p : f.pairs()) out.push_back(p.ea);
-  return out;
+  const FrontierView v = f.view();
+  return {v.ea_data(), v.ea_data() + v.size()};
+}
+
+/// The per-pair integration reference: start times in (ld_{i-1}, ld_i]
+/// are served by pair i at arrival ea_i, each segment clipped to
+/// [t_lo, t_hi] and added by its own add_segment call.
+void accumulate_per_pair(const DeliveryFunction& f, MeasureCdfAccumulator& acc,
+                         double t_lo, double t_hi) {
+  double prev_ld = -kInf;
+  for (const PathPair& p : f.to_pairs()) {
+    const double a = std::max(prev_ld, t_lo);
+    const double b = std::min(p.ld, t_hi);
+    if (a < b) acc.add_segment(a, b, p.ea);
+    prev_ld = p.ld;
+    if (prev_ld >= t_hi) break;
+  }
 }
 
 /// Adversarial random trace (same regime as test_engine_crosscheck):
@@ -140,7 +151,7 @@ void expect_prune_equals_insert(std::vector<PathPair> batch,
   const std::size_t kept = prune_candidate_batch(batch.data(), batch.size());
   ASSERT_EQ(kept, ref.size()) << what;
   for (std::size_t i = 0; i < kept; ++i)
-    ASSERT_EQ(batch[i], ref.pairs()[i]) << what << " i=" << i;
+    ASSERT_EQ(batch[i], ref.view().pair(i)) << what << " i=" << i;
 }
 
 TEST(FrontierKernels, PruneBatchEqualsInsertAll) {
@@ -183,6 +194,8 @@ void expect_merge_equals_insert(const DeliveryFunction& base,
 
   DeliveryFunction ref = base;
   for (const PathPair& p : batch) ref.insert(p);
+  const std::vector<PathPair> ref_pairs = ref.to_pairs();
+  const std::vector<PathPair> base_pairs = base.to_pairs();
 
   const std::size_t fn = base.size();
   std::vector<double> out_ld(fn + m), out_ea(fn + m);
@@ -196,16 +209,16 @@ void expect_merge_equals_insert(const DeliveryFunction& base,
   ASSERT_EQ(r.kept, ref.size()) << what;
   const std::size_t off = fn + m - r.kept;
   for (std::size_t i = 0; i < r.kept; ++i) {
-    ASSERT_EQ(out_ld[off + i], ref.pairs()[i].ld) << what;
-    ASSERT_EQ(out_ea[off + i], ref.pairs()[i].ea) << what;
+    ASSERT_EQ(out_ld[off + i], ref_pairs[i].ld) << what;
+    ASSERT_EQ(out_ea[off + i], ref_pairs[i].ea) << what;
   }
 
   // Delta = merged pairs that are NOT bitwise present in the base,
   // ascending in the last kept_new slots, each with its successor's EA.
   std::vector<PathPair> expected_new;
-  for (const PathPair& p : ref.pairs())
-    if (std::find(base.pairs().begin(), base.pairs().end(), p) ==
-        base.pairs().end())
+  for (const PathPair& p : ref_pairs)
+    if (std::find(base_pairs.begin(), base_pairs.end(), p) ==
+        base_pairs.end())
       expected_new.push_back(p);
   ASSERT_EQ(r.kept_new, expected_new.size()) << what;
   const std::size_t doff = m - r.kept_new;
@@ -213,10 +226,9 @@ void expect_merge_equals_insert(const DeliveryFunction& base,
     const PathPair got{d_ld[doff + i], d_ea[doff + i]};
     ASSERT_EQ(got, expected_new[i]) << what << " i=" << i;
     // Successor EA in the merged frontier, +inf for the global last.
-    const auto it = std::find(ref.pairs().begin(), ref.pairs().end(), got);
-    ASSERT_NE(it, ref.pairs().end());
-    const double succ =
-        (it + 1 == ref.pairs().end()) ? kInf : (it + 1)->ea;
+    const auto it = std::find(ref_pairs.begin(), ref_pairs.end(), got);
+    ASSERT_NE(it, ref_pairs.end());
+    const double succ = (it + 1 == ref_pairs.end()) ? kInf : (it + 1)->ea;
     ASSERT_EQ(d_succ[doff + i], succ) << what << " i=" << i;
   }
 }
@@ -231,7 +243,7 @@ TEST(FrontierKernels, MergeFrontierEqualsInsertReference) {
       if (rng.bernoulli(0.2) && !base.empty()) {
         // Exact duplicate of an existing frontier pair: must be merged
         // away AND not reported as newly kept.
-        batch.push_back(base.pairs()[rng.below(base.size())]);
+        batch.push_back(base.view().pair(rng.below(base.size())));
       } else {
         batch.push_back(random_pair(rng));
       }
@@ -602,6 +614,7 @@ TEST(SimdParity, AddDeliverySegmentsBitIdenticalAcrossLevels) {
       const std::vector<double> ld = ld_lane(f), ea = ea_lane(f);
       const double t_lo = rng.uniform(-5.0, 5.0);
       const double t_hi = t_lo + rng.uniform(0.0, 30.0);
+      const std::pair<double, double> whole(t_lo, t_hi);
       const std::pair<double, double> windows[2] = {
           {t_lo, t_lo + (t_hi - t_lo) / 3.0},
           {t_lo + (t_hi - t_lo) / 2.0, t_hi}};
@@ -609,15 +622,15 @@ TEST(SimdParity, AddDeliverySegmentsBitIdenticalAcrossLevels) {
       MeasureCdfAccumulator vec_acc(grid), ref_acc(grid);
       {
         ScopedSimdLevel forced(level);
-        vec_acc.add_delivery_segments(ld.data(), ea.data(), ld.size(), t_lo,
-                                      t_hi);
+        vec_acc.add_delivery_segments(ld.data(), ea.data(), ld.size(), &whole,
+                                      1);
         vec_acc.add_delivery_segments(ld.data(), ea.data(), ld.size(),
                                       windows, 2, -0.5);
       }
       {
         ScopedSimdLevel forced(simd::Level::kScalar);
-        ref_acc.add_delivery_segments(ld.data(), ea.data(), ld.size(), t_lo,
-                                      t_hi);
+        ref_acc.add_delivery_segments(ld.data(), ea.data(), ld.size(), &whole,
+                                      1);
         ref_acc.add_delivery_segments(ld.data(), ea.data(), ld.size(),
                                       windows, 2, -0.5);
       }
@@ -628,19 +641,18 @@ TEST(SimdParity, AddDeliverySegmentsBitIdenticalAcrossLevels) {
         ASSERT_EQ(got[j], want[j])
             << simd::level_name(level) << " trial=" << trial << " j=" << j;
 
-      // The level sweep integrates the same frontier pair by pair
-      // (DeliveryFunction::accumulate_delay_measure); the dispatched SoA
-      // stream must match that too.
-      MeasureCdfAccumulator soa_acc(grid), aos_acc(grid);
+      // The dispatched lane stream must also match one add_segment call
+      // per clipped pair (accumulate_per_pair).
+      MeasureCdfAccumulator lane_acc(grid), pair_acc(grid);
       {
         ScopedSimdLevel forced(level);
-        soa_acc.add_delivery_segments(ld.data(), ea.data(), ld.size(), t_lo,
-                                      t_hi);
+        lane_acc.add_delivery_segments(ld.data(), ea.data(), ld.size(),
+                                       &whole, 1);
       }
-      f.accumulate_delay_measure(aos_acc, t_lo, t_hi);
-      soa_acc.add_observation_measure(t_hi - t_lo);
-      aos_acc.add_observation_measure(t_hi - t_lo);
-      ASSERT_EQ(soa_acc.cdf(), aos_acc.cdf())
+      accumulate_per_pair(f, pair_acc, t_lo, t_hi);
+      lane_acc.add_observation_measure(t_hi - t_lo);
+      pair_acc.add_observation_measure(t_hi - t_lo);
+      ASSERT_EQ(lane_acc.cdf(), pair_acc.cdf())
           << simd::level_name(level) << " trial=" << trial;
     }
   }

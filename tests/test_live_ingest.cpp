@@ -7,10 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <sstream>
 #include <string>
+#include <system_error>
+#include <thread>
 #include <vector>
 
 #include "core/diameter.hpp"
@@ -517,6 +521,58 @@ TEST(IncrementalEngine, ThreadCountsGiveIdenticalEpochs) {
               runs[1][i].stats.cdf_pairs_integrated)
         << "epoch " << i;
   }
+}
+
+/// Threads of this process (entries of /proc/self/task); 0 where the
+/// directory is unavailable.
+std::size_t process_threads() {
+  std::error_code ec;
+  std::size_t n = 0;
+  for (std::filesystem::directory_iterator it("/proc/self/task", ec), end;
+       !ec && it != end; it.increment(ec))
+    ++n;
+  return ec ? 0 : n;
+}
+
+/// process_threads() once joined threads have left the task list: two
+/// reads 5 ms apart agree.
+std::size_t settled_threads() {
+  std::size_t prev = process_threads();
+  for (int i = 0; i < 200; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    const std::size_t now = process_threads();
+    if (now == prev) break;
+    prev = now;
+  }
+  return prev;
+}
+
+TEST(IncrementalEngine, KeepsOnePoolAcrossEpochs) {
+  // num_threads = 3: the engine builds one pool (the caller plus two
+  // threads) and keeps it for its lifetime. Each epoch's DP fan-out and
+  // fold run on that pool, so no epoch starts or joins threads.
+  if (process_threads() == 0) GTEST_SKIP() << "no /proc/self/task";
+  const TemporalGraph full = multi_day_graph(73, 2.0, 0.5, false);
+  const auto contacts = full.contacts();
+  const std::size_t step = contacts.size() / 4 + 1;
+  IncrementalCdfOptions io;
+  io.grid = test_grid(full);
+  io.max_hops = 4;
+  io.num_threads = 3;
+  // The cold reference may start the shared pool: before the count.
+  const DelayCdfResult cold = compute_delay_cdf(full, cold_options(io));
+  const std::size_t before = settled_threads();
+  {
+    IncrementalAllPairsEngine engine(full.num_nodes(), full.directed(), io);
+    EXPECT_EQ(settled_threads(), before + 2);
+    for (std::size_t at = 0; at < contacts.size(); at += step) {
+      engine.append(contacts.subspan(at, std::min(step, contacts.size() - at)));
+      (void)engine.all_pairs();
+      EXPECT_EQ(settled_threads(), before + 2) << "after contact " << at;
+    }
+    expect_bit_identical(engine.all_pairs(), cold);
+  }
+  EXPECT_EQ(settled_threads(), before);
 }
 
 TEST(IncrementalEngine, EmptyAndSingleContactDegenerates) {

@@ -18,8 +18,8 @@ TEST(ExtendFrontier, IdentityThroughContactGivesContactPair) {
   DeliveryFunction out;
   EXPECT_TRUE(extend_frontier(identity, 3.0, 8.0, out));
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_DOUBLE_EQ(out.pairs()[0].ld, 8.0);
-  EXPECT_DOUBLE_EQ(out.pairs()[0].ea, 3.0);
+  EXPECT_DOUBLE_EQ(out.to_pairs()[0].ld, 8.0);
+  EXPECT_DOUBLE_EQ(out.to_pairs()[0].ea, 3.0);
 }
 
 TEST(ExtendFrontier, RespectsConcatenationCondition) {
@@ -37,8 +37,8 @@ TEST(ExtendFrontier, ComposesMinMax) {
   DeliveryFunction out;
   ASSERT_TRUE(extend_frontier(from, 7.0, 9.0, out));
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_DOUBLE_EQ(out.pairs()[0].ld, 5.0);  // min(5, 9)
-  EXPECT_DOUBLE_EQ(out.pairs()[0].ea, 7.0);  // max(3, 7)
+  EXPECT_DOUBLE_EQ(out.to_pairs()[0].ld, 5.0);  // min(5, 9)
+  EXPECT_DOUBLE_EQ(out.to_pairs()[0].ea, 7.0);  // max(3, 7)
 }
 
 TEST(ExtendFrontier, ManyPairsKeepsOnlyUseful) {
@@ -54,10 +54,10 @@ TEST(ExtendFrontier, ManyPairsKeepsOnlyUseful) {
   //             (min(10,18), max(7,8)) = (10, 8)  -- dominates (5, 8)
   //             (min(20,18), 15)       = (18, 15)
   ASSERT_EQ(out.size(), 2u);
-  EXPECT_DOUBLE_EQ(out.pairs()[0].ld, 10.0);
-  EXPECT_DOUBLE_EQ(out.pairs()[0].ea, 8.0);
-  EXPECT_DOUBLE_EQ(out.pairs()[1].ld, 18.0);
-  EXPECT_DOUBLE_EQ(out.pairs()[1].ea, 15.0);
+  EXPECT_DOUBLE_EQ(out.to_pairs()[0].ld, 10.0);
+  EXPECT_DOUBLE_EQ(out.to_pairs()[0].ea, 8.0);
+  EXPECT_DOUBLE_EQ(out.to_pairs()[1].ld, 18.0);
+  EXPECT_DOUBLE_EQ(out.to_pairs()[1].ea, 15.0);
 }
 
 TEST(Engine, DirectContactAtLevelOne) {
@@ -68,8 +68,8 @@ TEST(Engine, DirectContactAtLevelOne) {
   EXPECT_TRUE(e.step());
   EXPECT_EQ(e.hops(), 1);
   ASSERT_EQ(e.frontier(1).size(), 1u);
-  EXPECT_DOUBLE_EQ(e.frontier(1).pairs()[0].ld, 5.0);
-  EXPECT_DOUBLE_EQ(e.frontier(1).pairs()[0].ea, 2.0);
+  EXPECT_DOUBLE_EQ(e.frontier(1).to_pairs()[0].ld, 5.0);
+  EXPECT_DOUBLE_EQ(e.frontier(1).to_pairs()[0].ea, 2.0);
   EXPECT_TRUE(e.frontier(2).empty());  // two hops away
 }
 
@@ -98,8 +98,8 @@ TEST(Engine, TwoHopStoreAndForward) {
   EXPECT_TRUE(e.frontier(2).empty());
   e.step();
   ASSERT_EQ(e.frontier(2).size(), 1u);
-  EXPECT_DOUBLE_EQ(e.frontier(2).pairs()[0].ld, 2.0);
-  EXPECT_DOUBLE_EQ(e.frontier(2).pairs()[0].ea, 4.0);
+  EXPECT_DOUBLE_EQ(e.frontier(2).to_pairs()[0].ld, 2.0);
+  EXPECT_DOUBLE_EQ(e.frontier(2).to_pairs()[0].ea, 4.0);
   // Message created at 1 is delivered at 4; at 3 it is too late.
   EXPECT_DOUBLE_EQ(e.frontier(2).deliver_at(1.0), 4.0);
   EXPECT_EQ(e.frontier(2).deliver_at(3.0), kInf);
@@ -117,8 +117,8 @@ TEST(Engine, ContemporaneousChainNeedsMultipleLevelsButWorks) {
   e.step();
   ASSERT_FALSE(e.frontier(3).empty());
   EXPECT_DOUBLE_EQ(e.frontier(3).deliver_at(5.0), 5.0);  // instantaneous
-  EXPECT_DOUBLE_EQ(e.frontier(3).pairs()[0].ld, 10.0);
-  EXPECT_DOUBLE_EQ(e.frontier(3).pairs()[0].ea, 0.0);
+  EXPECT_DOUBLE_EQ(e.frontier(3).to_pairs()[0].ld, 10.0);
+  EXPECT_DOUBLE_EQ(e.frontier(3).to_pairs()[0].ea, 0.0);
 }
 
 TEST(Engine, BackwardInTimeRelayRejected) {

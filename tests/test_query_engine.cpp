@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -381,6 +382,22 @@ TEST(QueryEngine, RejectsBadArguments) {
   EXPECT_THROW(engine.source_cdf(9999), std::invalid_argument);
   EXPECT_THROW(engine.reachable_count(9999, 0.0), std::invalid_argument);
   EXPECT_THROW(engine.journey(0, 9999), std::invalid_argument);
+}
+
+TEST(QueryEngine, RejectsNonFiniteQueryTimes) {
+  // Each of these used to answer silently: NaN or zero CDFs, a diameter
+  // of 1, a reach count of 0.
+  QueryEngine engine(workload_graph(), small_options());
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(engine.source_cdf(0, inf, inf), std::invalid_argument);
+  EXPECT_THROW(engine.source_cdf(0, -inf, inf), std::invalid_argument);
+  EXPECT_THROW(engine.source_cdf(0, 0.0, inf), std::invalid_argument);
+  EXPECT_THROW(engine.all_pairs(inf, inf), std::invalid_argument);
+  EXPECT_THROW(engine.all_pairs(nan, inf), std::invalid_argument);
+  EXPECT_THROW(engine.reachable_count(0, nan), std::invalid_argument);
+  // NaN windows keep meaning "the whole span".
+  EXPECT_NO_THROW(engine.source_cdf(0, nan, nan));
 }
 
 }  // namespace

@@ -343,16 +343,13 @@ int kernel_trials(long trials, std::uint64_t base_seed) {
     const std::size_t warm = rng.below(40);
     for (std::size_t i = 0; i < warm; ++i)
       base.insert(random_kernel_pair(rng));
-    std::vector<double> f_ld, f_ea;
-    for (const PathPair& p : base.pairs()) {
-      f_ld.push_back(p.ld);
-      f_ea.push_back(p.ea);
-    }
+    const std::vector<PathPair> base_pairs = base.to_pairs();
+    const FrontierView base_view = base.view();
     std::vector<PathPair> raw_batch;
     const std::size_t raw = rng.below(24);
     for (std::size_t i = 0; i < raw; ++i) {
       if (!base.empty() && rng.bernoulli(0.25))
-        raw_batch.push_back(base.pairs()[rng.below(base.size())]);  // dup
+        raw_batch.push_back(base_pairs[rng.below(base_pairs.size())]);  // dup
       else if (!raw_batch.empty() && rng.bernoulli(0.2))
         raw_batch.push_back(raw_batch[rng.below(raw_batch.size())]);  // rep
       else
@@ -363,31 +360,33 @@ int kernel_trials(long trials, std::uint64_t base_seed) {
     batch.resize(m);
     DeliveryFunction ref = base;
     for (const PathPair& p : batch) ref.insert(p);
+    const std::vector<PathPair> ref_pairs = ref.to_pairs();
 
     const std::size_t fn = base.size();
     std::vector<double> out_ld(fn + m), out_ea(fn + m);
     std::vector<double> d_ld(m), d_ea(m), d_succ(m);
     const FrontierMerge r = merge_frontier(
-        f_ld.data(), f_ea.data(), fn, batch.data(), m, out_ld.data(),
-        out_ea.data(), d_ld.data(), d_ea.data(), d_succ.data());
+        base_view.ld_data(), base_view.ea_data(), fn, batch.data(), m,
+        out_ld.data(), out_ea.data(), d_ld.data(), d_ea.data(),
+        d_succ.data());
     if (r.kept != ref.size())
       kernel_failure("merged frontier size diverged from insert()", seed);
     const std::size_t off = fn + m - r.kept;
     for (std::size_t i = 0; i < r.kept; ++i)
-      if (out_ld[off + i] != ref.pairs()[i].ld ||
-          out_ea[off + i] != ref.pairs()[i].ea)
+      if (out_ld[off + i] != ref_pairs[i].ld ||
+          out_ea[off + i] != ref_pairs[i].ea)
         kernel_failure("merged frontier pair diverged from insert()", seed);
     const std::size_t doff = m - r.kept_new;
     for (std::size_t i = 0; i < r.kept_new; ++i) {
       const PathPair p{d_ld[doff + i], d_ea[doff + i]};
-      const auto it = std::find(ref.pairs().begin(), ref.pairs().end(), p);
-      if (it == ref.pairs().end())
+      const auto it = std::find(ref_pairs.begin(), ref_pairs.end(), p);
+      if (it == ref_pairs.end())
         kernel_failure("delta pair is not on the merged frontier", seed);
-      if (std::find(base.pairs().begin(), base.pairs().end(), p) !=
-          base.pairs().end())
+      if (std::find(base_pairs.begin(), base_pairs.end(), p) !=
+          base_pairs.end())
         kernel_failure("delta pair already existed in the base frontier",
                        seed);
-      const double succ = (it + 1 == ref.pairs().end()) ? kInf : (it + 1)->ea;
+      const double succ = (it + 1 == ref_pairs.end()) ? kInf : (it + 1)->ea;
       if (d_succ[doff + i] != succ)
         kernel_failure("delta successor EA diverged", seed);
     }
