@@ -71,7 +71,7 @@ DelayCdfResult compute_delay_cdf(const TemporalGraph& graph,
   for (NodeId n : endpoints) is_endpoint[n] = 1;
 
   // Each source is integrated into the worker's zeroed scratch partial
-  // and folded in ascending endpoint index (fold_sources).
+  // and folded into the total (fold_sources).
   return fold_sources(
       endpoints.size(), options, incremental,
       [&](std::size_t i, SourceCdfWorker& worker, SourceCdfPartial& partial,

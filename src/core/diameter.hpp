@@ -81,9 +81,10 @@ struct DelayCdfOptions {
   EngineMode engine = EngineMode::kPooled;
 
   /// Accumulation scheme. kIncremental with the level-sweep engine
-  /// throws; both schemes agree within accumulated rounding (~1e-12
-  /// observed, tests gate at 1e-9) and are cross-checked by
-  /// DelayCdf.IncrementalMatchesDirectOnRandomNetworks.
+  /// throws. Both schemes sum the same fixed-point addends exactly
+  /// (stats/measure_cdf.hpp), so their results are bit-identical
+  /// (DelayCdf.IncrementalMatchesDirectOnRandomNetworks); they differ
+  /// only in cost.
   CdfAccumulation accumulation = CdfAccumulation::kAuto;
 };
 
@@ -147,9 +148,10 @@ struct DelayCdfResult {
 /// full at every hop budget (CdfAccumulation::kDirect) or, by default
 /// with the pooled engine, incrementally from the engine's per-level
 /// change sets (CdfAccumulation::kIncremental). One code path: sources are
-/// handed out dynamically to the workers and their partials folded in
-/// canonical order, so the result is bit-identical for every thread
-/// count.
+/// handed out dynamically to the workers and their partials' exact sums
+/// folded as they arrive, so the result is bit-identical for every
+/// thread count. Throws std::invalid_argument on a bad window, including
+/// one whose (endpoint pairs x measure) exceeds the fixed-point range.
 DelayCdfResult compute_delay_cdf(const TemporalGraph& graph,
                                  const DelayCdfOptions& options);
 

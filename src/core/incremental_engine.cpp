@@ -1,6 +1,7 @@
 #include "core/incremental_engine.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <iterator>
 #include <numeric>
 #include <stdexcept>
@@ -388,6 +389,7 @@ bool IncrementalSourceDp::apply(const TemporalGraph& graph,
 IncrementalAllPairsEngine::IncrementalAllPairsEngine(
     std::size_t num_nodes, bool directed, IncrementalCdfOptions options)
     : graph_(num_nodes, {}, directed), options_(std::move(options)) {
+  check_window_bounds(options_.t_lo, options_.t_hi);
   if (options_.grid.empty())
     throw std::invalid_argument("IncrementalAllPairsEngine: empty delay grid");
   if (options_.max_hops < 1)
@@ -464,7 +466,7 @@ bool IncrementalAllPairsEngine::windows_keep_checkpoints(
   // epoch. Every frontier pair's ld is the end of some contact, so a
   // final hi at or past the end time at the previous call clipped no
   // stored segment, and neither does a larger one: only the
-  // denominators change, and integrate_lane adds those after the blocks.
+  // denominators change, and the checkpoints hold numerators only.
   // (The live engine's windows come from t_lo/t_hi: always exactly one.)
   return have_windows_ && w[0].first == last_windows_[0].first &&
          w[0].second > last_windows_[0].second &&
@@ -473,18 +475,17 @@ bool IncrementalAllPairsEngine::windows_keep_checkpoints(
 
 void IncrementalAllPairsEngine::integrate_source(NodeId src,
                                                  const TimeWindows& w,
-                                                 double capture_block,
+                                                 double settle_before,
                                                  SourceCdfWorker& worker) {
   IncrementalSourceDp& dp = dps_[src];
   SourceCdfPartial& out = partials_[src];
   LaneScratch& scratch = worker.lane;
   const std::size_t n = graph_.num_nodes();
   // Levels past the source's deepest productive one read the fixpoint
-  // frontier for EVERY destination, so the direct scheme would feed them
-  // the exact addend sequence of level `last` -- integrate the productive
-  // prefix once and copy that accumulator into the remaining hop budgets
-  // (and, when the source converged within the budgets, the unbounded
-  // lane). Bit-identical to integrating every lane.
+  // frontier for EVERY destination, so they integrate to the same sum as
+  // level `last` -- integrate the productive prefix once and copy that
+  // accumulator into the remaining hop budgets (and, when the source
+  // converged within the budgets, the unbounded lane).
   //
   // A lane's checkpoint slot always holds the same level (lane k-1 level
   // k, `unbounded` the cap), so a slot stays valid while its lane is a
@@ -495,6 +496,7 @@ void IncrementalAllPairsEngine::integrate_source(NodeId src,
   const int last = std::min(options_.max_hops, deepest);
   const std::size_t numerator_size = out.unbounded.numerator_size();
   const std::size_t lanes = static_cast<std::size_t>(options_.max_hops) + 1;
+  const double window_measure = total_window_measure(w);
   // Resume slot j is destination j + (j >= src): the source is skipped.
   std::vector<NodeId> changed;
   const bool walk_all = !dp.take_changed(changed);
@@ -504,9 +506,12 @@ void IncrementalAllPairsEngine::integrate_source(NodeId src,
     const std::size_t slot = src * lanes + static_cast<std::size_t>(index);
     std::uint32_t* open = open_destinations_.data() + slot * n;
     std::uint32_t& open_count = open_counts_[slot];
+    std::uint64_t* numerators =
+        checkpoint_numerators_.data() + slot * numerator_size;
+    std::uint32_t* resume = checkpoint_resume_.data() + slot * n;
     // A destination neither open nor changed has all of its pairs below
     // the resume index: it adds no segment, only its observation measure.
-    std::vector<std::uint32_t>& walked = scratch.resume_slots;
+    std::vector<std::uint32_t>& walked = scratch.walked;
     walked.clear();
     if (walk_all || open_count == kNoOpenSet) {
       walked.resize(n - 1);
@@ -518,16 +523,45 @@ void IncrementalAllPairsEngine::integrate_source(NodeId src,
     scratch.frontiers.clear();
     for (const std::uint32_t j : walked)
       scratch.frontiers.push_back(dp.frontier_at(j + (j >= src), level));
-    scratch.destinations = n - 1;
-    const LaneCheckpoint checkpoint{
-        checkpoint_numerators_.data() + slot * numerator_size,
-        checkpoint_resume_.data() + slot * n};
-    worker.stats.cdf_pairs_integrated +=
-        integrate_lane(w, scratch, acc, &checkpoint, capture_block);
+
+    // From the checkpoint, add each walked destination's newly settled
+    // pairs (ea below the watermark), store the checkpoint, then add the
+    // rest. This order differs from a cold run's; the sums are exact, so
+    // only the set of addends matters.
+    acc.load_numerators(numerators);
+    SegmentBatcher sb(acc);
+    const auto push = [&](const FrontierView& f, std::uint32_t from,
+                          std::uint32_t to) {
+      sb.push_frontier(f.ld_data() + from, f.ea_data() + from, to - from,
+                       w.data(), w.size(),
+                       from > 0 ? f.ld(from - 1)
+                                : -std::numeric_limits<double>::infinity());
+      worker.stats.cdf_pairs_integrated += to - from;
+    };
+    for (std::size_t i = 0; i < walked.size(); ++i) {
+      const FrontierView& f = scratch.frontiers[i];
+      const std::uint32_t start = resume[walked[i]];
+      assert(start <= f.size());
+      const auto settled = static_cast<std::uint32_t>(
+          std::lower_bound(f.ea_data() + start, f.ea_data() + f.size(),
+                           settle_before) -
+          f.ea_data());
+      push(f, start, settled);
+      resume[walked[i]] = settled;
+    }
+    sb.flush();
+    acc.store_numerators(numerators);
     open_count = 0;
-    for (std::size_t i = 0; i < walked.size(); ++i)
-      if (checkpoint.resume[walked[i]] < scratch.frontiers[i].size())
-        open[open_count++] = walked[i];
+    for (std::size_t i = 0; i < walked.size(); ++i) {
+      const FrontierView& f = scratch.frontiers[i];
+      const std::uint32_t settled = resume[walked[i]];
+      if (settled == f.size()) continue;
+      push(f, settled, static_cast<std::uint32_t>(f.size()));
+      open[open_count++] = walked[i];
+    }
+    sb.flush();
+    acc.add_observation_measure(window_measure,
+                                static_cast<std::int64_t>(n - 1));
   };
   for (int k = 1; k <= last; ++k) lane(out.by_hops[k - 1], k - 1, k);
   for (int k = last + 1; k <= options_.max_hops; ++k) {
@@ -560,7 +594,7 @@ DelayCdfResult IncrementalAllPairsEngine::all_pairs() {
     std::fill(dirty_.begin(), dirty_.end(), 1);
     if (!windows_keep_checkpoints(w)) {
       std::fill(checkpoint_numerators_.begin(), checkpoint_numerators_.end(),
-                0.0);
+                0u);
       std::fill(checkpoint_resume_.begin(), checkpoint_resume_.end(), 0u);
       std::fill(open_counts_.begin(), open_counts_.end(), kNoOpenSet);
     }
@@ -569,15 +603,16 @@ DelayCdfResult IncrementalAllPairsEngine::all_pairs() {
   }
   last_end_time_ = graph_.end_time();
 
-  // Addends below the watermark's hour block are final (integrate_lane).
-  // Clean sources fold their kept partial; the scratch goes unused.
-  const double capture_block = time_block(watermark());
+  // Pairs with ea below the watermark keep their segments: the settled
+  // prefix of each lane. Clean sources fold their kept partial; the
+  // scratch goes unused.
+  const double settle_before = watermark();
   return fold_sources(
       dps_.size(), o, /*incremental=*/false,
       [&](std::size_t i, SourceCdfWorker& worker, SourceCdfPartial&,
           OrderedCdfFolder& folder) {
         if (dirty_[i]) {
-          integrate_source(static_cast<NodeId>(i), w, capture_block, worker);
+          integrate_source(static_cast<NodeId>(i), w, settle_before, worker);
           dirty_[i] = 0;
         }
         folder.submit(i, partials_[i]);

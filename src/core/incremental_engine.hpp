@@ -27,25 +27,23 @@
 // version merge is plain Pareto-set maintenance, so after any sequence
 // of epochs every stored frontier is BIT-identical to the one a cold
 // SingleSourceEngine computes on the concatenated trace. The per-epoch
-// CDF emission integrates each lane through the same integrate_lane
-// (core/source_cdf) as the cold direct scheme, in its (ea hour block,
-// destination, pair) order, and folds sources through the same driver
-// (fold_sources) in canonical order, which
-// makes each epoch's DelayCdfResult bit-identical to a cold
-// compute_delay_cdf with CdfAccumulation::kDirect on the trace so far.
+// CDF emission sums the same fixed-point addends as a cold run
+// (stats/measure_cdf.hpp: exact, so in any order) and folds sources
+// through the same driver (fold_sources), which makes each epoch's
+// DelayCdfResult bit-identical to a cold compute_delay_cdf on the trace
+// so far, under kDirect and kIncremental alike.
 //
-// That order is checkpointed. An append only adds or removes frontier
-// pairs with ea at or past the pre-append watermark W, and a pair below
-// W keeps its segment (its predecessor is below W too), so every addend
-// in an hour block below block(W) is final. Per (source, lane) the
-// engine keeps the lane's numerator state at the watermark's block, each
-// destination's resume index and the lane's OPEN destinations (those
-// with pairs past the resume index). A dirty source re-integrates only
-// the pairs from there, and walks only the open destinations plus those
-// whose frontier changed: a fraction of a percent of a full pass on the
-// live_tail workload. The IncrementalEngine tests and `odtn_fuzz --live`
-// gate the identity; the epoch cost is the `live_tail` workload of
-// odtnbench.
+// The sums are checkpointed. An append only adds or removes frontier
+// pairs with ea at or past the pre-append watermark W, and a pair with
+// ea < W keeps its segment (its predecessor is below W too), so its
+// addend is final. Per (source, lane) the engine keeps the numerators
+// of the settled pairs, each destination's resume index (its first pair
+// with ea >= W) and the lane's OPEN destinations (those with pairs past
+// the resume index). A dirty source re-integrates only the pairs from
+// there, and walks only the open destinations plus those whose frontier
+// changed: a fraction of a percent of a full pass on the live_tail
+// workload. The IncrementalEngine tests and `odtn_fuzz --live` gate the
+// identity; the epoch cost is the `live_tail` workload of odtnbench.
 #pragma once
 
 #include <cstddef>
@@ -198,10 +196,10 @@ struct IncrementalCdfOptions {
 /// partials and per-lane checkpoints. append() advances every source by
 /// one epoch; all_pairs() re-integrates only the sources whose frontiers
 /// (or resolved windows) changed, each from its checkpoint at the
-/// watermark's hour block (integrate_lane), and folds all partials in
-/// canonical order, yielding a result bit-identical to a cold
-/// compute_delay_cdf(graph(), {accumulation = kDirect, ...}) on the
-/// contacts ingested so far.
+/// watermark, and folds all partials, yielding a result bit-identical to
+/// a cold compute_delay_cdf(graph(), ...) on the contacts ingested so
+/// far. The constructor rejects an infinite or empty explicit window
+/// (check_window_bounds) before any contact arrives.
 class IncrementalAllPairsEngine {
  public:
   IncrementalAllPairsEngine(std::size_t num_nodes, bool directed,
@@ -231,9 +229,10 @@ class IncrementalAllPairsEngine {
   /// Whether checkpoints taken under `last_windows_` stay valid under `w`.
   bool windows_keep_checkpoints(const TimeWindows& w) const;
   /// Re-integrates partials_[src] from its checkpoints with the
-  /// worker's lane buffers, counting into worker.stats.
+  /// worker's lane buffers, settling the pairs with ea < settle_before,
+  /// counting into worker.stats.
   void integrate_source(NodeId src, const TimeWindows& w,
-                        double capture_block, SourceCdfWorker& worker);
+                        double settle_before, SourceCdfWorker& worker);
   /// The engine's own pool, or the shared one when num_threads is 0.
   ThreadPool& pool() const;
 
@@ -250,12 +249,13 @@ class IncrementalAllPairsEngine {
   bool have_windows_ = false;
   double last_end_time_ = -std::numeric_limits<double>::infinity();
   // Checkpoints, one slot per (source, lane) with lane max_hops standing
-  // for `unbounded`: numerator state in one flat buffer, resume indices
-  // (one per destination) in another. All zeros is the empty checkpoint.
+  // for `unbounded`: the settled pairs' numerator state in one flat
+  // buffer, resume indices (one per destination) in another. All zeros
+  // is the empty checkpoint.
   // Per slot, the open destinations after its last integration (resume
   // slots, ascending) and their count; kNoOpenSet when unknown.
   static constexpr std::uint32_t kNoOpenSet = ~std::uint32_t{0};
-  std::vector<double> checkpoint_numerators_;
+  std::vector<std::uint64_t> checkpoint_numerators_;
   std::vector<std::uint32_t> checkpoint_resume_;
   std::vector<std::uint32_t> open_destinations_;
   std::vector<std::uint32_t> open_counts_;

@@ -74,10 +74,11 @@ std::size_t QueryEngine::cached_partial_bytes() const noexcept {
   // A cached partial is a copy of SourceCdfPartial(grid, max_hops): the
   // object itself (holding `unbounded`), the max_hops accumulator headers
   // of by_hops, and per accumulator its own copy of the G-point grid plus
-  // the two (G+1)-double difference arrays.
+  // the two (G+1)-word difference arrays.
   const std::size_t hops = static_cast<std::size_t>(options_.max_hops);
   const std::size_t g = options_.grid.size();
-  const std::size_t lanes = (hops + 1) * (g + 2 * (g + 1)) * sizeof(double);
+  const std::size_t lanes =
+      (hops + 1) * (g * sizeof(double) + 2 * (g + 1) * sizeof(std::uint64_t));
   // The shared_ptr control block, the LRU list node and the hash-index
   // node; the key's two heap copies are charged per put.
   constexpr std::size_t kEntryOverhead = 160;

@@ -7,13 +7,13 @@
 //
 //   The unit of caching is one source's PRE-FINALIZE SourceCdfPartial --
 //   the raw difference-array lanes that compute_delay_cdf's workers
-//   produce. All-pairs answers are the canonical ascending-endpoint
-//   left-chain fold of those partials, run by the same driver
-//   (fold_sources, core/source_cdf.hpp) with a cache probe in front of
-//   each source, so a run that pulls some partials from cache and
-//   computes the rest folds THE SAME DOUBLES IN THE SAME ORDER as a cold
-//   run: every CDF value, diameter and denominator is bit-identical,
-//   whatever subset hit. Finalization (prefix-merge + evaluation) always
+//   produce. All-pairs answers are the fold of those partials, run by
+//   the same driver (fold_sources, core/source_cdf.hpp) with a cache
+//   probe in front of each source. The partials hold exact fixed-point
+//   sums, so a run that pulls some partials from cache and computes the
+//   rest adds THE SAME INTEGERS as a cold run, in whatever order: every
+//   CDF value, diameter and denominator is bit-identical, whatever
+//   subset hit. Finalization (prefix-merge + evaluation) always
 //   happens fresh on the folded total. Only the instrumentation counters
 //   differ between warm and cold runs -- a cache hit skips the
 //   propagation engine, so contacts_examined et al. count only the
@@ -83,9 +83,9 @@ class QueryEngine {
                             double t_hi = kWholeSpan);
 
   /// All-pairs delay CDFs / (1-eps)-diameter over a window, folding
-  /// cached and freshly computed per-source partials in canonical order
-  /// (bit-identical to compute_delay_cdf on a cold cache, and to itself
-  /// on any warm subset).
+  /// cached and freshly computed per-source partials (bit-identical to
+  /// compute_delay_cdf on a cold cache, and to itself on any warm
+  /// subset).
   DelayCdfResult all_pairs(double t_lo = kWholeSpan, double t_hi = kWholeSpan);
 
   /// Number of nodes (excluding the source) reachable by a message

@@ -1,7 +1,6 @@
 #include "core/source_cdf.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -65,10 +64,9 @@ std::size_t equal_suffix2(const double* a0, const double* a1, std::size_t an,
 /// first diffed: the common prefix and suffix would be retracted at -1
 /// and re-added at +1 with identical segment arguments, so only the
 /// differing middle slice is integrated. Skipping a cancelling +/- pair
-/// never changes the exact sum, it only removes two rounding
-/// round-trips; the slices stay exact because the suffix is extended by
-/// one pair whenever its start boundary (the predecessor's ld) differs
-/// between the versions.
+/// never changes the sum; the slices stay exact because the suffix is
+/// extended by one pair whenever its start boundary (the predecessor's
+/// ld) differs between the versions.
 void integrate_frontier_delta(const FrontierView& old_f,
                               const FrontierView& new_f, const TimeWindows& w,
                               MeasureCdfAccumulator& acc,
@@ -95,9 +93,9 @@ void integrate_frontier_delta(const FrontierView& old_f,
   const std::size_t om = on - p - s, nm = nn - p - s;
   if (om + nm > 0) {
     acc.add_delivery_segments(o_ld + p, o_ea + p, om, w.data(), w.size(),
-                              -1.0, boundary);
+                              -1, boundary);
     acc.add_delivery_segments(n_ld + p, n_ea + p, nm, w.data(), w.size(),
-                              +1.0, boundary);
+                              +1, boundary);
   }
   pairs_integrated += om + nm;
 }
@@ -108,13 +106,20 @@ void process_source_direct(const TemporalGraph& graph, NodeId src,
                            EngineMode mode, SourceCdfWorker& worker,
                            SourceCdfPartial& out) {
   SingleSourceEngine engine(graph, src, mode);
-  LaneScratch& lane = worker.lane;
-  auto integrate = [&](MeasureCdfAccumulator& acc) {
-    lane.frontiers.clear();
-    for (NodeId dst : endpoints)
-      if (dst != src) lane.frontiers.push_back(engine.frontier_view(dst));
-    lane.destinations = lane.frontiers.size();
-    worker.stats.cdf_pairs_integrated += integrate_lane(w, lane, acc);
+  const double window_measure = total_window_measure(w);
+  const auto integrate = [&](MeasureCdfAccumulator& acc) {
+    SegmentBatcher sb(acc);
+    std::int64_t destinations = 0;
+    for (NodeId dst : endpoints) {
+      if (dst == src) continue;
+      const FrontierView f = engine.frontier_view(dst);
+      sb.push_frontier(f.ld_data(), f.ea_data(), f.size(), w.data(), w.size(),
+                       -std::numeric_limits<double>::infinity());
+      worker.stats.cdf_pairs_integrated += f.size();
+      ++destinations;
+    }
+    sb.flush();
+    acc.add_observation_measure(window_measure, destinations);
   };
   for (int k = 1; k <= max_hops; ++k) {
     engine.step();  // no-op once at fixpoint; frontiers stay L_inf
@@ -148,7 +153,7 @@ void process_source_incremental(const TemporalGraph& graph, NodeId src,
   // in the hop-1 accumulator; prefix_merge propagates it to every hop
   // budget and to `unbounded`.
   out.by_hops[0].add_observation_measure(
-      total_window_measure(w) * static_cast<double>(endpoints.size() - 1));
+      total_window_measure(w), static_cast<std::int64_t>(endpoints.size() - 1));
 
   // After each level, only destinations whose frontier changed move any
   // CDF: retract the pre-change frontier's integration and add the new
@@ -181,140 +186,47 @@ void process_source_incremental(const TemporalGraph& graph, NodeId src,
 
 }  // namespace
 
-std::uint64_t integrate_lane(const TimeWindows& w, LaneScratch& scratch,
-                             MeasureCdfAccumulator& acc,
-                             const LaneCheckpoint* checkpoint,
-                             double capture_block) {
-  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-  const std::vector<FrontierView>& frontiers = scratch.frontiers;
-  if (checkpoint)
-    acc.load_numerators(checkpoint->numerators);
-  else
-    acc.clear();
-
-  // ea ascends along a frontier, so each frontier's first and last walked
-  // pairs bound its blocks, and its pairs below the capture block are a
-  // prefix of its walk.
-  const auto start_of = [&](std::size_t j) -> std::uint32_t {
-    return checkpoint ? checkpoint->resume[scratch.resume_slots[j]] : 0;
-  };
-  std::size_t total = 0;
-  double lo = std::numeric_limits<double>::infinity(), hi = kNegInf;
-  for (std::size_t j = 0; j < frontiers.size(); ++j) {
-    const FrontierView& f = frontiers[j];
-    const auto n = static_cast<std::uint32_t>(f.size());
-    assert(start_of(j) <= n);
-    if (start_of(j) == n) continue;
-    lo = std::min(lo, time_block(f.ea(start_of(j))));
-    hi = std::max(hi, time_block(f.ea(n - 1)));
-    total += n - start_of(j);
-  }
-  // One bucket per block of [lo, hi], or per distinct block when that
-  // range is sparse against the pair count.
-  std::vector<double>& distinct = scratch.blocks;
-  const bool dense = total == 0 || hi - lo < static_cast<double>(total) + 64.0;
-  distinct.clear();
-  if (!dense) {
-    for (std::size_t j = 0; j < frontiers.size(); ++j)
-      for (std::size_t i = start_of(j); i < frontiers[j].size(); ++i)
-        distinct.push_back(time_block(frontiers[j].ea(i)));
-    std::sort(distinct.begin(), distinct.end());
-    distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                   distinct.end());
-  }
-  const auto bucket_of = [&](double block) {
-    return dense ? static_cast<std::size_t>(block - lo)
-                 : static_cast<std::size_t>(
-                       std::lower_bound(distinct.begin(), distinct.end(),
-                                        block) -
-                       distinct.begin());
-  };
-  const std::size_t num_buckets =
-      total == 0 ? 0 : dense ? static_cast<std::size_t>(hi - lo) + 1
-                             : distinct.size();
-  std::vector<std::vector<LaneScratch::Pair>>& buckets = scratch.buckets;
-  if (buckets.size() < num_buckets) buckets.resize(num_buckets);
-  for (std::size_t b = 0; b < num_buckets; ++b) buckets[b].clear();
-
-  // Walk in (destination, pair) order; appending keeps that order within
-  // each bucket. Each pair carries its segment's lower boundary. The
-  // resume index is read before the walk overwrites it.
-  std::size_t settled = 0;  // walked pairs below the capture block
-  for (std::size_t j = 0; j < frontiers.size(); ++j) {
-    const FrontierView& f = frontiers[j];
-    const auto n = static_cast<std::uint32_t>(f.size());
-    const std::uint32_t start = start_of(j);
-    std::uint32_t below = 0;
-    double prev_ld = start > 0 ? f.ld(start - 1) : kNegInf;
-    for (std::uint32_t i = start; i < n; ++i) {
-      const double ld = f.ld(i), ea = f.ea(i);
-      const double block = time_block(ea);
-      buckets[bucket_of(block)].push_back({prev_ld, ld, ea});
-      below += block < capture_block;
-      prev_ld = ld;
-    }
-    settled += below;
-    if (checkpoint) checkpoint->resume[scratch.resume_slots[j]] = start + below;
-  }
-
-  // Stream the segments in block order, storing the checkpoint where the
-  // first pair at or past the capture block begins.
-  SegmentBatcher sb(acc);
-  const auto capture = [&] {
-    sb.flush();
-    acc.store_numerators(checkpoint->numerators);
-  };
-  const std::pair<double, double>* windows = w.data();
-  const std::size_t num_windows = w.size();
-  std::size_t streamed = 0;
-  for (std::size_t b = 0; b < num_buckets; ++b) {
-    for (const LaneScratch::Pair& p : buckets[b]) {
-      if (checkpoint && streamed++ == settled) capture();
-      if (num_windows == 1) {
-        const double lo_t = std::max(p.prev_ld, windows[0].first);
-        const double hi_t = std::min(p.ld, windows[0].second);
-        if (lo_t < hi_t) sb.push(lo_t, hi_t, p.ea);
-        continue;
-      }
-      sb.push_frontier(&p.ld, &p.ea, 1, windows, num_windows, p.prev_ld);
-    }
-  }
-  if (checkpoint && settled == total) capture();
-  sb.flush();
-
-  const double window_measure = total_window_measure(w);
-  for (std::size_t j = 0; j < scratch.destinations; ++j)
-    acc.add_observation_measure(window_measure);
-  return total;
+void check_window_bounds(double t_lo, double t_hi) {
+  // An infinite bound makes the observation measure infinite: the CDF
+  // would read NaN or zero instead of failing.
+  if (std::isinf(t_lo) || std::isinf(t_hi))
+    throw std::invalid_argument(
+        "compute_delay_cdf: start-time window bounds must be finite");
+  if (t_lo > t_hi)
+    throw std::invalid_argument("compute_delay_cdf: empty start-time window");
 }
 
 TimeWindows resolve_cdf_windows(const TemporalGraph& graph,
                                 const DelayCdfOptions& options) {
-  // An infinite bound makes the observation measure infinite: the CDF
-  // would read NaN or zero instead of failing.
-  const auto require_finite = [](double lo, double hi) {
-    if (std::isinf(lo) || std::isinf(hi))
+  TimeWindows w = options.windows;
+  double prev = -std::numeric_limits<double>::infinity();
+  for (const auto& [lo, hi] : w) {
+    check_window_bounds(lo, hi);
+    if (!(lo <= hi) || lo < prev)
       throw std::invalid_argument(
-          "compute_delay_cdf: start-time window bounds must be finite");
-  };
-  if (!options.windows.empty()) {
-    double prev = -std::numeric_limits<double>::infinity();
-    for (const auto& [lo, hi] : options.windows) {
-      require_finite(lo, hi);
-      if (!(lo <= hi) || lo < prev)
-        throw std::invalid_argument(
-            "compute_delay_cdf: windows must be disjoint and increasing");
-      prev = hi;
-    }
-    return options.windows;
+          "compute_delay_cdf: windows must be disjoint and increasing");
+    prev = hi;
   }
-  double lo = options.t_lo, hi = options.t_hi;
-  require_finite(lo, hi);
-  if (std::isnan(lo)) lo = graph.start_time();
-  if (std::isnan(hi)) hi = graph.end_time();
-  if (!(lo <= hi))
-    throw std::invalid_argument("compute_delay_cdf: empty start-time window");
-  return {{lo, hi}};
+  if (w.empty()) {
+    double lo = options.t_lo, hi = options.t_hi;
+    check_window_bounds(lo, hi);
+    if (std::isnan(lo)) lo = graph.start_time();
+    if (std::isnan(hi)) hi = graph.end_time();
+    check_window_bounds(lo, hi);
+    w = {{lo, hi}};
+  }
+  // The observation measure of the whole computation bounds every
+  // numerator, and the window measure every addend, so both must fit
+  // the accumulators' fixed-point range.
+  const double m = static_cast<double>(options.endpoints.empty()
+                                           ? graph.num_nodes()
+                                           : options.endpoints.size());
+  if (!(std::max(m * (m - 1.0), 1.0) * total_window_measure(w) <
+        MeasureCdfAccumulator::kMaxMeasure))
+    throw std::invalid_argument(
+        "compute_delay_cdf: pairs x start-time window measure must stay "
+        "below 2^43 s");
+  return w;
 }
 
 double total_window_measure(const TimeWindows& windows) {
@@ -394,29 +306,23 @@ void process_source(const TemporalGraph& graph, NodeId src,
 
 OrderedCdfFolder::OrderedCdfFolder(const std::vector<double>& grid,
                                    int max_hops, std::size_t count)
-    : total_(grid, max_hops), count_(count) {}
+    : total_(grid, max_hops), submitted_(count, false) {}
 
 void OrderedCdfFolder::submit(std::size_t index,
                               const SourceCdfPartial& partial) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (index != next_) {
-    pending_.emplace(index, partial);
+  if (index >= submitted_.size() || submitted_[index]) {
+    repeated_ = true;
     return;
   }
+  submitted_[index] = true;
+  ++distinct_;
   total_.merge_from(partial);
-  ++next_;
-  // Drain buffered successors now contiguous with the fold front.
-  auto it = pending_.begin();
-  while (it != pending_.end() && it->first == next_) {
-    total_.merge_from(it->second);
-    ++next_;
-    it = pending_.erase(it);
-  }
 }
 
 SourceCdfPartial& OrderedCdfFolder::total() {
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (next_ != count_ || !pending_.empty())
+  if (repeated_ || distinct_ != submitted_.size())
     throw std::logic_error("OrderedCdfFolder: fold incomplete");
   return total_;
 }
@@ -467,7 +373,7 @@ DelayCdfResult finalize_delay_cdf(SourceCdfPartial& total,
     // Reconstruct CDF_k = CDF_{k-1} + delta_k across the hop budgets and
     // chain the past-max_hops deltas onto the last budget for the
     // unbounded CDF. Folding the per-source partials first is equivalent
-    // (both are sums over the same segment set).
+    // (both are exact sums over the same addends).
     MeasureCdfAccumulator::prefix_merge(total.by_hops);
     total.unbounded.merge(total.by_hops.back());
   }
@@ -478,19 +384,18 @@ DelayCdfResult finalize_delay_cdf(SourceCdfPartial& total,
   for (int k = 0; k < options.max_hops; ++k)
     result.cdf_by_hops.push_back(total.by_hops[k].cdf());
   result.cdf_unbounded = total.unbounded.cdf();
-  if (incremental) {
-    // The prefix-reconstructed CDFs are mathematically monotone in the
-    // hop budget, but each budget's numerator carries its own rounding,
-    // so adjacent budgets can invert by ~1 ulp where the delta is zero.
-    // Clamp to restore the exact invariant consumers rely on.
-    for (int k = 1; k < options.max_hops; ++k)
-      for (std::size_t j = 0; j < result.grid.size(); ++j)
-        result.cdf_by_hops[k][j] =
-            std::max(result.cdf_by_hops[k][j], result.cdf_by_hops[k - 1][j]);
+  // The CDFs are mathematically monotone in the hop budget, but a level
+  // that splits a segment adds its pieces as separately rounded addends,
+  // so CDF_k can sit a few quanta below CDF_{k-1}. Clamp to restore the
+  // exact invariant consumers rely on (the same in either scheme, whose
+  // numerators are identical).
+  for (int k = 1; k < options.max_hops; ++k)
     for (std::size_t j = 0; j < result.grid.size(); ++j)
-      result.cdf_unbounded[j] =
-          std::max(result.cdf_unbounded[j], result.cdf_by_hops.back()[j]);
-  }
+      result.cdf_by_hops[k][j] =
+          std::max(result.cdf_by_hops[k][j], result.cdf_by_hops[k - 1][j]);
+  for (std::size_t j = 0; j < result.grid.size(); ++j)
+    result.cdf_unbounded[j] =
+        std::max(result.cdf_unbounded[j], result.cdf_by_hops.back()[j]);
   result.fixpoint_hops = total.fixpoint_hops;
   result.converged = total.converged;
   result.stats = stats;

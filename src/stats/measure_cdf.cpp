@@ -13,45 +13,51 @@ namespace odtn {
 
 MeasureCdfAccumulator::MeasureCdfAccumulator(std::vector<double> grid)
     : grid_(std::move(grid)),
-      const_diff_(grid_.size() + 1, 0.0),
-      slope_diff_(grid_.size() + 1, 0.0) {
+      const_diff_(grid_.size() + 1, 0),
+      slope_diff_(grid_.size() + 1, 0) {
   if (grid_.empty()) throw std::invalid_argument("MeasureCdf: empty grid");
   for (std::size_t i = 0; i < grid_.size(); ++i) {
     if (grid_[i] < 0.0 || (i > 0 && grid_[i] <= grid_[i - 1]))
       throw std::invalid_argument("MeasureCdf: grid must be >= 0, increasing");
   }
+  if (!(grid_.back() < kMaxMeasure))
+    throw std::invalid_argument("MeasureCdf: grid values must be below 2^43 s");
 }
 
 void MeasureCdfAccumulator::add_delivery_segments(
     const double* ld, const double* ea, std::size_t n,
     const std::pair<double, double>* windows, std::size_t num_windows,
-    double weight, double prev_ld) {
+    int weight, double prev_ld) {
   SegmentBatcher sb(*this, weight);
   sb.push_frontier(ld, ea, n, windows, num_windows, prev_ld);
   sb.flush();
 }
 
-void MeasureCdfAccumulator::store_numerators(double* out) const noexcept {
+void MeasureCdfAccumulator::store_numerators(
+    std::uint64_t* out) const noexcept {
   std::copy(const_diff_.begin(), const_diff_.end(), out);
   std::copy(slope_diff_.begin(), slope_diff_.end(), out + const_diff_.size());
 }
 
-void MeasureCdfAccumulator::load_numerators(const double* in) noexcept {
+void MeasureCdfAccumulator::load_numerators(
+    const std::uint64_t* in) noexcept {
   std::copy(in, in + const_diff_.size(), const_diff_.begin());
   std::copy(in + const_diff_.size(), in + 2 * const_diff_.size(),
             slope_diff_.begin());
-  denominator_ = 0.0;
+  denominator_ = 0;
 }
 
 void MeasureCdfAccumulator::clear() noexcept {
-  std::fill(const_diff_.begin(), const_diff_.end(), 0.0);
-  std::fill(slope_diff_.begin(), slope_diff_.end(), 0.0);
-  denominator_ = 0.0;
+  std::fill(const_diff_.begin(), const_diff_.end(), 0);
+  std::fill(slope_diff_.begin(), slope_diff_.end(), 0);
+  denominator_ = 0;
 }
 
-void MeasureCdfAccumulator::add_observation_measure(double measure) {
-  assert(measure >= 0.0);
-  denominator_ += measure;
+void MeasureCdfAccumulator::add_observation_measure(double measure,
+                                                    std::int64_t count) {
+  assert(measure >= 0.0 && count >= 0);
+  denominator_ += static_cast<std::uint64_t>(fix(measure)) *
+                  static_cast<std::uint64_t>(count);
 }
 
 void MeasureCdfAccumulator::merge(const MeasureCdfAccumulator& other) {
@@ -72,17 +78,29 @@ void MeasureCdfAccumulator::prefix_merge(
 
 std::vector<double> MeasureCdfAccumulator::cdf() const {
   std::vector<double> out(grid_.size(), 0.0);
-  if (denominator_ <= 0.0) return out;
-  double c = 0.0, s = 0.0;
+  const auto den = static_cast<std::int64_t>(denominator_);
+  if (den <= 0) return out;
+  std::uint64_t c = 0, s = 0;
   for (std::size_t j = 0; j < grid_.size(); ++j) {
     c += const_diff_[j];
     s += slope_diff_[j];
-    out[j] = std::clamp((c + s * grid_[j]) / denominator_, 0.0, 1.0);
+    // c + s * fix(x) is exact modulo 2^64, and the true numerator fits
+    // int64 (it is bounded by the denominator), so the cast recovers it.
+    // The grid point itself is not an addend: its sub-quantum remainder
+    // enters once per partially covered segment, in double.
+    const std::int64_t x = fix(grid_[j]);
+    const auto num = static_cast<std::int64_t>(
+        c + s * static_cast<std::uint64_t>(x));
+    const double numerator =
+        static_cast<double>(num) +
+        static_cast<double>(static_cast<std::int64_t>(s)) *
+            (grid_[j] * kQuantaPerSecond - static_cast<double>(x));
+    out[j] = std::clamp(numerator / static_cast<double>(den), 0.0, 1.0);
   }
   return out;
 }
 
-SegmentBatcher::SegmentBatcher(MeasureCdfAccumulator& acc, double weight)
+SegmentBatcher::SegmentBatcher(MeasureCdfAccumulator& acc, int weight)
     : acc_(acc),
       weight_(weight),
       lower_bound4_(simd::active_level() == simd::Level::kScalar

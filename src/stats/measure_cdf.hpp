@@ -13,15 +13,40 @@
 // where M is the grid size, using range-update difference arrays: over the
 // x-range where a segment contributes partially, the contribution is the
 // affine function (b - arrival) + x.
+//
+// Fixed point. Numerators and the denominator are integers counting
+// quanta of 2^-20 s. Each addend -- (b - arrival), (b - a), an
+// observation measure -- is rounded to the nearest quantum once, where it
+// is added; weights and slopes are integer counts. Integer addition is
+// associative, so the accumulator state depends only on the SET of
+// addends, never on the order they arrive in: merging partials in any
+// order, splitting a sum at a checkpoint, or reaching CDF_k as
+// CDF_{k-1} + delta_k (the incremental scheme) all give the same bits.
+// The difference arrays are uint64_t and wrap modulo 2^64; a grid point's
+// numerator c_j + s_j * fix(x_j) is evaluated in that ring and is exact
+// once it fits int64.
+//
+// Range: the denominator of an all-pairs computation is (pairs x window
+// measure), and every numerator is bounded by it, so the total must stay
+// below 2^43 s (about 8.8e12 s; 1000 nodes x 30 days is about 2.6e12 s).
+// resolve_cdf_windows (core/source_cdf.hpp) checks that bound before any
+// source runs. Every addend is bounded by the window measure or a grid
+// value, and grid values must lie below 2^43 s too (the constructor
+// checks).
 #pragma once
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <utility>
 #include <vector>
+
+#if defined(__x86_64__)
+#include <emmintrin.h>
+#endif
 
 namespace odtn {
 
@@ -30,20 +55,39 @@ namespace odtn {
 /// accumulated denominator.
 class MeasureCdfAccumulator {
  public:
-  /// `grid` holds strictly increasing delay values x >= 0.
+  /// Fixed-point scale: quanta per second (the quantum is 2^-20 s).
+  static constexpr double kQuantaPerSecond = 0x1p20;
+  /// Range bound in seconds: the total observation measure of one
+  /// computation, and every grid value, must stay below it.
+  static constexpr double kMaxMeasure = 0x1p43;
+
+  /// `grid` holds strictly increasing delay values 0 <= x < kMaxMeasure.
   explicit MeasureCdfAccumulator(std::vector<double> grid);
+
+  /// Seconds to quanta, rounded to nearest (ties to even) once. On
+  /// x86-64 one cvtsd2si, which rounds like std::nearbyint (both follow
+  /// the current rounding mode) without its libm call: about 6 ns less
+  /// per segment on the scalar integration path.
+  static std::int64_t fix(double seconds) noexcept {
+    assert(std::fabs(seconds) < kMaxMeasure);
+#if defined(__x86_64__)
+    return _mm_cvtsd_si64(_mm_set_sd(seconds * kQuantaPerSecond));
+#else
+    return static_cast<std::int64_t>(
+        std::nearbyint(seconds * kQuantaPerSecond));
+#endif
+  }
 
   /// Accounts for start times t in (a, b] delivered at time
   /// max(t, arrival), i.e. delay(t) = max(0, arrival - t), scaled by
   /// `weight`. A negative weight RETRACTS a previously added segment:
-  /// adding the same (a, b, arrival) with weights +1 and -1 cancels to
-  /// the bit (the diff-array entries receive exactly negated addends),
-  /// which is what the incremental all-pairs scheme relies on to replace
-  /// a destination's stale integration with its refreshed one.
+  /// adding the same (a, b, arrival) with weights +1 and -1 cancels
+  /// exactly, which is what the incremental all-pairs scheme relies on to
+  /// replace a destination's stale integration with its refreshed one.
   /// Requires a <= b; empty segments are ignored. Does NOT touch the
   /// denominator (see add_observation_measure). Defined inline: this is
   /// the hottest non-engine call of the all-pairs delay CDF.
-  void add_segment(double a, double b, double arrival, double weight = 1.0) {
+  void add_segment(double a, double b, double arrival, int weight = 1) {
     assert(a <= b);
     if (!(a < b)) return;
     // Contribution to P[delay <= x] for x = grid[j]:
@@ -77,14 +121,16 @@ class MeasureCdfAccumulator {
   void add_delivery_segments(
       const double* ld, const double* ea, std::size_t n,
       const std::pair<double, double>* windows, std::size_t num_windows,
-      double weight = 1.0,
+      int weight = 1,
       double prev_ld = -std::numeric_limits<double>::infinity());
 
-  /// Adds `measure` to the normalization denominator. Callers typically
-  /// add (t_hi - t_lo) once per (source, destination) pair, so start times
-  /// with no path at all (including entire pairs that are never connected)
-  /// correctly dilute the CDF.
-  void add_observation_measure(double measure);
+  /// Adds `count` x fix(measure) to the normalization denominator.
+  /// Callers add the window measure (t_hi - t_lo) once per (source,
+  /// destination) pair, so start times with no path at all (including
+  /// entire pairs that are never connected) correctly dilute the CDF.
+  /// Passing the pair count here, rather than a pre-multiplied measure,
+  /// keeps the sum independent of how the pairs are grouped.
+  void add_observation_measure(double measure, std::int64_t count = 1);
 
   /// Merges another accumulator over the same grid (numerators and
   /// denominators add). Used to combine per-source partial results.
@@ -101,36 +147,37 @@ class MeasureCdfAccumulator {
   static void prefix_merge(std::vector<MeasureCdfAccumulator>& levels);
 
   /// Resets numerators and denominator to the just-constructed state
-  /// while keeping the grid and buffer capacity. Lets a worker recycle
-  /// one accumulator as per-source scratch: zero, integrate one source,
-  /// merge into a running total, repeat -- the merge order (not the
-  /// integration order) then fully determines the rounding, which is
-  /// what makes all-pairs runs bit-identical across thread counts.
+  /// while keeping the grid and buffer capacity, so a worker can recycle
+  /// one accumulator as per-source scratch.
   void clear() noexcept;
 
   /// Size of the numerator state: both difference arrays,
-  /// grid().size() + 1 doubles each.
+  /// grid().size() + 1 words each.
   std::size_t numerator_size() const noexcept { return 2 * const_diff_.size(); }
 
   /// Copies the numerator state (not the denominator) to `out`, which
-  /// holds numerator_size() doubles. The live all-pairs engine stores a
+  /// holds numerator_size() words. The live all-pairs engine stores a
   /// lane's settled prefix this way and resumes from it later.
-  void store_numerators(double* out) const noexcept;
+  void store_numerators(std::uint64_t* out) const noexcept;
 
   /// Replaces the numerators with a state written by store_numerators and
   /// zeroes the denominator.
-  void load_numerators(const double* in) noexcept;
+  void load_numerators(const std::uint64_t* in) noexcept;
 
   /// The evaluation grid.
   const std::vector<double>& grid() const noexcept { return grid_; }
 
-  /// Total denominator accumulated so far.
-  double denominator() const noexcept { return denominator_; }
+  /// Total denominator accumulated so far, in seconds.
+  double denominator() const noexcept {
+    return static_cast<double>(static_cast<std::int64_t>(denominator_)) /
+           kQuantaPerSecond;
+  }
 
   /// P[delay <= grid[j]] for every j. Returns zeros when the denominator
-  /// is zero. Values are clamped to [0, 1] against rounding noise.
-  /// Meaningless on an accumulator still holding a bare inter-level
-  /// delta -- prefix_merge first.
+  /// is zero. Values are clamped to [0, 1]: a segment split by a later
+  /// hop level rounds as two addends, so a CDF can sit a few quanta off
+  /// the exact value. Meaningless on an accumulator still holding a bare
+  /// inter-level delta -- prefix_merge first.
   std::vector<double> cdf() const;
 
  private:
@@ -140,45 +187,45 @@ class MeasureCdfAccumulator {
   /// std::lower_bound indices of the keys (arrival - b) and (arrival - a)
   /// and the segment must be non-empty (a < b). Split out so
   /// SegmentBatcher can feed it indices computed four-at-a-time by the
-  /// dispatched simd::Ops::lower_bound4 -- the updates themselves run in
-  /// the exact per-segment order of the scalar path, keeping the
-  /// accumulator state bit-identical.
-  void add_segment_at(double a, double b, double arrival, double weight,
+  /// dispatched simd::Ops::lower_bound4.
+  void add_segment_at(double a, double b, double arrival, int weight,
                       std::size_t lo, std::size_t hi) {
+    const auto w = static_cast<std::uint64_t>(weight);
     // Partial coverage on [lo, hi): affine in x.
     if (lo < hi) {
-      const_diff_[lo] += (b - arrival) * weight;
-      const_diff_[hi] -= (b - arrival) * weight;
-      slope_diff_[lo] += weight;
-      slope_diff_[hi] -= weight;
+      const std::uint64_t c = static_cast<std::uint64_t>(fix(b - arrival)) * w;
+      const_diff_[lo] += c;
+      const_diff_[hi] -= c;
+      slope_diff_[lo] += w;
+      slope_diff_[hi] -= w;
     }
     // Full coverage on [hi, end).
     if (hi < grid_.size()) {
-      const_diff_[hi] += (b - a) * weight;
-      const_diff_[grid_.size()] -= (b - a) * weight;
+      const std::uint64_t f = static_cast<std::uint64_t>(fix(b - a)) * w;
+      const_diff_[hi] += f;
+      const_diff_[grid_.size()] -= f;
     }
   }
 
   std::vector<double> grid_;
-  // Contribution at grid index j is: prefix(const_diff_)[j]
-  //                                  + prefix(slope_diff_)[j] * grid_[j].
-  std::vector<double> const_diff_;
-  std::vector<double> slope_diff_;
-  double denominator_ = 0.0;
+  // Contribution at grid index j, in quanta and modulo 2^64:
+  //   prefix(const_diff_)[j] + prefix(slope_diff_)[j] * fix(grid_[j]).
+  std::vector<std::uint64_t> const_diff_;
+  std::vector<std::uint64_t> slope_diff_;
+  std::uint64_t denominator_ = 0;
 };
 
 /// Streams clipped delivery segments into one accumulator. The grid
 /// searches of two consecutive segments (four lower_bound keys) run as one
-/// dispatched simd::Ops::lower_bound4 call; the diff-array updates are
-/// then applied in push order, so the accumulator ends up bit-identical
-/// to calling add_segment once per segment. The pairing carries across
-/// push_frontier calls, so a caller streaming many short frontier slices
-/// (the blocked kDirect order of core/source_cdf) keeps every search
+/// dispatched simd::Ops::lower_bound4 call, then both diff-array updates
+/// are applied; the accumulator ends up bit-identical to calling
+/// add_segment once per segment. The pairing carries across push_frontier
+/// calls, so a caller streaming many frontiers keeps every search
 /// batched. On the scalar dispatch level each push is a plain
 /// add_segment. Call flush() before the accumulator is read or stored.
 class SegmentBatcher {
  public:
-  explicit SegmentBatcher(MeasureCdfAccumulator& acc, double weight = 1.0);
+  explicit SegmentBatcher(MeasureCdfAccumulator& acc, int weight = 1);
 
   /// Start times in (a, b] delivered at `arrival`; requires a < b.
   void push(double a, double b, double arrival) {
@@ -227,7 +274,7 @@ class SegmentBatcher {
   void apply_pair();
 
   MeasureCdfAccumulator& acc_;
-  double weight_;
+  int weight_;
   /// Dispatched simd::Ops::lower_bound4; nullptr on the scalar level.
   void (*lower_bound4_)(const double*, std::size_t, const double*,
                         std::uint32_t*) noexcept;

@@ -58,7 +58,10 @@ std::size_t LiveTailReader::read_chunk(char* buf, std::size_t n) {
 
 LiveIngestSession::LiveIngestSession(IncrementalCdfOptions options,
                                      ParseOptions parse)
-    : options_(std::move(options)), parser_(std::move(parse)) {}
+    : options_(std::move(options)), parser_(std::move(parse)) {
+  // Fail before the feed is read, not after the backlog's bootstrap.
+  check_window_bounds(options_.t_lo, options_.t_hi);
+}
 
 void LiveIngestSession::feed(const char* data, std::size_t n) {
   parser_.feed(data, n);

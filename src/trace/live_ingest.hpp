@@ -66,7 +66,8 @@ struct LiveIngestStats {
 /// the engine by exactly one epoch. The engine is created lazily at the
 /// first commit, once the feed's '# nodes' / '# directed' headers are
 /// known; its delay grid comes from the options given here and stays
-/// fixed for the session.
+/// fixed for the session. The constructor checks the start-time window
+/// (check_window_bounds), so a bad one fails before the feed is read.
 class LiveIngestSession {
  public:
   LiveIngestSession(IncrementalCdfOptions options, ParseOptions parse = {});

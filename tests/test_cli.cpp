@@ -468,6 +468,23 @@ TEST_F(CliServe, TailRejectsInfiniteWindow) {
   ::testing::internal::GetCapturedStdout();
 }
 
+TEST_F(CliServe, TailChecksWindowBeforeReadingTheFeed) {
+  // The window is checked before the feed is opened, let alone
+  // bootstrapped: on a feed that does not exist, the error is the
+  // window's.
+  const std::string missing = path("tail_missing.feed");
+  const std::vector<std::vector<std::string>> windows{
+      {"--window-hi", "inf"}, {"--window-lo", "10", "--window-hi", "5"}};
+  for (const std::vector<std::string>& window : windows) {
+    std::vector<std::string> argv{"tail", missing};
+    argv.insert(argv.end(), window.begin(), window.end());
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(run_cli(argv), 1);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("start-time window"), std::string::npos) << err;
+  }
+}
+
 /// Strips the us=<latency> token so two runs can be compared bit-exactly.
 std::string strip_latency(const std::string& text) {
   std::string out;

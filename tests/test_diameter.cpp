@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <iterator>
 #include <limits>
+#include <numeric>
 #include <utility>
 #include <thread>
 
@@ -265,8 +266,8 @@ void expect_engine_modes_identical(const TemporalGraph& g,
   pooled_opt.num_threads = 1;
   // Pin the direct accumulation path on both sides: this isolates the
   // two propagation schemes, which must agree to the bit. (Under kAuto
-  // the pooled engine would use incremental accumulation, whose
-  // agreement is within rounding -- covered by the tests below.)
+  // the pooled engine would use incremental accumulation, which agrees
+  // to the bit as well -- covered by the tests below.)
   pooled_opt.accumulation = CdfAccumulation::kDirect;
   auto sweep_opt = pooled_opt;
   sweep_opt.engine = EngineMode::kLevelSweep;
@@ -328,10 +329,10 @@ TEST(DelayCdf, EngineModesProduceIdenticalCdfs) {
 
 // Randomized property test for the hop-incremental accumulation scheme:
 // on random temporal networks (order-independent seeds via Rng::keyed),
-// the incremental CDFs must agree with the direct reference within 1e-9
-// at every grid point and hop budget, and the paper's headline numbers
+// the incremental CDFs, the denominator and the paper's headline numbers
 // -- diameter() at every eps, diameter_absolute(), diameter_per_delay()
-// -- must be bit-identical.
+// -- must equal the direct reference to the bit: both schemes sum the
+// same fixed-point addends, and integer sums do not depend on order.
 TEST(DelayCdf, IncrementalMatchesDirectOnRandomNetworks) {
   for (std::uint64_t trial = 0; trial < 6; ++trial) {
     Rng rng = Rng::keyed(20260807, trial);
@@ -360,11 +361,10 @@ TEST(DelayCdf, IncrementalMatchesDirectOnRandomNetworks) {
     ASSERT_EQ(d.cdf_by_hops.size(), i.cdf_by_hops.size());
     for (std::size_t k = 0; k < d.cdf_by_hops.size(); ++k)
       for (std::size_t j = 0; j < d.grid.size(); ++j)
-        ASSERT_NEAR(d.cdf_by_hops[k][j], i.cdf_by_hops[k][j], 1e-9)
+        ASSERT_EQ(d.cdf_by_hops[k][j], i.cdf_by_hops[k][j])
             << "trial " << trial << " k=" << k << " j=" << j;
     for (std::size_t j = 0; j < d.grid.size(); ++j)
-      ASSERT_NEAR(d.cdf_unbounded[j], i.cdf_unbounded[j], 1e-9)
-          << "trial " << trial;
+      ASSERT_EQ(d.cdf_unbounded[j], i.cdf_unbounded[j]) << "trial " << trial;
     for (const double eps : {0.001, 0.01, 0.05, 0.1, 0.5, 1.0}) {
       EXPECT_EQ(d.diameter(eps), i.diameter(eps)) << "trial " << trial;
       EXPECT_EQ(d.diameter_per_delay(eps), i.diameter_per_delay(eps))
@@ -375,12 +375,111 @@ TEST(DelayCdf, IncrementalMatchesDirectOnRandomNetworks) {
           << "trial " << trial;
     EXPECT_EQ(d.fixpoint_hops, i.fixpoint_hops) << "trial " << trial;
     EXPECT_EQ(d.converged, i.converged) << "trial " << trial;
-    // Direct sums the window measure per (destination, level); the
-    // incremental scheme adds it in one shot per source -- same total,
-    // different summation order.
-    EXPECT_NEAR(d.denominator, i.denominator, 1e-9 * d.denominator)
-        << "trial " << trial;
+    // Direct adds the window measure per (destination, level); the
+    // incremental scheme adds it once per source, times the destination
+    // count -- the same integer total.
+    EXPECT_EQ(d.denominator, i.denominator) << "trial " << trial;
   }
+}
+
+TEST(DelayCdf, FolderIsOrderFree) {
+  // The folder merges in arrival order; the exact sums make a shuffled
+  // submission order give the same bits as the ascending one. Non-integral
+  // contact times and windows give every addend a rounding.
+  Rng rng = Rng::keyed(20261019, 0);
+  std::vector<Contact> contacts;
+  for (int i = 0; i < 150; ++i) {
+    const auto u = static_cast<NodeId>(rng.below(9));
+    auto v = static_cast<NodeId>(rng.below(8));
+    if (v >= u) ++v;
+    const double b = rng.uniform(0, 90);
+    contacts.push_back({u, v, b, b + rng.uniform(0, 5)});
+  }
+  const TemporalGraph g(9, std::move(contacts));
+  DelayCdfOptions opt = base_options();
+  opt.windows = {{0.3, 41.7}, {50.1, 87.9}};
+  const TimeWindows w = resolve_cdf_windows(g, opt);
+  const std::vector<NodeId> endpoints = resolve_cdf_endpoints(g, opt);
+  const std::vector<std::uint8_t> is_endpoint(g.num_nodes(), 1);
+  for (const bool incremental : {false, true}) {
+    SourceCdfWorker worker;
+    std::vector<SourceCdfPartial> partials;
+    for (const NodeId src : endpoints) {
+      SourceCdfPartial& p = partials.emplace_back(opt.grid, opt.max_hops);
+      process_source(g, src, endpoints, is_endpoint, w, opt.max_hops,
+                     opt.max_levels, opt.engine, incremental, worker, p);
+    }
+    std::vector<std::size_t> order(partials.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    const auto fold = [&] {
+      OrderedCdfFolder folder(opt.grid, opt.max_hops, partials.size());
+      for (const std::size_t i : order) folder.submit(i, partials[i]);
+      return finalize_delay_cdf(folder.total(), {}, opt, incremental);
+    };
+    const DelayCdfResult ascending = fold();
+    for (int round = 0; round < 4; ++round) {
+      for (std::size_t i = order.size(); i > 1; --i)
+        std::swap(order[i - 1], order[rng.below(i)]);
+      const DelayCdfResult shuffled = fold();
+      ASSERT_EQ(ascending.cdf_by_hops, shuffled.cdf_by_hops) << round;
+      ASSERT_EQ(ascending.cdf_unbounded, shuffled.cdf_unbounded) << round;
+      ASSERT_EQ(ascending.denominator, shuffled.denominator) << round;
+    }
+    EXPECT_EQ(ascending.cdf_unbounded,
+              compute_delay_cdf(g, [&] {
+                DelayCdfOptions o = opt;
+                o.accumulation = incremental ? CdfAccumulation::kIncremental
+                                             : CdfAccumulation::kDirect;
+                return o;
+              }()).cdf_unbounded);
+  }
+
+  // An incomplete fold -- a missing index, or one submitted twice in its
+  // place -- throws.
+  const SourceCdfPartial zero(opt.grid, opt.max_hops);
+  OrderedCdfFolder missing(opt.grid, opt.max_hops, 3);
+  missing.submit(2, zero);
+  missing.submit(0, zero);
+  EXPECT_THROW(missing.total(), std::logic_error);
+  missing.submit(1, zero);
+  EXPECT_NO_THROW(missing.total());
+  OrderedCdfFolder repeated(opt.grid, opt.max_hops, 2);
+  repeated.submit(1, zero);
+  repeated.submit(1, zero);
+  EXPECT_THROW(repeated.total(), std::logic_error);
+}
+
+TEST(DelayCdf, WindowOutsideFixedPointRangeThrows) {
+  // 3 nodes: 6 ordered pairs. The sums are fixed point at 2^-20 s and
+  // hold below 2^43 s of pair-seconds: a 2e12 s window (1.2e13) is out,
+  // before any source runs; a 1e12 s one (6e12) is in and exact.
+  const TemporalGraph g(3, {{0, 1, 10.0, 20.0}});
+  DelayCdfOptions opt = base_options();
+  opt.grid = {1.0, 5.0, 10.0, 100.0};
+  opt.t_lo = 0.0;
+  opt.t_hi = 2e12;
+  EXPECT_THROW(compute_delay_cdf(g, opt), std::invalid_argument);
+  opt.t_hi = 1e12;
+  const DelayCdfResult r = compute_delay_cdf(g, opt);
+  // Pairs (0,1) and (1,0): start times in (0, 20] are delivered at
+  // max(t, 10), so delay <= x on a measure of 10 + min(x, 10).
+  for (std::size_t j = 0; j < opt.grid.size(); ++j) {
+    const double want =
+        2.0 * (10.0 + std::min(opt.grid[j], 10.0)) / (6.0 * opt.t_hi);
+    EXPECT_EQ(r.cdf_unbounded[j], want) << j;
+    EXPECT_EQ(r.cdf_by_hops[0][j], want) << j;
+  }
+  EXPECT_EQ(r.denominator, 6.0 * opt.t_hi);
+  // Explicit windows and an endpoint subset count the same way.
+  opt.t_lo = opt.t_hi = std::numeric_limits<double>::quiet_NaN();
+  opt.windows = {{0.0, 1e12}, {1.5e12, 2e12}};
+  EXPECT_THROW(compute_delay_cdf(g, opt), std::invalid_argument);
+  opt.endpoints = {0, 1};
+  EXPECT_NO_THROW(compute_delay_cdf(g, opt));
+  // One endpoint has no pairs, but its window still bounds the addends.
+  opt.endpoints = {0};
+  opt.windows = {{0.0, 1e300}};
+  EXPECT_THROW(compute_delay_cdf(g, opt), std::invalid_argument);
 }
 
 TEST(DelayCdf, IncrementalReusesOneWorkspacePerWorker) {
@@ -487,10 +586,9 @@ TEST(DelayCdf, SingleThreadAndMultiThreadAgree) {
   auto opt1 = base_options();
   opt1.num_threads = 1;
   const auto r1 = compute_delay_cdf(g, opt1);
-  // The canonical ascending-index fold makes this BIT-identical, not
-  // merely close: per-source partials are integrated into zeroed
-  // scratch accumulators and merged in one fixed left chain no matter
-  // which worker produced them (see core/source_cdf.hpp).
+  // BIT-identical, not merely close: per-source partials hold exact
+  // fixed-point sums, so merging them in whatever order the workers
+  // finish gives the same total (see core/source_cdf.hpp).
   for (const unsigned threads : {2u, 3u, 4u}) {
     auto optn = base_options();
     optn.num_threads = threads;

@@ -11,10 +11,12 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <system_error>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/diameter.hpp"
@@ -238,9 +240,9 @@ void expect_versions_match_cold(const IncrementalAllPairsEngine& engine,
 
 /// Appends `full` in the epochs delimited by `cuts` (ascending contact
 /// indices; the last epoch runs to the end; a repeated cut is an empty
-/// epoch) and checks every epoch against a cold kDirect run on the
-/// prefix, and every source's version lists against a cold engine.
-/// Returns the epochs' results.
+/// epoch) and checks every epoch against cold kDirect and kAuto
+/// (incremental) runs on the prefix, and every source's version lists
+/// against a cold engine. Returns the epochs' results.
 std::vector<DelayCdfResult> check_epoch_cuts(const TemporalGraph& full,
                                              std::vector<std::size_t> cuts,
                                              IncrementalCdfOptions io) {
@@ -262,6 +264,9 @@ std::vector<DelayCdfResult> check_epoch_cuts(const TemporalGraph& full,
     const DelayCdfResult cold = compute_delay_cdf(prefix, cold_options(io));
     epochs.push_back(engine.all_pairs());
     expect_bit_identical(epochs.back(), cold);
+    DelayCdfOptions auto_opt = cold_options(io);
+    auto_opt.accumulation = CdfAccumulation::kAuto;
+    expect_bit_identical(epochs.back(), compute_delay_cdf(prefix, auto_opt));
     // A second call without an append must replay identically (the
     // partial cache path).
     expect_bit_identical(engine.all_pairs(), cold);
@@ -280,7 +285,7 @@ void check_epoch_splits(const TemporalGraph& full, int epochs,
 }
 
 /// A synthetic trace over `days` days, every time shifted by
-/// `offset_days` (so day blocks fall at arbitrary points of the trace).
+/// `offset_days` (so day boundaries fall at arbitrary points of it).
 TemporalGraph multi_day_graph(unsigned seed, double days, double offset_days,
                               bool directed, std::size_t internal = 10) {
   SyntheticTraceSpec spec;
@@ -316,8 +321,8 @@ TEST(IncrementalEngine, BitIdenticalWithExplicitWindowAndTightLevels) {
 }
 
 TEST(IncrementalEngine, MultiDayEpochSplitsAreBitIdentical) {
-  // Many epochs over several day blocks: each epoch resumes every dirty
-  // lane from its checkpoint at the previous watermark's block.
+  // Many epochs over several days: each epoch resumes every dirty lane
+  // from its checkpoint at the previous watermark.
   unsigned seed = 61;
   for (const double offset : {2.37, -3.61}) {
     for (const bool directed : {false, true}) {
@@ -338,12 +343,12 @@ TEST(IncrementalEngine, MultiDayEpochSplitsAreBitIdentical) {
 }
 
 TEST(IncrementalEngine, EpochStartingOnADayBoundary) {
-  // Contacts beginning exactly at k * kDay and at whole hours (the
-  // blocks' boundaries), with epochs cut both just before them (the new
-  // pairs open a block) and just after them (the watermark, and so the
-  // capture block, sits exactly on the boundary). The second 3-5
-  // contact begins at the watermark the first one set and replaces its
-  // pair, which lies in the capture block and so must not be settled.
+  // Contacts beginning exactly at k * kDay and at whole hours, with
+  // epochs cut both just before them and just after them (the
+  // watermark, and so the settle point, sits exactly on a contact's
+  // begin). The second 3-5 contact begins at the watermark the first one
+  // set and replaces its pair, whose ea equals the watermark and so must
+  // not be settled.
   std::vector<Contact> contacts =
       multi_day_graph(67, 4.0, 0.0, false).contacts_vector();
   contacts.push_back({0, 1, 2 * kDay, 2 * kDay + 600.0});
@@ -481,7 +486,8 @@ TEST(IncrementalEngine, EmptyFirstAppendThenBulkAndTail) {
 
 TEST(IncrementalEngine, OneContactTailEpochIntegratesFewPairs) {
   // A one-contact tail epoch on a multi-day trace re-integrates only the
-  // watermark's hour, and only for the destinations with pairs there.
+  // pairs at or past the watermark, and only for the destinations that
+  // hold such pairs.
   const TemporalGraph full = multi_day_graph(89, 4.5, 0.2, false, 14);
   const std::size_t n = full.num_contacts();
   IncrementalCdfOptions io;
@@ -595,8 +601,66 @@ TEST(IncrementalEngine, EmptyAndSingleContactDegenerates) {
   expect_bit_identical(engine.all_pairs(), compute_delay_cdf(g, cold_options(io)));
 }
 
+TEST(IncrementalEngine, WindowOutsideFixedPointRangeThrows) {
+  // 3 nodes: 6 ordered pairs, so a 2e12 s window is 1.2e13 pair-seconds,
+  // past the accumulators' 2^43 s range; 1e12 s (6e12) is within it.
+  IncrementalCdfOptions io;
+  io.grid = {1.0, 5.0, 10.0, 100.0};
+  io.max_hops = 2;
+  io.t_lo = 0.0;
+  io.t_hi = 2e12;
+  const std::vector<Contact> one{{0, 1, 10.0, 20.0}};
+  IncrementalAllPairsEngine over(3, false, io);
+  over.append(one);
+  EXPECT_THROW(over.all_pairs(), std::invalid_argument);
+  io.t_hi = 1e12;
+  IncrementalAllPairsEngine legal(3, false, io);
+  legal.append(one);
+  expect_bit_identical(legal.all_pairs(),
+                       compute_delay_cdf(TemporalGraph(3, one, false),
+                                         cold_options(io)));
+}
+
 // ---------------------------------------------------------------------
 // LiveIngestSession
+
+TEST(LiveIngestSession, RejectsBadWindowBeforeAnyFeed) {
+  // An infinite bound or an empty explicit window fails at construction
+  // -- not after the backlog's bootstrap DP -- with the messages
+  // compute_delay_cdf gives. A NaN bound is resolved later.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  IncrementalCdfOptions io;
+  io.grid = make_log_grid(kMinute, kHour, 8);
+  const std::pair<double, double> bad[] = {
+      {kNaN, kInf}, {-kInf, kNaN}, {0.0, kInf}, {10.0, 5.0}};
+  for (const auto& [lo, hi] : bad) {
+    io.t_lo = lo;
+    io.t_hi = hi;
+    EXPECT_THROW(LiveIngestSession{io}, std::invalid_argument)
+        << lo << " " << hi;
+    EXPECT_THROW(IncrementalAllPairsEngine(3, false, io), std::invalid_argument)
+        << lo << " " << hi;
+    try {
+      check_window_bounds(lo, hi);
+      ADD_FAILURE() << "no throw for " << lo << " " << hi;
+    } catch (const std::invalid_argument& e) {
+      DelayCdfOptions o = cold_options(io);
+      try {
+        compute_delay_cdf(TemporalGraph(3, {{0, 1, 0.0, 20.0}}), o);
+        ADD_FAILURE() << "compute_delay_cdf accepted " << lo << " " << hi;
+      } catch (const std::invalid_argument& cold) {
+        EXPECT_STREQ(e.what(), cold.what());
+      }
+    }
+  }
+  for (const auto& [lo, hi] :
+       {std::pair{kNaN, kNaN}, std::pair{10.0, kNaN}, std::pair{5.0, 10.0}}) {
+    io.t_lo = lo;
+    io.t_hi = hi;
+    EXPECT_NO_THROW(LiveIngestSession{io});
+  }
+}
 
 TEST(LiveIngestSession, CommitsEpochsAndDropsBelowWatermark) {
   const TemporalGraph full = sample_graph(47, 8);

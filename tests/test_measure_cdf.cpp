@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "stats/log_grid.hpp"
 #include "util/rng.hpp"
@@ -143,6 +146,75 @@ TEST(MeasureCdf, RejectsBadGrids) {
   EXPECT_THROW(MeasureCdfAccumulator({}), std::invalid_argument);
   EXPECT_THROW(MeasureCdfAccumulator({-1.0, 2.0}), std::invalid_argument);
   EXPECT_THROW(MeasureCdfAccumulator({2.0, 2.0}), std::invalid_argument);
+  // Grid values must fit the fixed-point range.
+  EXPECT_THROW(MeasureCdfAccumulator({1.0, 0x1p43}), std::invalid_argument);
+  EXPECT_NO_THROW(MeasureCdfAccumulator({1.0, 0x1p42}));
+}
+
+TEST(MeasureCdf, AddendsRoundToNearestQuantum) {
+  // fix() rounds to the nearest 2^-20 s, ties to even, symmetric in sign.
+  constexpr double q = 1.0 / MeasureCdfAccumulator::kQuantaPerSecond;
+  EXPECT_EQ(MeasureCdfAccumulator::fix(0.75 * q), 1);
+  EXPECT_EQ(MeasureCdfAccumulator::fix(-0.75 * q), -1);
+  EXPECT_EQ(MeasureCdfAccumulator::fix(0.25 * q), 0);
+  EXPECT_EQ(MeasureCdfAccumulator::fix(0.5 * q), 0);
+  EXPECT_EQ(MeasureCdfAccumulator::fix(1.5 * q), 2);
+  EXPECT_EQ(MeasureCdfAccumulator::fix(3.0), 3 << 20);
+  // So the errors of many addends cancel instead of adding up: 2000
+  // full-coverage segments of random length sit within 1e-9 of their
+  // exact total (truncation would be ~5e-8 low).
+  MeasureCdfAccumulator acc({1e6});
+  Rng rng(5);
+  long double exact = 0.0L;
+  for (int i = 0; i < 2000; ++i) {
+    const double a = rng.uniform(0.0, 100.0);
+    const double b = a + rng.uniform(0.0, 10.0);
+    acc.add_segment(a, b, a);  // delay 0: full coverage from x = 0
+    exact += static_cast<long double>(b) - a;
+  }
+  acc.add_observation_measure(static_cast<double>(exact));
+  EXPECT_NEAR(acc.cdf()[0], 1.0, 1e-9);
+}
+
+TEST(MeasureCdf, SumIsIndependentOfOrderAndGrouping) {
+  // Non-representable coordinates: every addend rounds. Adding the same
+  // segments in another order, or split over two accumulators that are
+  // merged afterwards, must give the same state to the bit.
+  const std::vector<double> grid = make_log_grid(0.1, 1000.0, 30);
+  Rng rng(2026);
+  struct Seg {
+    double a, b, arr;
+    int weight;
+  };
+  std::vector<Seg> segs;
+  for (int i = 0; i < 300; ++i) {
+    const double a = rng.uniform(-500.0, 500.0);
+    const double b = a + rng.uniform(0.0, 80.0);
+    segs.push_back({a, b, a + rng.uniform(-20.0, 900.0),
+                    static_cast<int>(rng.below(5)) - 2});
+  }
+  const auto state = [&](const MeasureCdfAccumulator& acc) {
+    std::vector<std::uint64_t> words(acc.numerator_size());
+    acc.store_numerators(words.data());
+    return words;
+  };
+  MeasureCdfAccumulator forward(grid);
+  for (const Seg& g : segs) forward.add_segment(g.a, g.b, g.arr, g.weight);
+  forward.add_observation_measure(1000.0 / 3.0, 300);
+  for (int round = 0; round < 3; ++round) {
+    for (std::size_t i = segs.size(); i > 1; --i)
+      std::swap(segs[i - 1], segs[rng.below(i)]);
+    MeasureCdfAccumulator left(grid), right(grid);
+    for (std::size_t i = 0; i < segs.size(); ++i)
+      (i % 3 == 0 ? left : right)
+          .add_segment(segs[i].a, segs[i].b, segs[i].arr, segs[i].weight);
+    for (int i = 0; i < 300; ++i)
+      (i % 2 == 0 ? right : left).add_observation_measure(1000.0 / 3.0);
+    right.merge(left);
+    EXPECT_EQ(state(right), state(forward)) << round;
+    EXPECT_EQ(right.denominator(), forward.denominator()) << round;
+    EXPECT_EQ(right.cdf(), forward.cdf()) << round;
+  }
 }
 
 TEST(MeasureCdf, SingleRetractionCancelsToTheBit) {
@@ -153,7 +225,7 @@ TEST(MeasureCdf, SingleRetractionCancelsToTheBit) {
   const std::vector<double> grid = make_log_grid(0.1, 1000.0, 25);
   MeasureCdfAccumulator acc(grid);
   acc.add_segment(0.3, 107.7, 209.13);
-  acc.add_segment(0.3, 107.7, 209.13, -1.0);
+  acc.add_segment(0.3, 107.7, 209.13, -1);
   acc.add_observation_measure(107.4);
   for (double v : acc.cdf()) EXPECT_DOUBLE_EQ(v, 0.0);
 }
@@ -176,7 +248,7 @@ TEST(MeasureCdf, SignedRetractionRoundTripsToZero) {
     segs.push_back({a, b, arr});
     acc.add_segment(a, b, arr);
   }
-  for (const Seg& s : segs) acc.add_segment(s.a, s.b, s.arr, -1.0);
+  for (const Seg& s : segs) acc.add_segment(s.a, s.b, s.arr, -1);
   acc.add_observation_measure(1000.0);
   for (double v : acc.cdf()) EXPECT_DOUBLE_EQ(v, 0.0);
 }
@@ -187,7 +259,7 @@ TEST(MeasureCdf, WeightEqualsRepeatedAddition) {
   // weights -- only add_observation_measure moves it.
   const std::vector<double> grid{1.0, 8.0, 64.0, 512.0};
   MeasureCdfAccumulator weighted(grid), repeated(grid);
-  weighted.add_segment(10.0, 40.0, 55.0, 3.0);
+  weighted.add_segment(10.0, 40.0, 55.0, 3);
   for (int i = 0; i < 3; ++i) repeated.add_segment(10.0, 40.0, 55.0);
   weighted.add_observation_measure(90.0);
   repeated.add_observation_measure(90.0);
@@ -210,8 +282,8 @@ TEST(MeasureCdf, PrefixMergeReconstructsPerLevelCdfs) {
   levels[0].add_segment(0.0, 100.0, 120.0);
   levels[0].add_observation_measure(100.0);
   // Level 2: a relay path improves (40, 100] to arrival 70.
-  levels[1].add_segment(40.0, 100.0, 120.0, -1.0);
-  levels[1].add_segment(40.0, 100.0, 70.0, +1.0);
+  levels[1].add_segment(40.0, 100.0, 120.0, -1);
+  levels[1].add_segment(40.0, 100.0, 70.0, +1);
   MeasureCdfAccumulator::prefix_merge(levels);
 
   MeasureCdfAccumulator direct1(grid), direct2(grid);

@@ -121,7 +121,8 @@ TEST(QueryEngine, TinyCacheBudgetStillBitIdentical) {
 /// arrays.
 std::size_t partial_heap_bytes(const SourceCdfPartial& p) {
   const auto lanes = [](const MeasureCdfAccumulator& a) {
-    return (a.grid().capacity() + a.numerator_size()) * sizeof(double);
+    return a.grid().capacity() * sizeof(double) +
+           a.numerator_size() * sizeof(std::uint64_t);
   };
   std::size_t bytes = sizeof(SourceCdfPartial) +
                       p.by_hops.capacity() * sizeof(MeasureCdfAccumulator) +
@@ -398,6 +399,17 @@ TEST(QueryEngine, RejectsNonFiniteQueryTimes) {
   EXPECT_THROW(engine.reachable_count(0, nan), std::invalid_argument);
   // NaN windows keep meaning "the whole span".
   EXPECT_NO_THROW(engine.source_cdf(0, nan, nan));
+}
+
+TEST(QueryEngine, RejectsWindowOutsideFixedPointRange) {
+  // 24 nodes: 552 ordered pairs, so a 2e10 s window is 1.1e13
+  // pair-seconds, past the 2^43 s the fixed-point sums hold. Both verbs
+  // check the all-pairs measure, so they accept the same windows.
+  QueryEngine engine(workload_graph(), small_options());
+  EXPECT_THROW(engine.all_pairs(0.0, 2e10), std::invalid_argument);
+  EXPECT_THROW(engine.source_cdf(3, 0.0, 2e10), std::invalid_argument);
+  EXPECT_EQ(engine.all_pairs(0.0, 1e10).cdf_unbounded,
+            engine.all_pairs(0.0, 1e10).cdf_unbounded);
 }
 
 }  // namespace

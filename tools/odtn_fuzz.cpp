@@ -42,15 +42,15 @@
 // Each trial splits an adversarial trace into a random number of append
 // epochs, runs them through IncrementalAllPairsEngine, and requires
 // every epoch's all_pairs() to be bit-identical to a cold
-// compute_delay_cdf(kDirect) on the prefix ingested so far, and every
-// source's version lists to equal a cold engine's frontiers at every
-// level. Half of the trials use the explicit full-span start window,
-// the other half the growing trace span (NaN bounds, as `odtn tail`
-// does), which keeps the checkpoints across epochs. Half of the trials
-// first stretch the trace over 3-6 days and shift it by a random
-// non-integral number of days, sometimes negative, so the engine's
-// hour-block checkpoints are captured and resumed across many blocks.
-// It also
+// compute_delay_cdf on the prefix ingested so far, under both kDirect
+// and the default kAuto (incremental) scheme, and every source's
+// version lists to equal a cold engine's frontiers at every level. Half
+// of the trials use the explicit full-span start window, the other half
+// the growing trace span (NaN bounds, as `odtn tail` does), which keeps
+// the checkpoints across epochs. Half of the trials first stretch the
+// trace over 3-6 days and shift it by a random non-integral number of
+// days, sometimes negative, so the engine's checkpoints settle and
+// resume pairs at non-integral times over a long span. It also
 // replays the trace's byte serialization through StreamingTraceParser
 // under random chunk splits -- sometimes one byte at a time, sometimes
 // with the final newline stripped so the flush() path runs -- and
@@ -643,8 +643,8 @@ bool versions_match_cold(const IncrementalAllPairsEngine& engine,
 
 /// Live mode (--live N): the tentpole differential. (a) Any K-way
 /// canonical-order split of a trace into append epochs must leave every
-/// epoch's incremental all-pairs result bit-identical to a cold
-/// kDirect run on the prefix ingested so far (empty epochs allowed --
+/// epoch's incremental all-pairs result bit-identical to cold kDirect
+/// and kAuto runs on the prefix ingested so far (empty epochs allowed --
 /// they must be clean no-ops), with every version list equal to a cold
 /// engine's frontiers. (b) Any byte-split of the trace's
 /// serialization through StreamingTraceParser must reproduce the
@@ -685,6 +685,8 @@ int live_trials(long trials, std::uint64_t base_seed) {
     cold_opt.t_hi = io.t_hi;
     cold_opt.num_threads = 1;
     cold_opt.accumulation = CdfAccumulation::kDirect;
+    DelayCdfOptions auto_opt = cold_opt;
+    auto_opt.accumulation = CdfAccumulation::kAuto;
 
     const std::size_t epochs = 1 + rng.below(4);
     std::vector<std::size_t> cuts{0, contacts.size()};
@@ -705,6 +707,9 @@ int live_trials(long trials, std::uint64_t base_seed) {
       const DelayCdfResult cold = compute_delay_cdf(prefix, cold_opt);
       if (!cdf_results_identical(live, cold))
         live_failure("incremental epoch diverged from cold prefix recompute",
+                     g, seed);
+      if (!cdf_results_identical(live, compute_delay_cdf(prefix, auto_opt)))
+        live_failure("incremental epoch diverged from cold kAuto recompute",
                      g, seed);
       if (!versions_match_cold(engine, prefix))
         live_failure("version lists diverged from a cold engine", g, seed);
