@@ -81,8 +81,9 @@ int main() {
       });
   row("External contacts",
       [&](const DatasetPreset& d) {
-        return d.paper.external_contacts ? "~" + num(d.paper.external_contacts)
-                                         : std::string("N/A");
+        return d.paper.external_contacts
+                   ? std::string("~").append(num(d.paper.external_contacts))
+                   : std::string("N/A");
       },
       [&](const SyntheticTrace& t) {
         return t.external_contact_count() ? num(t.external_contact_count())

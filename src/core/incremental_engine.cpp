@@ -1,9 +1,7 @@
 #include "core/incremental_engine.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <iterator>
-#include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -404,14 +402,7 @@ IncrementalAllPairsEngine::IncrementalAllPairsEngine(
   }
   if (options_.num_threads != 0)
     pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-  dirty_.assign(num_nodes, 1);
-  const std::size_t slots =
-      num_nodes * (static_cast<std::size_t>(options_.max_hops) + 1);
-  checkpoint_numerators_.resize(
-      slots * MeasureCdfAccumulator(options_.grid).numerator_size());
-  checkpoint_resume_.resize(slots * num_nodes);
-  open_destinations_.resize(slots * num_nodes);
-  open_counts_.assign(slots, kNoOpenSet);
+  lag_.assign(num_nodes, Lag::kFull);
 }
 
 ThreadPool& IncrementalAllPairsEngine::pool() const {
@@ -440,10 +431,16 @@ std::uint64_t IncrementalAllPairsEngine::append(
       // First (bulk) batch: seed each DP from a cold pooled run instead
       // of replaying the epoch machinery -- same frontiers, batch cost.
       dps_[i].bootstrap(graph_);
-      dirty_[i] = 1;
-    } else if (dps_[i].apply(graph_, old_count)) {
-      dirty_[i] = 1;
+      lag_[i] = Lag::kFull;
+      return;
     }
+    const bool changed = dps_[i].apply(graph_, old_count);
+    // apply() replaces the stash overlay, so a partial that already
+    // lagged can no longer be brought up to date from it.
+    if (lag_[i] != Lag::kNone)
+      lag_[i] = Lag::kFull;
+    else if (changed)
+      lag_[i] = Lag::kOneApply;
   });
   return graph_.epoch();
 }
@@ -456,166 +453,124 @@ DelayCdfOptions IncrementalAllPairsEngine::cdf_options() const {
   o.t_lo = options_.t_lo;
   o.t_hi = options_.t_hi;
   o.num_threads = options_.num_threads;
-  o.accumulation = CdfAccumulation::kDirect;
   return o;
 }
 
-bool IncrementalAllPairsEngine::windows_keep_checkpoints(
+bool IncrementalAllPairsEngine::window_keeps_numerators(
     const TimeWindows& w) const {
   // A NaN t_hi resolves to the graph's end time, which grows every
   // epoch. Every frontier pair's ld is the end of some contact, so a
   // final hi at or past the end time at the previous call clipped no
-  // stored segment, and neither does a larger one: only the
-  // denominators change, and the checkpoints hold numerators only.
-  // (The live engine's windows come from t_lo/t_hi: always exactly one.)
+  // stored segment, and neither does a larger one: with t_lo unmoved,
+  // only the denominators change. (The live engine's windows come from
+  // t_lo/t_hi: always exactly one.)
   return have_windows_ && w[0].first == last_windows_[0].first &&
          w[0].second > last_windows_[0].second &&
          last_windows_[0].second >= last_end_time_;
 }
 
-void IncrementalAllPairsEngine::integrate_source(NodeId src,
-                                                 const TimeWindows& w,
-                                                 double settle_before,
-                                                 SourceCdfWorker& worker) {
-  IncrementalSourceDp& dp = dps_[src];
+void IncrementalAllPairsEngine::full_pass(NodeId src, const TimeWindows& w,
+                                          SourceCdfWorker& worker) {
+  const IncrementalSourceDp& dp = dps_[src];
   SourceCdfPartial& out = partials_[src];
-  LaneScratch& scratch = worker.lane;
-  const std::size_t n = graph_.num_nodes();
-  // Levels past the source's deepest productive one read the fixpoint
-  // frontier for EVERY destination, so they integrate to the same sum as
-  // level `last` -- integrate the productive prefix once and copy that
-  // accumulator into the remaining hop budgets (and, when the source
-  // converged within the budgets, the unbounded lane).
-  //
-  // A lane's checkpoint slot always holds the same level (lane k-1 level
-  // k, `unbounded` the cap), so a slot stays valid while its lane is a
-  // copy: the settled prefix of that level's frontiers is final whether
-  // or not it is integrated. Its open set does not: the changes of the
-  // epochs it was a copy went unrecorded, so it is dropped.
-  const int deepest = std::max(dp.max_version_level(), 1);
-  const int last = std::min(options_.max_hops, deepest);
-  const std::size_t numerator_size = out.unbounded.numerator_size();
-  const std::size_t lanes = static_cast<std::size_t>(options_.max_hops) + 1;
-  const double window_measure = total_window_measure(w);
-  // Resume slot j is destination j + (j >= src): the source is skipped.
-  std::vector<NodeId> changed;
-  const bool walk_all = !dp.take_changed(changed);
-  std::erase(changed, src);
-  for (NodeId& d : changed) d -= d > src;
-  const auto lane = [&](MeasureCdfAccumulator& acc, int index, int level) {
-    const std::size_t slot = src * lanes + static_cast<std::size_t>(index);
-    std::uint32_t* open = open_destinations_.data() + slot * n;
-    std::uint32_t& open_count = open_counts_[slot];
-    std::uint64_t* numerators =
-        checkpoint_numerators_.data() + slot * numerator_size;
-    std::uint32_t* resume = checkpoint_resume_.data() + slot * n;
-    // A destination neither open nor changed has all of its pairs below
-    // the resume index: it adds no segment, only its observation measure.
-    std::vector<std::uint32_t>& walked = scratch.walked;
-    walked.clear();
-    if (walk_all || open_count == kNoOpenSet) {
-      walked.resize(n - 1);
-      std::iota(walked.begin(), walked.end(), 0u);
-    } else {
-      std::set_union(open, open + open_count, changed.begin(), changed.end(),
-                     std::back_inserter(walked));
-    }
-    scratch.frontiers.clear();
-    for (const std::uint32_t j : walked)
-      scratch.frontiers.push_back(dp.frontier_at(j + (j >= src), level));
+  // The layout process_source_incremental builds: level-k deltas in lane
+  // k (levels past max_hops in `unbounded`), the observation measure
+  // parked in lane 1; the prefix merge below turns the deltas into full
+  // lanes.
+  out.clear();
+  out.by_hops[0].add_observation_measure(
+      total_window_measure(w),
+      static_cast<std::int64_t>(graph_.num_nodes()) - 1);
+  for (NodeId d = 0; d < graph_.num_nodes(); ++d) {
+    if (d == src) continue;
+    FrontierView below;
+    dp.for_each_version(d, [&](int level, const FrontierView& f) {
+      integrate_frontier_delta(below, f, w,
+                               level <= options_.max_hops
+                                   ? out.by_hops[level - 1]
+                                   : out.unbounded,
+                               worker.stats.cdf_pairs_integrated);
+      below = f;
+    });
+  }
+  MeasureCdfAccumulator::prefix_merge(out.by_hops);
+  out.unbounded.merge(out.by_hops.back());
+}
 
-    // From the checkpoint, add each walked destination's newly settled
-    // pairs (ea below the watermark), store the checkpoint, then add the
-    // rest. This order differs from a cold run's; the sums are exact, so
-    // only the set of addends matters.
-    acc.load_numerators(numerators);
-    SegmentBatcher sb(acc);
-    const auto push = [&](const FrontierView& f, std::uint32_t from,
-                          std::uint32_t to) {
-      sb.push_frontier(f.ld_data() + from, f.ea_data() + from, to - from,
-                       w.data(), w.size(),
-                       from > 0 ? f.ld(from - 1)
-                                : -std::numeric_limits<double>::infinity());
-      worker.stats.cdf_pairs_integrated += to - from;
+void IncrementalAllPairsEngine::epoch_update(
+    NodeId src, const std::vector<NodeId>& changed, const TimeWindows& w,
+    SourceCdfWorker& worker) {
+  const IncrementalSourceDp& dp = dps_[src];
+  SourceCdfPartial& out = partials_[src];
+  for (const NodeId d : changed) {
+    if (d == src) continue;
+    const auto update = [&](MeasureCdfAccumulator& lane, int level) {
+      const FrontierView before = dp.lookup_original(d, level);
+      const FrontierView after = dp.frontier_at(d, level);
+      // One buffer: the apply left this level untouched.
+      if (before.ld_data() == after.ld_data() && before.size() == after.size())
+        return;
+      integrate_frontier_delta(before, after, w, lane,
+                               worker.stats.cdf_pairs_integrated);
     };
-    for (std::size_t i = 0; i < walked.size(); ++i) {
-      const FrontierView& f = scratch.frontiers[i];
-      const std::uint32_t start = resume[walked[i]];
-      assert(start <= f.size());
-      const auto settled = static_cast<std::uint32_t>(
-          std::lower_bound(f.ea_data() + start, f.ea_data() + f.size(),
-                           settle_before) -
-          f.ea_data());
-      push(f, start, settled);
-      resume[walked[i]] = settled;
-    }
-    sb.flush();
-    acc.store_numerators(numerators);
-    open_count = 0;
-    for (std::size_t i = 0; i < walked.size(); ++i) {
-      const FrontierView& f = scratch.frontiers[i];
-      const std::uint32_t settled = resume[walked[i]];
-      if (settled == f.size()) continue;
-      push(f, settled, static_cast<std::uint32_t>(f.size()));
-      open[open_count++] = walked[i];
-    }
-    sb.flush();
-    acc.add_observation_measure(window_measure,
-                                static_cast<std::int64_t>(n - 1));
-  };
-  for (int k = 1; k <= last; ++k) lane(out.by_hops[k - 1], k - 1, k);
-  for (int k = last + 1; k <= options_.max_hops; ++k) {
-    out.by_hops[k - 1] = out.by_hops[last - 1];
-    open_counts_[src * lanes + static_cast<std::size_t>(k - 1)] = kNoOpenSet;
+    for (int k = 1; k <= options_.max_hops; ++k) update(out.by_hops[k - 1], k);
+    update(out.unbounded, cap_);
   }
-  if (deepest > last) {
-    lane(out.unbounded, options_.max_hops, cap_);
-  } else {
-    out.unbounded = out.by_hops[last - 1];
-    open_counts_[src * lanes + static_cast<std::size_t>(options_.max_hops)] =
-        kNoOpenSet;
-  }
-  // Same fixpoint a cold bounded run reports: the true level when it is
-  // observable below the cap, the max_levels+1 "not converged" sentinel
-  // otherwise.
-  out.fixpoint_hops = dp.max_version_level() < cap_ ? dp.max_version_level()
-                                                    : options_.max_levels + 1;
-  out.converged = out.fixpoint_hops <= options_.max_levels;
 }
 
 DelayCdfResult IncrementalAllPairsEngine::all_pairs() {
   const DelayCdfOptions o = cdf_options();
   const TimeWindows w = resolve_cdf_windows(graph_, o);
-  // Fixed explicit windows keep clean sources cached across epochs. A
-  // NaN window resolves to the growing trace span: every source's
-  // denominators move, so every source re-integrates, but from its
-  // checkpoints (windows_keep_checkpoints).
+  const double measure = total_window_measure(w);
+  // Fixed explicit windows keep partials across epochs. A window change
+  // moves every denominator; when it cannot have clipped a stored
+  // segment, each lane swaps its observation measure and keeps its
+  // numerators, otherwise every source takes the full pass.
+  std::optional<double> old_measure;
   if (!have_windows_ || w != last_windows_) {
-    std::fill(dirty_.begin(), dirty_.end(), 1);
-    if (!windows_keep_checkpoints(w)) {
-      std::fill(checkpoint_numerators_.begin(), checkpoint_numerators_.end(),
-                0u);
-      std::fill(checkpoint_resume_.begin(), checkpoint_resume_.end(), 0u);
-      std::fill(open_counts_.begin(), open_counts_.end(), kNoOpenSet);
-    }
+    if (window_keeps_numerators(w))
+      old_measure = total_window_measure(last_windows_);
+    else
+      std::fill(lag_.begin(), lag_.end(), Lag::kFull);
     last_windows_ = w;
     have_windows_ = true;
   }
   last_end_time_ = graph_.end_time();
+  const auto others = static_cast<std::int64_t>(graph_.num_nodes()) - 1;
 
-  // Pairs with ea below the watermark keep their segments: the settled
-  // prefix of each lane. Clean sources fold their kept partial; the
-  // scratch goes unused.
-  const double settle_before = watermark();
   return fold_sources(
       dps_.size(), o, /*incremental=*/false,
       [&](std::size_t i, SourceCdfWorker& worker, SourceCdfPartial&,
           OrderedCdfFolder& folder) {
-        if (dirty_[i]) {
-          integrate_source(static_cast<NodeId>(i), w, settle_before, worker);
-          dirty_[i] = 0;
+        const auto src = static_cast<NodeId>(i);
+        SourceCdfPartial& out = partials_[i];
+        if (old_measure && lag_[i] != Lag::kFull) {
+          // Retract the old measure, add the new: exact, so the lane's
+          // denominator equals the one a fresh integration adds.
+          const auto swap_measure = [&](MeasureCdfAccumulator& lane) {
+            lane.add_observation_measure(*old_measure, -others);
+            lane.add_observation_measure(measure, others);
+          };
+          for (MeasureCdfAccumulator& lane : out.by_hops) swap_measure(lane);
+          swap_measure(out.unbounded);
         }
-        folder.submit(i, partials_[i]);
+        if (lag_[i] != Lag::kNone) {
+          IncrementalSourceDp& dp = dps_[i];
+          std::vector<NodeId> changed;
+          if (dp.take_changed(changed) && lag_[i] == Lag::kOneApply)
+            epoch_update(src, changed, w, worker);
+          else
+            full_pass(src, w, worker);
+          // Same fixpoint a cold bounded run reports: the true level when
+          // it is observable below the cap, the max_levels+1 "not
+          // converged" sentinel otherwise.
+          out.fixpoint_hops = dp.max_version_level() < cap_
+                                  ? dp.max_version_level()
+                                  : options_.max_levels + 1;
+          out.converged = out.fixpoint_hops <= options_.max_levels;
+          lag_[i] = Lag::kNone;
+        }
+        folder.submit(i, out);
       },
       &pool());
 }

@@ -26,24 +26,28 @@
 // Frontier pairs are exact copies/min/max of contact endpoints and the
 // version merge is plain Pareto-set maintenance, so after any sequence
 // of epochs every stored frontier is BIT-identical to the one a cold
-// SingleSourceEngine computes on the concatenated trace. The per-epoch
-// CDF emission sums the same fixed-point addends as a cold run
-// (stats/measure_cdf.hpp: exact, so in any order) and folds sources
-// through the same driver (fold_sources), which makes each epoch's
-// DelayCdfResult bit-identical to a cold compute_delay_cdf on the trace
-// so far, under kDirect and kIncremental alike.
+// SingleSourceEngine computes on the concatenated trace.
 //
-// The sums are checkpointed. An append only adds or removes frontier
-// pairs with ea at or past the pre-append watermark W, and a pair with
-// ea < W keeps its segment (its predecessor is below W too), so its
-// addend is final. Per (source, lane) the engine keeps the numerators
-// of the settled pairs, each destination's resume index (its first pair
-// with ea >= W) and the lane's OPEN destinations (those with pairs past
-// the resume index). A dirty source re-integrates only the pairs from
-// there, and walks only the open destinations plus those whose frontier
-// changed: a fraction of a percent of a full pass on the live_tail
-// workload. The IncrementalEngine tests and `odtn_fuzz --live` gate the
-// identity; the epoch cost is the `live_tail` workload of odtnbench.
+// Each source keeps one accumulator per hop budget k holding
+// sum_d I(L_k(src, d)), and `unbounded` holding sum_d I(L_cap), where I
+// integrates a frontier's delivery segments. Both ways of bringing them
+// up to date go through integrate_frontier_delta, the hop-delta
+// primitive of batch and serve:
+//
+//   - the epoch update adds I(L'_j) - I(L_j) per changed node and lane,
+//     reading the pre-epoch L_j from the stash overlay apply() keeps;
+//   - the full pass (after bootstrap, after a window change that could
+//     clip a stored segment, or when the lanes lag by more than one
+//     apply) feeds each destination's consecutive versions through the
+//     primitive and prefix-merges the level deltas.
+//
+// The sums are exact (stats/measure_cdf.hpp), so either way a lane holds
+// exactly the addends a cold run adds, and each epoch's DelayCdfResult,
+// folded through the same driver (fold_sources), is bit-identical to a
+// cold compute_delay_cdf on the trace so far, under kDirect and
+// kIncremental alike. The IncrementalEngine tests and `odtn_fuzz --live`
+// gate the identity; the epoch cost is the `live_tail` workload of
+// odtnbench.
 #pragma once
 
 #include <cstddef>
@@ -103,6 +107,21 @@ class IncrementalSourceDp {
   /// bootstrap); `out` is then empty.
   bool take_changed(std::vector<NodeId>& out);
 
+  /// L_level(source, node) as it was before the last apply(): the live
+  /// version list with that apply's stashed levels overlaid back in.
+  /// Valid until the next apply(); where the last apply left the level
+  /// untouched it is the same buffer frontier_at returns.
+  FrontierView lookup_original(NodeId node, int level) const;
+
+  /// Calls f(level, frontier) for each of `node`'s versions, ascending:
+  /// L_k(source, node) is the last one at or below k (empty below the
+  /// first).
+  template <class F>
+  void for_each_version(NodeId node, F&& f) const {
+    for (const Version& v : nodes_[node].versions)
+      f(v.level, v.frontier.view());
+  }
+
  private:
   /// One productive level's frontier.
   struct Version {
@@ -138,11 +157,6 @@ class IncrementalSourceDp {
 
   DeliveryFunction& ensure_working(NodeId node, int level);
   FrontierView lookup(const std::vector<Version>& versions, int level) const;
-  /// Latest PRE-epoch version at or below `level`: the live list with
-  /// this epoch's stashed levels overlaid back in. Levels are modified
-  /// at most once per epoch (each in its own level iteration), so both
-  /// lists ascend and one merge walk suffices.
-  FrontierView lookup_original(NodeId node, int level) const;
   /// Records the pre-epoch state of (node, level) before its first (and
   /// only) modification this epoch; moves `old_entry` out when the level
   /// had a version.
@@ -192,12 +206,13 @@ struct IncrementalCdfOptions {
 };
 
 /// Live all-pairs engine: an owned growing TemporalGraph plus one
-/// IncrementalSourceDp per source, a per-source cache of integrated CDF
-/// partials and per-lane checkpoints. append() advances every source by
-/// one epoch; all_pairs() re-integrates only the sources whose frontiers
-/// (or resolved windows) changed, each from its checkpoint at the
-/// watermark, and folds all partials, yielding a result bit-identical to
-/// a cold compute_delay_cdf(graph(), ...) on the contacts ingested so
+/// IncrementalSourceDp per source and a per-source cache of integrated
+/// CDF partials (full lanes: by_hops[k-1] holds sum_d I(L_k)). append()
+/// advances every source by one epoch; all_pairs() brings only the
+/// sources whose frontiers changed up to date -- by the epoch update
+/// when their lanes lag by exactly the last apply, by a full pass
+/// otherwise -- and folds all partials, yielding a result bit-identical
+/// to a cold compute_delay_cdf(graph(), ...) on the contacts ingested so
 /// far. The constructor rejects an infinite or empty explicit window
 /// (check_window_bounds) before any contact arrives.
 class IncrementalAllPairsEngine {
@@ -225,14 +240,25 @@ class IncrementalAllPairsEngine {
   const IncrementalSourceDp& source_dp(NodeId src) const { return dps_[src]; }
 
  private:
+  /// How far a source's partial lags its DP.
+  enum class Lag : std::uint8_t {
+    kNone,      // up to date
+    kOneApply,  // behind by exactly the last apply(), whose stash overlay
+                // still holds the pre-epoch frontiers: epoch update
+    kFull,      // anything else: full pass
+  };
+
   DelayCdfOptions cdf_options() const;
-  /// Whether checkpoints taken under `last_windows_` stay valid under `w`.
-  bool windows_keep_checkpoints(const TimeWindows& w) const;
-  /// Re-integrates partials_[src] from its checkpoints with the
-  /// worker's lane buffers, settling the pairs with ea < settle_before,
-  /// counting into worker.stats.
-  void integrate_source(NodeId src, const TimeWindows& w,
-                        double settle_before, SourceCdfWorker& worker);
+  /// Whether partials integrated under `last_windows_` keep their
+  /// numerators under `w`: only the denominators move.
+  bool window_keeps_numerators(const TimeWindows& w) const;
+  /// Rebuilds partials_[src] from every destination's version list.
+  void full_pass(NodeId src, const TimeWindows& w, SourceCdfWorker& worker);
+  /// Adds I(L'_j) - I(L_j) over the last apply to every lane of
+  /// partials_[src] (lane j for j <= max_hops, `unbounded` at the cap),
+  /// for each node that apply changed.
+  void epoch_update(NodeId src, const std::vector<NodeId>& changed,
+                    const TimeWindows& w, SourceCdfWorker& worker);
   /// The engine's own pool, or the shared one when num_threads is 0.
   ThreadPool& pool() const;
 
@@ -244,21 +270,10 @@ class IncrementalAllPairsEngine {
   int cap_;
   std::vector<IncrementalSourceDp> dps_;
   std::vector<SourceCdfPartial> partials_;
-  std::vector<std::uint8_t> dirty_;
+  std::vector<Lag> lag_;
   TimeWindows last_windows_;
   bool have_windows_ = false;
   double last_end_time_ = -std::numeric_limits<double>::infinity();
-  // Checkpoints, one slot per (source, lane) with lane max_hops standing
-  // for `unbounded`: the settled pairs' numerator state in one flat
-  // buffer, resume indices (one per destination) in another. All zeros
-  // is the empty checkpoint.
-  // Per slot, the open destinations after its last integration (resume
-  // slots, ascending) and their count; kNoOpenSet when unknown.
-  static constexpr std::uint32_t kNoOpenSet = ~std::uint32_t{0};
-  std::vector<std::uint64_t> checkpoint_numerators_;
-  std::vector<std::uint32_t> checkpoint_resume_;
-  std::vector<std::uint32_t> open_destinations_;
-  std::vector<std::uint32_t> open_counts_;
 };
 
 }  // namespace odtn

@@ -56,17 +56,11 @@ std::size_t equal_suffix2(const double* a0, const double* a1, std::size_t an,
   return s;
 }
 
-/// One destination's incremental CDF update: retract the pre-change
-/// frontier's integration (weight -1) and add the new one's (+1).
-///
-/// Both versions are pooled-engine arena spans whose shared pairs are
-/// value-identical (merge_frontier copies doubles verbatim), so they are
-/// first diffed: the common prefix and suffix would be retracted at -1
-/// and re-added at +1 with identical segment arguments, so only the
-/// differing middle slice is integrated. Skipping a cancelling +/- pair
-/// never changes the sum; the slices stay exact because the suffix is
-/// extended by one pair whenever its start boundary (the predecessor's
-/// ld) differs between the versions.
+}  // namespace
+
+// Both frontiers are usually pooled-engine arena spans or live versions
+// whose shared pairs are value-identical (merge_frontier copies doubles
+// verbatim), so the diff below finds long common runs.
 void integrate_frontier_delta(const FrontierView& old_f,
                               const FrontierView& new_f, const TimeWindows& w,
                               MeasureCdfAccumulator& acc,
@@ -99,6 +93,8 @@ void integrate_frontier_delta(const FrontierView& old_f,
   }
   pairs_integrated += om + nm;
 }
+
+namespace {
 
 void process_source_direct(const TemporalGraph& graph, NodeId src,
                            const std::vector<NodeId>& endpoints,

@@ -10,7 +10,7 @@
 // so neither the fold order nor the order of the segments within a
 // partial can change a bit: results are identical across thread counts,
 // cache hit subsets, the kDirect and kIncremental schemes, and the live
-// engine's checkpointed re-integration, by construction.
+// engine's epoch updates, by construction.
 #pragma once
 
 #include <cstddef>
@@ -85,26 +85,34 @@ struct SourceCdfPartial {
   void merge_from(const SourceCdfPartial& other);
 };
 
-/// Reusable buffers of the live engine's checkpointed lane walk (one per
-/// worker): the walked destinations' resume slots and their frontiers.
-struct LaneScratch {
-  std::vector<std::uint32_t> walked;
-  std::vector<FrontierView> frontiers;
-};
-
 /// Reusable per-worker state: the recycled engine workspace (incremental
-/// scheme), the live engine's lane buffers and the CDF-side counters.
-/// Engine counters are folded in by take_stats() -- additive counters are
-/// order-invariant, so worker totals merge into the same aggregate
-/// regardless of how sources were distributed.
+/// scheme) and the CDF-side counters. Engine counters are folded in by
+/// take_stats() -- additive counters are order-invariant, so worker
+/// totals merge into the same aggregate regardless of how sources were
+/// distributed.
 struct SourceCdfWorker {
   std::optional<SingleSourceEngine> engine;
   EngineStats stats;
-  LaneScratch lane;  // live engine
 
   /// Worker counters plus the recycled engine's counters (if any).
   EngineStats take_stats() const;
 };
+
+/// The hop-delta primitive: adds I(new_f) - I(old_f) to `acc`, where I
+/// integrates a frontier's delivery segments over the windows `w`
+/// (retract the old frontier at weight -1, add the new one at +1), and
+/// counts the pairs it integrated into `pairs_integrated`. The common
+/// prefix and suffix of the two frontiers would cancel exactly, so only
+/// the differing middle slice is integrated; the suffix is shortened by
+/// one pair when its start boundary (the predecessor's ld) differs. With
+/// an empty `old_f` it adds I(new_f). The incremental scheme feeds it
+/// each changed destination's consecutive levels; the live engine, each
+/// destination's consecutive versions and each epoch's old and new
+/// frontier.
+void integrate_frontier_delta(const FrontierView& old_f,
+                              const FrontierView& new_f, const TimeWindows& w,
+                              MeasureCdfAccumulator& acc,
+                              std::uint64_t& pairs_integrated);
 
 /// Integrates one source into `out` (which must be zeroed/cleared).
 /// `is_endpoint` is a num_nodes-sized membership mask of `endpoints`

@@ -33,20 +33,6 @@ void MeasureCdfAccumulator::add_delivery_segments(
   sb.flush();
 }
 
-void MeasureCdfAccumulator::store_numerators(
-    std::uint64_t* out) const noexcept {
-  std::copy(const_diff_.begin(), const_diff_.end(), out);
-  std::copy(slope_diff_.begin(), slope_diff_.end(), out + const_diff_.size());
-}
-
-void MeasureCdfAccumulator::load_numerators(
-    const std::uint64_t* in) noexcept {
-  std::copy(in, in + const_diff_.size(), const_diff_.begin());
-  std::copy(in + const_diff_.size(), in + 2 * const_diff_.size(),
-            slope_diff_.begin());
-  denominator_ = 0;
-}
-
 void MeasureCdfAccumulator::clear() noexcept {
   std::fill(const_diff_.begin(), const_diff_.end(), 0);
   std::fill(slope_diff_.begin(), slope_diff_.end(), 0);
@@ -55,7 +41,7 @@ void MeasureCdfAccumulator::clear() noexcept {
 
 void MeasureCdfAccumulator::add_observation_measure(double measure,
                                                     std::int64_t count) {
-  assert(measure >= 0.0 && count >= 0);
+  assert(measure >= 0.0);
   denominator_ += static_cast<std::uint64_t>(fix(measure)) *
                   static_cast<std::uint64_t>(count);
 }

@@ -9,9 +9,7 @@ namespace {
 
 TEST(AsciiPlot, RendersSeriesAndLegend) {
   PlotSeries s{"rising", {0, 1, 2, 3}, {0, 1, 2, 3}};
-  PlotOptions opt;
-  opt.x_label = "x";
-  opt.y_label = "y";
+  const PlotOptions opt{.x_label = "x", .y_label = "y"};
   const std::string plot = render_ascii_plot({s}, opt);
   EXPECT_NE(plot.find('*'), std::string::npos);
   EXPECT_NE(plot.find("rising"), std::string::npos);

@@ -193,11 +193,6 @@ TEST(MeasureCdf, SumIsIndependentOfOrderAndGrouping) {
     segs.push_back({a, b, a + rng.uniform(-20.0, 900.0),
                     static_cast<int>(rng.below(5)) - 2});
   }
-  const auto state = [&](const MeasureCdfAccumulator& acc) {
-    std::vector<std::uint64_t> words(acc.numerator_size());
-    acc.store_numerators(words.data());
-    return words;
-  };
   MeasureCdfAccumulator forward(grid);
   for (const Seg& g : segs) forward.add_segment(g.a, g.b, g.arr, g.weight);
   forward.add_observation_measure(1000.0 / 3.0, 300);
@@ -211,7 +206,8 @@ TEST(MeasureCdf, SumIsIndependentOfOrderAndGrouping) {
     for (int i = 0; i < 300; ++i)
       (i % 2 == 0 ? right : left).add_observation_measure(1000.0 / 3.0);
     right.merge(left);
-    EXPECT_EQ(state(right), state(forward)) << round;
+    // Full state: numerator difference arrays and denominator.
+    EXPECT_TRUE(right == forward) << round;
     EXPECT_EQ(right.denominator(), forward.denominator()) << round;
     EXPECT_EQ(right.cdf(), forward.cdf()) << round;
   }
