@@ -118,11 +118,11 @@ TEST(QueryEngine, TinyCacheBudgetStillBitIdentical) {
 
 /// Heap bytes one cached partial holds: the object itself, the by_hops
 /// header array, and per accumulator its grid copy plus both difference
-/// arrays.
+/// arrays (grid().size() + 1 words each).
 std::size_t partial_heap_bytes(const SourceCdfPartial& p) {
   const auto lanes = [](const MeasureCdfAccumulator& a) {
     return a.grid().capacity() * sizeof(double) +
-           a.numerator_size() * sizeof(std::uint64_t);
+           2 * (a.grid().size() + 1) * sizeof(std::uint64_t);
   };
   std::size_t bytes = sizeof(SourceCdfPartial) +
                       p.by_hops.capacity() * sizeof(MeasureCdfAccumulator) +
