@@ -90,6 +90,11 @@ class DeliveryFunction {
   std::size_t size() const noexcept { return ld_.size(); }
   bool empty() const noexcept { return ld_.empty(); }
 
+  /// Heap bytes the two lanes hold (their capacity).
+  std::size_t heap_bytes() const noexcept {
+    return (ld_.capacity() + ea_.capacity()) * sizeof(double);
+  }
+
   /// Removes every pair (capacity is kept, for reusable scratch buffers).
   void clear() noexcept {
     ld_.clear();

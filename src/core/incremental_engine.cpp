@@ -55,7 +55,7 @@ IncrementalSourceDp::IncrementalSourceDp(NodeId source, std::size_t num_nodes,
   if (level_cap < 1)
     throw std::invalid_argument("IncrementalSourceDp: level cap must be >= 1");
   nodes_.resize(num_nodes_);
-  scratch_.resize(num_nodes_);
+  marks_.resize(num_nodes_);
   Version seed;
   seed.frontier.insert(identity_pair());
   nodes_[source_].versions.push_back(std::move(seed));
@@ -81,41 +81,40 @@ FrontierView IncrementalSourceDp::frontier_at(NodeId node, int level) const {
 FrontierView IncrementalSourceDp::lookup_original(NodeId node,
                                                   int level) const {
   const std::vector<Version>& vs = nodes_[node].versions;
-  const std::span<const SavedVersion> saved(scratch_[node].saved.data(),
-                                            scratch_[node].saved_count);
-  // Backward merge over the live list and the copy-on-write overlay,
-  // both ascending in level: at a level this epoch modified, the
-  // pre-epoch state is the stash (possibly "absent"); elsewhere it is
-  // the live entry untouched. Starting from the binary-searched tails,
-  // the walk only continues past tombstoned levels, so the per-offer
-  // cost stays logarithmic.
+  // Backward merge over the live list and the node's stash chain, both
+  // descending from `level`: at a level the last apply modified, the
+  // pre-apply state is the stash (possibly "absent"); elsewhere it is
+  // the live entry untouched. The live list starts from a binary
+  // search; the chain starts at the node's newest entry, which during
+  // an apply sits at or below the level being built, and the walk only
+  // continues past tombstoned levels.
   std::ptrdiff_t i =
       std::upper_bound(vs.begin(), vs.end(), level,
                        [](int l, const Version& v) { return l < v.level; }) -
       vs.begin() - 1;
-  std::ptrdiff_t j =
-      std::upper_bound(
-          saved.begin(), saved.end(), level,
-          [](int l, const SavedVersion& s) { return l < s.level; }) -
-      saved.begin() - 1;
-  while (i >= 0 || j >= 0) {
+  std::uint32_t j = marks_[node].last_stash;
+  while (j != kNoEntry && stash_[j].level > level) j = stash_[j].prev;
+  while (i >= 0 || j != kNoEntry) {
     const int lv = i >= 0 ? vs[static_cast<std::size_t>(i)].level : -1;
-    const int ls = j >= 0 ? saved[static_cast<std::size_t>(j)].level : -1;
+    const int ls = j != kNoEntry ? stash_[j].level : -1;
     if (lv > ls) {
-      // No stash covers (ls, level], so the live entry is pre-epoch.
+      // No stash covers (ls, level], so the live entry is pre-apply.
       return vs[static_cast<std::size_t>(i)].frontier.view();
     }
-    const SavedVersion& s = saved[static_cast<std::size_t>(j)];
-    if (s.existed) return s.version.frontier.view();
-    // Tombstone: the level had no version pre-epoch; skip it entirely.
+    const StashEntry& e = stash_[j];
+    if (e.existed)
+      return FrontierView(stash_ld_.data() + e.offset,
+                          stash_ea_.data() + e.offset, e.length);
+    // Tombstone: the level had no version pre-apply; skip it entirely.
     if (lv == ls) --i;
-    --j;
+    j = e.prev;
   }
   return FrontierView();
 }
 
-DeliveryFunction& IncrementalSourceDp::ensure_working(NodeId node, int level) {
-  Scratch& s = scratch_[node];
+DeliveryFunction& IncrementalSourceDp::ensure_working(ApplyScratch& scratch,
+                                                      NodeId node, int level) {
+  ApplyScratch::Node& s = scratch.nodes[node];
   if (!s.active) {
     // Base = L'_{level-1} (the list is already updated through level-1),
     // then the pre-epoch L_level: together with the candidate extensions
@@ -124,29 +123,29 @@ DeliveryFunction& IncrementalSourceDp::ensure_working(NodeId node, int level) {
     s.working.assign_union(lookup(nodes_[node].versions, level - 1),
                            lookup_original(node, level));
     s.active = true;
-    level_active_.push_back(node);
+    scratch.level_active.push_back(node);
   }
   return s.working;
 }
 
-void IncrementalSourceDp::stash(NodeId node, int level, Version* old_entry) {
-  Scratch& s = scratch_[node];
-  if (!s.touched) {
-    s.touched = true;
-    touched_.push_back(node);
-  }
-  // Swap rather than move: the displaced live entry inherits the slot's
-  // recycled buffers, so the write_version refill that follows reuses
-  // their capacity instead of allocating -- stashing stays malloc-free
-  // once every slot warmed up.
-  if (s.saved_count == s.saved.size()) s.saved.emplace_back();
-  SavedVersion& sv = s.saved[s.saved_count++];
-  sv.level = level;
-  sv.existed = old_entry != nullptr;
-  sv.version.frontier.clear();
-  if (old_entry) {
-    sv.version.level = old_entry->level;
-    std::swap(sv.version.frontier, old_entry->frontier);
+void IncrementalSourceDp::stash(NodeId node, int level,
+                                const DeliveryFunction* old_frontier) {
+  StashEntry& e = stash_.emplace_back();
+  e.node = node;
+  e.level = level;
+  e.prev = marks_[node].last_stash;
+  marks_[node].last_stash = static_cast<std::uint32_t>(stash_.size() - 1);
+  e.existed = old_frontier != nullptr;
+  if (old_frontier) {
+    // A copy, not a buffer swap: the live version keeps and refills its
+    // own lanes, and the arena's capacity is kept across applies, so the
+    // stash holds one epoch's displaced pairs instead of a buffer per
+    // (node, level) ever stashed.
+    const FrontierView v = old_frontier->view();
+    e.offset = stash_ld_.size();
+    e.length = v.size();
+    stash_ld_.insert(stash_ld_.end(), v.ld_data(), v.ld_data() + v.size());
+    stash_ea_.insert(stash_ea_.end(), v.ea_data(), v.ea_data() + v.size());
   }
 }
 
@@ -160,7 +159,7 @@ void IncrementalSourceDp::write_version(NodeId node, int level,
     stash(node, level, nullptr);
     it = vs.insert(it, Version{});
   } else {
-    stash(node, level, &*it);  // moves the old lanes into the overlay
+    stash(node, level, &it->frontier);
   }
   it->level = level;
   it->frontier.assign_canonical(f);
@@ -173,7 +172,7 @@ void IncrementalSourceDp::erase_exact_version(NodeId node, int level) {
       vs.begin(), vs.end(), level,
       [](const Version& v, int l) { return v.level < l; });
   if (it != vs.end() && it->level == level) {
-    stash(node, level, &*it);
+    stash(node, level, &it->frontier);
     vs.erase(it);
   }
 }
@@ -189,10 +188,10 @@ const IncrementalSourceDp::Version* IncrementalSourceDp::version_at(
 
 bool IncrementalSourceDp::take_changed(std::vector<NodeId>& out) {
   out.clear();
-  for (const NodeId d : changed_) scratch_[d].reported = false;
+  for (const NodeId d : changed_) marks_[d].reported = false;
   const bool all = all_changed_;
   if (!all) {
-    out.swap(changed_);
+    out.assign(changed_.begin(), changed_.end());
     std::sort(out.begin(), out.end());
   }
   changed_.clear();
@@ -219,23 +218,64 @@ void IncrementalSourceDp::bootstrap(const TemporalGraph& graph) {
   all_changed_ = true;
 }
 
+namespace {
+
+template <class T>
+std::size_t capacity_bytes(const std::vector<T>& v) noexcept {
+  return v.capacity() * sizeof(T);
+}
+
+}  // namespace
+
+std::size_t IncrementalSourceDp::ApplyScratch::heap_bytes() const noexcept {
+  std::size_t b = capacity_bytes(nodes) + capacity_bytes(fresh_active) +
+                  capacity_bytes(next_fresh_active) + capacity_bytes(carry) +
+                  capacity_bytes(next_carry) + capacity_bytes(level_active) +
+                  capacity_bytes(succ_ea) + capacity_bytes(changed);
+  for (const Node& n : nodes)
+    b += n.working.heap_bytes() + capacity_bytes(n.fresh) +
+         capacity_bytes(n.next_fresh);
+  return b;
+}
+
+std::size_t IncrementalSourceDp::version_bytes() const noexcept {
+  std::size_t b = capacity_bytes(nodes_);
+  for (const NodeState& n : nodes_) {
+    b += capacity_bytes(n.versions);
+    for (const Version& v : n.versions) b += v.frontier.heap_bytes();
+  }
+  return b;
+}
+
+std::size_t IncrementalSourceDp::stash_bytes() const noexcept {
+  return capacity_bytes(marks_) + capacity_bytes(changed_) +
+         capacity_bytes(stash_) + capacity_bytes(stash_ld_) +
+         capacity_bytes(stash_ea_);
+}
+
 bool IncrementalSourceDp::apply(const TemporalGraph& graph,
-                                std::size_t old_count) {
+                                std::size_t old_count, ApplyScratch& scratch) {
   const std::span<const Contact> all = graph.contacts();
   const std::span<const Contact> batch = all.subspan(old_count);
   if (batch.empty()) return false;
   const bool directed = graph.directed();
   bool changed = false;
 
-  for (NodeId d : touched_) {
-    scratch_[d].touched = false;
-    scratch_[d].saved_count = 0;
-    scratch_[d].fresh.clear();
-    scratch_[d].next_fresh.clear();
-  }
-  touched_.clear();
-  fresh_active_.clear();
-  carry_.clear();
+  // The new stash replaces the last apply's (capacity kept).
+  for (const StashEntry& e : stash_) marks_[e.node].last_stash = kNoEntry;
+  stash_.clear();
+  stash_ld_.clear();
+  stash_ea_.clear();
+  if (scratch.nodes.size() < num_nodes_) scratch.nodes.resize(num_nodes_);
+  std::vector<ApplyScratch::Node>& sn = scratch.nodes;
+  std::vector<NodeId>& fresh_active = scratch.fresh_active;
+  std::vector<NodeId>& next_fresh_active = scratch.next_fresh_active;
+  std::vector<NodeId>& carry = scratch.carry;
+  std::vector<NodeId>& next_carry = scratch.next_carry;
+  std::vector<NodeId>& level_active = scratch.level_active;
+  std::vector<double>& succ_ea = scratch.succ_ea;
+  fresh_active.clear();
+  carry.clear();
 
   // Routes one candidate into `to`'s level-k working frontier, but only
   // materializes the scratch once a candidate actually survives: a pair
@@ -243,7 +283,7 @@ bool IncrementalSourceDp::apply(const TemporalGraph& graph,
   // by their Pareto merge too, so it cannot change the node's level-k
   // value.
   const auto offer_to = [&](NodeId to, int k, PathPair cand) {
-    Scratch& s = scratch_[to];
+    const ApplyScratch::Node& s = sn[to];
     const auto dominated_in = [&](const FrontierView& v) {
       return frontier_dominates(v.ld_data(), v.ea_data(), v.size(), cand.ld,
                                 cand.ea);
@@ -251,7 +291,7 @@ bool IncrementalSourceDp::apply(const TemporalGraph& graph,
     if (!s.active && (dominated_in(lookup(nodes_[to].versions, k - 1)) ||
                       dominated_in(lookup_original(to, k))))
       return;
-    ensure_working(to, k).insert(cand);
+    ensure_working(scratch, to, k).insert(cand);
   };
 
   // Extends L'_{k-1}(u) through one new contact window into `to`'s
@@ -273,12 +313,11 @@ bool IncrementalSourceDp::apply(const TemporalGraph& graph,
     // productive level instead of sweeping to the cap). Carried nodes
     // only matter where they have a pre-epoch version, at or below the
     // deepest one.
-    if (fresh_active_.empty() && k > max_level_ + 1) break;
-    level_active_.clear();
+    if (fresh_active.empty() && k > max_level_ + 1) break;
+    level_active.clear();
 
-    for (NodeId u : fresh_active_) {
-      Scratch& su = scratch_[u];
-      const std::vector<PathPair>& dp = su.fresh;
+    for (NodeId u : fresh_active) {
+      const std::vector<PathPair>& dp = sn[u].fresh;
       // Per fresh pair, the ea of its successor in u's full L'_{k-1}
       // frontier (fresh pairs are a subsequence of it; both ea-sorted,
       // one merge walk finds every successor). A window whose begin
@@ -290,10 +329,10 @@ bool IncrementalSourceDp::apply(const TemporalGraph& graph,
       // suppression, carried across epochs by the same quiescence
       // argument fire_new_contact relies on).
       const FrontierView fp = lookup(nodes_[u].versions, k - 1);
-      succ_ea_.resize(dp.size());
+      succ_ea.resize(dp.size());
       for (std::size_t j = 0, pos = 0; j < dp.size(); ++j) {
         while (fp.ea(pos) < dp[j].ea) ++pos;
-        succ_ea_[j] = pos + 1 < fp.size() ? fp.ea(pos + 1) : kInf;
+        succ_ea[j] = pos + 1 < fp.size() ? fp.ea(pos + 1) : kInf;
       }
       // The first fresh pair's ea is the earliest arrival; windows
       // ending before it are unusable, the same by-end skip the delta
@@ -311,7 +350,7 @@ bool IncrementalSourceDp::apply(const TemporalGraph& graph,
         // suppression above.
         std::size_t i = 0;
         while (i < dp.size() && dp[i].ea <= wb) ++i;
-        if (i > 0 && wb < succ_ea_[i - 1])
+        if (i > 0 && wb < succ_ea[i - 1])
           offer_to(to, k, {std::min(dp[i - 1].ld, we), wb});
         for (; i < dp.size() && dp[i].ea <= we; ++i) {
           offer_to(to, k, {std::min(dp[i].ld, we), dp[i].ea});
@@ -329,13 +368,13 @@ bool IncrementalSourceDp::apply(const TemporalGraph& graph,
     // old L_k). Where it had no pre-epoch version at k, old L_k is old
     // L_{k-1}, which L'_{k-1} dominates, so L'_k = L'_{k-1} holds with
     // no version; only a pre-epoch version at k needs rewriting.
-    for (NodeId d : carry_)
-      if (!scratch_[d].active && version_at(d, k)) ensure_working(d, k);
+    for (NodeId d : carry)
+      if (!sn[d].active && version_at(d, k)) ensure_working(scratch, d, k);
 
-    next_fresh_active_.clear();
-    next_carry_.clear();
-    for (NodeId d : level_active_) {
-      Scratch& s = scratch_[d];
+    next_fresh_active.clear();
+    next_carry.clear();
+    for (NodeId d : level_active) {
+      ApplyScratch::Node& s = sn[d];
       const FrontierView f = s.working.view();
       // Version-iff-productive invariant: a version at k exists exactly
       // when L'_k != L'_{k-1}.
@@ -344,13 +383,14 @@ bool IncrementalSourceDp::apply(const TemporalGraph& graph,
       else
         erase_exact_version(d, k);
       // A rewritten node stays carried while its level-k value differs
-      // from the pre-epoch one.
+      // from the pre-epoch one. (Looked up after the write: a stash may
+      // move the arena.)
       const FrontierView old_k = lookup_original(d, k);
       if (!frontier_equals(f, old_k)) {
         changed = true;
-        next_carry_.push_back(d);
-        if (!s.reported) {
-          s.reported = true;
+        next_carry.push_back(d);
+        if (!marks_[d].reported) {
+          marks_[d].reported = true;
           changed_.push_back(d);
         }
       }
@@ -359,19 +399,19 @@ bool IncrementalSourceDp::apply(const TemporalGraph& graph,
       // hold a pair dominating it, and so would L'_k), so it was fresh
       // at an earlier level and its extensions were offered then.
       fresh_pairs(f, lookup(nodes_[d].versions, k - 1), old_k, s.next_fresh);
-      if (!s.next_fresh.empty()) next_fresh_active_.push_back(d);
+      if (!s.next_fresh.empty()) next_fresh_active.push_back(d);
     }
     // Carried nodes not rewritten at k keep L'_k = L'_{k-1} != old L_k.
-    for (NodeId d : carry_)
-      if (!scratch_[d].active) next_carry_.push_back(d);
-    for (NodeId d : level_active_) scratch_[d].active = false;
-    carry_.swap(next_carry_);
-    for (NodeId u : fresh_active_) scratch_[u].fresh.clear();
-    for (NodeId d : next_fresh_active_) {
-      scratch_[d].fresh.swap(scratch_[d].next_fresh);
-      scratch_[d].next_fresh.clear();
+    for (NodeId d : carry)
+      if (!sn[d].active) next_carry.push_back(d);
+    for (NodeId d : level_active) sn[d].active = false;
+    carry.swap(next_carry);
+    for (NodeId u : fresh_active) sn[u].fresh.clear();
+    for (NodeId d : next_fresh_active) {
+      sn[d].fresh.swap(sn[d].next_fresh);
+      sn[d].next_fresh.clear();
     }
-    fresh_active_.swap(next_fresh_active_);
+    fresh_active.swap(next_fresh_active);
   }
 
   // Deletions can lower the deepest productive level (a new direct
@@ -402,7 +442,19 @@ IncrementalAllPairsEngine::IncrementalAllPairsEngine(
   }
   if (options_.num_threads != 0)
     pool_ = std::make_unique<ThreadPool>(options_.num_threads);
+  scratch_.resize(pool().num_workers());
   lag_.assign(num_nodes, Lag::kFull);
+}
+
+LiveHeapBytes IncrementalAllPairsEngine::heap_bytes() const noexcept {
+  LiveHeapBytes b;
+  for (const IncrementalSourceDp& dp : dps_) {
+    b.versions += dp.version_bytes();
+    b.stash += dp.stash_bytes();
+  }
+  for (const IncrementalSourceDp::ApplyScratch& s : scratch_)
+    b.scratch += s.heap_bytes();
+  return b;
 }
 
 ThreadPool& IncrementalAllPairsEngine::pool() const {
@@ -426,7 +478,7 @@ std::uint64_t IncrementalAllPairsEngine::append(
   // existed, and this materializes them on the very first epoch.
   graph_.neighbor_offsets();
 
-  pool().parallel_for(dps_.size(), [&](std::size_t i, unsigned) {
+  pool().parallel_for(dps_.size(), [&](std::size_t i, unsigned worker) {
     if (old_count == 0) {
       // First (bulk) batch: seed each DP from a cold pooled run instead
       // of replaying the epoch machinery -- same frontiers, batch cost.
@@ -434,7 +486,7 @@ std::uint64_t IncrementalAllPairsEngine::append(
       lag_[i] = Lag::kFull;
       return;
     }
-    const bool changed = dps_[i].apply(graph_, old_count);
+    const bool changed = dps_[i].apply(graph_, old_count, scratch_[worker]);
     // apply() replaces the stash overlay, so a partial that already
     // lagged can no longer be brought up to date from it.
     if (lag_[i] != Lag::kNone)
@@ -556,7 +608,7 @@ DelayCdfResult IncrementalAllPairsEngine::all_pairs() {
         }
         if (lag_[i] != Lag::kNone) {
           IncrementalSourceDp& dp = dps_[i];
-          std::vector<NodeId> changed;
+          std::vector<NodeId>& changed = scratch_[worker.id].changed;
           if (dp.take_changed(changed) && lag_[i] == Lag::kOneApply)
             epoch_update(src, changed, w, worker);
           else

@@ -68,18 +68,54 @@ namespace odtn {
 /// Persistent per-source DP state: each node's frontier history as a
 /// version list indexed by hop level. frontier_at(d, k) is L_k(src, d)
 /// for any k, bit-identical to a cold engine's frontier at that level.
+///
+/// Besides the version lists a source keeps only the last apply()'s
+/// stash (the frontiers it displaced, copied into one pair arena) and
+/// its change report; the working state of an apply() lives in an
+/// ApplyScratch the caller owns, one per worker, so a source's epoch
+/// state scales with one epoch's work.
 class IncrementalSourceDp {
  public:
+  /// Working state of apply(), reused across sources and epochs: a
+  /// worker runs one apply() at a time, so one scratch per worker
+  /// serves every source it advances. Nothing in it outlives a call:
+  /// apply() resets the lists, and a node's `fresh` is only read after
+  /// the level that filled it.
+  struct ApplyScratch {
+    struct Node {
+      bool active = false;       // working initialized at the current level
+      DeliveryFunction working;  // L'_k being assembled
+      /// Fresh pairs of L'_{k-1}: in neither L'_{k-2} nor old L_{k-1}.
+      std::vector<PathPair> fresh;
+      std::vector<PathPair> next_fresh;
+    };
+    std::vector<Node> nodes;
+    std::vector<NodeId> fresh_active;
+    std::vector<NodeId> next_fresh_active;
+    /// Nodes whose L'_{k-1} differs from old L_{k-1}: rewritten at level
+    /// k only where they had a pre-epoch version at exactly k.
+    std::vector<NodeId> carry;
+    std::vector<NodeId> next_carry;
+    std::vector<NodeId> level_active;
+    std::vector<double> succ_ea;
+    /// take_changed()'s output buffer for the CDF side.
+    std::vector<NodeId> changed;
+
+    /// Heap bytes held, from capacities.
+    std::size_t heap_bytes() const noexcept;
+  };
+
   /// `level_cap` bounds the DP depth, matching the cold driver's
   /// max(max_hops, max_levels) (levels beyond it are never inspected).
   IncrementalSourceDp(NodeId source, std::size_t num_nodes, int level_cap);
 
   /// Advances the DP over the contacts appended at [old_count, end) of
   /// `graph` (which must already contain them; canonical order is the
-  /// graph's append invariant). Returns true iff any frontier at any
-  /// level changed -- i.e. any cached integration of this source is now
-  /// stale.
-  bool apply(const TemporalGraph& graph, std::size_t old_count);
+  /// graph's append invariant), working in `scratch`. Returns true iff
+  /// any frontier at any level changed -- i.e. any cached integration of
+  /// this source is now stale.
+  bool apply(const TemporalGraph& graph, std::size_t old_count,
+             ApplyScratch& scratch);
 
   /// Seeds the version lists from a cold pooled engine run over `graph`:
   /// one version per (node, productive level), straight from the
@@ -101,16 +137,17 @@ class IncrementalSourceDp {
   int level_cap() const noexcept { return cap_; }
   NodeId source() const noexcept { return source_; }
 
-  /// Moves into `out`, ascending, the nodes whose frontier changed at
+  /// Copies into `out`, ascending, the nodes whose frontier changed at
   /// some level since the previous call. Returns false instead when
   /// every node may have changed (nothing taken since construction or
   /// bootstrap); `out` is then empty.
   bool take_changed(std::vector<NodeId>& out);
 
   /// L_level(source, node) as it was before the last apply(): the live
-  /// version list with that apply's stashed levels overlaid back in.
-  /// Valid until the next apply(); where the last apply left the level
-  /// untouched it is the same buffer frontier_at returns.
+  /// version list with that apply's stash overlaid back in. Where the
+  /// last apply left the level untouched it is the same buffer
+  /// frontier_at returns; otherwise it views the stash arena, valid
+  /// until the next apply() (which empties and refills the arena).
   FrontierView lookup_original(NodeId node, int level) const;
 
   /// Calls f(level, frontier) for each of `node`'s versions, ascending:
@@ -122,6 +159,13 @@ class IncrementalSourceDp {
       f(v.level, v.frontier.view());
   }
 
+  /// Heap bytes of the version lists (node and version headers plus
+  /// frontier lanes), from capacities.
+  std::size_t version_bytes() const noexcept;
+  /// Heap bytes of the epoch state kept between applies: the stash
+  /// arena and entries, the per-node marks and the change report.
+  std::size_t stash_bytes() const noexcept;
+
  private:
   /// One productive level's frontier.
   struct Version {
@@ -131,36 +175,34 @@ class IncrementalSourceDp {
   struct NodeState {
     std::vector<Version> versions;  // ascending level, one per change
   };
-  /// Pre-epoch state of one level this epoch modified: the displaced
-  /// version (buffer-swapped out of the live list, so stashing is O(1)
-  /// and the displaced slot inherits a recycled buffer to refill) or a
-  /// tombstone recording that the level had no version before.
-  struct SavedVersion {
+  static constexpr std::uint32_t kNoEntry =
+      std::numeric_limits<std::uint32_t>::max();
+  /// Pre-apply state of one (node, level) the last apply() modified: the
+  /// displaced frontier, copied to [offset, offset + length) of the
+  /// arena lanes, or a tombstone (!existed) recording that the level had
+  /// no version before. A node's entries chain backwards through `prev`,
+  /// in descending level (levels ascend within an apply).
+  struct StashEntry {
+    NodeId node = 0;
     int level = 0;
+    std::uint32_t prev = kNoEntry;
     bool existed = false;
-    Version version;
+    std::size_t offset = 0;
+    std::size_t length = 0;
   };
-  /// Per-epoch working state of one node (recycled across epochs).
-  /// `saved` slots are reused via `saved_count` rather than cleared, so
-  /// steady-state epochs allocate nothing in the stash path.
-  struct Scratch {
-    bool touched = false;  // has stashes to reset next epoch
-    bool active = false;   // working initialized at the current level
-    bool reported = false;  // listed in changed_
-    std::size_t saved_count = 0;      // live prefix of `saved`
-    std::vector<SavedVersion> saved;  // copy-on-write pre-epoch overlay
-    DeliveryFunction working;         // L'_k being assembled
-    /// Fresh pairs of L'_{k-1}: in neither L'_{k-2} nor old L_{k-1}.
-    std::vector<PathPair> fresh;
-    std::vector<PathPair> next_fresh;
+  struct NodeMark {
+    std::uint32_t last_stash = kNoEntry;  // newest StashEntry of the node
+    bool reported = false;                // listed in changed_
   };
 
-  DeliveryFunction& ensure_working(NodeId node, int level);
+  DeliveryFunction& ensure_working(ApplyScratch& scratch, NodeId node,
+                                   int level);
   FrontierView lookup(const std::vector<Version>& versions, int level) const;
-  /// Records the pre-epoch state of (node, level) before its first (and
-  /// only) modification this epoch; moves `old_entry` out when the level
-  /// had a version.
-  void stash(NodeId node, int level, Version* old_entry);
+  /// Records the pre-apply state of (node, level) before its first (and
+  /// only) modification this apply, copying `old_frontier` into the
+  /// arena when the level had a version. May grow the arena, so views
+  /// lookup_original returned before the call are invalid after it.
+  void stash(NodeId node, int level, const DeliveryFunction* old_frontier);
   void write_version(NodeId node, int level, const FrontierView& f);
   void erase_exact_version(NodeId node, int level);
   /// The version at exactly `level`, if any.
@@ -171,23 +213,27 @@ class IncrementalSourceDp {
   int cap_;
   int max_level_ = 0;
   std::vector<NodeState> nodes_;
+  std::vector<NodeMark> marks_;
 
   // Nodes changed since the last take_changed(); all of them when
   // all_changed_.
   bool all_changed_ = true;
   std::vector<NodeId> changed_;
 
-  // Epoch scratch.
-  std::vector<Scratch> scratch_;
-  std::vector<NodeId> touched_;
-  std::vector<NodeId> fresh_active_;
-  std::vector<NodeId> next_fresh_active_;
-  /// Nodes whose L'_{k-1} differs from old L_{k-1}: rewritten at level k
-  /// only where they had a pre-epoch version at exactly k.
-  std::vector<NodeId> carry_;
-  std::vector<NodeId> next_carry_;
-  std::vector<NodeId> level_active_;
-  std::vector<double> succ_ea_;
+  // The last apply()'s stash: entries plus the two-lane pair arena their
+  // frontiers live in, emptied at the start of each apply (capacity
+  // kept).
+  std::vector<StashEntry> stash_;
+  std::vector<double> stash_ld_;
+  std::vector<double> stash_ea_;
+};
+
+/// Heap bytes of a live engine by part, from container capacities
+/// (allocator overhead excluded).
+struct LiveHeapBytes {
+  std::size_t versions = 0;  // every source's version lists
+  std::size_t stash = 0;     // every source's stash and change report
+  std::size_t scratch = 0;   // the per-worker apply scratch
 };
 
 /// Options of the live all-pairs monitor. The delay grid is fixed for
@@ -239,6 +285,9 @@ class IncrementalAllPairsEngine {
   /// The DP state of one source (its version lists).
   const IncrementalSourceDp& source_dp(NodeId src) const { return dps_[src]; }
 
+  /// Heap bytes of the DP state by part (the CDF partials excluded).
+  LiveHeapBytes heap_bytes() const noexcept;
+
  private:
   /// How far a source's partial lags its DP.
   enum class Lag : std::uint8_t {
@@ -269,6 +318,9 @@ class IncrementalAllPairsEngine {
   std::unique_ptr<ThreadPool> pool_;
   int cap_;
   std::vector<IncrementalSourceDp> dps_;
+  // One apply scratch per pool worker, indexed by the worker id of
+  // append's fan-out and of all_pairs' fold (both on pool()).
+  std::vector<IncrementalSourceDp::ApplyScratch> scratch_;
   std::vector<SourceCdfPartial> partials_;
   std::vector<Lag> lag_;
   TimeWindows last_windows_;

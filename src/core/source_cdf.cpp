@@ -342,8 +342,10 @@ DelayCdfResult fold_sources(std::size_t count, const DelayCdfOptions& options,
   std::vector<SourceCdfWorker> workers(num_workers);
   std::vector<SourceCdfPartial> scratch;
   scratch.reserve(num_workers);
-  for (unsigned t = 0; t < num_workers; ++t)
+  for (unsigned t = 0; t < num_workers; ++t) {
+    workers[t].id = t;
     scratch.emplace_back(options.grid, options.max_hops);
+  }
   OrderedCdfFolder folder(options.grid, options.max_hops, count);
 
   const auto run = [&](std::size_t i, unsigned worker) {

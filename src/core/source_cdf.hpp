@@ -93,6 +93,9 @@ struct SourceCdfPartial {
 struct SourceCdfWorker {
   std::optional<SingleSourceEngine> engine;
   EngineStats stats;
+  /// This worker's slot in fold_sources, the pool's worker id: state a
+  /// callback keeps per worker, indexed by it, needs no lock.
+  unsigned id = 0;
 
   /// Worker counters plus the recycled engine's counters (if any).
   EngineStats take_stats() const;

@@ -3,11 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "trace/generators.hpp"
 #include "trace/trace_io.hpp"
 #include "util/time_format.hpp"
 
@@ -515,6 +520,81 @@ TEST_F(CliServe, TailEpochSplitsEndIdentically) {
   }
   EXPECT_EQ(finals[0], finals[1]);
   EXPECT_NE(finals[0].find("converged=1"), std::string::npos);
+}
+
+/// (epoch, contacts) of every `odtn tail` row in `text`.
+std::vector<std::pair<unsigned long long, std::size_t>> tail_rows(
+    const std::string& text) {
+  std::vector<std::pair<unsigned long long, std::size_t>> rows;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    unsigned long long epoch = 0;
+    std::size_t contacts = 0;
+    if (std::sscanf(line.c_str(), "epoch=%llu contacts=%zu", &epoch,
+                    &contacts) == 2)
+      rows.emplace_back(epoch, contacts);
+  }
+  return rows;
+}
+
+TEST_F(CliServe, TailWaitsForAWindowStartPastTheEarlyFeed) {
+  // --window-lo 1.5 days into a 3-day feed: the epochs that end before
+  // it have an empty window and print nothing, and the command goes on
+  // to print a row for every epoch from the first one that reaches it.
+  SyntheticTraceSpec spec;
+  spec.num_internal = 12;
+  spec.duration = 3 * kDay;
+  spec.pair_contacts_mean = 300.0;  // several 64 KiB read chunks
+  // Contacts clipped to an hour, so the trace's end time follows the
+  // feed position (a gathering can otherwise last for days).
+  std::vector<Contact> generated =
+      generate_trace(spec, 7).graph.contacts_vector();
+  for (Contact& c : generated) c.end = std::min(c.end, c.begin + kHour);
+  const TemporalGraph g(spec.num_internal, std::move(generated), false);
+  const std::string feed = track(path("tail_late_lo.trace"));
+  write_trace_file(feed, g);
+  const double t_lo = g.start_time() + 1.5 * kDay;
+  const std::vector<std::string> common{"--epoch", "50", "--grid-lo", "60",
+                                        "--grid-hi", "1d", "--max-hops", "3"};
+  const auto run_tail = [&](std::vector<std::string> extra) {
+    std::vector<std::string> argv{"tail", feed};
+    argv.insert(argv.end(), common.begin(), common.end());
+    argv.insert(argv.end(), extra.begin(), extra.end());
+    ::testing::internal::CaptureStdout();
+    EXPECT_EQ(run_cli(argv), 0);
+    return tail_rows(::testing::internal::GetCapturedStdout());
+  };
+  // The open window gives every epoch's contact count (epochs are cut
+  // by read chunks, the same in both runs).
+  const auto all = run_tail({});
+  char lo[64];
+  std::snprintf(lo, sizeof lo, "%.17g", t_lo);
+  const auto late = run_tail({"--window-lo", lo});
+
+  const auto contacts = g.contacts();
+  const auto end_time = [&](std::size_t count) {
+    double end = -std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < count; ++i) end = std::max(end, contacts[i].end);
+    return end;
+  };
+  std::size_t first = 0;
+  while (first < all.size() && end_time(all[first].second) < t_lo) ++first;
+  ASSERT_GE(first, 1u) << "the first epoch already reaches t_lo";
+  ASSERT_LT(first + 1, all.size()) << "too few epochs past t_lo";
+  ASSERT_EQ(late.size(), all.size() - first);
+  for (std::size_t i = 0; i < late.size(); ++i)
+    EXPECT_EQ(late[i], all[first + i]) << "row " << i;
+}
+
+TEST_F(CliServe, TailFailsWhenTheWindowNeverOpens) {
+  const std::string trace = serve_trace("tail_never.trace");
+  ::testing::internal::CaptureStdout();
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(run_cli({"tail", trace, "--epoch", "1", "--window-lo", "1e6"}), 1);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(::testing::internal::GetCapturedStdout().find("epoch="),
+            std::string::npos);
+  EXPECT_NE(err.find("empty start-time window"), std::string::npos) << err;
 }
 
 TEST_F(CliServe, TailRejectsHeaderlessFeed) {

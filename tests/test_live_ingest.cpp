@@ -565,6 +565,152 @@ TEST(IncrementalEngine, VersionListsMatchColdEngineEveryEpoch) {
   check_epoch_splits(sample_graph(83), 9, io);
 }
 
+/// Appends `full` in the epochs delimited by `cuts` and checks, for every
+/// epoch that runs an apply, that lookup_original(d, k) afterwards equals
+/// frontier_at(d, k) before it, bit for bit, for every source, node and
+/// level 1..cap. Adds to `created` and `erased` how many (source, node,
+/// level) versions the applies created and erased.
+void check_lookup_original(const TemporalGraph& full,
+                           std::vector<std::size_t> cuts,
+                           IncrementalCdfOptions io, std::size_t& created,
+                           std::size_t& erased) {
+  io.grid = test_grid(full);
+  IncrementalAllPairsEngine engine(full.num_nodes(), full.directed(), io);
+  const std::size_t n = full.num_nodes();
+  const auto pairs = [](const FrontierView& v) {
+    std::vector<PathPair> out;
+    for (std::size_t i = 0; i < v.size(); ++i) out.push_back(v.pair(i));
+    return out;
+  };
+  const auto levels = [&](NodeId src, NodeId d) {
+    std::vector<int> out;
+    engine.source_dp(src).for_each_version(
+        d, [&](int level, const FrontierView&) { out.push_back(level); });
+    return out;
+  };
+  const auto contacts = full.contacts();
+  cuts.push_back(contacts.size());
+  std::size_t at = 0;
+  for (const std::size_t cut : cuts) {
+    const bool applies = at > 0 && cut > at;  // the first batch bootstraps
+    const int cap = engine.source_dp(0).level_cap();
+    std::vector<std::vector<PathPair>> before;
+    std::vector<std::vector<int>> versions_before;
+    if (applies)
+      for (NodeId src = 0; src < n; ++src)
+        for (NodeId d = 0; d < n; ++d) {
+          versions_before.push_back(levels(src, d));
+          for (int k = 1; k <= cap; ++k)
+            before.push_back(pairs(engine.source_dp(src).frontier_at(d, k)));
+        }
+    engine.append(contacts.subspan(at, cut - at));
+    at = cut;
+    if (!applies) continue;
+    std::size_t i = 0, v = 0;
+    for (NodeId src = 0; src < n; ++src)
+      for (NodeId d = 0; d < n; ++d) {
+        const std::vector<int> old_levels = versions_before[v++];
+        const std::vector<int> new_levels = levels(src, d);
+        for (const int l : new_levels)
+          created += std::count(old_levels.begin(), old_levels.end(), l) == 0;
+        for (const int l : old_levels)
+          erased += std::count(new_levels.begin(), new_levels.end(), l) == 0;
+        for (int k = 1; k <= cap; ++k)
+          ASSERT_EQ(pairs(engine.source_dp(src).lookup_original(d, k)),
+                    before[i++])
+              << "cut " << cut << " source " << src << " node " << d
+              << " level " << k;
+      }
+    // Every epoch keeps the fold reading the overlay as it does live.
+    (void)engine.all_pairs();
+  }
+}
+
+TEST(IncrementalEngine, LookupOriginalIsThePreApplyFrontier) {
+  // The stash overlay is the epoch update's only source of the old
+  // frontiers: after each apply, lookup_original must give back the
+  // pre-apply frontier at every level, whether the apply rewrote it,
+  // created a version there, erased one or left it alone. One-contact
+  // epochs and multi-day ones, directed and undirected.
+  std::size_t created = 0, erased = 0;
+  unsigned seed = 95;
+  for (const bool directed : {false, true}) {
+    const TemporalGraph full = multi_day_graph(seed++, 5.0, 0.6, directed);
+    const auto all = full.contacts();
+    const std::size_t n = all.size();
+    std::vector<std::size_t> cuts;
+    for (std::size_t at = n / 5; at < n / 5 + 12; ++at) cuts.push_back(at);
+    const std::size_t third = (n - cuts.back()) / 3;
+    for (std::size_t e = 1; e < 3; ++e) cuts.push_back(cuts[11] + e * third);
+    // The last two epochs each span more than a day of contacts.
+    ASSERT_GT(all[cuts[13]].begin - all[cuts[12]].begin, kDay);
+    ASSERT_GT(all[n - 1].begin - all[cuts[13]].begin, kDay);
+    for (const int max_levels : {3, 64}) {
+      IncrementalCdfOptions io;
+      io.max_hops = 4;
+      io.max_levels = max_levels;
+      check_lookup_original(full, cuts, io, created, erased);
+    }
+  }
+  // DeepestLevelDropsAndReturns' trace: its second epoch erases the only
+  // level-3 version.
+  const TemporalGraph drops(6,
+                            {{0, 1, 1 * kHour, 1 * kHour + 100},
+                             {0, 4, 1.5 * kHour, 1.5 * kHour + 100},
+                             {1, 2, 2 * kHour, 2 * kHour + 100},
+                             {2, 3, 5 * kHour, 5 * kHour + 100},
+                             {0, 3, 5 * kHour, 5 * kHour + 200},
+                             {0, 4, 5 * kHour + 60, 5 * kHour + 160},
+                             {2, 5, 6 * kHour, 6 * kHour + 100}},
+                            false);
+  IncrementalCdfOptions io;
+  io.max_hops = 3;
+  check_lookup_original(drops, {4, 6}, io, created, erased);
+  EXPECT_GT(created, 0u);
+  EXPECT_GT(erased, 0u);
+}
+
+TEST(IncrementalEngine, EpochStateStaysSmallAgainstVersionLists) {
+  // After a bulk load, 160 one-contact tail epochs: the stash keeps one
+  // epoch's displaced frontiers and the apply scratch is one per worker,
+  // so together they stay below a tenth of the version lists however
+  // many epochs ran. An epoch displaces every version of the nodes it
+  // changes, about one per source here, so the trace needs enough nodes
+  // (80) for that to be a small share; contacts are clipped to an hour
+  // so that a days-long gathering does not carry each new pair to most
+  // nodes.
+  SyntheticTraceSpec spec;
+  spec.num_internal = 80;
+  spec.duration = 3 * kDay;
+  spec.pair_contacts_mean = 0.6;
+  spec.num_communities = 3;
+  std::vector<Contact> generated =
+      generate_trace(spec, 97).graph.contacts_vector();
+  for (Contact& c : generated) c.end = std::min(c.end, c.begin + kHour);
+  const TemporalGraph full(spec.num_internal, std::move(generated), false);
+  const auto contacts = full.contacts();
+  constexpr std::size_t kEpochs = 160, kPerEpoch = 1;
+  ASSERT_GT(contacts.size(), 4 * kEpochs * kPerEpoch);
+  IncrementalCdfOptions io;
+  io.grid = test_grid(full);
+  io.max_hops = 6;
+  io.num_threads = 2;
+  IncrementalAllPairsEngine engine(full.num_nodes(), false, io);
+  std::size_t at = contacts.size() - kEpochs * kPerEpoch;
+  engine.append(contacts.subspan(0, at));
+  (void)engine.all_pairs();
+  for (std::size_t e = 0; e < kEpochs; ++e, at += kPerEpoch) {
+    engine.append(contacts.subspan(at, kPerEpoch));
+    (void)engine.all_pairs();
+    const LiveHeapBytes b = engine.heap_bytes();
+    ASSERT_GT(b.stash, 0u);
+    ASSERT_GT(b.scratch, 0u);
+    ASSERT_LT(10 * (b.stash + b.scratch), b.versions)
+        << "epoch " << e << ": stash " << b.stash << " scratch "
+        << b.scratch << " versions " << b.versions;
+  }
+}
+
 TEST(IncrementalEngine, EmptyFirstAppendThenBulkAndTail) {
   // An empty epoch first (every lane integrated over no pairs), then the
   // bulk backlog seeds the DPs through bootstrap, which leaves no stash
