@@ -4,6 +4,8 @@
 #include <cerrno>
 #include <cstdlib>
 
+#include "stats/log_grid.hpp"
+#include "stats/measure_cdf.hpp"
 #include "util/time_format.hpp"
 
 namespace odtn::cli {
@@ -113,6 +115,24 @@ double parse_duration(const std::string& text, std::string_view what) {
   if (unit == "wk" || unit == "w") return value * kWeek;
   throw CliError("invalid " + std::string(what) + " unit: '" + unit +
                  "' (use s, min, h, d, wk)");
+}
+
+std::vector<double> GridBounds::log_grid(double default_hi) const {
+  return make_log_grid(lo, hi.value_or(std::max(default_hi, 2 * lo)), 40);
+}
+
+GridBounds take_grid_bounds(ArgList& args) {
+  const auto lo_text = args.take_option("grid-lo");
+  const auto hi_text = args.take_option("grid-hi");
+  GridBounds b{lo_text ? parse_duration(*lo_text, "grid-lo") : 2 * kMinute,
+               std::nullopt};
+  if (hi_text) b.hi = parse_duration(*hi_text, "grid-hi");
+  constexpr double kMax = MeasureCdfAccumulator::kMaxMeasure;
+  // Written as negations, so a NaN bound fails them.
+  const bool hi_ok = !b.hi || (*b.hi > b.lo && *b.hi < kMax);
+  if (!(b.lo > 0.0 && b.lo < kMax && hi_ok))
+    throw CliError("need 0 < grid-lo < grid-hi < 2^43 s");
+  return b;
 }
 
 }  // namespace odtn::cli

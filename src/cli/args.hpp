@@ -70,4 +70,20 @@ int parse_int(const std::string& text, std::string_view what, int min);
 /// Parses durations like "90", "10min", "6h", "2d", "1wk" into seconds.
 double parse_duration(const std::string& text, std::string_view what);
 
+/// The delay grid of the CDF commands (cdf, serve, tail): --grid-lo
+/// (default 2 min) and an optional --grid-hi.
+struct GridBounds {
+  double lo;
+  std::optional<double> hi;
+
+  /// The 40-point log grid from lo to hi; without --grid-hi, to
+  /// max(default_hi, 2 lo).
+  std::vector<double> log_grid(double default_hi) const;
+};
+
+/// Consumes --grid-lo/--grid-hi and checks them before any work is done:
+/// a CliError unless 0 < lo < hi < 2^43 s (the accumulator's range), so
+/// NaN, infinite and reversed bounds are usage errors.
+GridBounds take_grid_bounds(ArgList& args);
+
 }  // namespace odtn::cli

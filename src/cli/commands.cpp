@@ -14,7 +14,6 @@
 #include "random/phase_transition.hpp"
 #include "random/theory.hpp"
 #include "stats/empirical.hpp"
-#include "stats/log_grid.hpp"
 #include "trace/datasets.hpp"
 #include "trace/imports.hpp"
 #include "trace/trace_io.hpp"
@@ -96,8 +95,7 @@ int cmd_cdf(ArgList args) {
   const std::string path = required_positional(args, "trace file");
   const auto max_hops = args.take_option("max-hops");
   const auto eps = args.take_option("eps");
-  const auto grid_lo = args.take_option("grid-lo");
-  const auto grid_hi = args.take_option("grid-hi");
+  const GridBounds grid = take_grid_bounds(args);
   const auto daytime = args.take_option("daytime");
   const unsigned num_threads = take_threads(args);
   args.expect_empty();
@@ -120,11 +118,7 @@ int cmd_cdf(ArgList args) {
     if (opt.windows.empty())
       throw CliError("--daytime window never intersects the trace");
   }
-  const double lo =
-      grid_lo ? parse_duration(*grid_lo, "grid-lo") : 2 * kMinute;
-  const double hi = grid_hi ? parse_duration(*grid_hi, "grid-hi")
-                            : std::max(g.duration(), 2 * lo);
-  opt.grid = make_log_grid(lo, hi, 40);
+  opt.grid = grid.log_grid(g.duration());
   opt.max_hops = max_hops ? parse_int(*max_hops, "max-hops", 1) : 10;
   opt.num_threads = num_threads;
   const double epsilon = eps ? parse_double(*eps, "eps") : 0.01;

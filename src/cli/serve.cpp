@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "core/query_engine.hpp"
-#include "stats/log_grid.hpp"
 #include "trace/live_ingest.hpp"
 #include "trace/snapshot.hpp"
 #include "trace/trace_io.hpp"
@@ -322,8 +321,7 @@ int cmd_serve(ArgList args) {
   const auto socket_path = args.take_option("socket");
   const bool once = args.take_flag("once");
   const auto max_hops = args.take_option("max-hops");
-  const auto grid_lo = args.take_option("grid-lo");
-  const auto grid_hi = args.take_option("grid-hi");
+  const GridBounds grid = take_grid_bounds(args);
   const auto cache_mb = args.take_option("cache-mb");
   args.expect_empty();
 
@@ -344,10 +342,7 @@ int cmd_serve(ArgList args) {
   if (g.num_contacts() == 0) throw CliError("trace has no contacts");
 
   QueryEngineOptions qo;
-  const double lo = grid_lo ? parse_duration(*grid_lo, "grid-lo") : 2 * kMinute;
-  const double hi = grid_hi ? parse_duration(*grid_hi, "grid-hi")
-                            : std::max(g.duration(), 2 * lo);
-  qo.grid = make_log_grid(lo, hi, 40);
+  qo.grid = grid.log_grid(g.duration());
   qo.max_hops = max_hops ? parse_int(*max_hops, "max-hops", 1) : 10;
   qo.cache_bytes =
       static_cast<std::size_t>(
@@ -384,8 +379,7 @@ int cmd_tail(ArgList args) {
   const auto epoch_every = args.take_option("epoch");
   const auto max_hops = args.take_option("max-hops");
   const auto max_levels = args.take_option("max-levels");
-  const auto grid_lo = args.take_option("grid-lo");
-  const auto grid_hi = args.take_option("grid-hi");
+  const GridBounds grid = take_grid_bounds(args);
   const auto eps_opt = args.take_option("eps");
   const auto window_lo = args.take_option("window-lo");
   const auto window_hi = args.take_option("window-hi");
@@ -396,11 +390,7 @@ int cmd_tail(ArgList args) {
   // The feed's span is unknown up front (it is still being written), so
   // the default grid covers minutes-to-a-week rather than the trace
   // duration the batch commands use.
-  const double lo = grid_lo ? parse_duration(*grid_lo, "grid-lo") : 2 * kMinute;
-  const double hi = grid_hi ? parse_duration(*grid_hi, "grid-hi")
-                            : std::max(kWeek, 2 * lo);
-  if (!(lo > 0.0 && hi > lo)) throw CliError("need 0 < grid-lo < grid-hi");
-  io.grid = make_log_grid(lo, hi, 40);
+  io.grid = grid.log_grid(kWeek);
   io.max_hops = max_hops ? parse_int(*max_hops, "max-hops", 1) : 10;
   io.max_levels = max_levels ? parse_int(*max_levels, "max-levels", 1) : 64;
   io.t_lo = window_lo ? parse_double(*window_lo, "window-lo") : kNaN;

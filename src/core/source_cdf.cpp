@@ -104,17 +104,15 @@ void process_source_direct(const TemporalGraph& graph, NodeId src,
   SingleSourceEngine engine(graph, src, mode);
   const double window_measure = total_window_measure(w);
   const auto integrate = [&](MeasureCdfAccumulator& acc) {
-    SegmentBatcher sb(acc);
     std::int64_t destinations = 0;
     for (NodeId dst : endpoints) {
       if (dst == src) continue;
       const FrontierView f = engine.frontier_view(dst);
-      sb.push_frontier(f.ld_data(), f.ea_data(), f.size(), w.data(), w.size(),
-                       -std::numeric_limits<double>::infinity());
+      acc.add_delivery_segments(f.ld_data(), f.ea_data(), f.size(), w.data(),
+                                w.size());
       worker.stats.cdf_pairs_integrated += f.size();
       ++destinations;
     }
-    sb.flush();
     acc.add_observation_measure(window_measure, destinations);
   };
   for (int k = 1; k <= max_hops; ++k) {

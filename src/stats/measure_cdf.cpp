@@ -7,8 +7,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "util/simd.hpp"
-
 namespace odtn {
 
 MeasureCdfAccumulator::MeasureCdfAccumulator(std::vector<double> grid)
@@ -17,7 +15,8 @@ MeasureCdfAccumulator::MeasureCdfAccumulator(std::vector<double> grid)
       slope_diff_(grid_.size() + 1, 0) {
   if (grid_.empty()) throw std::invalid_argument("MeasureCdf: empty grid");
   for (std::size_t i = 0; i < grid_.size(); ++i) {
-    if (grid_[i] < 0.0 || (i > 0 && grid_[i] <= grid_[i - 1]))
+    // Negated so a NaN anywhere fails too.
+    if (!(grid_[i] >= 0.0) || (i > 0 && !(grid_[i] > grid_[i - 1])))
       throw std::invalid_argument("MeasureCdf: grid must be >= 0, increasing");
   }
   if (!(grid_.back() < kMaxMeasure))
@@ -28,9 +27,21 @@ void MeasureCdfAccumulator::add_delivery_segments(
     const double* ld, const double* ea, std::size_t n,
     const std::pair<double, double>* windows, std::size_t num_windows,
     int weight, double prev_ld) {
-  SegmentBatcher sb(*this, weight);
-  sb.push_frontier(ld, ea, n, windows, num_windows, prev_ld);
-  sb.flush();
+  // Pair segments (prev_ld, ld[i]] ascend, so the window cursor only
+  // moves forward; windows fully below the current segment are dropped
+  // for good, and the walk ends once every window is behind prev_ld.
+  std::size_t w0 = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double lo = prev_ld, hi = ld[i];
+    prev_ld = ld[i];
+    while (w0 < num_windows && windows[w0].second <= lo) ++w0;
+    if (w0 == num_windows) break;
+    for (std::size_t w = w0; w < num_windows && windows[w].first < hi; ++w) {
+      const double a = std::max(lo, windows[w].first);
+      const double b = std::min(hi, windows[w].second);
+      if (a < b) add_segment(a, b, ea[i], weight);
+    }
+  }
 }
 
 void MeasureCdfAccumulator::clear() noexcept {
@@ -84,24 +95,6 @@ std::vector<double> MeasureCdfAccumulator::cdf() const {
     out[j] = std::clamp(numerator / static_cast<double>(den), 0.0, 1.0);
   }
   return out;
-}
-
-SegmentBatcher::SegmentBatcher(MeasureCdfAccumulator& acc, int weight)
-    : acc_(acc),
-      weight_(weight),
-      lower_bound4_(simd::active_level() == simd::Level::kScalar
-                        ? nullptr
-                        : simd::ops().lower_bound4) {}
-
-void SegmentBatcher::apply_pair() {
-  const std::vector<double>& grid = acc_.grid_;
-  const double keys[4] = {arrival_[0] - b_[0], arrival_[0] - a_[0],
-                          arrival_[1] - b_[1], arrival_[1] - a_[1]};
-  std::uint32_t idx[4];
-  lower_bound4_(grid.data(), grid.size(), keys, idx);
-  acc_.add_segment_at(a_[0], b_[0], arrival_[0], weight_, idx[0], idx[1]);
-  acc_.add_segment_at(a_[1], b_[1], arrival_[1], weight_, idx[2], idx[3]);
-  pending_ = 0;
 }
 
 }  // namespace odtn

@@ -41,11 +41,15 @@ LiveTailReader::~LiveTailReader() {
 std::size_t LiveTailReader::read_chunk(char* buf, std::size_t n) {
   for (;;) {
     const ssize_t got = ::read(fd_, buf, n);
-    if (got > 0) return static_cast<std::size_t>(got);
+    if (got > 0) {
+      offset_ += static_cast<std::uint64_t>(got);
+      return static_cast<std::size_t>(got);
+    }
     if (got == 0) {
       // EOF. A followed regular file may still grow; everything else
       // (pipe writer closed, stdin exhausted, one-shot file) is done.
       if (!(follow_ && regular_file_)) return 0;
+      check_not_replaced();
       std::this_thread::sleep_for(std::chrono::milliseconds(poll_ms_));
       continue;
     }
@@ -54,6 +58,27 @@ std::size_t LiveTailReader::read_chunk(char* buf, std::size_t n) {
                       "read failed on live feed: " + path_ + " (" +
                           std::strerror(errno) + ")"});
   }
+}
+
+void LiveTailReader::check_not_replaced() const {
+  const auto fail = [&](const char* what) {
+    throw TraceError({TraceErrorCode::kIoError, 0, 0, path_,
+                      "live feed " + path_ + " " + what +
+                          " while being followed"});
+  };
+  struct stat open_st {};
+  if (::fstat(fd_, &open_st) != 0) return;
+  // Truncated in place: the read offset sits past the new end, so read()
+  // would return 0 forever while the rewritten records go unseen.
+  if (static_cast<std::uint64_t>(open_st.st_size) < offset_)
+    fail("was truncated");
+  // Rotated: the path now names another file, and the one still open
+  // will never grow. A path that is briefly missing (between a rename
+  // and the new file's creation) is not an error yet.
+  struct stat path_st {};
+  if (owns_fd_ && ::stat(path_.c_str(), &path_st) == 0 &&
+      (path_st.st_ino != open_st.st_ino || path_st.st_dev != open_st.st_dev))
+    fail("was replaced by another file");
 }
 
 LiveIngestSession::LiveIngestSession(IncrementalCdfOptions options,

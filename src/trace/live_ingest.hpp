@@ -42,15 +42,21 @@ class LiveTailReader {
 
   /// Reads up to `n` bytes into `buf`. Returns 0 only when the feed is
   /// finished (EOF and not following, or the pipe writer closed).
-  /// Throws TraceError(kIoError) on read failure.
+  /// Throws TraceError(kIoError) on read failure, and, at EOF in follow
+  /// mode, when the followed file was truncated below what has been read
+  /// or its path now names a different file (rotation): a feed the
+  /// reader can no longer continue fails instead of going silent.
   std::size_t read_chunk(char* buf, std::size_t n);
 
  private:
+  void check_not_replaced() const;
+
   int fd_ = -1;
   bool owns_fd_ = false;
   bool follow_ = false;
   bool regular_file_ = false;
   int poll_ms_ = 200;
+  std::uint64_t offset_ = 0;  ///< bytes read so far
   std::string path_;
 };
 

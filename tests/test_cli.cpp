@@ -490,6 +490,48 @@ TEST_F(CliServe, TailChecksWindowBeforeReadingTheFeed) {
   }
 }
 
+TEST_F(CliServe, CdfRejectsBadGridBoundsBeforeReadingTheTrace) {
+  // A NaN or zero grid-lo used to build a NaN log grid, which failed deep
+  // in the fold ("merging different grids"). Each bad pair is a usage
+  // error, raised before the trace is read: a missing trace gives the
+  // same error.
+  const std::string trace = serve_trace("grid_cdf.trace");
+  const std::string missing = path("grid_missing.trace");
+  const std::vector<std::vector<std::string>> bad{
+      {"--grid-lo", "nan"},
+      {"--grid-lo", "0"},
+      {"--grid-lo", "inf"},
+      {"--grid-hi", "nan"},
+      {"--grid-lo", "100", "--grid-hi", "10"}};
+  for (const std::vector<std::string>& bounds : bad)
+    for (const std::string& file : {trace, missing}) {
+      std::vector<std::string> argv{"cdf", file};
+      argv.insert(argv.end(), bounds.begin(), bounds.end());
+      ::testing::internal::CaptureStderr();
+      EXPECT_EQ(run_cli(argv), 2) << bounds[1] << " " << file;
+      const std::string err = ::testing::internal::GetCapturedStderr();
+      EXPECT_NE(err.find("grid-lo < grid-hi"), std::string::npos) << err;
+    }
+}
+
+TEST_F(CliServe, ServeRejectsReversedGridBoundsAtStartup) {
+  // Used to start up and then answer every cdf query with an error.
+  const std::string trace = serve_trace("grid_srv.trace");
+  const std::string queries = track(path("grid_srv.q"));
+  {
+    std::ofstream out(queries);
+    out << "cdf 0\n";
+  }
+  ::testing::internal::CaptureStdout();
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(run_cli({"serve", "--trace", trace, "--input", queries,
+                     "--grid-lo", "100", "--grid-hi", "10"}),
+            2);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(::testing::internal::GetCapturedStdout(), "");
+  EXPECT_NE(err.find("grid-lo < grid-hi"), std::string::npos) << err;
+}
+
 /// Strips the us=<latency> token so two runs can be compared bit-exactly.
 std::string strip_latency(const std::string& text) {
   std::string out;

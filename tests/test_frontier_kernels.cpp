@@ -20,9 +20,7 @@
 #include "core/frontier_kernels.hpp"
 #include "core/optimal_paths.hpp"
 #include "stats/log_grid.hpp"
-#include "stats/measure_cdf.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 
 namespace odtn {
 namespace {
@@ -52,21 +50,6 @@ std::vector<double> ld_lane(const DeliveryFunction& f) {
 std::vector<double> ea_lane(const DeliveryFunction& f) {
   const FrontierView v = f.view();
   return {v.ea_data(), v.ea_data() + v.size()};
-}
-
-/// The per-pair integration reference: start times in (ld_{i-1}, ld_i]
-/// are served by pair i at arrival ea_i, each segment clipped to
-/// [t_lo, t_hi] and added by its own add_segment call.
-void accumulate_per_pair(const DeliveryFunction& f, MeasureCdfAccumulator& acc,
-                         double t_lo, double t_hi) {
-  double prev_ld = -kInf;
-  for (const PathPair& p : f.to_pairs()) {
-    const double a = std::max(prev_ld, t_lo);
-    const double b = std::min(p.ld, t_hi);
-    if (a < b) acc.add_segment(a, b, p.ea);
-    prev_ld = p.ld;
-    if (prev_ld >= t_hi) break;
-  }
 }
 
 /// Adversarial random trace (same regime as test_engine_crosscheck):
@@ -504,185 +487,6 @@ TEST(PooledEngine, DelayCdfMatchesDirectBitwise) {
   // The pooled run recycles one workspace per worker thread.
   EXPECT_EQ(a.stats.workspace_allocations, 1u);
   EXPECT_GT(a.stats.arena_bytes_peak, 0u);
-}
-
-// ---------------------------------------------------------------------
-// SIMD dispatch: the CPU-supported vector level must be bit-identical to
-// the scalar reference -- the lower_bound4 primitive first (tail lengths,
-// denormals, +/-0.0, infinities), then the segment stream it feeds, then
-// a whole delay-CDF run.
-// ---------------------------------------------------------------------
-
-std::vector<simd::Level> vector_levels() {
-  std::vector<simd::Level> out;
-  if (simd::cpu_supports(simd::Level::kAvx2))
-    out.push_back(simd::Level::kAvx2);
-  return out;
-}
-
-/// Forces a dispatch level for one scope; restores the entry level.
-class ScopedSimdLevel {
- public:
-  explicit ScopedSimdLevel(simd::Level level)
-      : saved_(simd::active_level()) {
-    EXPECT_TRUE(simd::set_level(level));
-  }
-  ~ScopedSimdLevel() { simd::set_level(saved_); }
-
- private:
-  simd::Level saved_;
-};
-
-/// Adversarial payload values: zeros of both signs, denormals, values a
-/// ULP apart, and infinities (the identity pair's lanes).
-double tricky_value(Rng& rng) {
-  static const double pool[] = {
-      0.0,
-      -0.0,
-      std::numeric_limits<double>::denorm_min(),
-      -std::numeric_limits<double>::denorm_min(),
-      std::numeric_limits<double>::min(),
-      1.0,
-      std::nextafter(1.0, 2.0),
-      -1.0,
-      2.5,
-      1e300,
-      -1e300,
-      kInf,
-      -kInf,
-  };
-  return pool[rng.below(sizeof(pool) / sizeof(pool[0]))];
-}
-
-TEST(SimdParity, LowerBound4MatchesStdLowerBound) {
-  const simd::Ops& ref = simd::ops_for(simd::Level::kScalar);
-  for (const simd::Level level : vector_levels()) {
-    const simd::Ops& ops = simd::ops_for(level);
-    for (const std::size_t n : {std::size_t{0}, std::size_t{1},
-                                std::size_t{2}, std::size_t{3},
-                                std::size_t{7}, std::size_t{48},
-                                std::size_t{100}}) {
-      Rng rng = Rng::keyed(0x51D2, (static_cast<std::uint64_t>(level) << 32) ^
-                                       n);
-      std::vector<double> grid(n);
-      double acc = -3.0;
-      for (double& g : grid) {
-        acc += 0.25 + rng.uniform(0.0, 2.0);
-        g = acc;
-      }
-      for (int round = 0; round < 50; ++round) {
-        double keys[4];
-        for (double& k : keys) {
-          switch (rng.below(4)) {
-            case 0:
-              k = tricky_value(rng);
-              break;
-            case 1:
-              k = n > 0 ? grid[rng.below(n)] : 0.0;  // exact grid hit
-              break;
-            case 2:
-              k = rng.uniform(-5.0, acc + 5.0);
-              break;
-            default:
-              k = rng.bernoulli(0.5) ? kInf : -kInf;
-          }
-        }
-        std::uint32_t got[4], want[4];
-        ops.lower_bound4(grid.data(), n, keys, got);
-        ref.lower_bound4(grid.data(), n, keys, want);
-        for (int k = 0; k < 4; ++k) {
-          const auto std_idx = static_cast<std::uint32_t>(
-              std::lower_bound(grid.begin(), grid.end(), keys[k]) -
-              grid.begin());
-          ASSERT_EQ(want[k], std_idx) << "scalar vs std n=" << n;
-          ASSERT_EQ(got[k], std_idx)
-              << simd::level_name(level) << " n=" << n << " key=" << keys[k];
-        }
-      }
-    }
-  }
-}
-
-TEST(SimdParity, AddDeliverySegmentsBitIdenticalAcrossLevels) {
-  const std::vector<double> grid = make_log_grid(1.0, 500.0, 48);
-  for (const simd::Level level : vector_levels()) {
-    for (std::uint64_t trial = 0; trial < 60; ++trial) {
-      Rng rng = Rng::keyed(0x51D4, (static_cast<std::uint64_t>(level) << 32) ^
-                                       trial);
-      DeliveryFunction f;
-      const std::size_t attempts = 1 + rng.below(120);
-      for (std::size_t i = 0; i < attempts; ++i) f.insert(random_pair(rng));
-      const std::vector<double> ld = ld_lane(f), ea = ea_lane(f);
-      const double t_lo = rng.uniform(-5.0, 5.0);
-      const double t_hi = t_lo + rng.uniform(0.0, 30.0);
-      const std::pair<double, double> whole(t_lo, t_hi);
-      const std::pair<double, double> windows[2] = {
-          {t_lo, t_lo + (t_hi - t_lo) / 3.0},
-          {t_lo + (t_hi - t_lo) / 2.0, t_hi}};
-
-      MeasureCdfAccumulator vec_acc(grid), ref_acc(grid);
-      {
-        ScopedSimdLevel forced(level);
-        vec_acc.add_delivery_segments(ld.data(), ea.data(), ld.size(), &whole,
-                                      1);
-        vec_acc.add_delivery_segments(ld.data(), ea.data(), ld.size(),
-                                      windows, 2, -2);
-      }
-      {
-        ScopedSimdLevel forced(simd::Level::kScalar);
-        ref_acc.add_delivery_segments(ld.data(), ea.data(), ld.size(), &whole,
-                                      1);
-        ref_acc.add_delivery_segments(ld.data(), ea.data(), ld.size(),
-                                      windows, 2, -2);
-      }
-      vec_acc.add_observation_measure(t_hi - t_lo);
-      ref_acc.add_observation_measure(t_hi - t_lo);
-      const std::vector<double> got = vec_acc.cdf(), want = ref_acc.cdf();
-      for (std::size_t j = 0; j < grid.size(); ++j)
-        ASSERT_EQ(got[j], want[j])
-            << simd::level_name(level) << " trial=" << trial << " j=" << j;
-
-      // The dispatched lane stream must also match one add_segment call
-      // per clipped pair (accumulate_per_pair).
-      MeasureCdfAccumulator lane_acc(grid), pair_acc(grid);
-      {
-        ScopedSimdLevel forced(level);
-        lane_acc.add_delivery_segments(ld.data(), ea.data(), ld.size(),
-                                       &whole, 1);
-      }
-      accumulate_per_pair(f, pair_acc, t_lo, t_hi);
-      lane_acc.add_observation_measure(t_hi - t_lo);
-      pair_acc.add_observation_measure(t_hi - t_lo);
-      ASSERT_EQ(lane_acc.cdf(), pair_acc.cdf())
-          << simd::level_name(level) << " trial=" << trial;
-    }
-  }
-}
-
-TEST(SimdParity, DelayCdfBitIdenticalAcrossLevels) {
-  Rng rng = Rng::keyed(0x51D5, 0);
-  const TemporalGraph g = random_trace(rng, 12, 160, 200.0);
-  DelayCdfOptions opt;
-  opt.grid = make_log_grid(1.0, 300.0, 24);
-  opt.max_hops = 6;
-  opt.num_threads = 1;
-  opt.engine = EngineMode::kPooled;
-  opt.accumulation = CdfAccumulation::kAuto;
-
-  ScopedSimdLevel baseline(simd::Level::kScalar);
-  const DelayCdfResult want = compute_delay_cdf(g, opt);
-  for (const simd::Level level : vector_levels()) {
-    ScopedSimdLevel forced(level);
-    const DelayCdfResult got = compute_delay_cdf(g, opt);
-    ASSERT_EQ(got.fixpoint_hops, want.fixpoint_hops);
-    for (std::size_t k = 0; k < want.cdf_by_hops.size(); ++k)
-      for (std::size_t j = 0; j < want.grid.size(); ++j)
-        ASSERT_EQ(got.cdf_by_hops[k][j], want.cdf_by_hops[k][j])
-            << simd::level_name(level) << " k=" << k << " j=" << j;
-    for (std::size_t j = 0; j < want.grid.size(); ++j)
-      ASSERT_EQ(got.cdf_unbounded[j], want.cdf_unbounded[j])
-          << simd::level_name(level) << " j=" << j;
-  }
 }
 
 }  // namespace

@@ -5,12 +5,16 @@
 #include "trace/live_ingest.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <functional>
+#include <future>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -870,6 +874,111 @@ TEST(IncrementalEngine, WindowOutsideFixedPointRangeThrows) {
 
 // ---------------------------------------------------------------------
 // LiveIngestSession
+
+/// A followed feed file in a fresh temporary directory.
+class FollowedFeed : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = std::filesystem::temp_directory_path() /
+           ("odtn_follow_" +
+            std::string(::testing::UnitTest::GetInstance()
+                            ->current_test_info()
+                            ->name()) +
+            "_" + std::to_string(::getpid()));
+    std::filesystem::create_directories(dir_);
+    feed_ = (dir_ / "feed.trace").string();
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  static void write(const std::string& file, const std::string& text,
+                    std::ios::openmode mode = std::ios::trunc) {
+    std::ofstream out(file, std::ios::binary | std::ios::out | mode);
+    out << text;
+  }
+
+  /// Reads exactly `bytes` bytes, the feed's whole current content.
+  static void read_all(LiveTailReader& reader, std::size_t bytes) {
+    char buf[64];
+    for (std::size_t got = 0; got < bytes;)
+      got += reader.read_chunk(buf, std::min(sizeof buf, bytes - got));
+  }
+
+  /// One read_chunk on another thread, waited for at most 5 s: the
+  /// TraceError it throws, or what else happened. On a timeout `unblock`
+  /// must give the stuck reader bytes, so the thread always ends.
+  static std::string one_read(LiveTailReader& reader,
+                              const std::function<void()>& unblock) {
+    std::promise<std::string> result;
+    std::future<std::string> done = result.get_future();
+    std::thread t([&] {
+      char buf[64];
+      try {
+        const std::size_t got = reader.read_chunk(buf, sizeof buf);
+        result.set_value("read " + std::to_string(got) + " bytes");
+      } catch (const TraceError& e) {
+        result.set_value(e.what());
+      }
+    });
+    if (done.wait_for(std::chrono::seconds(5)) != std::future_status::ready) {
+      unblock();
+      t.join();
+      return "no error within 5 s (" + done.get() + ")";
+    }
+    t.join();
+    return done.get();
+  }
+
+  std::filesystem::path dir_;
+  std::string feed_;
+};
+
+const char kFeedHeader[] = "# odtn-trace v1\n# nodes 3\n# directed 0\n";
+
+TEST_F(FollowedFeed, TruncatedFeedFailsInsteadOfGoingSilent) {
+  const std::string before = std::string(kFeedHeader) +
+                             "0 1 10 20\n1 2 30 40\n0 2 50 60\n";
+  write(feed_, before);
+  LiveTailReader reader(feed_, /*follow=*/true, /*poll_ms=*/5);
+  read_all(reader, before.size());
+  // Rewritten shorter in place (same inode) with two later contacts: the
+  // reader's offset now lies past the end of the file.
+  write(feed_, std::string(kFeedHeader) + "0 1 70 80\n1 2 90 95\n");
+  const std::string outcome = one_read(reader, [&] {
+    write(feed_, std::string(before.size(), '\n'), std::ios::app);
+  });
+  EXPECT_NE(outcome.find("truncated"), std::string::npos) << outcome;
+  EXPECT_NE(outcome.find(feed_), std::string::npos) << outcome;
+}
+
+TEST_F(FollowedFeed, RotatedFeedFailsOnceThePathNamesAnotherFile) {
+  const std::string before = std::string(kFeedHeader) + "0 1 10 20\n";
+  write(feed_, before);
+  LiveTailReader reader(feed_, /*follow=*/true, /*poll_ms=*/5);
+  read_all(reader, before.size());
+  // Renamed away: until a new file takes the path, the open file is
+  // still the feed, and what is appended to it is read.
+  const std::string rotated = (dir_ / "feed.trace.1").string();
+  std::filesystem::rename(feed_, rotated);
+  write(rotated, "1 2 30 40\n", std::ios::app);
+  EXPECT_EQ(one_read(reader, [&] { write(rotated, "\n", std::ios::app); }),
+            "read 10 bytes");
+  // A new, longer file at the path: the open one will never grow again.
+  write(feed_, before + "1 2 30 40\n0 2 50 60\n");
+  const std::string outcome = one_read(reader, [&] {
+    write(rotated, "\n", std::ios::app);
+  });
+  EXPECT_NE(outcome.find("replaced"), std::string::npos) << outcome;
+}
+
+TEST_F(FollowedFeed, GrowingFeedKeepsBeingRead) {
+  const std::string before = std::string(kFeedHeader) + "0 1 10 20\n";
+  write(feed_, before);
+  LiveTailReader reader(feed_, /*follow=*/true, /*poll_ms=*/5);
+  read_all(reader, before.size());
+  write(feed_, "1 2 30 40\n", std::ios::app);
+  EXPECT_EQ(one_read(reader, [&] { write(feed_, "\n", std::ios::app); }),
+            "read 10 bytes");
+}
 
 TEST(LiveIngestSession, RejectsBadWindowBeforeAnyFeed) {
   // An infinite bound or an empty explicit window fails at construction

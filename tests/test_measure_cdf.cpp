@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
+#include "core/delivery_function.hpp"
 #include "stats/log_grid.hpp"
 #include "util/rng.hpp"
 
@@ -146,9 +149,138 @@ TEST(MeasureCdf, RejectsBadGrids) {
   EXPECT_THROW(MeasureCdfAccumulator({}), std::invalid_argument);
   EXPECT_THROW(MeasureCdfAccumulator({-1.0, 2.0}), std::invalid_argument);
   EXPECT_THROW(MeasureCdfAccumulator({2.0, 2.0}), std::invalid_argument);
+  // NaN compares false both ways, so it must not pass as "increasing",
+  // wherever it sits.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(MeasureCdfAccumulator({1.0, kNaN, 3.0}), std::invalid_argument);
+  EXPECT_THROW(MeasureCdfAccumulator({kNaN, 1.0}), std::invalid_argument);
   // Grid values must fit the fixed-point range.
   EXPECT_THROW(MeasureCdfAccumulator({1.0, 0x1p43}), std::invalid_argument);
   EXPECT_NO_THROW(MeasureCdfAccumulator({1.0, 0x1p42}));
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Adversarial search keys: zeros of both signs, denormals, values a ULP
+/// apart, keys far outside any grid, and infinities.
+double tricky_key(Rng& rng) {
+  static const double pool[] = {
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(),
+      1.0,
+      std::nextafter(1.0, 2.0),
+      -1.0,
+      2.5,
+      1e300,
+      -1e300,
+      kInf,
+      -kInf,
+  };
+  return pool[rng.below(sizeof(pool) / sizeof(pool[0]))];
+}
+
+TEST(MeasureCdf, GridIndexMatchesStdLowerBound) {
+  for (const std::size_t n : {1, 2, 3, 7, 48, 100}) {
+    Rng rng = Rng::keyed(0x51D2, n);
+    // Strictly increasing, starting below zero so +/-0.0 and the
+    // denormals fall inside the grid.
+    std::vector<double> grid(n);
+    double top = -3.0;
+    for (double& g : grid) {
+      top += 0.25 + rng.uniform(0.0, 2.0);
+      g = top;
+    }
+    const auto key = [&] {
+      switch (rng.below(4)) {
+        case 0:
+          return tricky_key(rng);
+        case 1: {  // an exact grid hit or one of its neighbours
+          const double g = grid[rng.below(n)];
+          const int side = static_cast<int>(rng.below(3));
+          return side == 0 ? g : std::nextafter(g, side == 1 ? -kInf : kInf);
+        }
+        case 2:
+          return rng.uniform(-5.0, top + 5.0);
+        default:
+          return rng.bernoulli(0.5) ? kInf : -kInf;
+      }
+    };
+    const auto lower_bound = [&](double k) {
+      return static_cast<std::size_t>(
+          std::lower_bound(grid.begin(), grid.end(), k) - grid.begin());
+    };
+    for (int round = 0; round < 200; ++round) {
+      const double k0 = key(), k1 = key();
+      const auto [i0, i1] = grid_index(grid.data(), n, k0, k1);
+      ASSERT_EQ(i0, lower_bound(k0)) << "n=" << n << " key=" << k0;
+      ASSERT_EQ(i1, lower_bound(k1)) << "n=" << n << " key=" << k1;
+    }
+  }
+  // Zeros and denormals as exact grid hits: -0.0 equals 0.0, so both
+  // land on index 0.
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const std::vector<double> grid{0.0, tiny, 1.0};
+  EXPECT_EQ(grid_index(grid.data(), 3, -0.0, 0.0),
+            (std::pair<std::size_t, std::size_t>{0, 0}));
+  EXPECT_EQ(grid_index(grid.data(), 3, tiny, -tiny),
+            (std::pair<std::size_t, std::size_t>{1, 0}));
+  EXPECT_EQ(grid_index(grid.data(), 3, 2 * tiny, kInf),
+            (std::pair<std::size_t, std::size_t>{2, 3}));
+}
+
+/// The per-pair integration reference: start times in (ld[i-1], ld[i]]
+/// are served at arrival ea[i], each segment clipped to every window on
+/// its own and added by its own add_segment call.
+void accumulate_per_pair(const std::vector<double>& ld,
+                         const std::vector<double>& ea,
+                         const std::vector<std::pair<double, double>>& windows,
+                         int weight, MeasureCdfAccumulator& acc) {
+  double prev_ld = -kInf;
+  for (std::size_t i = 0; i < ld.size(); ++i) {
+    for (const auto& [t_lo, t_hi] : windows) {
+      const double a = std::max(prev_ld, t_lo);
+      const double b = std::min(ld[i], t_hi);
+      if (a < b) acc.add_segment(a, b, ea[i], weight);
+    }
+    prev_ld = ld[i];
+  }
+}
+
+TEST(MeasureCdf, AddDeliverySegmentsEqualsOneAddSegmentPerClippedPair) {
+  const std::vector<double> grid = make_log_grid(1.0, 500.0, 48);
+  for (std::uint64_t trial = 0; trial < 60; ++trial) {
+    Rng rng = Rng::keyed(0x51D4, trial);
+    // Quantized coordinates, so equal-LD ties and dominance chains are
+    // common, and window edges often coincide with departures.
+    DeliveryFunction f;
+    const std::size_t attempts = 1 + rng.below(120);
+    for (std::size_t i = 0; i < attempts; ++i)
+      f.insert({std::floor(rng.uniform(0.0, 40.0)) / 2.0,
+                std::floor(rng.uniform(-10.0, 40.0)) / 2.0});
+    const FrontierView v = f.view();
+    const std::vector<double> ld(v.ld_data(), v.ld_data() + v.size());
+    const std::vector<double> ea(v.ea_data(), v.ea_data() + v.size());
+    const double t_lo = rng.uniform(-5.0, 5.0);
+    const double t_hi = t_lo + rng.uniform(0.0, 30.0);
+    const std::vector<std::vector<std::pair<double, double>>> window_sets = {
+        {{t_lo, t_hi}},
+        {{t_lo, t_lo + (t_hi - t_lo) / 3.0},
+         {t_lo + (t_hi - t_lo) / 2.0, t_hi}}};
+    for (const auto& windows : window_sets) {
+      for (const int weight : {1, -2}) {
+        MeasureCdfAccumulator lanes(grid), pairs(grid);
+        lanes.add_delivery_segments(ld.data(), ea.data(), ld.size(),
+                                    windows.data(), windows.size(), weight);
+        accumulate_per_pair(ld, ea, windows, weight, pairs);
+        ASSERT_EQ(lanes, pairs) << "trial=" << trial
+                                << " windows=" << windows.size()
+                                << " weight=" << weight;
+      }
+    }
+  }
 }
 
 TEST(MeasureCdf, AddendsRoundToNearestQuantum) {

@@ -23,14 +23,13 @@
 // batched frontier kernels. Each trial (a) feeds a random mutated pair
 // batch through prune_candidate_batch + merge_frontier and cross-checks
 // the result bit for bit against DeliveryFunction::insert, then checks
-// the dispatched lower_bound4 (util/simd.hpp) of every CPU-supported
-// level up to the entry level (ODTN_SIMD=scalar|avx2) against the scalar
-// table on a random grid, and (b) runs the kPooled engine and the
-// kLevelSweep oracle level by level over an adversarial trace requiring
-// identical frontiers (exercising arena growth, span recycling via
-// reset, and the free pre-change snapshots), rotating the forced
-// dispatch level per trial; under ASan/UBSan this doubles as a bounds
-// check on the arena spans and the vector loop.
+// the delay-CDF grid search (grid_index, stats/measure_cdf.hpp) against
+// std::lower_bound on a random strictly increasing grid, and (b) runs
+// the kPooled engine and the kLevelSweep oracle level by level over an
+// adversarial trace requiring identical frontiers (exercising arena
+// growth, span recycling via reset, and the free pre-change snapshots);
+// under ASan/UBSan this doubles as a bounds check on the arena spans and
+// the grid search.
 //
 // Snapshot mode (--snapshot N): round-trips the binary snapshot codec
 // (bit-identical re-encode, engine equivalence of the mmap-style view),
@@ -81,10 +80,10 @@
 #include "core/optimal_paths.hpp"
 #include "sim/flooding.hpp"
 #include "stats/log_grid.hpp"
+#include "stats/measure_cdf.hpp"
 #include "trace/snapshot.hpp"
 #include "trace/trace_io.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 #include "util/time_format.hpp"
 
 using namespace odtn;
@@ -324,18 +323,6 @@ PathPair random_kernel_pair(Rng& rng) {
 
 int kernel_trials(long trials, std::uint64_t base_seed) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  // Dispatch levels under test: scalar up to the ENTRY level, so a
-  // forced-scalar run (ODTN_SIMD=scalar, used by the sanitizer tier of
-  // tools/verify.sh and CI) genuinely stays scalar, while a default run
-  // checks the CPU-supported vector variant against the scalar
-  // reference.
-  const simd::Level entry = simd::active_level();
-  std::vector<simd::Level> levels;
-  for (const simd::Level l : {simd::Level::kScalar, simd::Level::kAvx2})
-    if (static_cast<int>(l) <= static_cast<int>(entry) && simd::cpu_supports(l))
-      levels.push_back(l);
-  const simd::Ops& sops = simd::ops_for(simd::Level::kScalar);
-
   for (long trial = 0; trial < trials; ++trial) {
     const std::uint64_t seed = base_seed + static_cast<std::uint64_t>(trial);
     Rng rng(seed);
@@ -393,38 +380,36 @@ int kernel_trials(long trials, std::uint64_t base_seed) {
         kernel_failure("delta successor EA diverged", seed);
     }
 
-    // lower_bound4 differential: a sorted grid with duplicates plus keys
-    // that hit grid values and +/-infinity.
-    std::vector<double> grid(rng.below(70));
-    for (double& gv : grid) gv = std::floor(rng.uniform(-8.0, 60.0)) / 2.0;
-    std::sort(grid.begin(), grid.end());
-    double keys[4];
+    // Grid-search differential: a strictly increasing grid, with keys
+    // that hit grid values exactly, fall outside it or are +/-infinity.
+    std::vector<double> grid(1 + rng.below(70));
+    double top = -4.0;
+    for (double& gv : grid) {
+      top += (1.0 + std::floor(rng.uniform(0.0, 4.0))) / 2.0;
+      gv = top;
+    }
+    double keys[2];
     for (double& k : keys) {
       const double kind = rng.next_double();
-      if (kind < 0.15 && !grid.empty())
+      if (kind < 0.15)
         k = grid[rng.below(grid.size())];
       else if (kind < 0.2)
         k = rng.bernoulli(0.5) ? kInf : -kInf;
       else
-        k = rng.uniform(-10.0, 62.0);
+        k = rng.uniform(-10.0, top + 5.0);
     }
-    std::uint32_t idx_s[4];
-    sops.lower_bound4(grid.data(), grid.size(), keys, idx_s);
-    for (const simd::Level level : levels) {
-      std::uint32_t idx_v[4];
-      simd::ops_for(level).lower_bound4(grid.data(), grid.size(), keys, idx_v);
-      if (std::memcmp(idx_v, idx_s, sizeof idx_v) != 0)
-        kernel_failure("lower_bound4 diverged from scalar", seed);
-    }
+    const auto lower_bound = [&](double k) {
+      return static_cast<std::size_t>(
+          std::lower_bound(grid.begin(), grid.end(), k) - grid.begin());
+    };
+    const auto [i0, i1] =
+        grid_index(grid.data(), grid.size(), keys[0], keys[1]);
+    if (i0 != lower_bound(keys[0]) || i1 != lower_bound(keys[1]))
+      kernel_failure("grid_index diverged from std::lower_bound", seed);
 
     // (b) Engine differential: kPooled vs kLevelSweep level by level on an
     // adversarial trace, then once more after reset() onto a new source
-    // (exercising span recycling on warmed arenas). The forced dispatch
-    // level rotates per trial, so a run drives the engine under every
-    // level it tests.
-    if (!simd::set_level(levels[static_cast<std::size_t>(trial) %
-                                levels.size()]))
-      kernel_failure("set_level refused a CPU-supported level", seed);
+    // (exercising span recycling on warmed arenas).
     TemporalGraph g = adversarial_trace(rng);
     if (rng.bernoulli(0.3))
       g = TemporalGraph(g.num_nodes(), g.contacts_vector(),
@@ -457,18 +442,10 @@ int kernel_trials(long trials, std::uint64_t base_seed) {
     if (pooled.stats().workspace_allocations != 1)
       kernel_failure("pooled reset() re-allocated its workspace", seed);
   }
-  simd::set_level(entry);
-  std::string level_names;
-  for (const simd::Level l : levels) {
-    if (!level_names.empty()) level_names += ",";
-    level_names += simd::level_name(l);
-  }
-  std::printf(
-      "odtn_fuzz: %ld kernel trials passed (seeds %llu..%llu, simd %s)\n",
-      trials, static_cast<unsigned long long>(base_seed),
-      static_cast<unsigned long long>(
-          base_seed + static_cast<std::uint64_t>(trials) - 1),
-      level_names.c_str());
+  std::printf("odtn_fuzz: %ld kernel trials passed (seeds %llu..%llu)\n",
+              trials, static_cast<unsigned long long>(base_seed),
+              static_cast<unsigned long long>(
+                  base_seed + static_cast<std::uint64_t>(trials) - 1));
   return 0;
 }
 

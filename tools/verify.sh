@@ -4,7 +4,8 @@
 # ASan + UBSan (the `sanitize` CMake preset) plus fuzz smokes under the
 # same sanitizers -- parser (malformed-trace corpus + randomized byte
 # mutations), kernel (batched frontier merge vs per-pair insert
-# differential, pooled-vs-level-sweep engine parity, arena span bounds),
+# differential, the delay-CDF grid search vs std::lower_bound,
+# pooled-vs-level-sweep engine parity, arena span bounds),
 # snapshot (framing rejection + round-trip bit-identity) and live
 # (epoch splits vs cold recomputes) --
 # and a final pass of the concurrency suites (thread pool,
@@ -44,12 +45,6 @@ echo "== tier-2b: parser + kernel + snapshot + live fuzz smoke under ASan+UBSan 
 # parses (including a stripped final newline) must match the one-shot
 # parser.
 ./build-sanitize/tools/odtn_fuzz --live 60 --seed 1
-# Forced-scalar pass (ODTN_SIMD=scalar|avx2): pins the dispatch layer
-# to the mandatory fallback so the scalar SegmentBatcher path stays
-# exercised under the sanitizers even on AVX2 hardware (the default run
-# checks lower_bound4 at scalar and avx2 and rotates the engine
-# differential over both).
-ODTN_SIMD=scalar ./build-sanitize/tools/odtn_fuzz --kernel 300 --seed 1
 
 echo "== tier-3: TSan build + concurrency suites =="
 cmake --preset tsan
