@@ -147,7 +147,7 @@ int cmd_cdf(ArgList args) {
   else
     std::printf("\ndiameter (%.0f%% of flooding at every scale): %d hops\n",
                 100.0 * (1.0 - epsilon), diameter);
-  std::printf("max hops on any delay-optimal path:          %d\n",
+  std::printf("max hops on any delay-optimal path in grid:  %d\n",
               result.fixpoint_hops);
   if (!result.converged)
     std::fprintf(stderr,
@@ -156,10 +156,12 @@ int cmd_cdf(ArgList args) {
                  "diameter is undetermined beyond the evaluated budgets\n",
                  opt.max_levels);
   std::printf(
-      "engine: %llu contact extensions, %llu pairs kept, %llu dominated\n",
+      "engine: %llu contact extensions, %llu pairs kept, %llu dominated, "
+      "%llu past horizon\n",
       static_cast<unsigned long long>(result.stats.contacts_examined),
       static_cast<unsigned long long>(result.stats.pairs_inserted),
-      static_cast<unsigned long long>(result.stats.pairs_dominated));
+      static_cast<unsigned long long>(result.stats.pairs_dominated),
+      static_cast<unsigned long long>(result.stats.pairs_past_horizon));
   std::printf(
       "cdf:    %llu pairs integrated, %llu workspace allocations, "
       "%llu reuses\n",

@@ -95,14 +95,20 @@ struct DelayCdfResult {
   std::vector<std::vector<double>> cdf_by_hops;
   /// P[delay <= grid[j]] with unlimited hops (flooding success rate).
   std::vector<double> cdf_unbounded;
-  /// Largest per-source fixpoint level: no delay-optimal path anywhere in
-  /// the trace uses more hops than this. Only meaningful when `converged`
-  /// is true; otherwise it is max_levels + 1, a LOWER bound on the true
-  /// fixpoint level, and diameter() may underestimate.
+  /// Largest per-source fixpoint level of the DP under the delay horizon
+  /// (the windows' hull and the grid's last point; DESIGN.md §2): the
+  /// level past which no delivery the grid and windows can see changes,
+  /// so every CDF at this hop budget equals the unbounded one. No
+  /// delay-optimal path with a delay on the grid for a start time in the
+  /// windows uses more hops. Never above the fixpoint of the DP without
+  /// the horizon. Only meaningful when `converged` is true; otherwise it
+  /// is max_levels + 1, a LOWER bound on that level, and diameter() may
+  /// underestimate.
   int fixpoint_hops = 0;
-  /// True iff every source's DP reached its fixpoint within max_levels.
-  /// Check this before trusting fixpoint_hops or a diameter() value that
-  /// fell through to it.
+  /// True iff every source's DP reached its fixpoint (as above) within
+  /// max_levels; a run the horizon lets converge may be one whose
+  /// unbounded DP would not. Check this before trusting fixpoint_hops or
+  /// a diameter() value that fell through to it.
   bool converged = true;
   /// Engine instrumentation summed over all sources.
   EngineStats stats;

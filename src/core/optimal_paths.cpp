@@ -18,9 +18,14 @@ constexpr PathPair identity_pair() noexcept { return {kInf, -kInf}; }
 }  // namespace
 
 bool extend_frontier(const DeliveryFunction& from, double begin, double end,
-                     DeliveryFunction& into, EngineStats* stats) {
+                     DeliveryFunction& into, EngineStats* stats,
+                     const DelayHorizon& horizon) {
   bool changed = false;
   for_each_frontier_extension(from.view(), begin, end, [&](PathPair candidate) {
+    if (horizon.past(candidate.ld, candidate.ea)) {
+      if (stats) ++stats->pairs_past_horizon;
+      return;
+    }
     const bool kept = into.insert(candidate);
     if (stats) {
       if (kept)
@@ -146,7 +151,9 @@ bool SingleSourceEngine::step_pooled() {
   // Phase 1: extension. Nothing is allocated from arena_ or the current
   // delta arena here, so their base pointers are stable for the phase.
   const PairArena& da = delta_arena_[delta_parity_];
+  const DelayHorizon h = horizon_;
   std::uint64_t dominated = 0;  // batched into stats_ after the loop
+  std::uint64_t past_horizon = 0;
   for (std::size_t a = 0; a < active_.size(); ++a) {
     const NodeId u = active_[a];
     const PairSpan ds = delta_spans_[a];
@@ -155,9 +162,11 @@ bool SingleSourceEngine::step_pooled() {
     const double* dsucc = da.aux() + ds.offset;
     const std::size_t dn = ds.length;
     // No delta pair can ride a contact that ends before the delta's
-    // earliest arrival (both extension cases need ea <= end), so the
-    // whole prefix of the by-end index below min_ea is skipped at once.
-    const double min_ea = dea[0];
+    // earliest arrival (both extension cases need ea <= end), and every
+    // candidate through a contact ending before the horizon's window_lo
+    // departs before it (ld <= end), so the whole prefix of the by-end
+    // index below both is skipped at once.
+    const double min_ea = std::max(dea[0], h.window_lo);
     const auto nbrs = graph_->neighbors_by_end(u);
     auto it = std::lower_bound(
         nbrs.begin(), nbrs.end(), min_ea,
@@ -189,6 +198,10 @@ bool SingleSourceEngine::step_pooled() {
       // size of this file (GCC 12, x86-64: ~7% more all-pairs CPU).
       auto offer = [&](double cld,
                        double cea) __attribute__((always_inline)) {
+        if (h.past(cld, cea)) {
+          ++past_horizon;
+          return;
+        }
         const PathPair lp = last_pair_[to];
         if (cld <= lp.ld) {
           if (lp.ea <= cea) {
@@ -230,6 +243,7 @@ bool SingleSourceEngine::step_pooled() {
   }
 
   stats_.pairs_dominated += dominated;
+  stats_.pairs_past_horizon += past_horizon;
 
   // Phase 2: publish. Counting-sort the flat candidate buffer into
   // per-target groups, then prune + merge each group.
@@ -319,11 +333,11 @@ bool SingleSourceEngine::step_level_sweep() {
   for (const Contact& c : graph_->contacts()) {
     ++stats_.contacts_examined;
     changed |= extend_frontier(scratch_[c.u], c.begin, c.end, frontiers_[c.v],
-                               &stats_);
+                               &stats_, horizon_);
     if (!graph_->directed()) {
       ++stats_.contacts_examined;
       changed |= extend_frontier(scratch_[c.v], c.begin, c.end,
-                                 frontiers_[c.u], &stats_);
+                                 frontiers_[c.u], &stats_, horizon_);
     }
   }
   finish_level(changed);

@@ -36,6 +36,15 @@
 // O(log F + #useful pairs) frontier entries thanks to the double-monotone
 // (LD and EA both increasing) frontier order -- this is what makes traces
 // with hundreds of thousands of contacts tractable (§4.4).
+//
+// Both schemes can run under a DelayHorizon: the hull [W_lo, W_hi] of
+// the start-time windows and the last delay grid point G of a delay-CDF
+// computation. A candidate no start time in the windows can use within
+// G is dropped where it is offered (DESIGN.md §2, "Delay horizon"), so
+// every frontier is exactly the one computed without the horizon minus
+// its pairs past the horizon, and every delay-CDF addend is unchanged.
+// The default horizon drops nothing: reachability, journeys and the
+// cross-checks see the full L_k.
 #pragma once
 
 #include <algorithm>
@@ -59,6 +68,24 @@ enum class EngineMode {
   kLevelSweep,
 };
 
+/// The delay horizon of a DP run (see the file comment). A candidate
+/// (ld, ea) is past it when it departs before every window
+/// (ld < window_lo) or when even its latest usable start time,
+/// min(ld, window_hi), waits longer than max_delay for it. Being past
+/// the horizon survives extension (ld never grows, ea never shrinks)
+/// and dominance (a pair dominated by one past the horizon is past it
+/// too), so dropping such pairs removes no live pair's ancestor. The
+/// default is no horizon.
+struct DelayHorizon {
+  double window_lo = -std::numeric_limits<double>::infinity();
+  double window_hi = std::numeric_limits<double>::infinity();
+  double max_delay = std::numeric_limits<double>::infinity();
+
+  bool past(double ld, double ea) const noexcept {
+    return ld < window_lo || ea - std::min(ld, window_hi) > max_delay;
+  }
+};
+
 /// Instrumentation counters of one engine run (or an aggregate over
 /// runs). All counts are exact, not sampled.
 struct EngineStats {
@@ -70,6 +97,9 @@ struct EngineStats {
   /// Candidate pairs rejected as dominated (by the existing frontier at
   /// offer time, or by a same-level candidate at publish time).
   std::uint64_t pairs_dominated = 0;
+  /// Candidate pairs dropped at offer time as past the engine's
+  /// DelayHorizon (never counted as dominated too).
+  std::uint64_t pairs_past_horizon = 0;
   /// Workspace allocations: +1 each time an engine materializes its
   /// per-node arrays (construction). reset() never re-allocates, so a
   /// worker that recycles one engine across sources stays at 1.
@@ -107,6 +137,7 @@ struct EngineStats {
     contacts_examined += other.contacts_examined;
     pairs_inserted += other.pairs_inserted;
     pairs_dominated += other.pairs_dominated;
+    pairs_past_horizon += other.pairs_past_horizon;
     workspace_allocations += other.workspace_allocations;
     workspace_reuses += other.workspace_reuses;
     cdf_pairs_integrated += other.cdf_pairs_integrated;
@@ -121,12 +152,14 @@ struct EngineStats {
 };
 
 /// Extends every usable pair of `from` through one contact edge
-/// [begin, end] and inserts the (pruned set of) results into `into`.
-/// Returns true iff `into` changed. When `stats` is non-null the
-/// kept/dominated candidate counts are accumulated into it. Exposed for
-/// tests and for building custom propagation schemes.
+/// [begin, end] and inserts the (pruned set of) results into `into`,
+/// except candidates past `horizon`. Returns true iff `into` changed.
+/// When `stats` is non-null the kept/dominated/past-horizon candidate
+/// counts are accumulated into it. Exposed for tests and for building
+/// custom propagation schemes.
 bool extend_frontier(const DeliveryFunction& from, double begin, double end,
-                     DeliveryFunction& into, EngineStats* stats = nullptr);
+                     DeliveryFunction& into, EngineStats* stats = nullptr,
+                     const DelayHorizon& horizon = {});
 
 /// Enumerates the candidate pairs that extending the frontier `from`
 /// through one contact window [begin, end] yields, calling `offer` on
@@ -180,6 +213,14 @@ class SingleSourceEngine {
   /// Counted in stats().workspace_reuses.
   void reset(NodeId source);
 
+  /// Runs every following level under `horizon` (see DelayHorizon); the
+  /// default drops nothing. Set it at hop budget 0, after construction
+  /// or reset(): it is not applied to frontiers already built. reset()
+  /// keeps it.
+  void set_horizon(const DelayHorizon& horizon) noexcept {
+    horizon_ = horizon;
+  }
+
   /// Nodes whose frontier changed at the last completed level, in
   /// publication order (empty once the fixpoint step ran). kPooled only;
   /// always empty in kLevelSweep.
@@ -200,6 +241,10 @@ class SingleSourceEngine {
   /// Runs step() until the fixpoint or `max_levels` levels, whichever
   /// comes first. Returns the hop budget at which the frontiers stopped
   /// changing (i.e. L_k == L_infinity), or max_levels+1 if not converged.
+  /// Under a horizon the frontiers are the ones computed without it
+  /// minus their pairs past it, so the fixpoint is the level past which
+  /// no delivery the horizon can see changes, never above the fixpoint
+  /// without it.
   int run_to_fixpoint(int max_levels = 64);
 
   /// Current hop budget.
@@ -242,6 +287,7 @@ class SingleSourceEngine {
   const TemporalGraph* graph_;
   NodeId source_;
   EngineMode mode_;
+  DelayHorizon horizon_;
   int level_ = 0;
   bool fixpoint_ = false;
   EngineStats stats_;

@@ -102,6 +102,7 @@ void process_source_direct(const TemporalGraph& graph, NodeId src,
                            EngineMode mode, SourceCdfWorker& worker,
                            SourceCdfPartial& out) {
   SingleSourceEngine engine(graph, src, mode);
+  engine.set_horizon(cdf_horizon(w, out.unbounded.grid()));
   const double window_measure = total_window_measure(w);
   const auto integrate = [&](MeasureCdfAccumulator& acc) {
     std::int64_t destinations = 0;
@@ -142,6 +143,7 @@ void process_source_incremental(const TemporalGraph& graph, NodeId src,
   else
     worker.engine->reset(src);
   SingleSourceEngine& engine = *worker.engine;
+  engine.set_horizon(cdf_horizon(w, out.unbounded.grid()));
 
   // Observation measure for every (src, dst) pair of this source parks
   // in the hop-1 accumulator; prefix_merge propagates it to every hop
@@ -221,6 +223,12 @@ TimeWindows resolve_cdf_windows(const TemporalGraph& graph,
         "compute_delay_cdf: pairs x start-time window measure must stay "
         "below 2^43 s");
   return w;
+}
+
+DelayHorizon cdf_horizon(const TimeWindows& w,
+                         const std::vector<double>& grid) {
+  if (w.empty()) return {};
+  return {w.front().first, w.back().second, grid.back()};
 }
 
 double total_window_measure(const TimeWindows& windows) {

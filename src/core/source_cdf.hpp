@@ -53,6 +53,12 @@ TimeWindows resolve_cdf_windows(const TemporalGraph& graph,
 /// Total Lebesgue measure of the window union.
 double total_window_measure(const TimeWindows& windows);
 
+/// The delay horizon of a delay-CDF computation (DESIGN.md §2, "Delay
+/// horizon"): the hull of the resolved windows `w` and the last point of
+/// `grid`. A pair past it adds nothing to any accumulator on that grid
+/// over those windows, so dropping it keeps every lane bit-identical.
+DelayHorizon cdf_horizon(const TimeWindows& w, const std::vector<double>& grid);
+
 /// Resolves the options' endpoint set (empty = every node) and validates
 /// ids against the graph.
 std::vector<NodeId> resolve_cdf_endpoints(const TemporalGraph& graph,
@@ -121,7 +127,10 @@ void integrate_frontier_delta(const FrontierView& old_f,
 /// `is_endpoint` is a num_nodes-sized membership mask of `endpoints`
 /// (used by the incremental scheme's change filter). The direct scheme
 /// runs a fresh engine per source (reference semantics); the incremental
-/// scheme recycles worker.engine across calls.
+/// scheme recycles worker.engine across calls. Either engine runs under
+/// cdf_horizon(w, out's grid): the lanes are those of an engine without
+/// it, and `out.fixpoint_hops` / `out.converged` describe the level past
+/// which no delivery on the grid over `w` changes.
 void process_source(const TemporalGraph& graph, NodeId src,
                     const std::vector<NodeId>& endpoints,
                     const std::vector<std::uint8_t>& is_endpoint,

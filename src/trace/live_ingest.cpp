@@ -39,17 +39,31 @@ LiveTailReader::~LiveTailReader() {
 }
 
 std::size_t LiveTailReader::read_chunk(char* buf, std::size_t n) {
+  const bool tailing = follow_ && regular_file_;
   for (;;) {
+    // A followed file is checked before every read, so bytes written by
+    // a rewrite are never parsed as a continuation of the old ones.
+    if (tailing) check_not_replaced();
     const ssize_t got = ::read(fd_, buf, n);
     if (got > 0) {
-      offset_ += static_cast<std::uint64_t>(got);
-      return static_cast<std::size_t>(got);
+      const auto g = static_cast<std::size_t>(got);
+      offset_ += g;
+      if (tailing) {
+        // Keep the last kTailBytes bytes read.
+        if (g >= kTailBytes) {
+          tail_.assign(buf + g - kTailBytes, kTailBytes);
+        } else {
+          tail_.append(buf, g);
+          if (tail_.size() > kTailBytes)
+            tail_.erase(0, tail_.size() - kTailBytes);
+        }
+      }
+      return g;
     }
     if (got == 0) {
       // EOF. A followed regular file may still grow; everything else
       // (pipe writer closed, stdin exhausted, one-shot file) is done.
-      if (!(follow_ && regular_file_)) return 0;
-      check_not_replaced();
+      if (!tailing) return 0;
       std::this_thread::sleep_for(std::chrono::milliseconds(poll_ms_));
       continue;
     }
@@ -79,6 +93,17 @@ void LiveTailReader::check_not_replaced() const {
   if (owns_fd_ && ::stat(path_.c_str(), &path_st) == 0 &&
       (path_st.st_ino != open_st.st_ino || path_st.st_dev != open_st.st_dev))
     fail("was replaced by another file");
+  // Rewritten in place at the same or a greater length: the size and the
+  // inode pass, but the bytes just before the offset are no longer the
+  // ones read there.
+  if (tail_.empty()) return;
+  char now[kTailBytes] = {};
+  const ssize_t got =
+      ::pread(fd_, now, tail_.size(),
+              static_cast<off_t>(offset_ - tail_.size()));
+  if (got != static_cast<ssize_t>(tail_.size()) ||
+      std::memcmp(now, tail_.data(), tail_.size()) != 0)
+    fail("was rewritten");
 }
 
 LiveIngestSession::LiveIngestSession(IncrementalCdfOptions options,

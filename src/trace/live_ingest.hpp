@@ -42,13 +42,18 @@ class LiveTailReader {
 
   /// Reads up to `n` bytes into `buf`. Returns 0 only when the feed is
   /// finished (EOF and not following, or the pipe writer closed).
-  /// Throws TraceError(kIoError) on read failure, and, at EOF in follow
-  /// mode, when the followed file was truncated below what has been read
-  /// or its path now names a different file (rotation): a feed the
-  /// reader can no longer continue fails instead of going silent.
+  /// Throws TraceError(kIoError) on read failure, and, in follow mode
+  /// before each read of a regular file, when the file was truncated
+  /// below what has been read, its path now names a different file
+  /// (rotation), or the last bytes read (up to 64) now read differently
+  /// (rewritten in place): a feed the reader can no longer continue
+  /// fails instead of going silent or parsing from mid-record. A rewrite
+  /// that keeps those bytes is not detected.
   std::size_t read_chunk(char* buf, std::size_t n);
 
  private:
+  static constexpr std::size_t kTailBytes = 64;
+
   void check_not_replaced() const;
 
   int fd_ = -1;
@@ -57,6 +62,7 @@ class LiveTailReader {
   bool regular_file_ = false;
   int poll_ms_ = 200;
   std::uint64_t offset_ = 0;  ///< bytes read so far
+  std::string tail_;          ///< follow mode: the last kTailBytes read
   std::string path_;
 };
 

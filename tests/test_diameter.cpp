@@ -7,6 +7,7 @@
 #include <iterator>
 #include <limits>
 #include <numeric>
+#include <string>
 #include <utility>
 #include <thread>
 
@@ -380,6 +381,154 @@ TEST(DelayCdf, IncrementalMatchesDirectOnRandomNetworks) {
     // count -- the same integer total.
     EXPECT_EQ(d.denominator, i.denominator) << "trial " << trial;
   }
+}
+
+// Delay-horizon pruning (DESIGN.md §2): process_source runs its engine
+// under cdf_horizon(w, grid) and drops every candidate that no start
+// time in the windows' hull sees within the grid's last point. Random
+// networks with integer times, so that delays land exactly on
+// grid.back() and departures exactly on the window start; grids ending
+// well below the trace span; single, multi, explicit and NaN windows;
+// some runs truncated by max_levels. Per source:
+//   - at every level, the pruned pooled frontier is the unpruned level
+//     sweep's minus exactly its pairs past the horizon (the definition,
+//     written out here);
+//   - every lane of the pruned partial, under both schemes, equals an
+//     integration of the unpruned engine under operator== (the overflow
+//     slot included);
+//   - fixpoint_hops is the level at which the filtered frontiers stop
+//     changing, never above the unpruned one, and converged only moves
+//     from false to true.
+TEST(DelayCdf, HorizonPruningKeepsEveryAccumulatorBit) {
+  std::size_t on_window_lo = 0, on_max_delay = 0, past = 0, moved = 0;
+  for (std::uint64_t trial = 0; trial < 32; ++trial) {
+    Rng rng = Rng::keyed(20261019, 100 + trial);
+    const std::size_t n = 5 + rng.below(6);
+    const int m = 40 + static_cast<int>(rng.below(100));
+    std::vector<Contact> contacts;
+    for (int i = 0; i < m; ++i) {
+      const auto u = static_cast<NodeId>(rng.below(n));
+      auto v = static_cast<NodeId>(rng.below(n - 1));
+      if (v >= u) ++v;
+      const auto b = static_cast<double>(rng.below(60));
+      contacts.push_back({u, v, b, b + static_cast<double>(rng.below(4))});
+    }
+    const TemporalGraph g(n, std::move(contacts), trial % 5 == 4);
+    DelayCdfOptions opt;
+    double top = 0.0;
+    for (std::size_t j = 2 + rng.below(5); j > 0; --j) {
+      top += static_cast<double>(1 + rng.below(5));
+      opt.grid.push_back(top);
+    }
+    opt.max_hops = 1 + static_cast<int>(rng.below(5));
+    opt.max_levels = trial % 3 == 2 ? opt.max_hops : 64;
+    // Window starts on a contact end, so some pairs depart exactly at it.
+    const double lo = g.contacts()[rng.below(g.num_contacts())].end;
+    switch (trial % 4) {
+      case 0:  // NaN bounds: the trace span
+        break;
+      case 1:
+        opt.t_lo = lo;
+        opt.t_hi = lo + static_cast<double>(5 + rng.below(20));
+        break;
+      case 2:
+        opt.windows = {
+            {lo, lo + static_cast<double>(2 + rng.below(6))},
+            {lo + 10.0, lo + static_cast<double>(12 + rng.below(9))}};
+        break;
+      default:  // explicit start, NaN end
+        opt.t_lo = lo;
+        break;
+    }
+    const TimeWindows w = resolve_cdf_windows(g, opt);
+    const double w_lo = w.front().first, w_hi = w.back().second;
+    const double max_delay = opt.grid.back();
+    const auto visible = [&](const FrontierView& f) {
+      std::vector<PathPair> out;
+      for (std::size_t i = 0; i < f.size(); ++i) {
+        const double ld = f.ld(i), ea = f.ea(i);
+        on_window_lo += ld == w_lo;
+        on_max_delay += ea - std::min(ld, w_hi) == max_delay;
+        if (ld >= w_lo && ea - std::min(ld, w_hi) <= max_delay)
+          out.push_back(f.pair(i));
+        else
+          ++past;
+      }
+      return out;
+    };
+    const std::vector<NodeId> endpoints = resolve_cdf_endpoints(g, opt);
+    const std::vector<std::uint8_t> is_endpoint(n, 1);
+    for (const NodeId src : endpoints) {
+      SingleSourceEngine full(g, src, EngineMode::kLevelSweep);
+      SingleSourceEngine pruned(g, src);
+      pruned.set_horizon(cdf_horizon(w, opt.grid));
+      SourceCdfPartial want(opt.grid, opt.max_hops);
+      const auto integrate = [&](MeasureCdfAccumulator& acc) {
+        for (NodeId d = 0; d < n; ++d) {
+          if (d == src) continue;
+          const FrontierView f = full.frontier_view(d);
+          acc.add_delivery_segments(f.ld_data(), f.ea_data(), f.size(),
+                                    w.data(), w.size());
+        }
+        acc.add_observation_measure(total_window_measure(w),
+                                    static_cast<std::int64_t>(n) - 1);
+      };
+      std::vector<std::vector<PathPair>> seen(n);
+      for (NodeId d = 0; d < n; ++d) seen[d] = visible(full.frontier_view(d));
+      int last_change = 0;
+      for (int k = 1; k <= opt.max_levels; ++k) {
+        const bool grew = full.step();
+        pruned.step();
+        for (NodeId d = 0; d < n; ++d) {
+          std::vector<PathPair> now = visible(full.frontier_view(d));
+          ASSERT_EQ(pruned.frontier(d).to_pairs(), now)
+              << "trial " << trial << " source " << src << " node " << d
+              << " level " << k;
+          if (now != seen[d]) last_change = k;
+          seen[d] = std::move(now);
+        }
+        if (k <= opt.max_hops) integrate(want.by_hops[k - 1]);
+        if (!grew && k >= opt.max_hops) break;  // steps past it are no-ops
+      }
+      integrate(want.unbounded);
+      const bool full_converged = full.at_fixpoint();
+      const int full_fixpoint =
+          full_converged ? full.hops() : opt.max_levels + 1;
+      const int want_fixpoint =
+          last_change < opt.max_levels ? last_change : opt.max_levels + 1;
+      moved += want_fixpoint != full_fixpoint;
+
+      const std::pair<bool, EngineMode> runs[] = {
+          {false, EngineMode::kPooled},
+          {false, EngineMode::kLevelSweep},
+          {true, EngineMode::kPooled}};
+      for (const auto& [incremental, mode] : runs) {
+        SourceCdfWorker worker;
+        SourceCdfPartial got(opt.grid, opt.max_hops);
+        process_source(g, src, endpoints, is_endpoint, w, opt.max_hops,
+                       opt.max_levels, mode, incremental, worker, got);
+        if (incremental) {
+          MeasureCdfAccumulator::prefix_merge(got.by_hops);
+          got.unbounded.merge(got.by_hops.back());
+        }
+        const std::string where = "trial " + std::to_string(trial) +
+                                  " source " + std::to_string(src) +
+                                  (incremental ? " incremental" : " direct");
+        for (int k = 0; k < opt.max_hops; ++k)
+          ASSERT_TRUE(got.by_hops[k] == want.by_hops[k]) << where << " k=" << k;
+        ASSERT_TRUE(got.unbounded == want.unbounded) << where;
+        EXPECT_EQ(got.fixpoint_hops, want_fixpoint) << where;
+        EXPECT_LE(got.fixpoint_hops, full_fixpoint) << where;
+        EXPECT_TRUE(got.converged || !full_converged) << where;
+      }
+    }
+  }
+  // The boundaries the filter compares against were hit, pairs were
+  // dropped, and the fixpoint moved somewhere.
+  EXPECT_GT(on_window_lo, 0u);
+  EXPECT_GT(on_max_delay, 0u);
+  EXPECT_GT(past, 0u);
+  EXPECT_GT(moved, 0u);
 }
 
 TEST(DelayCdf, FolderIsOrderFree) {

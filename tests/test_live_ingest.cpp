@@ -218,8 +218,9 @@ DelayCdfOptions cold_options(const IncrementalCdfOptions& io) {
 }
 
 /// Every source's version lists against a cold pooled engine stepped
-/// level by level over `graph`: frontier_at(d, k) for every node and
-/// every level up to the cap, and the deepest productive level.
+/// level by level over `graph` under the live engine's delay horizon:
+/// frontier_at(d, k) for every node and every level up to the cap, and
+/// the deepest productive level.
 void expect_versions_match_cold(const IncrementalAllPairsEngine& engine,
                                 const TemporalGraph& graph) {
   const auto same = [](const FrontierView& a, const FrontierView& b) {
@@ -231,6 +232,7 @@ void expect_versions_match_cold(const IncrementalAllPairsEngine& engine,
   for (NodeId src = 0; src < graph.num_nodes(); ++src) {
     const IncrementalSourceDp& dp = engine.source_dp(src);
     SingleSourceEngine cold(graph, src, EngineMode::kPooled);
+    cold.set_horizon(engine.horizon());
     int deepest = 0;
     for (int k = 0; k <= dp.level_cap(); ++k) {
       if (k > 0 && cold.step() && !cold.last_changed().empty()) deepest = k;
@@ -260,7 +262,7 @@ std::vector<DelayCdfResult> check_epoch_cuts(
   const auto listed = [](const std::vector<std::size_t>& list, std::size_t e) {
     return std::find(list.begin(), list.end(), e) != list.end();
   };
-  io.grid = test_grid(full);
+  if (io.grid.empty()) io.grid = test_grid(full);
   IncrementalAllPairsEngine engine(full.num_nodes(), full.directed(), io);
   const auto contacts = full.contacts();
   cuts.push_back(contacts.size());
@@ -370,6 +372,30 @@ TEST(IncrementalEngine, MultiDayEpochSplitsAreBitIdentical) {
       tight.t_lo = full.start_time() + 0.3 * kDay;
       tight.t_hi = full.end_time() - 0.6 * kDay;
       check_epoch_splits(full, 30, tight);
+    }
+  }
+}
+
+TEST(IncrementalEngine, ShortGridPrunesLikeColdRuns) {
+  // A delay grid ending hours into a multi-day trace, with the growing
+  // NaN window, a narrow explicit one and truncated levels: the DPs run
+  // under the live engine's delay horizon and drop pairs past it, and
+  // every epoch still equals cold runs (which drop the same pairs).
+  unsigned seed = 65;
+  for (const bool directed : {false, true}) {
+    const TemporalGraph full = multi_day_graph(seed++, 4.0, 0.4, directed);
+    IncrementalCdfOptions nan_window;
+    nan_window.grid = make_log_grid(kMinute, 3 * kHour, 12);
+    nan_window.max_hops = 6;
+    IncrementalCdfOptions narrow = nan_window;
+    narrow.t_lo = full.start_time() + 1.2 * kDay;
+    narrow.t_hi = narrow.t_lo + 0.5 * kDay;
+    narrow.max_levels = 3;
+    for (const IncrementalCdfOptions& io : {nan_window, narrow}) {
+      ASSERT_GT(compute_delay_cdf(full, cold_options(io))
+                    .stats.pairs_past_horizon,
+                0u);
+      check_epoch_splits(full, 20, io);
     }
   }
 }
@@ -715,6 +741,43 @@ TEST(IncrementalEngine, EpochStateStaysSmallAgainstVersionLists) {
   }
 }
 
+TEST(IncrementalEngine, StashReleasesALargeEpochsCapacity) {
+  // One large tail epoch, then one-contact epochs: the stash does not
+  // keep the large epoch's capacity. It ends within four times what an
+  // engine that loaded the same prefix in its bulk batch holds after the
+  // same one-contact epochs, plus each source's fixed floor.
+  SyntheticTraceSpec spec;
+  spec.num_internal = 40;
+  spec.duration = 3 * kDay;
+  spec.pair_contacts_mean = 1.0;
+  spec.num_communities = 3;
+  const TemporalGraph full = generate_trace(spec, 99).graph;
+  const auto contacts = full.contacts();
+  const std::size_t n = contacts.size(), bulk = n / 3, tail = n - 12;
+  ASSERT_GT(n, 400u);
+  IncrementalCdfOptions io;
+  io.grid = test_grid(full);
+  io.max_hops = 6;
+  io.num_threads = 1;
+  IncrementalAllPairsEngine large(full.num_nodes(), false, io);
+  large.append(contacts.subspan(0, bulk));
+  large.append(contacts.subspan(bulk, tail - bulk));
+  const std::size_t after_large = large.heap_bytes().stash;
+  IncrementalAllPairsEngine fresh(full.num_nodes(), false, io);
+  fresh.append(contacts.subspan(0, tail));
+  for (std::size_t at = tail; at < n; ++at) {
+    large.append(contacts.subspan(at, 1));
+    fresh.append(contacts.subspan(at, 1));
+  }
+  // The floor a source always keeps (256 pairs and 64 entries, about
+  // 6 KiB), rounded up.
+  const std::size_t floor_bytes = full.num_nodes() * (8 << 10);
+  const std::size_t released = large.heap_bytes().stash;
+  EXPECT_LE(released, 4 * fresh.heap_bytes().stash + floor_bytes)
+      << "after the large epoch " << after_large;
+  EXPECT_LT(4 * released, after_large);
+}
+
 TEST(IncrementalEngine, EmptyFirstAppendThenBulkAndTail) {
   // An empty epoch first (every lane integrated over no pairs), then the
   // bulk backlog seeds the DPs through bootstrap, which leaves no stash
@@ -978,6 +1041,23 @@ TEST_F(FollowedFeed, GrowingFeedKeepsBeingRead) {
   write(feed_, "1 2 30 40\n", std::ios::app);
   EXPECT_EQ(one_read(reader, [&] { write(feed_, "\n", std::ios::app); }),
             "read 10 bytes");
+}
+
+TEST_F(FollowedFeed, FeedRewrittenInPlaceFails) {
+  // Rewritten in place (same inode) with another contact of the same
+  // length, then of a greater one: neither the size nor the path gives
+  // it away, but the bytes before the read offset changed.
+  const std::string before = std::string(kFeedHeader) + "0 1 10 20\n";
+  for (const std::string after : {"1 2 30 40\n", "1 2 30 40\n0 2 50 60\n"}) {
+    write(feed_, before);
+    LiveTailReader reader(feed_, /*follow=*/true, /*poll_ms=*/5);
+    read_all(reader, before.size());
+    write(feed_, std::string(kFeedHeader) + after);
+    const std::string outcome = one_read(reader, [&] {
+      write(feed_, std::string(before.size(), '\n'), std::ios::app);
+    });
+    EXPECT_NE(outcome.find("was rewritten"), std::string::npos) << outcome;
+  }
 }
 
 TEST(LiveIngestSession, RejectsBadWindowBeforeAnyFeed) {

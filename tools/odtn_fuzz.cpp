@@ -26,8 +26,10 @@
 // the delay-CDF grid search (grid_index, stats/measure_cdf.hpp) against
 // std::lower_bound on a random strictly increasing grid, and (b) runs
 // the kPooled engine and the kLevelSweep oracle level by level over an
-// adversarial trace requiring identical frontiers (exercising arena
-// growth, span recycling via reset, and the free pre-change snapshots);
+// adversarial trace, both under one random delay horizon (or none),
+// requiring identical frontiers with no pair past the horizon
+// (exercising arena growth, span recycling via reset, and the free
+// pre-change snapshots);
 // under ASan/UBSan this doubles as a bounds check on the arena spans and
 // the grid search.
 //
@@ -45,13 +47,17 @@
 // and the default kAuto (incremental) scheme, and every source's
 // version lists to equal a cold engine's frontiers at every level.
 // Epochs before the last skip all_pairs at random, so a call may find
-// partials that lag by several appends. Half of the trials use the
-// explicit full-span start window, the other half the growing trace
-// span (NaN bounds, as `odtn tail` does), under which the partials keep
-// their numerators and swap only their observation measure. Half of the
-// trials first stretch the trace over 3-6 days and shift it by a random
-// non-integral number of days, sometimes negative, so frontiers change
-// at non-integral times over a long span. It also
+// partials that lag by several appends. Half of the trials use an
+// explicit start window (the full span, or in half of them a narrower
+// one), the other half the growing trace span (NaN bounds, as `odtn
+// tail` does), under which the partials keep their numerators and swap
+// only their observation measure. In half of the trials the delay grid
+// ends below the trace span, so with the narrow windows the DPs drop
+// pairs past their delay horizon; the cold engines and runs share the
+// live engine's horizon. Half of the trials first stretch the trace
+// over 3-6 days and shift it by a random non-integral number of days,
+// sometimes negative, so frontiers change at non-integral times over a
+// long span. It also
 // replays the trace's byte serialization through StreamingTraceParser
 // under random chunk splits -- sometimes one byte at a time, sometimes
 // with the final newline stripped so the flush() path runs -- and
@@ -321,6 +327,25 @@ PathPair random_kernel_pair(Rng& rng) {
           std::floor(rng.uniform(-10.0, 20.0 * scale)) / scale};
 }
 
+/// A delay horizon over `g`'s span: each bound is either absent or
+/// drawn inside the span (on whole seconds half of the time, so pairs
+/// land exactly on it), and a quarter of the draws are no horizon.
+DelayHorizon random_horizon(const TemporalGraph& g, Rng& rng) {
+  DelayHorizon h;
+  if (rng.bernoulli(0.25)) return h;
+  const double span = std::max(g.end_time() - g.start_time(), 1.0);
+  const bool whole = rng.bernoulli(0.5);
+  const auto draw = [&](double lo, double width) {
+    const double t = lo + rng.uniform(0.0, width);
+    return whole ? std::floor(t) : t;
+  };
+  if (rng.bernoulli(0.6)) h.window_lo = draw(g.start_time(), span);
+  if (rng.bernoulli(0.6))
+    h.window_hi = draw(std::max(h.window_lo, g.start_time()), span);
+  h.max_delay = draw(0.0, span);
+  return h;
+}
+
 int kernel_trials(long trials, std::uint64_t base_seed) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   for (long trial = 0; trial < trials; ++trial) {
@@ -415,14 +440,27 @@ int kernel_trials(long trials, std::uint64_t base_seed) {
       g = TemporalGraph(g.num_nodes(), g.contacts_vector(),
                         /*directed=*/true);
     const auto src = static_cast<NodeId>(rng.below(g.num_nodes()));
+    // Both engines run under one random delay horizon (none in a quarter
+    // of the trials), from a stream of its own.
+    Rng horizon_rng = Rng::keyed(seed, 0x4021);
+    const DelayHorizon horizon = random_horizon(g, horizon_rng);
     SingleSourceEngine pooled(g, src, EngineMode::kPooled);
+    pooled.set_horizon(horizon);
     auto crosscheck_from = [&](NodeId s) {
       SingleSourceEngine sweep(g, s, EngineMode::kLevelSweep);
+      sweep.set_horizon(horizon);
       for (int level = 1; level <= 64; ++level) {
         const bool p_grew = pooled.step();
         const bool s_grew = sweep.step();
         if (p_grew != s_grew)
           kernel_failure("pooled and level sweep disagree on progress", seed);
+        for (NodeId dst = 0; dst < g.num_nodes(); ++dst) {
+          const FrontierView f = pooled.frontier_view(dst);
+          for (std::size_t i = 0; i < f.size(); ++i)
+            if (horizon.past(f.ld(i), f.ea(i)))
+              kernel_failure("pooled frontier holds a pair past the horizon",
+                             seed);
+        }
         for (NodeId dst = 0; dst < g.num_nodes(); ++dst)
           if (pooled.frontier(dst) != sweep.frontier(dst)) {
             report_failure(g, s, dst, 0.0, level,
@@ -587,8 +625,9 @@ TemporalGraph spread_over_days(const TemporalGraph& g, Rng& rng,
 }
 
 /// Whether every source's version lists in `engine` equal a cold pooled
-/// engine's frontiers on `g` at every level up to the cap, and its
-/// deepest productive level the cold one.
+/// engine's frontiers on `g` under the live engine's delay horizon at
+/// every level up to the cap, and its deepest productive level the cold
+/// one.
 bool versions_match_cold(const IncrementalAllPairsEngine& engine,
                          const TemporalGraph& g) {
   const auto same = [](const FrontierView& a, const FrontierView& b) {
@@ -600,6 +639,7 @@ bool versions_match_cold(const IncrementalAllPairsEngine& engine,
   for (NodeId src = 0; src < g.num_nodes(); ++src) {
     const IncrementalSourceDp& dp = engine.source_dp(src);
     SingleSourceEngine cold(g, src, EngineMode::kPooled);
+    cold.set_horizon(engine.horizon());
     const auto level_matches = [&](int k) {
       for (NodeId d = 0; d < g.num_nodes(); ++d)
         if (!same(dp.frontier_at(d, k), cold.frontier_view(d))) return false;
@@ -657,6 +697,21 @@ int live_trials(long trials, std::uint64_t base_seed) {
     Rng window_rng = Rng::keyed(seed, 0x7a11);
     if (window_rng.bernoulli(0.5))
       io.t_lo = io.t_hi = std::numeric_limits<double>::quiet_NaN();
+    // Delay horizon (a stream of its own): in half of the trials the
+    // grid ends below the trace span, and in half of the explicit ones
+    // the window is narrower than the span, so that the DPs drop pairs
+    // past the horizon.
+    Rng horizon_rng = Rng::keyed(seed, 0x4022);
+    const double span = std::max(g.end_time() - g.start_time(), 1.0);
+    if (horizon_rng.bernoulli(0.5))
+      io.grid = make_log_grid(0.5 * scale,
+                              std::max(span * horizon_rng.uniform(0.02, 0.6),
+                                       1.0 * scale),
+                              io.grid.size());
+    if (!std::isnan(io.t_lo) && horizon_rng.bernoulli(0.5)) {
+      io.t_lo = g.start_time() + span * horizon_rng.uniform(0.0, 0.6);
+      io.t_hi = io.t_lo + span * horizon_rng.uniform(0.05, 0.4);
+    }
     DelayCdfOptions cold_opt;
     cold_opt.grid = io.grid;
     cold_opt.max_hops = io.max_hops;
