@@ -10,9 +10,10 @@
 //
 // Every frontier in the repository has one layout: two parallel lanes
 // of doubles, ld and ea (structure of arrays). DeliveryFunction owns its
-// lanes; FrontierView reads any lane pair -- a DeliveryFunction, a span
-// of the pooled engine's pair arena or a live engine version -- so the
-// CDF integration and the dominance probes never convert layouts.
+// lanes (API values, scratch); the engines keep frontiers as PairArena
+// spans. FrontierView reads any lane pair -- a DeliveryFunction or an
+// arena span -- so the CDF integration and the dominance probes never
+// convert layouts.
 #pragma once
 
 #include <cstddef>
@@ -24,9 +25,9 @@ namespace odtn {
 
 /// Non-owning read view of one Pareto frontier: two parallel lanes
 /// (ld, ea), both strictly ascending. The one layout every frontier of
-/// the repository uses -- DeliveryFunction's lanes, the pooled engine's
-/// arena spans and the live engine's versions -- so hot kernels take
-/// the lanes straight from ld_data()/ea_data().
+/// the repository uses -- DeliveryFunction's lanes and the arena spans
+/// of the pooled and the live engine -- so hot kernels take the lanes
+/// straight from ld_data()/ea_data().
 class FrontierView {
  public:
   FrontierView() = default;
@@ -102,7 +103,7 @@ class DeliveryFunction {
   }
 
   /// Replaces the contents with an already-canonical frontier (strictly
-  /// ascending in both lanes, e.g. a stored frontier version). O(n) lane
+  /// ascending in both lanes, e.g. an engine's arena span). O(n) lane
   /// copy with no dominance checks -- the caller vouches for the
   /// invariant (asserted in debug builds). Capacity is reused like
   /// clear().

@@ -19,16 +19,14 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// before any contact (same literal the engines use).
 PathPair identity_pair() { return {kInf, -kInf}; }
 
-/// Stash capacity that apply() always keeps, in pairs and in entries.
-constexpr std::size_t kStashFloorPairs = 256;
-constexpr std::size_t kStashFloorEntries = 64;
-
-/// Shrinks `v` to its size when its capacity exceeds both `floor`
-/// elements and four times its size.
-template <class T>
-void release_slack(std::vector<T>& v, std::size_t floor) {
-  if (v.capacity() > floor && v.capacity() > 4 * v.size())
-    std::vector<T>(v.begin(), v.end()).swap(v);
+/// Appends `f`'s pairs to `arena`. May grow it, so every view into the
+/// arena taken before the call is invalid after it.
+PairSpan append_pairs(PairArena& arena, const FrontierView& f) {
+  const std::size_t offset = arena.allocate(f.size());
+  std::copy_n(f.ld_data(), f.size(), arena.ld() + offset);
+  std::copy_n(f.ea_data(), f.size(), arena.ea() + offset);
+  return {static_cast<std::uint32_t>(offset),
+          static_cast<std::uint32_t>(f.size())};
 }
 
 bool frontier_equals(const FrontierView& a, const FrontierView& b) {
@@ -63,20 +61,21 @@ void fresh_pairs(const FrontierView& f, const FrontierView& below,
 IncrementalSourceDp::IncrementalSourceDp(NodeId source, std::size_t num_nodes,
                                          int level_cap,
                                          const DelayHorizon& horizon)
-    : source_(source), num_nodes_(num_nodes), cap_(level_cap),
+    : source_(source), cap_(level_cap),
       horizon_(horizon) {
   if (source >= num_nodes)
     throw std::invalid_argument("IncrementalSourceDp: source out of range");
   if (level_cap < 1)
     throw std::invalid_argument("IncrementalSourceDp: level cap must be >= 1");
-  nodes_.resize(num_nodes_);
-  marks_.resize(num_nodes_);
-  Version seed;
-  seed.frontier.insert(identity_pair());
-  nodes_[source_].versions.push_back(std::move(seed));
+  nodes_.resize(num_nodes);
+  marks_.resize(num_nodes);
+  const PathPair seed = identity_pair();
+  nodes_[source_].push_back(
+      {0, append_pairs(arena_, FrontierView(&seed.ld, &seed.ea, 1))});
+  live_ = 1;
 }
 
-FrontierView IncrementalSourceDp::lookup(const std::vector<Version>& versions,
+FrontierView IncrementalSourceDp::lookup(std::span<const Version> versions,
                                          int level) const {
   // Latest version at or below `level`; nodes are only versioned at the
   // levels where their frontier actually changed. Version lists reach
@@ -86,45 +85,22 @@ FrontierView IncrementalSourceDp::lookup(const std::vector<Version>& versions,
       versions.begin(), versions.end(), level,
       [](int l, const Version& v) { return l < v.level; });
   if (it == versions.begin()) return FrontierView();
-  return (it - 1)->frontier.view();
+  return view((it - 1)->span);
 }
 
 FrontierView IncrementalSourceDp::frontier_at(NodeId node, int level) const {
-  return lookup(nodes_[node].versions, std::min(level, cap_));
+  return lookup(nodes_[node], std::min(level, cap_));
 }
 
 FrontierView IncrementalSourceDp::lookup_original(NodeId node,
                                                   int level) const {
-  const std::vector<Version>& vs = nodes_[node].versions;
-  // Backward merge over the live list and the node's stash chain, both
-  // descending from `level`: at a level the last apply modified, the
-  // pre-apply state is the stash (possibly "absent"); elsewhere it is
-  // the live entry untouched. The live list starts from a binary
-  // search; the chain starts at the node's newest entry, which during
-  // an apply sits at or below the level being built, and the walk only
-  // continues past tombstoned levels.
-  std::ptrdiff_t i =
-      std::upper_bound(vs.begin(), vs.end(), level,
-                       [](int l, const Version& v) { return l < v.level; }) -
-      vs.begin() - 1;
-  std::uint32_t j = marks_[node].last_stash;
-  while (j != kNoEntry && stash_[j].level > level) j = stash_[j].prev;
-  while (i >= 0 || j != kNoEntry) {
-    const int lv = i >= 0 ? vs[static_cast<std::size_t>(i)].level : -1;
-    const int ls = j != kNoEntry ? stash_[j].level : -1;
-    if (lv > ls) {
-      // No stash covers (ls, level], so the live entry is pre-apply.
-      return vs[static_cast<std::size_t>(i)].frontier.view();
-    }
-    const StashEntry& e = stash_[j];
-    if (e.existed)
-      return FrontierView(stash_ld_.data() + e.offset,
-                          stash_ea_.data() + e.offset, e.length);
-    // Tombstone: the level had no version pre-apply; skip it entirely.
-    if (lv == ls) --i;
-    j = e.prev;
-  }
-  return FrontierView();
+  // The spans a write displaced stay in the arena until the next
+  // compaction, so the saved records still reach the pre-apply pairs.
+  const NodeMark& m = marks_[node];
+  if (m.saved == kNotSaved) return lookup(nodes_[node], level);
+  return lookup(std::span<const Version>(saved_).subspan(m.saved,
+                                                         m.saved_count),
+                level);
 }
 
 DeliveryFunction& IncrementalSourceDp::ensure_working(ApplyScratch& scratch,
@@ -135,7 +111,7 @@ DeliveryFunction& IncrementalSourceDp::ensure_working(ApplyScratch& scratch,
     // then the pre-epoch L_level: together with the candidate extensions
     // their Pareto merge is exactly L'_level. Both are canonical
     // frontiers, so one linear merge seeds the scratch.
-    s.working.assign_union(lookup(nodes_[node].versions, level - 1),
+    s.working.assign_union(lookup(nodes_[node], level - 1),
                            lookup_original(node, level));
     s.active = true;
     scratch.level_active.push_back(node);
@@ -143,58 +119,46 @@ DeliveryFunction& IncrementalSourceDp::ensure_working(ApplyScratch& scratch,
   return s.working;
 }
 
-void IncrementalSourceDp::stash(NodeId node, int level,
-                                const DeliveryFunction* old_frontier) {
-  StashEntry& e = stash_.emplace_back();
-  e.node = node;
-  e.level = level;
-  e.prev = marks_[node].last_stash;
-  marks_[node].last_stash = static_cast<std::uint32_t>(stash_.size() - 1);
-  e.existed = old_frontier != nullptr;
-  if (old_frontier) {
-    // A copy, not a buffer swap: the live version keeps and refills its
-    // own lanes, and the arena is reused across applies, so the stash
-    // holds one epoch's displaced pairs instead of a buffer per (node,
-    // level) ever stashed.
-    const FrontierView v = old_frontier->view();
-    e.offset = stash_ld_.size();
-    e.length = v.size();
-    stash_ld_.insert(stash_ld_.end(), v.ld_data(), v.ld_data() + v.size());
-    stash_ea_.insert(stash_ea_.end(), v.ea_data(), v.ea_data() + v.size());
-  }
+void IncrementalSourceDp::save(NodeId node) {
+  NodeMark& m = marks_[node];
+  if (m.saved != kNotSaved) return;
+  const VersionList& vs = nodes_[node];
+  m.saved = static_cast<std::uint32_t>(saved_.size());
+  m.saved_count = static_cast<std::uint32_t>(vs.size());
+  saved_.insert(saved_.end(), vs.begin(), vs.end());
 }
 
 void IncrementalSourceDp::write_version(NodeId node, int level,
                                         const FrontierView& f) {
-  std::vector<Version>& vs = nodes_[node].versions;
+  save(node);
+  const PairSpan span = append_pairs(arena_, f);
+  VersionList& vs = nodes_[node];
   auto it = std::lower_bound(
       vs.begin(), vs.end(), level,
       [](const Version& v, int l) { return v.level < l; });
-  if (it == vs.end() || it->level != level) {
-    stash(node, level, nullptr);
-    it = vs.insert(it, Version{});
-  } else {
-    stash(node, level, &it->frontier);
-  }
-  it->level = level;
-  it->frontier.assign_canonical(f);
+  if (it == vs.end() || it->level != level)
+    vs.insert(it, {level, span});
+  else
+    live_ -= std::exchange(it->span, span).length;
+  live_ += span.length;
   if (level > max_level_) max_level_ = level;
 }
 
 void IncrementalSourceDp::erase_exact_version(NodeId node, int level) {
-  std::vector<Version>& vs = nodes_[node].versions;
+  VersionList& vs = nodes_[node];
   auto it = std::lower_bound(
       vs.begin(), vs.end(), level,
       [](const Version& v, int l) { return v.level < l; });
   if (it != vs.end() && it->level == level) {
-    stash(node, level, &it->frontier);
+    save(node);
+    live_ -= it->span.length;
     vs.erase(it);
   }
 }
 
 const IncrementalSourceDp::Version* IncrementalSourceDp::version_at(
     NodeId node, int level) const {
-  const std::vector<Version>& vs = nodes_[node].versions;
+  const VersionList& vs = nodes_[node];
   const auto it = std::lower_bound(
       vs.begin(), vs.end(), level,
       [](const Version& v, int l) { return v.level < l; });
@@ -214,7 +178,9 @@ bool IncrementalSourceDp::take_changed(std::vector<NodeId>& out) {
   return !all;
 }
 
-void IncrementalSourceDp::bootstrap(const TemporalGraph& graph) {
+void IncrementalSourceDp::bootstrap(const TemporalGraph& graph,
+                                    ApplyScratch& scratch) {
+  pack(scratch.pairs);  // the level-0 seed
   SingleSourceEngine eng(graph, source_, EngineMode::kPooled);
   eng.set_horizon(horizon_);
   int k = 0;
@@ -225,13 +191,32 @@ void IncrementalSourceDp::bootstrap(const TemporalGraph& graph) {
     // engine. Levels ascend, so each node's list stays sorted by plain
     // appends.
     for (const NodeId d : eng.last_changed()) {
-      Version& v = nodes_[d].versions.emplace_back();
-      v.level = k;
-      v.frontier.assign_canonical(eng.frontier_view(d));
+      const PairSpan span = append_pairs(scratch.pairs, eng.frontier_view(d));
+      nodes_[d].push_back({k, span});
+      live_ += span.length;
     }
     max_level_ = k;
   }
+  install(scratch.pairs);
   all_changed_ = true;
+}
+
+void IncrementalSourceDp::pack(PairArena& to) {
+  to.reset();
+  for (VersionList& vs : nodes_)
+    for (Version& v : vs) v.span = append_pairs(to, view(v.span));
+}
+
+void IncrementalSourceDp::install(const PairArena& packed) {
+  const std::size_t h = headroom();
+  if (arena_.capacity() < live_ + h || arena_.capacity() > live_ + 3 * h) {
+    // allocate() on an empty arena sizes it exactly (PairArena::grow
+    // value-initializes, so all of the capacity is resident at once).
+    arena_ = PairArena();
+    arena_.allocate(live_ + 5 * h / 2);
+  }
+  arena_.truncate(0);
+  append_pairs(arena_, FrontierView(packed.ld(), packed.ea(), packed.size()));
 }
 
 namespace {
@@ -247,26 +232,21 @@ std::size_t IncrementalSourceDp::ApplyScratch::heap_bytes() const noexcept {
   std::size_t b = capacity_bytes(nodes) + capacity_bytes(fresh_active) +
                   capacity_bytes(next_fresh_active) + capacity_bytes(carry) +
                   capacity_bytes(next_carry) + capacity_bytes(level_active) +
-                  capacity_bytes(succ_ea) + capacity_bytes(changed);
+                  capacity_bytes(succ_ea) + capacity_bytes(changed) +
+                  pairs.capacity_bytes();
   for (const Node& n : nodes)
     b += n.working.heap_bytes() + capacity_bytes(n.fresh) +
          capacity_bytes(n.next_fresh);
   return b;
 }
 
-std::size_t IncrementalSourceDp::version_bytes() const noexcept {
-  std::size_t b = capacity_bytes(nodes_);
-  for (const NodeState& n : nodes_) {
-    b += capacity_bytes(n.versions);
-    for (const Version& v : n.versions) b += v.frontier.heap_bytes();
-  }
+LiveHeapBytes IncrementalSourceDp::heap_bytes() const noexcept {
+  LiveHeapBytes b;
+  b.versions = capacity_bytes(nodes_) + arena_.capacity_bytes();
+  for (const VersionList& vs : nodes_) b.versions += capacity_bytes(vs);
+  b.saved = capacity_bytes(marks_) + capacity_bytes(changed_) +
+            capacity_bytes(saved_);
   return b;
-}
-
-std::size_t IncrementalSourceDp::stash_bytes() const noexcept {
-  return capacity_bytes(marks_) + capacity_bytes(changed_) +
-         capacity_bytes(stash_) + capacity_bytes(stash_ld_) +
-         capacity_bytes(stash_ea_);
 }
 
 bool IncrementalSourceDp::apply(const TemporalGraph& graph,
@@ -277,12 +257,19 @@ bool IncrementalSourceDp::apply(const TemporalGraph& graph,
   const bool directed = graph.directed();
   bool changed = false;
 
-  // The new stash replaces the last apply's (capacity kept).
-  for (const StashEntry& e : stash_) marks_[e.node].last_stash = kNoEntry;
-  stash_.clear();
-  stash_ld_.clear();
-  stash_ea_.clear();
-  if (scratch.nodes.size() < num_nodes_) scratch.nodes.resize(num_nodes_);
+  // The last apply's saved records are dropped, so nothing reaches the
+  // garbage any more: compact when less than half the headroom is free,
+  // or when the capacity outgrew the band (see kCompactShare).
+  for (NodeMark& m : marks_) m.saved = kNotSaved;
+  saved_.clear();
+  const std::size_t h = headroom();
+  if (arena_.capacity() - arena_.size() < h / 2 ||
+      arena_.capacity() > live_ + 3 * h) {
+    pack(scratch.pairs);
+    install(scratch.pairs);
+    ++compactions_;
+  }
+  if (scratch.nodes.size() < nodes_.size()) scratch.nodes.resize(nodes_.size());
   std::vector<ApplyScratch::Node>& sn = scratch.nodes;
   std::vector<NodeId>& fresh_active = scratch.fresh_active;
   std::vector<NodeId>& next_fresh_active = scratch.next_fresh_active;
@@ -306,7 +293,7 @@ bool IncrementalSourceDp::apply(const TemporalGraph& graph,
       return frontier_dominates(v.ld_data(), v.ea_data(), v.size(), cand.ld,
                                 cand.ea);
     };
-    if (!s.active && (dominated_in(lookup(nodes_[to].versions, k - 1)) ||
+    if (!s.active && (dominated_in(lookup(nodes_[to], k - 1)) ||
                       dominated_in(lookup_original(to, k))))
       return;
     ensure_working(scratch, to, k).insert(cand);
@@ -320,7 +307,7 @@ bool IncrementalSourceDp::apply(const TemporalGraph& graph,
                                     int k) {
     const Version* v = version_at(u, k - 1);
     if (!v) return;
-    for_each_frontier_extension(v->frontier.view(), c.begin, c.end,
+    for_each_frontier_extension(view(v->span), c.begin, c.end,
                                 [&](PathPair cand) { offer_to(to, k, cand); });
   };
 
@@ -346,7 +333,7 @@ bool IncrementalSourceDp::apply(const TemporalGraph& graph,
       // dominated and is not offered at all (the engines' wait-candidate
       // suppression, carried across epochs by the same quiescence
       // argument fire_new_contact relies on).
-      const FrontierView fp = lookup(nodes_[u].versions, k - 1);
+      const FrontierView fp = lookup(nodes_[u], k - 1);
       succ_ea.resize(dp.size());
       for (std::size_t j = 0, pos = 0; j < dp.size(); ++j) {
         while (fp.ea(pos) < dp[j].ea) ++pos;
@@ -397,13 +384,13 @@ bool IncrementalSourceDp::apply(const TemporalGraph& graph,
       const FrontierView f = s.working.view();
       // Version-iff-productive invariant: a version at k exists exactly
       // when L'_k != L'_{k-1}.
-      if (!frontier_equals(f, lookup(nodes_[d].versions, k - 1)))
+      if (!frontier_equals(f, lookup(nodes_[d], k - 1)))
         write_version(d, k, f);
       else
         erase_exact_version(d, k);
       // A rewritten node stays carried while its level-k value differs
-      // from the pre-epoch one. (Looked up after the write: a stash may
-      // move the arena.)
+      // from the pre-epoch one. (Looked up after the write: an append
+      // may move the arena.)
       const FrontierView old_k = lookup_original(d, k);
       if (!frontier_equals(f, old_k)) {
         changed = true;
@@ -417,7 +404,7 @@ bool IncrementalSourceDp::apply(const TemporalGraph& graph,
       // that is also in L'_{k-1} was not in old L_{k-1} (old L_k would
       // hold a pair dominating it, and so would L'_k), so it was fresh
       // at an earlier level and its extensions were offered then.
-      fresh_pairs(f, lookup(nodes_[d].versions, k - 1), old_k, s.next_fresh);
+      fresh_pairs(f, lookup(nodes_[d], k - 1), old_k, s.next_fresh);
       if (!s.next_fresh.empty()) next_fresh_active.push_back(d);
     }
     // Carried nodes not rewritten at k keep L'_k = L'_{k-1} != old L_k.
@@ -437,16 +424,9 @@ bool IncrementalSourceDp::apply(const TemporalGraph& graph,
   // contact may dominate away the only level-k change); recompute it
   // exactly so the reported fixpoint matches a cold run.
   max_level_ = 0;
-  for (const NodeState& n : nodes_)
-    if (!n.versions.empty() && n.versions.back().level > max_level_)
-      max_level_ = n.versions.back().level;
-  // The stash keeps its capacity across applies, but not the capacity
-  // of an epoch far larger than this one. Nothing holds a view into it
-  // here: lookup_original's views of this apply's stash are taken after
-  // it returns.
-  release_slack(stash_ld_, kStashFloorPairs);
-  release_slack(stash_ea_, kStashFloorPairs);
-  release_slack(stash_, kStashFloorEntries);
+  for (const VersionList& vs : nodes_)
+    if (!vs.empty() && vs.back().level > max_level_)
+      max_level_ = vs.back().level;
   return changed;
 }
 
@@ -476,8 +456,9 @@ IncrementalAllPairsEngine::IncrementalAllPairsEngine(
 LiveHeapBytes IncrementalAllPairsEngine::heap_bytes() const noexcept {
   LiveHeapBytes b;
   for (const IncrementalSourceDp& dp : dps_) {
-    b.versions += dp.version_bytes();
-    b.stash += dp.stash_bytes();
+    const LiveHeapBytes s = dp.heap_bytes();
+    b.versions += s.versions;
+    b.saved += s.saved;
   }
   for (const IncrementalSourceDp::ApplyScratch& s : scratch_)
     b.scratch += s.heap_bytes();
@@ -515,13 +496,13 @@ std::uint64_t IncrementalAllPairsEngine::append(
     if (old_count == 0) {
       // First (bulk) batch: seed each DP from a cold pooled run instead
       // of replaying the epoch machinery -- same frontiers, batch cost.
-      dps_[i].bootstrap(graph_);
+      dps_[i].bootstrap(graph_, scratch_[worker]);
       lag_[i] = Lag::kFull;
       return;
     }
     const bool changed = dps_[i].apply(graph_, old_count, scratch_[worker]);
-    // apply() replaces the stash overlay, so a partial that already
-    // lagged can no longer be brought up to date from it.
+    // apply() replaces the saved records, so a partial that already
+    // lagged can no longer be brought up to date from them.
     if (lag_[i] != Lag::kNone)
       lag_[i] = Lag::kFull;
     else if (changed)

@@ -39,7 +39,7 @@
 // primitive of batch and serve:
 //
 //   - the epoch update adds I(L'_j) - I(L_j) per changed node and lane,
-//     reading the pre-epoch L_j from the stash overlay apply() keeps;
+//     reading the pre-epoch L_j through the records apply() saved;
 //   - the full pass (after bootstrap, after a window change that could
 //     clip a stored segment, or when the lanes lag by more than one
 //     apply) feeds each destination's consecutive versions through the
@@ -65,19 +65,30 @@
 #include "core/diameter.hpp"
 #include "core/source_cdf.hpp"
 #include "core/temporal_graph.hpp"
+#include "util/arena.hpp"
 #include "util/thread_pool.hpp"
 
 namespace odtn {
+
+/// Heap bytes of a live engine by part, from container capacities
+/// (allocator overhead excluded).
+struct LiveHeapBytes {
+  std::size_t versions = 0;  // every source's records and pair arena
+  std::size_t saved = 0;     // every source's saved records and marks
+  std::size_t scratch = 0;   // the per-worker apply scratch
+};
 
 /// Persistent per-source DP state: each node's frontier history as a
 /// version list indexed by hop level. frontier_at(d, k) is L_k(src, d)
 /// for any k, bit-identical to a cold engine's frontier at that level.
 ///
-/// Besides the version lists a source keeps only the last apply()'s
-/// stash (the frontiers it displaced, copied into one pair arena) and
-/// its change report; the working state of an apply() lives in an
-/// ApplyScratch the caller owns, one per worker, so a source's epoch
-/// state scales with one epoch's work.
+/// A version is a record {level, span} into the source's one PairArena.
+/// A write appends the new frontier and leaves the old span in place as
+/// garbage, so the pre-apply state of a node is its record list before
+/// its first write, which apply() saves (records, never pairs). The
+/// working state of an apply() lives in an ApplyScratch the caller
+/// owns, one per worker, so a source's epoch state scales with one
+/// epoch's work.
 class IncrementalSourceDp {
  public:
   /// Working state of apply(), reused across sources and epochs: a
@@ -104,6 +115,8 @@ class IncrementalSourceDp {
     std::vector<double> succ_ea;
     /// take_changed()'s output buffer for the CDF side.
     std::vector<NodeId> changed;
+    /// Where compaction and bootstrap pack a source's live pairs.
+    PairArena pairs;
 
     /// Heap bytes held, from capacities.
     std::size_t heap_bytes() const noexcept;
@@ -131,10 +144,12 @@ class IncrementalSourceDp {
   /// but at batch DP cost, so the first (bulk/backlog) batch of a live
   /// session loads at cold-run speed instead of through the epoch
   /// machinery. Only valid while the DP is empty (no batch applied yet).
-  void bootstrap(const TemporalGraph& graph);
+  void bootstrap(const TemporalGraph& graph, ApplyScratch& scratch);
 
-  /// L_k(source, node) as a zero-copy SoA view (levels above the cap
-  /// clamp to the cap; the fixpoint frontier for converged sources).
+  /// L_k(source, node) as a zero-copy SoA view into the arena (levels
+  /// above the cap clamp to the cap; the fixpoint frontier for converged
+  /// sources). Every view into the arena is valid until the next
+  /// apply().
   FrontierView frontier_at(NodeId node, int level) const;
 
   /// Largest productive level across nodes: L_k == L_{k-1} for every
@@ -150,11 +165,10 @@ class IncrementalSourceDp {
   /// bootstrap); `out` is then empty.
   bool take_changed(std::vector<NodeId>& out);
 
-  /// L_level(source, node) as it was before the last apply(): the live
-  /// version list with that apply's stash overlaid back in. Where the
-  /// last apply left the level untouched it is the same buffer
-  /// frontier_at returns; otherwise it views the stash arena, valid
-  /// until the next apply() (which empties and refills the arena).
+  /// L_level(source, node) as it was before the last apply(): a search
+  /// of the node's saved records where that apply wrote the node, of
+  /// its live records otherwise. Where the last apply left the level
+  /// untouched it is the same span frontier_at returns.
   FrontierView lookup_original(NodeId node, int level) const;
 
   /// Calls f(level, frontier) for each of `node`'s versions, ascending:
@@ -162,88 +176,81 @@ class IncrementalSourceDp {
   /// first).
   template <class F>
   void for_each_version(NodeId node, F&& f) const {
-    for (const Version& v : nodes_[node].versions)
-      f(v.level, v.frontier.view());
+    for (const Version& v : nodes_[node]) f(v.level, view(v.span));
   }
 
-  /// Heap bytes of the version lists (node and version headers plus
-  /// frontier lanes), from capacities.
-  std::size_t version_bytes() const noexcept;
-  /// Heap bytes of the epoch state kept between applies: the stash
-  /// arena and entries, the per-node marks and the change report.
-  std::size_t stash_bytes() const noexcept;
+  /// headroom() h is kCompactShare of the live pairs plus
+  /// kCompactFloorPairs. apply() compacts the arena before its first
+  /// write once less than h/2 is free or more than 3h is spare, keeping
+  /// the capacity while the spare stays within [h, 3h]; otherwise, and
+  /// after a bootstrap, it reallocates with 5h/2 spare. The wide band
+  /// keeps reallocations, which fragment the heap, rare.
+  static constexpr double kCompactShare = 0.125;
+  static constexpr std::size_t kCompactFloorPairs = 256;
+  std::size_t headroom() const noexcept {
+    return kCompactFloorPairs +
+           static_cast<std::size_t>(kCompactShare * static_cast<double>(live_));
+  }
+  /// Pairs the versions hold; the arena holds them plus garbage.
+  std::size_t live_pairs() const noexcept { return live_; }
+  const PairArena& arena() const noexcept { return arena_; }
+  std::size_t compactions() const noexcept { return compactions_; }
+
+  /// This source's versions and saved parts (the marks and the change
+  /// report count as saved).
+  LiveHeapBytes heap_bytes() const noexcept;
 
  private:
-  /// One productive level's frontier.
+  /// One productive level's frontier: a span of arena_.
   struct Version {
     int level = 0;
-    DeliveryFunction frontier;
+    PairSpan span;
   };
-  struct NodeState {
-    std::vector<Version> versions;  // ascending level, one per change
-  };
-  static constexpr std::uint32_t kNoEntry =
+  using VersionList = std::vector<Version>;  // ascending level
+  static constexpr std::uint32_t kNotSaved =
       std::numeric_limits<std::uint32_t>::max();
-  /// Pre-apply state of one (node, level) the last apply() modified: the
-  /// displaced frontier, copied to [offset, offset + length) of the
-  /// arena lanes, or a tombstone (!existed) recording that the level had
-  /// no version before. A node's entries chain backwards through `prev`,
-  /// in descending level (levels ascend within an apply).
-  struct StashEntry {
-    NodeId node = 0;
-    int level = 0;
-    std::uint32_t prev = kNoEntry;
-    bool existed = false;
-    std::size_t offset = 0;
-    std::size_t length = 0;
-  };
   struct NodeMark {
-    std::uint32_t last_stash = kNoEntry;  // newest StashEntry of the node
-    bool reported = false;                // listed in changed_
+    // saved_[saved, saved + saved_count) if the last apply() wrote it.
+    std::uint32_t saved = kNotSaved;
+    std::uint32_t saved_count = 0;
+    bool reported = false;  // listed in changed_
   };
 
+  FrontierView view(PairSpan s) const noexcept {
+    return FrontierView(arena_.ld() + s.offset, arena_.ea() + s.offset,
+                        s.length);
+  }
   DeliveryFunction& ensure_working(ApplyScratch& scratch, NodeId node,
                                    int level);
-  FrontierView lookup(const std::vector<Version>& versions, int level) const;
-  /// Records the pre-apply state of (node, level) before its first (and
-  /// only) modification this apply, copying `old_frontier` into the
-  /// arena when the level had a version. May grow the arena, so views
-  /// lookup_original returned before the call are invalid after it.
-  void stash(NodeId node, int level, const DeliveryFunction* old_frontier);
+  FrontierView lookup(std::span<const Version> versions, int level) const;
+  /// Saves `node`'s records before its first modification this apply.
+  void save(NodeId node);
   void write_version(NodeId node, int level, const FrontierView& f);
   void erase_exact_version(NodeId node, int level);
   /// The version at exactly `level`, if any.
   const Version* version_at(NodeId node, int level) const;
+  /// Copies the live spans into `to`, back to back, and points the
+  /// records there; install() copies them back to the arena's start.
+  void pack(PairArena& to);
+  void install(const PairArena& packed);
 
   NodeId source_;
-  std::size_t num_nodes_;
   int cap_;
   DelayHorizon horizon_;
   int max_level_ = 0;
-  std::vector<NodeState> nodes_;
+  std::vector<VersionList> nodes_;
   std::vector<NodeMark> marks_;
+  PairArena arena_;
+  std::size_t live_ = 0;  // pairs in the spans of nodes_
+  std::size_t compactions_ = 0;
+  std::vector<Version> saved_;  // the last apply()'s saved records
 
   // Nodes changed since the last take_changed(); all of them when
   // all_changed_.
   bool all_changed_ = true;
   std::vector<NodeId> changed_;
-
-  // The last apply()'s stash: entries plus the two-lane pair arena their
-  // frontiers live in, emptied at the start of each apply. Capacity is
-  // kept, unless it is above a small floor and four times what the
-  // apply used: then apply() releases it on its way out.
-  std::vector<StashEntry> stash_;
-  std::vector<double> stash_ld_;
-  std::vector<double> stash_ea_;
 };
 
-/// Heap bytes of a live engine by part, from container capacities
-/// (allocator overhead excluded).
-struct LiveHeapBytes {
-  std::size_t versions = 0;  // every source's version lists
-  std::size_t stash = 0;     // every source's stash and change report
-  std::size_t scratch = 0;   // the per-worker apply scratch
-};
 
 /// Options of the live all-pairs monitor. The delay grid is fixed for
 /// the engine's lifetime (it keys every per-epoch result); the
@@ -308,8 +315,9 @@ class IncrementalAllPairsEngine {
   /// How far a source's partial lags its DP.
   enum class Lag : std::uint8_t {
     kNone,      // up to date
-    kOneApply,  // behind by exactly the last apply(), whose stash overlay
-                // still holds the pre-epoch frontiers: epoch update
+    kOneApply,  // behind by exactly the last apply(), whose saved
+                // records still reach the pre-epoch frontiers: epoch
+                // update
     kFull,      // anything else: full pass
   };
 

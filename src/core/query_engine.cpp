@@ -114,9 +114,9 @@ DelayCdfResult QueryEngine::run(const std::vector<NodeId>& sources,
   const bool incremental = use_incremental_accumulation(options);
   const std::size_t partial_cost = cached_partial_bytes();
 
-  // A cache probe in front of process_source. Hits and misses all land
-  // in the folder in ascending source order, so mixing them changes no
-  // bit of the answer -- see the header's contract.
+  // A cache probe in front of process_source. Hits and misses land in
+  // the folder in arrival order; its sums are exact, so mixing them
+  // changes no bit of the answer -- see the header's contract.
   return fold_sources(
       sources.size(), options, incremental,
       [&](std::size_t i, SourceCdfWorker& worker, SourceCdfPartial& partial,

@@ -58,9 +58,10 @@ std::size_t equal_suffix2(const double* a0, const double* a1, std::size_t an,
 
 }  // namespace
 
-// Both frontiers are usually pooled-engine arena spans or live versions
-// whose shared pairs are value-identical (merge_frontier copies doubles
-// verbatim), so the diff below finds long common runs.
+// Both frontiers are usually spans of one pair arena, the pooled
+// engine's or a live source's, whose shared pairs are value-identical
+// (both engines copy doubles verbatim), so the diff below finds long
+// common runs.
 void integrate_frontier_delta(const FrontierView& old_f,
                               const FrontierView& new_f, const TimeWindows& w,
                               MeasureCdfAccumulator& acc,
@@ -183,12 +184,13 @@ void process_source_incremental(const TemporalGraph& graph, NodeId src,
 }  // namespace
 
 void check_window_bounds(double t_lo, double t_hi) {
-  // An infinite bound makes the observation measure infinite: the CDF
-  // would read NaN or zero instead of failing.
+  // An infinite bound makes the observation measure infinite, and equal
+  // bounds make it zero: the CDF would read NaN or zero instead of
+  // failing.
   if (std::isinf(t_lo) || std::isinf(t_hi))
     throw std::invalid_argument(
         "compute_delay_cdf: start-time window bounds must be finite");
-  if (t_lo > t_hi)
+  if (t_lo >= t_hi)
     throw std::invalid_argument("compute_delay_cdf: empty start-time window");
 }
 
@@ -208,7 +210,9 @@ TimeWindows resolve_cdf_windows(const TemporalGraph& graph,
     check_window_bounds(lo, hi);
     if (std::isnan(lo)) lo = graph.start_time();
     if (std::isnan(hi)) hi = graph.end_time();
-    check_window_bounds(lo, hi);
+    // NaN bounds over an empty or instantaneous graph resolve to a zero
+    // span, which stays valid.
+    if (lo != hi) check_window_bounds(lo, hi);
     w = {{lo, hi}};
   }
   // The observation measure of the whole computation bounds every

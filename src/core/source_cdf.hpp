@@ -37,14 +37,16 @@ using TimeWindows = std::vector<std::pair<double, double>>;
 /// Checks the explicit part of a [t_lo, t_hi] start-time window before
 /// any graph is known (NaN = the graph's start / end time, resolved
 /// later): throws std::invalid_argument on an infinite bound or on
-/// t_lo > t_hi. resolve_cdf_windows applies the same check, with the
-/// same messages.
+/// t_lo >= t_hi. resolve_cdf_windows applies the same check, with the
+/// same messages, to explicit bounds and windows entries.
 void check_window_bounds(double t_lo, double t_hi);
 
 /// Resolves the options' start-time windows against the graph span (a
 /// NaN t_lo / t_hi is the graph's start / end time). Throws
-/// std::invalid_argument on overlapping/decreasing windows, an empty
-/// [t_lo, t_hi], an infinite bound, or when (endpoint pairs x window
+/// std::invalid_argument on overlapping/decreasing windows, an explicit
+/// window or windows entry with lo >= hi, a resolved one with lo > hi
+/// (an empty or instantaneous graph may resolve NaN bounds to lo == hi),
+/// an infinite bound, or when (endpoint pairs x window
 /// measure) reaches the accumulators' fixed-point range
 /// (MeasureCdfAccumulator::kMaxMeasure).
 TimeWindows resolve_cdf_windows(const TemporalGraph& graph,

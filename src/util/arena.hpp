@@ -1,16 +1,16 @@
 // PairArena: a bump (slab) allocator for (LD, EA) path-pair storage in
-// structure-of-arrays form.
+// structure-of-arrays form, the store every engine keeps its pairs in.
 //
 // The pooled propagation engine (EngineMode::kPooled) keeps EVERY pair of
-// one SingleSourceEngine -- all per-node Pareto frontiers, plus their
-// superseded versions -- in one arena: two contiguous double arrays
-// (ld[] and ea[], optionally a third aux[] lane for per-pair metadata such
-// as successor EAs in delta storage) addressed by (offset, length) spans.
+// one SingleSourceEngine in one arena: two contiguous double arrays (ld[]
+// and ea[], optionally a third aux[] lane for per-pair metadata such as
+// successor EAs in delta storage) addressed by (offset, length) spans.
 // Allocation is a bump-pointer increment; superseded frontier versions are
 // never freed individually (they stay addressable as pre-change snapshots
 // until the next reset), and reset() recycles the full capacity for the
 // next source, so the steady-state all-pairs loop performs zero heap
-// allocations once the high-water capacity has been reached.
+// allocations once the high-water capacity has been reached. The live
+// engine keeps one arena per source across epochs and compacts it.
 //
 // Growth moves the arrays, so raw pointers obtained via ld()/ea()/aux()
 // are invalidated by allocate(); spans (offsets) stay valid forever.

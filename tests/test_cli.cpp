@@ -466,6 +466,32 @@ TEST_F(CliServe, ServeRejectsNonFiniteQueryTimes) {
   EXPECT_EQ(errors, 4) << out;
 }
 
+TEST_F(CliServe, ServeRejectsZeroMeasureQueryWindows) {
+  // Equal explicit bounds used to answer silently: `cdf` with 40 zeros,
+  // `diameter` with value=1. Each is now an error reply, and the session
+  // goes on to answer the valid query after them.
+  const std::string trace = serve_trace("srv_zero.trace");
+  const std::string queries = track(path("srv_zero.q"));
+  {
+    std::ofstream out(queries);
+    out << "cdf 0 5 5\n"
+        << "diameter 0.01 5 5\n"
+        << "cdf 0 0 1800\n";
+  }
+  ::testing::internal::CaptureStdout();
+  ASSERT_EQ(run_cli({"serve", "--trace", trace, "--input", queries}), 0);
+  const std::string out = ::testing::internal::GetCapturedStdout();
+  std::istringstream lines(out);
+  std::vector<std::string> replies;
+  for (std::string line; std::getline(lines, line);) replies.push_back(line);
+  ASSERT_EQ(replies.size(), 3u) << out;
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(replies[i].rfind("error ", 0), 0u) << replies[i];
+    EXPECT_NE(replies[i].find("empty start-time window"), std::string::npos);
+  }
+  EXPECT_EQ(replies[2].rfind("cdf src=0", 0), 0u) << replies[2];
+}
+
 TEST_F(CliServe, TailRejectsInfiniteWindow) {
   const std::string trace = serve_trace("tail_inf.trace");
   ::testing::internal::CaptureStdout();
@@ -479,7 +505,9 @@ TEST_F(CliServe, TailChecksWindowBeforeReadingTheFeed) {
   // window's.
   const std::string missing = path("tail_missing.feed");
   const std::vector<std::vector<std::string>> windows{
-      {"--window-hi", "inf"}, {"--window-lo", "10", "--window-hi", "5"}};
+      {"--window-hi", "inf"},
+      {"--window-lo", "10", "--window-hi", "5"},
+      {"--window-lo", "15", "--window-hi", "15"}};
   for (const std::vector<std::string>& window : windows) {
     std::vector<std::string> argv{"tail", missing};
     argv.insert(argv.end(), window.begin(), window.end());

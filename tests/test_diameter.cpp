@@ -192,6 +192,8 @@ TEST(DelayCdf, WindowsMustBeDisjointIncreasing) {
   EXPECT_THROW(compute_delay_cdf(g, opt), std::invalid_argument);
   opt.windows = {{10.0, 5.0}};  // reversed
   EXPECT_THROW(compute_delay_cdf(g, opt), std::invalid_argument);
+  opt.windows = {{0.0, 0.5}, {10.0, 10.0}};  // an entry of measure zero
+  EXPECT_THROW(compute_delay_cdf(g, opt), std::invalid_argument);
 }
 
 TEST(DelayCdf, InvalidOptionsThrow) {
@@ -205,9 +207,13 @@ TEST(DelayCdf, InvalidOptionsThrow) {
   opt.endpoints = {0, 9};
   EXPECT_THROW(compute_delay_cdf(g, opt), std::invalid_argument);
   opt.endpoints.clear();
-  opt.t_lo = 5.0;
-  opt.t_hi = 1.0;
-  EXPECT_THROW(compute_delay_cdf(g, opt), std::invalid_argument);
+  // A reversed window, and an explicit one of measure zero (it used to
+  // give CDFs of zeros and diameter 1).
+  for (const double hi : {1.0, 5.0}) {
+    opt.t_lo = 5.0;
+    opt.t_hi = hi;
+    EXPECT_THROW(compute_delay_cdf(g, opt), std::invalid_argument) << hi;
+  }
 }
 
 TEST(DelayCdf, InfiniteWindowBoundsThrow) {

@@ -252,13 +252,16 @@ void expect_versions_match_cold(const IncrementalAllPairsEngine& engine,
 /// all_pairs, so the next one integrates several appends at once. The
 /// cold run must reject the prefix's window exactly on the epochs listed
 /// in `rejected`, and there all_pairs must throw the same error; a
-/// rejection anywhere else fails the test. Returns the results of the
-/// epochs that resolved.
+/// rejection anywhere else fails the test. `on_epoch`, if set, sees the
+/// engine after every append. Returns the results of the epochs that
+/// resolved.
 std::vector<DelayCdfResult> check_epoch_cuts(
     const TemporalGraph& full, std::vector<std::size_t> cuts,
     IncrementalCdfOptions io,
     const std::vector<std::size_t>& skip_all_pairs = {},
-    const std::vector<std::size_t>& rejected = {}) {
+    const std::vector<std::size_t>& rejected = {},
+    const std::function<void(const IncrementalAllPairsEngine&)>& on_epoch =
+        {}) {
   const auto listed = [](const std::vector<std::size_t>& list, std::size_t e) {
     return std::find(list.begin(), list.end(), e) != list.end();
   };
@@ -273,6 +276,7 @@ std::vector<DelayCdfResult> check_epoch_cuts(
     if (cut < at) continue;
     EXPECT_NO_THROW(engine.append(contacts.subspan(at, cut - at)));
     at = cut;
+    if (on_epoch) on_epoch(engine);
     const TemporalGraph prefix(
         full.num_nodes(),
         std::vector<Contact>(contacts.begin(),
@@ -651,13 +655,13 @@ void check_lookup_original(const TemporalGraph& full,
               << "cut " << cut << " source " << src << " node " << d
               << " level " << k;
       }
-    // Every epoch keeps the fold reading the overlay as it does live.
+    // Every epoch keeps the fold reading the saved records as it does live.
     (void)engine.all_pairs();
   }
 }
 
 TEST(IncrementalEngine, LookupOriginalIsThePreApplyFrontier) {
-  // The stash overlay is the epoch update's only source of the old
+  // The saved records are the epoch update's only source of the old
   // frontiers: after each apply, lookup_original must give back the
   // pre-apply frontier at every level, whether the apply rewrote it,
   // created a version there, erased one or left it alone. One-contact
@@ -701,9 +705,9 @@ TEST(IncrementalEngine, LookupOriginalIsThePreApplyFrontier) {
 }
 
 TEST(IncrementalEngine, EpochStateStaysSmallAgainstVersionLists) {
-  // After a bulk load, 160 one-contact tail epochs: the stash keeps one
-  // epoch's displaced frontiers and the apply scratch is one per worker,
-  // so together they stay below a tenth of the version lists however
+  // After a bulk load, 160 one-contact tail epochs: the saved records
+  // hold one epoch's displaced versions and the apply scratch is one per
+  // worker, so together they stay below a tenth of the versions however
   // many epochs ran. An epoch displaces every version of the nodes it
   // changes, about one per source here, so the trace needs enough nodes
   // (80) for that to be a small share; contacts are clipped to an hour
@@ -733,19 +737,21 @@ TEST(IncrementalEngine, EpochStateStaysSmallAgainstVersionLists) {
     engine.append(contacts.subspan(at, kPerEpoch));
     (void)engine.all_pairs();
     const LiveHeapBytes b = engine.heap_bytes();
-    ASSERT_GT(b.stash, 0u);
+    ASSERT_GT(b.saved, 0u);
     ASSERT_GT(b.scratch, 0u);
-    ASSERT_LT(10 * (b.stash + b.scratch), b.versions)
-        << "epoch " << e << ": stash " << b.stash << " scratch "
+    ASSERT_LT(10 * (b.saved + b.scratch), b.versions)
+        << "epoch " << e << ": saved " << b.saved << " scratch "
         << b.scratch << " versions " << b.versions;
   }
 }
 
-TEST(IncrementalEngine, StashReleasesALargeEpochsCapacity) {
-  // One large tail epoch, then one-contact epochs: the stash does not
-  // keep the large epoch's capacity. It ends within four times what an
-  // engine that loaded the same prefix in its bulk batch holds after the
-  // same one-contact epochs, plus each source's fixed floor.
+TEST(IncrementalEngine, CompactionReleasesALargeEpochsGarbage) {
+  // One large tail epoch, then one-contact epochs. The pairs the large
+  // epoch displaced stay in each source's arena as garbage, where the
+  // saved records reach them, until an apply compacts the arena: the
+  // next apply compacts exactly the sources with less than half their
+  // headroom free or more than three times it spare, and drops their
+  // garbage. After every epoch each arena stays within that band.
   SyntheticTraceSpec spec;
   spec.num_internal = 40;
   spec.duration = 3 * kDay;
@@ -762,26 +768,80 @@ TEST(IncrementalEngine, StashReleasesALargeEpochsCapacity) {
   IncrementalAllPairsEngine large(full.num_nodes(), false, io);
   large.append(contacts.subspan(0, bulk));
   large.append(contacts.subspan(bulk, tail - bulk));
-  const std::size_t after_large = large.heap_bytes().stash;
-  IncrementalAllPairsEngine fresh(full.num_nodes(), false, io);
-  fresh.append(contacts.subspan(0, tail));
+  const auto garbage = [&](NodeId s) {
+    const IncrementalSourceDp& dp = large.source_dp(s);
+    return dp.arena().size() - dp.live_pairs();
+  };
+  std::vector<bool> compacts(full.num_nodes());
+  std::vector<std::size_t> before(full.num_nodes());
+  for (NodeId s = 0; s < full.num_nodes(); ++s) {
+    const IncrementalSourceDp& dp = large.source_dp(s);
+    const std::size_t h = dp.headroom();
+    before[s] = garbage(s);
+    compacts[s] = dp.arena().capacity() - dp.arena().size() < h / 2 ||
+                  dp.arena().capacity() > dp.live_pairs() + 3 * h;
+    ASSERT_EQ(dp.compactions(), 0u);
+  }
+  ASSERT_GT(std::count(compacts.begin(), compacts.end(), true), 0);
+  std::size_t kept_before = 0, kept_after = 0;
   for (std::size_t at = tail; at < n; ++at) {
     large.append(contacts.subspan(at, 1));
-    fresh.append(contacts.subspan(at, 1));
+    for (NodeId s = 0; s < full.num_nodes(); ++s) {
+      const IncrementalSourceDp& dp = large.source_dp(s);
+      if (at == tail) {
+        EXPECT_EQ(dp.compactions(), compacts[s] ? 1u : 0u) << "source " << s;
+        if (compacts[s]) {
+          kept_before += before[s];
+          kept_after += garbage(s);
+        }
+      }
+      EXPECT_LE(dp.arena().capacity(), dp.live_pairs() + 3 * dp.headroom())
+          << "source " << s << " contact " << at;
+    }
   }
-  // The floor a source always keeps (256 pairs and 64 entries, about
-  // 6 KiB), rounded up.
-  const std::size_t floor_bytes = full.num_nodes() * (8 << 10);
-  const std::size_t released = large.heap_bytes().stash;
-  EXPECT_LE(released, 4 * fresh.heap_bytes().stash + floor_bytes)
-      << "after the large epoch " << after_large;
-  EXPECT_LT(4 * released, after_large);
+  EXPECT_LT(4 * kept_after, kept_before);
+}
+
+TEST(IncrementalEngine, CompactionKeepsEpochsBitIdentical) {
+  // A bulk load, then one-contact tail epochs, enough for every source
+  // to compact its arena more than once. A compaction moves every live
+  // span; every epoch must still equal cold runs bit for bit. After
+  // every append each arena's capacity exceeds its live pairs by at most
+  // three times its headroom, unless that apply outgrew the arena (on
+  // this small, dense trace one contact can rewrite most frontiers):
+  // then the arena doubled to at most twice its pairs, and the next
+  // apply must compact it.
+  const TemporalGraph full = multi_day_graph(101, 4.0, 0.4, false);
+  const std::size_t n = full.num_contacts();
+  std::vector<std::size_t> cuts;
+  for (std::size_t at = n / 2; at < n; ++at) cuts.push_back(at);
+  IncrementalCdfOptions io;
+  io.max_hops = 6;
+  std::vector<std::size_t> compactions(full.num_nodes());
+  std::vector<bool> over(full.num_nodes());
+  check_epoch_cuts(
+      full, cuts, io, {}, {}, [&](const IncrementalAllPairsEngine& engine) {
+        for (NodeId s = 0; s < full.num_nodes(); ++s) {
+          const IncrementalSourceDp& dp = engine.source_dp(s);
+          if (over[s]) {
+            EXPECT_GT(dp.compactions(), compactions[s]) << "source " << s;
+          }
+          compactions[s] = dp.compactions();
+          const PairArena& a = dp.arena();
+          over[s] = a.capacity() > dp.live_pairs() + 3 * dp.headroom();
+          if (over[s]) {
+            EXPECT_LE(a.capacity(), 2 * a.size()) << "source " << s;
+          }
+        }
+      });
+  for (NodeId s = 0; s < full.num_nodes(); ++s)
+    EXPECT_GE(compactions[s], 2u) << "source " << s;
 }
 
 TEST(IncrementalEngine, EmptyFirstAppendThenBulkAndTail) {
   // An empty epoch first (every lane integrated over no pairs), then the
-  // bulk backlog seeds the DPs through bootstrap, which leaves no stash
-  // overlay: the next integration must be a full pass over every
+  // bulk backlog seeds the DPs through bootstrap, which saves no
+  // records: the next integration must be a full pass over every
   // destination the bulk load gave pairs to, and the small tail epochs
   // after it epoch updates, with the explicit window and the growing
   // NaN one.
@@ -1069,7 +1129,7 @@ TEST(LiveIngestSession, RejectsBadWindowBeforeAnyFeed) {
   IncrementalCdfOptions io;
   io.grid = make_log_grid(kMinute, kHour, 8);
   const std::pair<double, double> bad[] = {
-      {kNaN, kInf}, {-kInf, kNaN}, {0.0, kInf}, {10.0, 5.0}};
+      {kNaN, kInf}, {-kInf, kNaN}, {0.0, kInf}, {10.0, 5.0}, {5.0, 5.0}};
   for (const auto& [lo, hi] : bad) {
     io.t_lo = lo;
     io.t_hi = hi;

@@ -671,6 +671,7 @@ bool versions_match_cold(const IncrementalAllPairsEngine& engine,
 /// one-shot read_trace graph, including a final line with its newline
 /// stripped (the flush() path).
 int live_trials(long trials, std::uint64_t base_seed) {
+  std::size_t compactions = 0;
   for (long trial = 0; trial < trials; ++trial) {
     const std::uint64_t seed = base_seed + static_cast<std::uint64_t>(trial);
     Rng rng(seed);
@@ -757,6 +758,8 @@ int live_trials(long trials, std::uint64_t base_seed) {
       if (!versions_match_cold(engine, prefix))
         live_failure("version lists diverged from a cold engine", g, seed);
     }
+    for (NodeId s = 0; s < g.num_nodes(); ++s)
+      compactions += engine.source_dp(s).compactions();
 
     // (b) Byte-split streaming parse vs the one-shot parser.
     std::ostringstream out;
@@ -796,10 +799,13 @@ int live_trials(long trials, std::uint64_t base_seed) {
       live_failure("byte-split streaming parse diverged from one-shot parse",
                    g, seed);
   }
-  std::printf("odtn_fuzz: %ld live trials passed (seeds %llu..%llu)\n",
-              trials, static_cast<unsigned long long>(base_seed),
-              static_cast<unsigned long long>(
-                  base_seed + static_cast<std::uint64_t>(trials) - 1));
+  std::printf(
+      "odtn_fuzz: %ld live trials passed (seeds %llu..%llu, %zu arena "
+      "compactions)\n",
+      trials, static_cast<unsigned long long>(base_seed),
+      static_cast<unsigned long long>(base_seed +
+                                      static_cast<std::uint64_t>(trials) - 1),
+      compactions);
   return 0;
 }
 
