@@ -31,7 +31,7 @@ struct Participant {
 std::pair<NodeId, NodeId> pick_nodes(const SyntheticTrace& trace) {
   std::vector<std::pair<std::size_t, NodeId>> by_degree;
   for (NodeId v = 0; v < trace.num_internal; ++v)
-    by_degree.emplace_back(trace.graph.contacts_of(v).size(), v);
+    by_degree.emplace_back(trace.graph.neighbors_by_end(v).size(), v);
   std::sort(by_degree.begin(), by_degree.end());
   return {by_degree[by_degree.size() / 2].second,
           by_degree[by_degree.size() / 4].second};

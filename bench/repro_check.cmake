@@ -17,6 +17,7 @@ foreach(var BENCH_DIR GOLDEN_DIR WORK_DIR)
 endforeach()
 
 set(benches
+  bench_fig06_next_contact
   bench_fig07_contact_duration
   bench_fig08_delivery_function
   bench_fig09_delay_cdf
@@ -24,8 +25,11 @@ set(benches
   bench_fig11_duration_threshold
   bench_fig12_diameter_vs_delay
   bench_sec53_daytime
-  bench_table1_datasets)
+  bench_table1_datasets
+  bench_ext_intercontact
+  bench_ext_wlan)
 set(files
+  fig06_next_contact.csv
   fig07_contact_duration.csv
   fig08_delivery_function.csv
   fig09_Hong-Kong.csv
@@ -40,7 +44,10 @@ set(files
   fig12_diameter_vs_delay.csv
   sec53_all_times.csv
   sec53_day_only.csv
-  table1_datasets.csv)
+  table1_datasets.csv
+  ext_intercontact.csv
+  ext_wlan_Dartmouth-like.csv
+  ext_wlan_UCSD-like.csv)
 
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")

@@ -9,6 +9,7 @@
 #include "cli/args.hpp"
 #include "cli/serve.hpp"
 #include "core/diameter.hpp"
+#include "core/journeys.hpp"
 #include "core/path_enumeration.hpp"
 #include "core/reachability.hpp"
 #include "random/phase_transition.hpp"
@@ -347,9 +348,7 @@ int cmd_route(ArgList args) {
   }
   if (time) {
     const double t = parse_duration(*time, "time");
-    SingleSourceEngine engine(g, src);
-    engine.run_to_fixpoint();
-    const double arrival = engine.frontier_view(dst).deliver_at(t);
+    const double arrival = foremost_arrival(g, src, dst, t);
     if (arrival < 1e300) {
       std::printf("message created at %s delivered at %s (delay %s)\n",
                   format_timestamp(t).c_str(),

@@ -490,7 +490,7 @@ std::uint64_t IncrementalAllPairsEngine::append(
   // Build (or grow) the indexes before fanning out, so the workers only
   // read them: append_contacts already merged the new windows in if they
   // existed, and this materializes them on the very first epoch.
-  graph_.neighbor_offsets();
+  graph_.node_offsets();
 
   pool().parallel_for(dps_.size(), [&](std::size_t i, unsigned worker) {
     if (old_count == 0) {

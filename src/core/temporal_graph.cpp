@@ -7,6 +7,17 @@
 #include <utility>
 
 namespace odtn {
+namespace {
+
+/// The by-end run order: (end, begin, to). A closure, not a function,
+/// so std::sort and std::merge inline the comparison.
+constexpr auto end_order = [](const NodeContact& a, const NodeContact& b) {
+  if (a.end != b.end) return a.end < b.end;
+  if (a.begin != b.begin) return a.begin < b.begin;
+  return a.to < b.to;
+};
+
+}  // namespace
 
 TemporalGraph::TemporalGraph(std::size_t num_nodes,
                              std::vector<Contact> contacts, bool directed)
@@ -40,8 +51,6 @@ TemporalGraph::TemporalGraph(std::size_t num_nodes,
 TemporalGraph TemporalGraph::adopt_view(
     std::size_t num_nodes, bool directed, std::span<const Contact> contacts,
     double start, double end, std::span<const std::uint32_t> node_offsets,
-    std::span<const std::uint32_t> node_contacts,
-    std::span<const std::uint32_t> neighbor_offsets,
     std::span<const NodeContact> neighbors_by_end,
     std::shared_ptr<const void> backing) {
   TemporalGraph g;
@@ -53,8 +62,6 @@ TemporalGraph TemporalGraph::adopt_view(
   g.backing_ = std::move(backing);
   auto* ix = new Indexes;
   ix->node_offsets = node_offsets;
-  ix->node_contacts = node_contacts;
-  ix->neighbor_offsets = neighbor_offsets;
   ix->neighbors_by_end = neighbors_by_end;
   g.indexes_.store(ix, std::memory_order_release);
   return g;
@@ -69,7 +76,7 @@ TemporalGraph::TemporalGraph(const TemporalGraph& other)
       epoch_(other.epoch_),
       backing_(other.backing_) {
   if (backing_) {
-    // Borrowed view: share the mapping and its ready-made indexes. The
+    // Borrowed view: share the mapping and its ready-made index. The
     // cloned Indexes holds spans into the shared backing only (its
     // stores are empty), so the clone stays valid on its own.
     contacts_view_ = other.contacts_view_;
@@ -164,9 +171,8 @@ std::uint64_t TemporalGraph::append_contacts(std::span<const Contact> batch) {
   }
   for (const Contact& c : batch) end_ = std::max(end_, c.end);
 
-  // Grow already-built indexes instead of dropping them: the whole point
-  // of the canonical-order precondition is that every per-node run
-  // extends at the tail, so the merged arrays match a fresh build byte
+  // Grow an already-built index instead of dropping it: each node's run
+  // merges the sorted batch in, so the arrays match a fresh build byte
   // for byte without re-sorting the existing contacts.
   if (const Indexes* ix = indexes_.load(std::memory_order_acquire)) {
     const std::lock_guard<std::mutex> lock(index_mutex_);
@@ -182,79 +188,45 @@ std::uint64_t TemporalGraph::append_contacts(std::span<const Contact> batch) {
 
 TemporalGraph::Indexes TemporalGraph::append_to_indexes(
     const Indexes& old, std::size_t old_count) const {
-  Indexes ix;
   const std::size_t total = contacts_view_.size();
 
-  // Per-node counts of the appended contacts, as a shifted prefix sum.
+  // Sort only the appended windows per node, then one linear merge
+  // against the old run. Records that tie on the sort key are bitwise
+  // equal ({begin, end, to} IS the key), so any interleaving the merge
+  // picks is byte-identical to the fresh build's sort.
   std::vector<std::uint32_t> added(num_nodes_ + 1, 0);
   for (std::size_t i = old_count; i < total; ++i) {
     const Contact& c = contacts_view_[i];
     ++added[c.u + 1];
-    ++added[c.v + 1];
+    if (!directed_) ++added[c.v + 1];
   }
   for (std::size_t n = 1; n <= num_nodes_; ++n) added[n] += added[n - 1];
-
+  std::vector<NodeContact> fresh(added.back());
+  std::vector<std::uint32_t> cursor(added.begin(), added.end() - 1);
+  for (std::size_t i = old_count; i < total; ++i) {
+    const Contact& c = contacts_view_[i];
+    fresh[cursor[c.u]++] = {c.begin, c.end, c.v};
+    if (!directed_) fresh[cursor[c.v]++] = {c.begin, c.end, c.u};
+  }
+  Indexes ix;
   ix.node_offsets_store.resize(num_nodes_ + 1);
   for (std::size_t n = 0; n <= num_nodes_; ++n)
     ix.node_offsets_store[n] = old.node_offsets[n] + added[n];
-  ix.node_contacts_store.resize(2 * total);
-  std::vector<std::uint32_t> cursor(num_nodes_);
+  ix.neighbors_by_end_store.resize(ix.node_offsets_store.back());
   for (std::size_t n = 0; n < num_nodes_; ++n) {
-    // Old run first (already in ascending contact-index order), new
-    // indices behind it -- exactly the fill order of a fresh build.
-    const std::uint32_t old_len = old.node_offsets[n + 1] - old.node_offsets[n];
-    std::copy_n(old.node_contacts.begin() + old.node_offsets[n], old_len,
-                ix.node_contacts_store.begin() + ix.node_offsets_store[n]);
-    cursor[n] = ix.node_offsets_store[n] + old_len;
-  }
-  for (std::size_t i = old_count; i < total; ++i) {
-    const Contact& c = contacts_view_[i];
-    ix.node_contacts_store[cursor[c.u]++] = static_cast<std::uint32_t>(i);
-    ix.node_contacts_store[cursor[c.v]++] = static_cast<std::uint32_t>(i);
-  }
-
-  // By-end runs: sort only the appended windows per node, then one
-  // linear merge against the old run. Records that tie on the sort key
-  // are bitwise equal ({begin, end, to} IS the key), so any interleaving
-  // the merge picks is byte-identical to the fresh build's stable sort.
-  const auto by_end = [](const NodeContact& a, const NodeContact& b) {
-    if (a.end != b.end) return a.end < b.end;
-    if (a.begin != b.begin) return a.begin < b.begin;
-    return a.to < b.to;
-  };
-  std::vector<std::uint32_t> nadded(num_nodes_ + 1, 0);
-  for (std::size_t i = old_count; i < total; ++i) {
-    const Contact& c = contacts_view_[i];
-    ++nadded[c.u + 1];
-    if (!directed_) ++nadded[c.v + 1];
-  }
-  for (std::size_t n = 1; n <= num_nodes_; ++n) nadded[n] += nadded[n - 1];
-  std::vector<NodeContact> fresh(nadded.back());
-  std::vector<std::uint32_t> ncursor(nadded.begin(), nadded.end() - 1);
-  for (std::size_t i = old_count; i < total; ++i) {
-    const Contact& c = contacts_view_[i];
-    fresh[ncursor[c.u]++] = {c.begin, c.end, c.v};
-    if (!directed_) fresh[ncursor[c.v]++] = {c.begin, c.end, c.u};
-  }
-  ix.neighbor_offsets_store.resize(num_nodes_ + 1);
-  for (std::size_t n = 0; n <= num_nodes_; ++n)
-    ix.neighbor_offsets_store[n] = old.neighbor_offsets[n] + nadded[n];
-  ix.neighbors_by_end_store.resize(ix.neighbor_offsets_store.back());
-  for (std::size_t n = 0; n < num_nodes_; ++n) {
-    std::sort(fresh.begin() + nadded[n], fresh.begin() + nadded[n + 1], by_end);
-    std::merge(old.neighbors_by_end.begin() + old.neighbor_offsets[n],
-               old.neighbors_by_end.begin() + old.neighbor_offsets[n + 1],
-               fresh.begin() + nadded[n], fresh.begin() + nadded[n + 1],
-               ix.neighbors_by_end_store.begin() + ix.neighbor_offsets_store[n],
-               by_end);
+    std::sort(fresh.begin() + added[n], fresh.begin() + added[n + 1],
+              end_order);
+    std::merge(old.neighbors_by_end.begin() + old.node_offsets[n],
+               old.neighbors_by_end.begin() + old.node_offsets[n + 1],
+               fresh.begin() + added[n], fresh.begin() + added[n + 1],
+               ix.neighbors_by_end_store.begin() + ix.node_offsets_store[n],
+               end_order);
   }
   return ix;
 }
 
 void TemporalGraph::Indexes::point_at_stores() noexcept {
   node_offsets = node_offsets_store;
-  node_contacts = node_contacts_store;
-  neighbor_offsets = neighbor_offsets_store;
   neighbors_by_end = neighbors_by_end_store;
 }
 
@@ -276,55 +248,32 @@ const TemporalGraph::Indexes& TemporalGraph::indexes() const {
 }
 
 TemporalGraph::Indexes TemporalGraph::build_indexes() const {
+  // Each node's outgoing contact windows, materialized as flat {begin,
+  // end, peer} records (counting sort by node) and re-sorted by end
+  // time, so propagation engines scan sequential memory and can
+  // binary-search "first window ending at or after t". Undirected
+  // graphs index both endpoints per contact.
   Indexes ix;
-  // Per-node contact index (counting sort by node).
   ix.node_offsets_store.assign(num_nodes_ + 1, 0);
   for (const Contact& c : contacts_view_) {
     ++ix.node_offsets_store[c.u + 1];
-    ++ix.node_offsets_store[c.v + 1];
+    if (!directed_) ++ix.node_offsets_store[c.v + 1];
   }
   for (std::size_t i = 1; i < ix.node_offsets_store.size(); ++i)
     ix.node_offsets_store[i] += ix.node_offsets_store[i - 1];
-  ix.node_contacts_store.resize(2 * contacts_view_.size());
-
-  // Secondary index: each node's outgoing contact windows, materialized
-  // as flat {begin, end, peer} records and re-sorted by end time, so
-  // propagation engines scan sequential memory and can binary-search
-  // "first window ending at or after t". Undirected graphs index both
-  // endpoints per contact, so the counts equal the node index's.
-  if (directed_) {
-    ix.neighbor_offsets_store.assign(num_nodes_ + 1, 0);
-    for (const Contact& c : contacts_view_)
-      ++ix.neighbor_offsets_store[c.u + 1];
-    for (std::size_t i = 1; i < ix.neighbor_offsets_store.size(); ++i)
-      ix.neighbor_offsets_store[i] += ix.neighbor_offsets_store[i - 1];
-  } else {
-    ix.neighbor_offsets_store = ix.node_offsets_store;
-  }
-  ix.neighbors_by_end_store.resize(ix.neighbor_offsets_store.back());
+  ix.neighbors_by_end_store.resize(ix.node_offsets_store.back());
 
   std::vector<std::uint32_t> cursor(ix.node_offsets_store.begin(),
                                     ix.node_offsets_store.end() - 1);
-  std::vector<std::uint32_t> ncursor(ix.neighbor_offsets_store.begin(),
-                                     ix.neighbor_offsets_store.end() - 1);
-  for (std::uint32_t idx = 0; idx < contacts_view_.size(); ++idx) {
-    const Contact& c = contacts_view_[idx];
-    ix.node_contacts_store[cursor[c.u]++] = idx;
-    ix.node_contacts_store[cursor[c.v]++] = idx;
-    ix.neighbors_by_end_store[ncursor[c.u]++] = {c.begin, c.end, c.v};
+  for (const Contact& c : contacts_view_) {
+    ix.neighbors_by_end_store[cursor[c.u]++] = {c.begin, c.end, c.v};
     if (!directed_)
-      ix.neighbors_by_end_store[ncursor[c.v]++] = {c.begin, c.end, c.u};
+      ix.neighbors_by_end_store[cursor[c.v]++] = {c.begin, c.end, c.u};
   }
-  for (std::size_t n = 0; n < num_nodes_; ++n) {
-    std::sort(
-        ix.neighbors_by_end_store.begin() + ix.neighbor_offsets_store[n],
-        ix.neighbors_by_end_store.begin() + ix.neighbor_offsets_store[n + 1],
-        [](const NodeContact& a, const NodeContact& b) {
-          if (a.end != b.end) return a.end < b.end;
-          if (a.begin != b.begin) return a.begin < b.begin;
-          return a.to < b.to;
-        });
-  }
+  for (std::size_t n = 0; n < num_nodes_; ++n)
+    std::sort(ix.neighbors_by_end_store.begin() + ix.node_offsets_store[n],
+              ix.neighbors_by_end_store.begin() + ix.node_offsets_store[n + 1],
+              end_order);
   return ix;
 }
 
@@ -337,34 +286,17 @@ double TemporalGraph::contact_rate(double unit) const noexcept {
   return logs / static_cast<double>(num_nodes_) / (duration() / unit);
 }
 
-std::span<const std::uint32_t> TemporalGraph::contacts_of(NodeId node) const {
-  if (node >= num_nodes_)
-    throw std::out_of_range("TemporalGraph::contacts_of: bad node");
-  const Indexes& ix = indexes();
-  return ix.node_contacts.subspan(
-      ix.node_offsets[node], ix.node_offsets[node + 1] - ix.node_offsets[node]);
-}
-
 std::span<const NodeContact> TemporalGraph::neighbors_by_end(
     NodeId node) const {
   if (node >= num_nodes_)
     throw std::out_of_range("TemporalGraph::neighbors_by_end: bad node");
   const Indexes& ix = indexes();
   return ix.neighbors_by_end.subspan(
-      ix.neighbor_offsets[node],
-      ix.neighbor_offsets[node + 1] - ix.neighbor_offsets[node]);
+      ix.node_offsets[node], ix.node_offsets[node + 1] - ix.node_offsets[node]);
 }
 
 std::span<const std::uint32_t> TemporalGraph::node_offsets() const {
   return indexes().node_offsets;
-}
-
-std::span<const std::uint32_t> TemporalGraph::node_contact_indices() const {
-  return indexes().node_contacts;
-}
-
-std::span<const std::uint32_t> TemporalGraph::neighbor_offsets() const {
-  return indexes().neighbor_offsets;
 }
 
 std::span<const NodeContact> TemporalGraph::neighbor_records() const {
@@ -379,12 +311,15 @@ std::vector<double> TemporalGraph::contact_durations() const {
 }
 
 double TemporalGraph::next_contact_time(NodeId node, double t) const {
+  // Only windows ending at or after t can still be used; a directed
+  // graph's run holds just the node's outgoing windows.
+  const std::span<const NodeContact> run = neighbors_by_end(node);
+  auto it = std::lower_bound(
+      run.begin(), run.end(), t,
+      [](const NodeContact& nc, double x) { return nc.end < x; });
   double best = std::numeric_limits<double>::infinity();
-  for (std::uint32_t idx : contacts_of(node)) {
-    const Contact& c = contacts_view_[idx];
-    if (directed_ && c.u != node) continue;  // only outgoing visibility
-    if (c.end < t) continue;
-    best = std::min(best, std::max(c.begin, t));
+  for (; it != run.end(); ++it) {
+    best = std::min(best, std::max(it->begin, t));
     if (best == t) break;  // cannot do better than "in contact now"
   }
   return best;

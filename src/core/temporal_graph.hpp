@@ -32,17 +32,19 @@ struct NodeContact {
 /// every contact carry data both ways; a directed graph restricts each
 /// contact to u -> v.
 ///
-/// The per-node CSR indexes that the propagation engines scan are built
-/// lazily on first use (thread-safely), so ingestion-only workflows --
-/// `odtn validate`, filter round-trips, trace statistics -- never pay
-/// for them. Copying a graph copies the contacts only; the copy rebuilds
-/// its indexes on demand.
+/// Besides the contacts, a graph keeps exactly one per-node index: each
+/// node's outgoing windows sorted by end time (neighbors_by_end), the
+/// CSR the propagation engines scan. It is built lazily on first use
+/// (thread-safely), so ingestion-only workflows -- `odtn validate`,
+/// filter round-trips, trace statistics -- never pay for it. Copying a
+/// graph copies the contacts only; the copy rebuilds its index on
+/// demand.
 ///
 /// A graph can also BORROW its storage instead of owning it: adopt_view
 /// wraps pre-validated contact and index arrays living in an external
 /// buffer (an mmap-ed snapshot file, trace/snapshot.hpp) without copying
 /// a byte. Copies of a borrowed graph stay zero-copy too -- they share
-/// the backing buffer and its already-built indexes -- which keeps the
+/// the backing buffer and its already-built index -- which keeps the
 /// per-engine graph copies (QueryEngine takes its graph by value) cheap
 /// on snapshots.
 class TemporalGraph {
@@ -64,13 +66,11 @@ class TemporalGraph {
   /// alive for the graph's lifetime, shared by copies). The caller --
   /// the snapshot decoder -- must have fully validated the arrays: the
   /// contacts canonical-sorted with in-range endpoints, the offset
-  /// arrays monotone and consistent, and [start, end] matching the
-  /// contact span. No validation happens here.
+  /// array monotone and consistent with the records, and [start, end]
+  /// matching the contact span. No validation happens here.
   static TemporalGraph adopt_view(
       std::size_t num_nodes, bool directed, std::span<const Contact> contacts,
       double start, double end, std::span<const std::uint32_t> node_offsets,
-      std::span<const std::uint32_t> node_contacts,
-      std::span<const std::uint32_t> neighbor_offsets,
       std::span<const NodeContact> neighbors_by_end,
       std::shared_ptr<const void> backing);
 
@@ -79,11 +79,11 @@ class TemporalGraph {
   /// contact must not sort before the current last contact (the live
   /// watermark). Throws std::invalid_argument on malformed, out-of-range
   /// or out-of-order contacts and std::logic_error on a borrowed snapshot
-  /// view. If the CSR indexes were already built they GROW in place --
-  /// per-node runs extend at the tail and the by-end runs merge the
-  /// sorted batch against the existing runs -- producing arrays
-  /// byte-identical to a fresh build over the concatenated trace. Returns
-  /// the new epoch (bumped once per non-empty batch).
+  /// view. If the by-end index was already built it GROWS in place --
+  /// each node's run merges the sorted batch against the existing run --
+  /// producing arrays byte-identical to a fresh build over the
+  /// concatenated trace. Returns the new epoch (bumped once per
+  /// non-empty batch).
   ///
   /// Not thread-safe against concurrent readers: the caller must
   /// serialize appends with index lookups (the live-ingest layers do).
@@ -120,10 +120,6 @@ class TemporalGraph {
   /// per-device logging of the paper's Table 1).
   double contact_rate(double unit) const noexcept;
 
-  /// Indices (into contacts()) of the contacts involving `node`, in time
-  /// order.
-  std::span<const std::uint32_t> contacts_of(NodeId node) const;
-
   /// `node`'s outgoing contact windows ordered by increasing END time.
   /// A directed graph lists only contacts observed by `node` (u -> v);
   /// an undirected graph lists both endpoints' views. Propagation
@@ -131,17 +127,12 @@ class TemporalGraph {
   /// the earliest arrival they could extend.
   std::span<const NodeContact> neighbors_by_end(NodeId node) const;
 
-  /// Raw CSR index lanes, building them on first call (same lazy path
-  /// as contacts_of / neighbors_by_end). Exposed as whole arrays so the
+  /// Raw CSR lanes of the by-end index, building it on first call (same
+  /// lazy path as neighbors_by_end). Exposed as whole arrays so the
   /// snapshot writer can serialize a fully-indexed graph byte-exactly:
-  ///   node_offsets     num_nodes+1 offsets into node_contact_indices
-  ///   node_contact_indices  2*num_contacts (1x when directed) indices
-  ///                         into contacts()
-  ///   neighbor_offsets num_nodes+1 offsets into neighbor_records
+  ///   node_offsets     num_nodes+1 offsets into neighbor_records
   ///   neighbor_records flat per-node NodeContact runs, end-sorted
   std::span<const std::uint32_t> node_offsets() const;
-  std::span<const std::uint32_t> node_contact_indices() const;
-  std::span<const std::uint32_t> neighbor_offsets() const;
   std::span<const NodeContact> neighbor_records() const;
 
   /// Durations of all contacts, in contact order.
@@ -158,21 +149,16 @@ class TemporalGraph {
   std::size_t num_connected_pairs() const;
 
  private:
-  /// The engine-facing CSR indexes, built as a unit on first access --
-  /// or borrowed wholesale from a snapshot mapping. The spans are what
-  /// readers consume; the vectors hold the storage only when the graph
-  /// built its own indexes (empty in a borrowed view).
+  /// The engine-facing CSR (per-node outgoing contact windows, sorted
+  /// by end time), built on first access -- or borrowed wholesale from a
+  /// snapshot mapping. The spans are what readers consume; the vectors
+  /// hold the storage only when the graph built its own index (empty in
+  /// a borrowed view).
   struct Indexes {
-    // Per-node index into contacts(), in canonical (begin) order.
     std::vector<std::uint32_t> node_offsets_store;
-    std::vector<std::uint32_t> node_contacts_store;
-    // Per-node outgoing contact windows, sorted by end time.
-    std::vector<std::uint32_t> neighbor_offsets_store;
     std::vector<NodeContact> neighbors_by_end_store;
 
     std::span<const std::uint32_t> node_offsets;
-    std::span<const std::uint32_t> node_contacts;
-    std::span<const std::uint32_t> neighbor_offsets;
     std::span<const NodeContact> neighbors_by_end;
 
     /// Re-aims the spans at the owned vectors; call after the struct

@@ -14,10 +14,10 @@ std::vector<double> pair_inter_contact_times(const TemporalGraph& graph,
   std::vector<double> gaps;
   double previous_end = -1.0;
   bool seen = false;
-  // contacts_of(u) is in time order; filter to the pair.
-  for (std::uint32_t idx : graph.contacts_of(u)) {
-    const Contact& c = graph.contacts()[idx];
-    if (c.u != v && c.v != v) continue;
+  // contacts() is in time (canonical begin) order; filter to the pair,
+  // both directions.
+  for (const Contact& c : graph.contacts()) {
+    if (!((c.u == u && c.v == v) || (c.u == v && c.v == u))) continue;
     if (seen) gaps.push_back(std::max(0.0, c.begin - previous_end));
     // Max, not overwrite: a nested contact ([0,100] then [10,20]) must
     // not rewind the high-water mark, or gaps diverge from

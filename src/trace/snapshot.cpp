@@ -27,9 +27,9 @@ static_assert(sizeof(Contact) == 24 && offsetof(Contact, u) == 0 &&
 static_assert(sizeof(NodeContact) == 24 && offsetof(NodeContact, begin) == 0 &&
               offsetof(NodeContact, end) == 8 && offsetof(NodeContact, to) == 16);
 
-constexpr std::size_t kHeaderBytes = 136;
+constexpr std::size_t kHeaderBytes = 104;
 constexpr std::size_t kSectionAlign = 64;
-constexpr std::size_t kNumSections = 5;
+constexpr std::size_t kNumSections = 3;
 
 constexpr std::size_t align_up(std::size_t v) {
   return (v + kSectionAlign - 1) & ~(kSectionAlign - 1);
@@ -68,8 +68,7 @@ struct Header {
   double start = 0.0;
   double end = 0.0;
   std::uint64_t total_size = 0;
-  Section sections[kNumSections];  // contacts, node_offsets, node_contacts,
-                                   // neighbor_offsets, neighbors_by_end
+  Section sections[kNumSections];  // contacts, node_offsets, neighbors_by_end
 };
 
 template <typename T>
@@ -88,7 +87,10 @@ Header parse_header(const std::uint8_t* data, std::size_t size) {
   auto f64 = [&] { auto v = read_pod<double>(data + pos); pos += 8; return v; };
 
   if (u32() != kSnapshotMagic) fail("bad magic");
-  if (u16() != kSnapshotVersion) fail("unsupported version");
+  if (const std::uint16_t version = u16(); version != kSnapshotVersion)
+    fail("unsupported format version " + std::to_string(version) +
+         " (this build reads version " + std::to_string(kSnapshotVersion) +
+         "); re-run `odtn snapshot` on the trace to rewrite the file");
   Header h;
   const std::uint8_t directed = data[pos++];
   if (directed > 1) fail("bad directed flag");
@@ -129,16 +131,11 @@ void check_section(const Section& s, std::uint64_t expected_offset,
 std::vector<std::uint8_t> encode_snapshot(const TemporalGraph& graph) {
   const std::span<const Contact> contacts = graph.contacts();
   const std::span<const std::uint32_t> node_offsets = graph.node_offsets();
-  const std::span<const std::uint32_t> node_contacts =
-      graph.node_contact_indices();
-  const std::span<const std::uint32_t> neighbor_offsets =
-      graph.neighbor_offsets();
   const std::span<const NodeContact> neighbors = graph.neighbor_records();
 
   Section sections[kNumSections];
   const std::uint64_t sizes[kNumSections] = {
-      contacts.size_bytes(), node_offsets.size() * 4, node_contacts.size() * 4,
-      neighbor_offsets.size() * 4, neighbors.size() * 24};
+      contacts.size_bytes(), node_offsets.size() * 4, neighbors.size() * 24};
   std::size_t at = kHeaderBytes;
   for (std::size_t i = 0; i < kNumSections; ++i) {
     at = align_up(at);
@@ -172,12 +169,10 @@ std::vector<std::uint8_t> encode_snapshot(const TemporalGraph& graph) {
   };
   copy_section(0, contacts.data(), contacts.size_bytes());
   copy_section(1, node_offsets.data(), node_offsets.size_bytes());
-  copy_section(2, node_contacts.data(), node_contacts.size_bytes());
-  copy_section(3, neighbor_offsets.data(), neighbor_offsets.size_bytes());
   // NodeContact carries 4 bytes of tail padding; write the fields
   // explicitly so the file bytes are a deterministic function of the
   // graph (the pad is already zero in `out`).
-  Cursor n{out.data(), static_cast<std::size_t>(sections[4].offset)};
+  Cursor n{out.data(), static_cast<std::size_t>(sections[2].offset)};
   for (const NodeContact& nc : neighbors) {
     n.put_f64(nc.begin);
     n.put_f64(nc.end);
@@ -209,11 +204,9 @@ __attribute__((aligned(64))) TemporalGraph decode_snapshot(
     fail("neighbor count disagrees with contact count");
 
   const std::uint64_t expected[kNumSections] = {
-      h.num_contacts * 24, (h.num_nodes + 1) * 4, 2 * h.num_contacts * 4,
-      (h.num_nodes + 1) * 4, h.num_neighbors * 24};
+      h.num_contacts * 24, (h.num_nodes + 1) * 4, h.num_neighbors * 24};
   static const char* const kNames[kNumSections] = {
-      "contacts", "node_offsets", "node_contacts", "neighbor_offsets",
-      "neighbors_by_end"};
+      "contacts", "node_offsets", "neighbors_by_end"};
   std::uint64_t at = kHeaderBytes;
   for (std::size_t i = 0; i < kNumSections; ++i) {
     const std::uint64_t aligned = align_up(static_cast<std::size_t>(at));
@@ -231,14 +224,8 @@ __attribute__((aligned(64))) TemporalGraph decode_snapshot(
   const std::span<const std::uint32_t> node_offsets{
       reinterpret_cast<const std::uint32_t*>(data + h.sections[1].offset),
       static_cast<std::size_t>(h.num_nodes + 1)};
-  const std::span<const std::uint32_t> node_contacts{
-      reinterpret_cast<const std::uint32_t*>(data + h.sections[2].offset),
-      static_cast<std::size_t>(2 * h.num_contacts)};
-  const std::span<const std::uint32_t> neighbor_offsets{
-      reinterpret_cast<const std::uint32_t*>(data + h.sections[3].offset),
-      static_cast<std::size_t>(h.num_nodes + 1)};
   const std::span<const NodeContact> neighbors{
-      reinterpret_cast<const NodeContact*>(data + h.sections[4].offset),
+      reinterpret_cast<const NodeContact*>(data + h.sections[2].offset),
       static_cast<std::size_t>(h.num_neighbors)};
 
   // Graph invariants, one O(n) sweep each. These are what make a decoded
@@ -261,26 +248,17 @@ __attribute__((aligned(64))) TemporalGraph decode_snapshot(
     fail("header time span disagrees with contacts");
   }
 
-  if (node_offsets.front() != 0 || node_offsets.back() != 2 * h.num_contacts)
+  if (node_offsets.front() != 0 || node_offsets.back() != h.num_neighbors)
     fail("node_offsets endpoints inconsistent");
   for (std::size_t i = 1; i < node_offsets.size(); ++i)
     if (node_offsets[i] < node_offsets[i - 1])
       fail("node_offsets not monotone");
-  for (const std::uint32_t idx : node_contacts)
-    if (idx >= h.num_contacts) fail("node_contacts index out of range");
-
-  if (neighbor_offsets.front() != 0 || neighbor_offsets.back() != h.num_neighbors)
-    fail("neighbor_offsets endpoints inconsistent");
-  for (std::size_t i = 1; i < neighbor_offsets.size(); ++i)
-    if (neighbor_offsets[i] < neighbor_offsets[i - 1])
-      fail("neighbor_offsets not monotone");
-  for (std::size_t n = 0; n + 1 < neighbor_offsets.size(); ++n) {
-    for (std::uint32_t i = neighbor_offsets[n]; i < neighbor_offsets[n + 1];
-         ++i) {
+  for (std::size_t n = 0; n + 1 < node_offsets.size(); ++n) {
+    for (std::uint32_t i = node_offsets[n]; i < node_offsets[n + 1]; ++i) {
       const NodeContact& nc = neighbors[i];
       if (nc.to >= h.num_nodes) fail("neighbor peer out of range");
       if (!(nc.begin <= nc.end)) fail("malformed neighbor window");
-      if (i > neighbor_offsets[n]) {
+      if (i > node_offsets[n]) {
         const NodeContact& p = neighbors[i - 1];
         if (nc.end < p.end ||
             (nc.end == p.end &&
@@ -289,7 +267,7 @@ __attribute__((aligned(64))) TemporalGraph decode_snapshot(
       }
       // Reserved pad bytes must be zero: with this enforced, any buffer
       // that decodes also re-encodes to the identical bytes.
-      if (read_pod<std::uint32_t>(data + h.sections[4].offset + i * 24 + 20) !=
+      if (read_pod<std::uint32_t>(data + h.sections[2].offset + i * 24 + 20) !=
           0)
         fail("neighbor record pad bytes must be zero");
     }
@@ -297,8 +275,7 @@ __attribute__((aligned(64))) TemporalGraph decode_snapshot(
 
   return TemporalGraph::adopt_view(
       static_cast<std::size_t>(h.num_nodes), h.directed, contacts, h.start,
-      h.end, node_offsets, node_contacts, neighbor_offsets, neighbors,
-      std::move(backing));
+      h.end, node_offsets, neighbors, std::move(backing));
 }
 
 TemporalGraph decode_snapshot(

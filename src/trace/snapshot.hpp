@@ -1,5 +1,5 @@
 // Snapshot: versioned little-endian binary serialization of a FULLY
-// INDEXED TemporalGraph (contacts + the per-node CSR / by-end indexes),
+// INDEXED TemporalGraph (contacts + the per-node by-end CSR index),
 // designed to be mmap-ed straight back into a zero-copy graph view.
 //
 // The cold-start pipeline today is parse (text -> contacts) + index
@@ -8,12 +8,12 @@
 // load_snapshot_file) only maps the file and validates it in one O(n)
 // sweep -- no allocation proportional to the trace, no sorting.
 //
-// Layout (version 1, all integers/doubles little-endian; the encoder
+// Layout (version 2, all integers/doubles little-endian; the encoder
 // static_asserts a little-endian host):
 //
-//   header (136 bytes)
+//   header (104 bytes)
 //     u32  magic            "ODSN" (0x4E53444F little-endian on disk)
-//     u16  version          1
+//     u16  version          2
 //     u8   directed         0 | 1
 //     u8   reserved         0
 //     u64  num_nodes
@@ -21,17 +21,20 @@
 //     u64  num_neighbors    == num_contacts * (directed ? 1 : 2)
 //     f64  start_time, end_time
 //     u64  total_size       whole-file byte count (anti-truncation)
-//     5 x {u64 offset, u64 size}   section table, in file order:
+//     3 x {u64 offset, u64 size}   section table, in file order:
 //          contacts         num_contacts    x Contact     (24 B packed)
-//          node_offsets     num_nodes + 1   x u32
-//          node_contacts    2*num_contacts  x u32
-//          neighbor_offsets num_nodes + 1   x u32
+//          node_offsets     num_nodes + 1   x u32, offsets into
+//                           neighbors_by_end
 //          neighbors_by_end num_neighbors   x NodeContact (24 B, the
 //                           4 trailing pad bytes written as zeros so
 //                           encode() is a deterministic function of the
 //                           graph and round-trips bit-identically)
 //
 //   Sections start at 64-byte-aligned offsets; gap bytes are zero.
+//
+// Files of another version (version 1: 136-byte header, five sections)
+// are refused with a message naming both versions and the fix (re-run
+// `odtn snapshot`).
 //
 // The decoder is strict about framing -- magic + version check, every
 // offset/size bounds-checked against the buffer and cross-checked
@@ -63,7 +66,7 @@ class SnapshotError : public std::runtime_error {
 };
 
 inline constexpr std::uint32_t kSnapshotMagic = 0x4E53444F;  // "ODSN"
-inline constexpr std::uint16_t kSnapshotVersion = 1;
+inline constexpr std::uint16_t kSnapshotVersion = 2;
 
 /// Serializes `graph` (forcing its index build) into the snapshot byte
 /// layout. Deterministic: the same graph always produces the same bytes,

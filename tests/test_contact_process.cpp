@@ -129,8 +129,8 @@ TEST(ContactProcessGraph, HeterogeneityPreservesTotalVolume) {
               0.35 * static_cast<double>(a.num_contacts()));
   SummaryStats spread_a, spread_b;
   for (NodeId v = 0; v < n; ++v) {
-    spread_a.add(static_cast<double>(a.contacts_of(v).size()));
-    spread_b.add(static_cast<double>(b.contacts_of(v).size()));
+    spread_a.add(static_cast<double>(a.neighbors_by_end(v).size()));
+    spread_b.add(static_cast<double>(b.neighbors_by_end(v).size()));
   }
   EXPECT_GT(spread_b.stddev(), 2.0 * spread_a.stddev());
 }

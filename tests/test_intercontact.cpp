@@ -77,6 +77,21 @@ TEST(InterContactTimes, PairAndAggregateAgreeOnOverlappingTraces) {
   }
 }
 
+TEST(InterContactTimes, DirectedPairCountsBothDirections) {
+  // A directed graph still meets the pair in both directions: u -> v
+  // and v -> u contacts are one pair's contact process.
+  TemporalGraph g(3, {{0, 1, 0.0, 10.0},
+                      {1, 0, 30.0, 40.0},
+                      {0, 2, 45.0, 46.0},
+                      {0, 1, 100.0, 101.0}},
+                  /*directed=*/true);
+  const auto gaps = pair_inter_contact_times(g, 0, 1);
+  ASSERT_EQ(gaps.size(), 2u);
+  EXPECT_DOUBLE_EQ(gaps[0], 20.0);
+  EXPECT_DOUBLE_EQ(gaps[1], 60.0);
+  EXPECT_EQ(pair_inter_contact_times(g, 1, 0), gaps);
+}
+
 TEST(InterContactTimes, SingleContactPairHasNoGap) {
   TemporalGraph g(3, {{0, 1, 0.0, 1.0}, {1, 2, 2.0, 3.0}});
   EXPECT_TRUE(pair_inter_contact_times(g, 0, 1).empty());

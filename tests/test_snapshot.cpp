@@ -182,7 +182,6 @@ TEST(Snapshot, ZeroContactFileRoundTripServesQueries) {
   EXPECT_TRUE(view.is_view());
   EXPECT_TRUE(identical(g, view));
   for (NodeId n = 0; n < 5; ++n) {
-    EXPECT_TRUE(view.contacts_of(n).empty());
     EXPECT_TRUE(view.neighbors_by_end(n).empty());
   }
   EXPECT_EQ(encode_snapshot(view), encode_snapshot(g));
@@ -230,6 +229,25 @@ TEST(Snapshot, RejectsBadMagicAndVersion) {
   EXPECT_THROW(decode_copy(bad), SnapshotError);
 }
 
+TEST(Snapshot, VersionOneFileNamesBothVersionsAndTheFix) {
+  // Version 1 files are still on disk; the error must say what was
+  // found, what this build reads and how to get a readable file.
+  std::vector<std::uint8_t> bytes = encode_snapshot(sample_graph());
+  ASSERT_EQ(bytes[4] | (bytes[5] << 8), kSnapshotVersion);
+  bytes[4] = 1;
+  bytes[5] = 0;
+  try {
+    (void)decode_copy(bytes);
+    FAIL() << "version 1 accepted";
+  } catch (const SnapshotError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("unsupported format version 1"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("reads version 2"), std::string::npos) << what;
+    EXPECT_NE(what.find("re-run `odtn snapshot`"), std::string::npos) << what;
+  }
+}
+
 // Byte-patching matrix against the header fields: every lie about a
 // count, flag or size must be caught, never trusted.
 TEST(Snapshot, RejectsHeaderLies) {
@@ -261,8 +279,11 @@ TEST(Snapshot, RejectsCorruptedGraphInvariants) {
   const TemporalGraph g = sample_graph();
   const std::vector<std::uint8_t> good = encode_snapshot(g);
   // The contacts section starts at the first 64-byte boundary past the
-  // 136-byte header.
-  const std::size_t contacts_at = 192;
+  // 104-byte header; the section table's first offset says so too.
+  const std::size_t contacts_at = 128;
+  std::uint64_t table_offset = 0;
+  std::memcpy(&table_offset, good.data() + 56, 8);
+  ASSERT_EQ(table_offset, contacts_at);
   std::vector<std::uint8_t> bad = good;
   // Swap the first two contacts: canonical order violated.
   std::vector<std::uint8_t> tmp(24);

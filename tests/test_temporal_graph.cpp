@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
+#include <vector>
 
+#include "util/rng.hpp"
 #include "util/time_format.hpp"
 
 namespace odtn {
@@ -60,19 +64,33 @@ TEST(TemporalGraph, ContactRateCountsBothEndpoints) {
   EXPECT_NEAR(d.contact_rate(1.0), 4.0 / 4.0 / 50.0, 1e-12);
 }
 
-TEST(TemporalGraph, ContactsOfNode) {
+TEST(TemporalGraph, NeighborsByEndOfNode) {
   const auto g = small_graph();
-  EXPECT_EQ(g.contacts_of(0).size(), 2u);
-  EXPECT_EQ(g.contacts_of(1).size(), 3u);
-  EXPECT_EQ(g.contacts_of(3).size(), 1u);
-  EXPECT_THROW(g.contacts_of(99), std::out_of_range);
+  EXPECT_EQ(g.neighbors_by_end(0).size(), 2u);
+  EXPECT_EQ(g.neighbors_by_end(1).size(), 3u);
+  EXPECT_EQ(g.neighbors_by_end(3).size(), 1u);
+  EXPECT_THROW(g.neighbors_by_end(99), std::out_of_range);
+  // A directed graph lists only the node's outgoing windows.
+  const TemporalGraph d(4, small_graph().contacts_vector(), true);
+  EXPECT_EQ(d.neighbors_by_end(0).size(), 2u);
+  EXPECT_EQ(d.neighbors_by_end(1).size(), 1u);
+  EXPECT_EQ(d.neighbors_by_end(3).size(), 0u);
 }
 
-TEST(TemporalGraph, ContactsOfIsTimeOrdered) {
-  const auto g = small_graph();
-  const auto idx = g.contacts_of(1);
-  for (std::size_t i = 1; i < idx.size(); ++i)
-    EXPECT_LE(g.contacts()[idx[i - 1]].begin, g.contacts()[idx[i]].begin);
+TEST(TemporalGraph, NeighborsByEndIsEndOrdered) {
+  const TemporalGraph g(3, {{0, 1, 0.0, 50.0},
+                            {0, 2, 10.0, 20.0},
+                            {1, 0, 15.0, 20.0},
+                            {0, 1, 30.0, 40.0}});
+  const auto run = g.neighbors_by_end(0);
+  ASSERT_EQ(run.size(), 4u);
+  for (std::size_t i = 1; i < run.size(); ++i) {
+    EXPECT_LE(run[i - 1].end, run[i].end);
+    if (run[i - 1].end == run[i].end) {
+      EXPECT_LE(run[i - 1].begin, run[i].begin);
+    }
+  }
+  EXPECT_EQ(run.back().end, 50.0);
 }
 
 TEST(TemporalGraph, NextContactTime) {
@@ -85,6 +103,50 @@ TEST(TemporalGraph, NextContactTime) {
   EXPECT_DOUBLE_EQ(g.next_contact_time(0, 25.0), 50.0);
   // After everything: never again.
   EXPECT_EQ(g.next_contact_time(0, 70.0), kInf);
+}
+
+/// Reference for next_contact_time: a direct scan of every contact.
+double scan_next_contact(const TemporalGraph& g, NodeId node, double t) {
+  double best = kInf;
+  for (const Contact& c : g.contacts()) {
+    const bool visible = c.u == node || (!g.directed() && c.v == node);
+    if (visible && c.end >= t) best = std::min(best, std::max(c.begin, t));
+  }
+  return best;
+}
+
+TEST(TemporalGraph, NextContactTimeMatchesContactScan) {
+  // Random directed and undirected graphs with nested and overlapping
+  // windows (long umbrellas over short bursts, some instantaneous),
+  // probed before the first contact, on every begin and end, between
+  // them and past the trace.
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    const std::size_t nodes = 2 + rng.below(7);
+    std::vector<Contact> contacts;
+    const std::size_t count = rng.below(60);
+    for (std::size_t i = 0; i < count; ++i) {
+      const auto u = static_cast<NodeId>(rng.below(nodes));
+      auto v = static_cast<NodeId>(rng.below(nodes - 1));
+      if (v >= u) ++v;
+      const double begin = std::floor(rng.uniform(0.0, 400.0));
+      double length = std::floor(rng.uniform(0.0, 20.0));
+      if (rng.bernoulli(0.3)) {
+        length = rng.uniform(50.0, 300.0);  // umbrella
+      } else if (rng.bernoulli(0.2)) {
+        length = 0.0;  // instantaneous
+      }
+      contacts.push_back({u, v, begin, begin + length});
+    }
+    const TemporalGraph g(nodes, contacts, /*directed=*/seed % 2 == 0);
+    std::vector<double> probes{-1.0, 1e6};
+    for (const Contact& c : g.contacts())
+      probes.insert(probes.end(), {c.begin, c.end, c.begin - 0.5, c.end + 0.5});
+    for (NodeId n = 0; n < nodes; ++n)
+      for (const double t : probes)
+        ASSERT_EQ(g.next_contact_time(n, t), scan_next_contact(g, n, t))
+            << "seed " << seed << " node " << n << " t " << t;
+  }
 }
 
 TEST(TemporalGraph, ConnectedPairs) {

@@ -41,7 +41,9 @@
 //
 // Live mode (--live N): differentials for the live-ingestion path.
 // Each trial splits an adversarial trace into a random number of append
-// epochs, runs them through IncrementalAllPairsEngine, and requires
+// epochs (1-4, or 8-40 in a quarter of the trials so the per-source
+// arenas compact; a run of 100+ trials fails below 30 compactions per
+// 100), runs them through IncrementalAllPairsEngine, and requires
 // every epoch's all_pairs() to be bit-identical to a cold
 // compute_delay_cdf on the prefix ingested so far, under both kDirect
 // and the default kAuto (incremental) scheme, and every source's
@@ -660,6 +662,15 @@ bool versions_match_cold(const IncrementalAllPairsEngine& engine,
   return true;
 }
 
+/// Share of the live trials cut into 8-40 epochs.
+constexpr double kManyEpochShare = 0.25;
+/// Least arena compactions a live run of at least 100 trials must see,
+/// per 100 trials. Runs of 100 trials over seeds 1..10000 saw 42 to
+/// 451 (median ~200); without the many-epoch trials, runs over seeds
+/// 1..5000 saw 0 to 44 (median ~20). Shorter runs hold too few
+/// many-epoch trials to judge.
+constexpr std::size_t kMinCompactionsPer100 = 30;
+
 /// Live mode (--live N): the tentpole differential. (a) Any K-way
 /// canonical-order split of a trace into append epochs must leave every
 /// epoch's incremental all-pairs result bit-identical to cold kDirect
@@ -728,6 +739,15 @@ int live_trials(long trials, std::uint64_t base_seed) {
     std::vector<std::size_t> cuts{0, contacts.size()};
     for (std::size_t e = 1; e < epochs; ++e)
       cuts.push_back(rng.below(contacts.size() + 1));
+    // Many small epochs in a share of the trials (a stream of its own):
+    // every apply leaves garbage in the source arenas, so these are the
+    // trials that drive the arenas through compaction.
+    Rng epoch_rng = Rng::keyed(seed, 0xe90c);
+    if (epoch_rng.bernoulli(kManyEpochShare)) {
+      const std::size_t target = 8 + epoch_rng.below(33);
+      for (std::size_t e = epochs; e < target; ++e)
+        cuts.push_back(epoch_rng.below(contacts.size() + 1));
+    }
     std::sort(cuts.begin(), cuts.end());
 
     // Epochs other than the last skip all_pairs at random (a stream of
@@ -798,6 +818,16 @@ int live_trials(long trials, std::uint64_t base_seed) {
     if (!graphs_identical(streamed, oneshot))
       live_failure("byte-split streaming parse diverged from one-shot parse",
                    g, seed);
+  }
+  const std::size_t min_compactions =
+      kMinCompactionsPer100 * static_cast<std::size_t>(trials) / 100;
+  if (trials >= 100 && compactions < min_compactions) {
+    std::fprintf(stderr,
+                 "odtn_fuzz: only %zu arena compactions in %ld live trials "
+                 "(floor %zu per 100): the epoch splits no longer reach "
+                 "compaction\n",
+                 compactions, trials, kMinCompactionsPer100);
+    return 1;
   }
   std::printf(
       "odtn_fuzz: %ld live trials passed (seeds %llu..%llu, %zu arena "

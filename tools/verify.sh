@@ -43,8 +43,9 @@ echo "== tier-2b: parser + kernel + snapshot + live fuzz smoke under ASan+UBSan 
 # Live-ingestion differential: random K-way epoch splits must stay
 # bit-identical to cold prefix recomputes, and byte-split streaming
 # parses (including a stripped final newline) must match the one-shot
-# parser.
-./build-sanitize/tools/odtn_fuzz --live 60 --seed 1
+# parser; a run of 100+ trials also fails below 30 arena compactions
+# per 100 trials.
+./build-sanitize/tools/odtn_fuzz --live 100 --seed 1
 
 echo "== tier-3: TSan build + concurrency suites =="
 cmake --preset tsan
