@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -429,15 +428,11 @@ int cmd_tail(ArgList args) {
     std::fflush(stdout);
   };
 
-  // An explicit --window-lo above the trace's end time so far (with the
-  // window's end following the trace) leaves the start-time window empty
-  // until the feed reaches it: such epochs print no row. The final row
-  // is asked for regardless when none was printed, so a window that
+  // An explicit --window-lo at or past the trace's end time so far (with
+  // the window's end following the trace) leaves the start-time window
+  // empty until the feed passes it: such epochs print no row. The final
+  // row is asked for regardless when none was printed, so a window that
   // never opens fails with all_pairs' own error.
-  const auto window_open = [&] {
-    return !(std::isnan(io.t_hi) &&
-             io.t_lo > session.engine()->graph().end_time());
-  };
 
   std::uint64_t last_epoch = 0;
   bool emitted_any = false;
@@ -450,7 +445,7 @@ int cmd_tail(ArgList args) {
       const std::uint64_t e = session.commit_epoch();
       if (e != last_epoch) {
         last_epoch = e;
-        if (window_open()) {
+        if (session.engine()->window_open()) {
           emit_row(e);
           emitted_any = true;
         }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -68,7 +67,6 @@ IncrementalSourceDp::IncrementalSourceDp(NodeId source, std::size_t num_nodes,
   if (level_cap < 1)
     throw std::invalid_argument("IncrementalSourceDp: level cap must be >= 1");
   nodes_.resize(num_nodes);
-  marks_.resize(num_nodes);
   const PathPair seed = identity_pair();
   nodes_[source_].push_back(
       {0, append_pairs(arena_, FrontierView(&seed.ld, &seed.ea, 1))});
@@ -92,14 +90,15 @@ FrontierView IncrementalSourceDp::frontier_at(NodeId node, int level) const {
   return lookup(nodes_[node], std::min(level, cap_));
 }
 
-FrontierView IncrementalSourceDp::lookup_original(NodeId node,
+FrontierView IncrementalSourceDp::lookup_original(const ApplyScratch& scratch,
+                                                  NodeId node,
                                                   int level) const {
   // The spans a write displaced stay in the arena until the next
   // compaction, so the saved records still reach the pre-apply pairs.
-  const NodeMark& m = marks_[node];
+  const NodeMark& m = scratch.marks[node];
   if (m.saved == kNotSaved) return lookup(nodes_[node], level);
-  return lookup(std::span<const Version>(saved_).subspan(m.saved,
-                                                         m.saved_count),
+  return lookup(std::span<const Version>(scratch.saved)
+                    .subspan(m.saved, m.saved_count),
                 level);
 }
 
@@ -112,25 +111,25 @@ DeliveryFunction& IncrementalSourceDp::ensure_working(ApplyScratch& scratch,
     // their Pareto merge is exactly L'_level. Both are canonical
     // frontiers, so one linear merge seeds the scratch.
     s.working.assign_union(lookup(nodes_[node], level - 1),
-                           lookup_original(node, level));
+                           lookup_original(scratch, node, level));
     s.active = true;
     scratch.level_active.push_back(node);
   }
   return s.working;
 }
 
-void IncrementalSourceDp::save(NodeId node) {
-  NodeMark& m = marks_[node];
+void IncrementalSourceDp::save(ApplyScratch& scratch, NodeId node) const {
+  NodeMark& m = scratch.marks[node];
   if (m.saved != kNotSaved) return;
   const VersionList& vs = nodes_[node];
-  m.saved = static_cast<std::uint32_t>(saved_.size());
+  m.saved = static_cast<std::uint32_t>(scratch.saved.size());
   m.saved_count = static_cast<std::uint32_t>(vs.size());
-  saved_.insert(saved_.end(), vs.begin(), vs.end());
+  scratch.saved.insert(scratch.saved.end(), vs.begin(), vs.end());
 }
 
-void IncrementalSourceDp::write_version(NodeId node, int level,
-                                        const FrontierView& f) {
-  save(node);
+void IncrementalSourceDp::write_version(ApplyScratch& scratch, NodeId node,
+                                        int level, const FrontierView& f) {
+  save(scratch, node);
   const PairSpan span = append_pairs(arena_, f);
   VersionList& vs = nodes_[node];
   auto it = std::lower_bound(
@@ -144,13 +143,14 @@ void IncrementalSourceDp::write_version(NodeId node, int level,
   if (level > max_level_) max_level_ = level;
 }
 
-void IncrementalSourceDp::erase_exact_version(NodeId node, int level) {
+void IncrementalSourceDp::erase_exact_version(ApplyScratch& scratch,
+                                              NodeId node, int level) {
   VersionList& vs = nodes_[node];
   auto it = std::lower_bound(
       vs.begin(), vs.end(), level,
       [](const Version& v, int l) { return v.level < l; });
   if (it != vs.end() && it->level == level) {
-    save(node);
+    save(scratch, node);
     live_ -= it->span.length;
     vs.erase(it);
   }
@@ -163,19 +163,6 @@ const IncrementalSourceDp::Version* IncrementalSourceDp::version_at(
       vs.begin(), vs.end(), level,
       [](const Version& v, int l) { return v.level < l; });
   return it != vs.end() && it->level == level ? &*it : nullptr;
-}
-
-bool IncrementalSourceDp::take_changed(std::vector<NodeId>& out) {
-  out.clear();
-  for (const NodeId d : changed_) marks_[d].reported = false;
-  const bool all = all_changed_;
-  if (!all) {
-    out.assign(changed_.begin(), changed_.end());
-    std::sort(out.begin(), out.end());
-  }
-  changed_.clear();
-  all_changed_ = false;
-  return !all;
 }
 
 void IncrementalSourceDp::bootstrap(const TemporalGraph& graph,
@@ -198,7 +185,6 @@ void IncrementalSourceDp::bootstrap(const TemporalGraph& graph,
     max_level_ = k;
   }
   install(scratch.pairs);
-  all_changed_ = true;
 }
 
 void IncrementalSourceDp::pack(PairArena& to) {
@@ -232,36 +218,35 @@ std::size_t IncrementalSourceDp::ApplyScratch::heap_bytes() const noexcept {
   std::size_t b = capacity_bytes(nodes) + capacity_bytes(fresh_active) +
                   capacity_bytes(next_fresh_active) + capacity_bytes(carry) +
                   capacity_bytes(next_carry) + capacity_bytes(level_active) +
-                  capacity_bytes(succ_ea) + capacity_bytes(changed) +
-                  pairs.capacity_bytes();
+                  capacity_bytes(succ_ea) + pairs.capacity_bytes() +
+                  capacity_bytes(saved) + capacity_bytes(marks) +
+                  capacity_bytes(changed);
   for (const Node& n : nodes)
     b += n.working.heap_bytes() + capacity_bytes(n.fresh) +
          capacity_bytes(n.next_fresh);
   return b;
 }
 
-LiveHeapBytes IncrementalSourceDp::heap_bytes() const noexcept {
-  LiveHeapBytes b;
-  b.versions = capacity_bytes(nodes_) + arena_.capacity_bytes();
-  for (const VersionList& vs : nodes_) b.versions += capacity_bytes(vs);
-  b.saved = capacity_bytes(marks_) + capacity_bytes(changed_) +
-            capacity_bytes(saved_);
+std::size_t IncrementalSourceDp::heap_bytes() const noexcept {
+  std::size_t b = capacity_bytes(nodes_) + arena_.capacity_bytes();
+  for (const VersionList& vs : nodes_) b += capacity_bytes(vs);
   return b;
 }
 
-bool IncrementalSourceDp::apply(const TemporalGraph& graph,
+void IncrementalSourceDp::apply(const TemporalGraph& graph,
                                 std::size_t old_count, ApplyScratch& scratch) {
+  scratch.saved.clear();
+  scratch.marks.assign(nodes_.size(), NodeMark{});
+  scratch.changed.clear();
   const std::span<const Contact> all = graph.contacts();
   const std::span<const Contact> batch = all.subspan(old_count);
-  if (batch.empty()) return false;
+  if (batch.empty()) return;
   const bool directed = graph.directed();
-  bool changed = false;
 
-  // The last apply's saved records are dropped, so nothing reaches the
-  // garbage any more: compact when less than half the headroom is free,
-  // or when the capacity outgrew the band (see kCompactShare).
-  for (NodeMark& m : marks_) m.saved = kNotSaved;
-  saved_.clear();
+  // This source's last saved records went with its last apply, so
+  // nothing reaches the garbage any more: compact when less than half
+  // the headroom is free, or when the capacity outgrew the band (see
+  // kCompactShare).
   const std::size_t h = headroom();
   if (arena_.capacity() - arena_.size() < h / 2 ||
       arena_.capacity() > live_ + 3 * h) {
@@ -294,7 +279,7 @@ bool IncrementalSourceDp::apply(const TemporalGraph& graph,
                                 cand.ea);
     };
     if (!s.active && (dominated_in(lookup(nodes_[to], k - 1)) ||
-                      dominated_in(lookup_original(to, k))))
+                      dominated_in(lookup_original(scratch, to, k))))
       return;
     ensure_working(scratch, to, k).insert(cand);
   };
@@ -385,20 +370,17 @@ bool IncrementalSourceDp::apply(const TemporalGraph& graph,
       // Version-iff-productive invariant: a version at k exists exactly
       // when L'_k != L'_{k-1}.
       if (!frontier_equals(f, lookup(nodes_[d], k - 1)))
-        write_version(d, k, f);
+        write_version(scratch, d, k, f);
       else
-        erase_exact_version(d, k);
+        erase_exact_version(scratch, d, k);
       // A rewritten node stays carried while its level-k value differs
       // from the pre-epoch one. (Looked up after the write: an append
       // may move the arena.)
-      const FrontierView old_k = lookup_original(d, k);
+      const FrontierView old_k = lookup_original(scratch, d, k);
       if (!frontier_equals(f, old_k)) {
-        changed = true;
         next_carry.push_back(d);
-        if (!marks_[d].reported) {
-          marks_[d].reported = true;
-          changed_.push_back(d);
-        }
+        if (!std::exchange(scratch.marks[d].changed, true))
+          scratch.changed.push_back(d);
       }
       // Only fresh pairs need extending at k+1: a pair of L'_k \ old L_k
       // that is also in L'_{k-1} was not in old L_{k-1} (old L_k would
@@ -427,7 +409,6 @@ bool IncrementalSourceDp::apply(const TemporalGraph& graph,
   for (const VersionList& vs : nodes_)
     if (!vs.empty() && vs.back().level > max_level_)
       max_level_ = vs.back().level;
-  return changed;
 }
 
 IncrementalAllPairsEngine::IncrementalAllPairsEngine(
@@ -449,19 +430,20 @@ IncrementalAllPairsEngine::IncrementalAllPairsEngine(
   }
   if (options_.num_threads != 0)
     pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-  scratch_.resize(pool().num_workers());
-  lag_.assign(num_nodes, Lag::kFull);
+  workers_.resize(pool().num_workers());
+  // The empty graph's partials: only the observation measure.
+  if (const std::optional<TimeWindows> w = resolved_windows()) {
+    for (NodeId s = 0; s < num_nodes; ++s)
+      full_pass(s, *w, workers_[0].pairs_integrated);
+    windows_ = *w;
+    current_ = true;
+  }
 }
 
 LiveHeapBytes IncrementalAllPairsEngine::heap_bytes() const noexcept {
   LiveHeapBytes b;
-  for (const IncrementalSourceDp& dp : dps_) {
-    const LiveHeapBytes s = dp.heap_bytes();
-    b.versions += s.versions;
-    b.saved += s.saved;
-  }
-  for (const IncrementalSourceDp::ApplyScratch& s : scratch_)
-    b.scratch += s.heap_bytes();
+  for (const IncrementalSourceDp& dp : dps_) b.versions += dp.heap_bytes();
+  for (const Worker& w : workers_) b.scratch += w.scratch.heap_bytes();
   return b;
 }
 
@@ -492,22 +474,54 @@ std::uint64_t IncrementalAllPairsEngine::append(
   // existed, and this materializes them on the very first epoch.
   graph_.node_offsets();
 
-  pool().parallel_for(dps_.size(), [&](std::size_t i, unsigned worker) {
-    if (old_count == 0) {
-      // First (bulk) batch: seed each DP from a cold pooled run instead
-      // of replaying the epoch machinery -- same frontiers, batch cost.
-      dps_[i].bootstrap(graph_, scratch_[worker]);
-      lag_[i] = Lag::kFull;
-      return;
+  // The bootstrap, and the epoch the window opens at, take the full
+  // pass. Once the first contact fixed start_time, only a NaN t_hi moves
+  // an open window: its old hi was the old end time, past every stored
+  // pair's ld, so it clipped no segment, and the partials keep their
+  // numerators and swap only their observation measure.
+  const std::optional<TimeWindows> w = resolved_windows();
+  const bool full = old_count == 0 || !current_;
+  const double measure = w ? total_window_measure(*w) : 0.0;
+  const double old_measure = total_window_measure(windows_);
+  const bool swap = w && !full && *w != windows_;
+  const auto others = static_cast<std::int64_t>(graph_.num_nodes()) - 1;
+
+  pool().parallel_for(dps_.size(), [&](std::size_t i, unsigned id) {
+    const auto src = static_cast<NodeId>(i);
+    Worker& worker = workers_[id];
+    IncrementalSourceDp& dp = dps_[i];
+    SourceCdfPartial& out = partials_[i];
+    // First (bulk) batch: seed each DP from a cold pooled run instead of
+    // replaying the epoch machinery -- same frontiers, batch cost.
+    if (old_count == 0)
+      dp.bootstrap(graph_, worker.scratch);
+    else
+      dp.apply(graph_, old_count, worker.scratch);
+    if (w && full) {
+      full_pass(src, *w, worker.pairs_integrated);
+    } else if (w) {
+      if (swap) {
+        // Retract the old measure, add the new: exact, so the lane's
+        // denominator equals the one a fresh integration adds.
+        for (MeasureCdfAccumulator& lane : out.by_hops) {
+          lane.add_observation_measure(old_measure, -others);
+          lane.add_observation_measure(measure, others);
+        }
+        out.unbounded.add_observation_measure(old_measure, -others);
+        out.unbounded.add_observation_measure(measure, others);
+      }
+      epoch_update(src, worker.scratch, *w, worker.pairs_integrated);
     }
-    const bool changed = dps_[i].apply(graph_, old_count, scratch_[worker]);
-    // apply() replaces the saved records, so a partial that already
-    // lagged can no longer be brought up to date from them.
-    if (lag_[i] != Lag::kNone)
-      lag_[i] = Lag::kFull;
-    else if (changed)
-      lag_[i] = Lag::kOneApply;
+    // Same fixpoint a cold bounded run reports: the true level when it
+    // is observable below the cap, the max_levels+1 "not converged"
+    // sentinel otherwise.
+    out.fixpoint_hops = dp.max_version_level() < cap_
+                            ? dp.max_version_level()
+                            : options_.max_levels + 1;
+    out.converged = out.fixpoint_hops <= options_.max_levels;
   });
+  current_ = w.has_value();
+  if (w) windows_ = *w;
   return graph_.epoch();
 }
 
@@ -522,21 +536,19 @@ DelayCdfOptions IncrementalAllPairsEngine::cdf_options() const {
   return o;
 }
 
-bool IncrementalAllPairsEngine::window_keeps_numerators(
-    const TimeWindows& w) const {
-  // A NaN t_hi resolves to the graph's end time, which grows every
-  // epoch. Every frontier pair's ld is the end of some contact, so a
-  // final hi at or past the end time at the previous call clipped no
-  // stored segment, and neither does a larger one: with t_lo unmoved,
-  // only the denominators change. (The live engine's windows come from
-  // t_lo/t_hi: always exactly one.)
-  return have_windows_ && w[0].first == last_windows_[0].first &&
-         w[0].second > last_windows_[0].second &&
-         last_windows_[0].second >= last_end_time_;
+std::optional<TimeWindows> IncrementalAllPairsEngine::resolved_windows()
+    const {
+  // resolve_cdf_windows holds the one rule for an open window; all_pairs
+  // calls it again and throws its error where this reads none.
+  try {
+    return resolve_cdf_windows(graph_, cdf_options());
+  } catch (const std::invalid_argument&) {
+    return std::nullopt;
+  }
 }
 
 void IncrementalAllPairsEngine::full_pass(NodeId src, const TimeWindows& w,
-                                          SourceCdfWorker& worker) {
+                                          std::uint64_t& pairs_integrated) {
   const IncrementalSourceDp& dp = dps_[src];
   SourceCdfPartial& out = partials_[src];
   // The layout process_source_incremental builds: level-k deltas in lane
@@ -555,7 +567,7 @@ void IncrementalAllPairsEngine::full_pass(NodeId src, const TimeWindows& w,
                                level <= options_.max_hops
                                    ? out.by_hops[level - 1]
                                    : out.unbounded,
-                               worker.stats.cdf_pairs_integrated);
+                               pairs_integrated);
       below = f;
     });
   }
@@ -564,20 +576,19 @@ void IncrementalAllPairsEngine::full_pass(NodeId src, const TimeWindows& w,
 }
 
 void IncrementalAllPairsEngine::epoch_update(
-    NodeId src, const std::vector<NodeId>& changed, const TimeWindows& w,
-    SourceCdfWorker& worker) {
+    NodeId src, const IncrementalSourceDp::ApplyScratch& scratch,
+    const TimeWindows& w, std::uint64_t& pairs_integrated) {
   const IncrementalSourceDp& dp = dps_[src];
   SourceCdfPartial& out = partials_[src];
-  for (const NodeId d : changed) {
+  for (const NodeId d : scratch.changed) {
     if (d == src) continue;
     const auto update = [&](MeasureCdfAccumulator& lane, int level) {
-      const FrontierView before = dp.lookup_original(d, level);
+      const FrontierView before = dp.lookup_original(scratch, d, level);
       const FrontierView after = dp.frontier_at(d, level);
       // One buffer: the apply left this level untouched.
       if (before.ld_data() == after.ld_data() && before.size() == after.size())
         return;
-      integrate_frontier_delta(before, after, w, lane,
-                               worker.stats.cdf_pairs_integrated);
+      integrate_frontier_delta(before, after, w, lane, pairs_integrated);
     };
     for (int k = 1; k <= options_.max_hops; ++k) update(out.by_hops[k - 1], k);
     update(out.unbounded, cap_);
@@ -586,59 +597,17 @@ void IncrementalAllPairsEngine::epoch_update(
 
 DelayCdfResult IncrementalAllPairsEngine::all_pairs() {
   const DelayCdfOptions o = cdf_options();
-  const TimeWindows w = resolve_cdf_windows(graph_, o);
-  const double measure = total_window_measure(w);
-  // Fixed explicit windows keep partials across epochs. A window change
-  // moves every denominator; when it cannot have clipped a stored
-  // segment, each lane swaps its observation measure and keeps its
-  // numerators, otherwise every source takes the full pass.
-  std::optional<double> old_measure;
-  if (!have_windows_ || w != last_windows_) {
-    if (window_keeps_numerators(w))
-      old_measure = total_window_measure(last_windows_);
-    else
-      std::fill(lag_.begin(), lag_.end(), Lag::kFull);
-    last_windows_ = w;
-    have_windows_ = true;
-  }
-  last_end_time_ = graph_.end_time();
-  const auto others = static_cast<std::int64_t>(graph_.num_nodes()) - 1;
-
-  return fold_sources(
+  // Throws, as a cold run does, exactly where append left the partials
+  // waiting for the window to open.
+  (void)resolve_cdf_windows(graph_, o);
+  DelayCdfResult r = fold_sources(
       dps_.size(), o, /*incremental=*/false,
-      [&](std::size_t i, SourceCdfWorker& worker, SourceCdfPartial&,
-          OrderedCdfFolder& folder) {
-        const auto src = static_cast<NodeId>(i);
-        SourceCdfPartial& out = partials_[i];
-        if (old_measure && lag_[i] != Lag::kFull) {
-          // Retract the old measure, add the new: exact, so the lane's
-          // denominator equals the one a fresh integration adds.
-          const auto swap_measure = [&](MeasureCdfAccumulator& lane) {
-            lane.add_observation_measure(*old_measure, -others);
-            lane.add_observation_measure(measure, others);
-          };
-          for (MeasureCdfAccumulator& lane : out.by_hops) swap_measure(lane);
-          swap_measure(out.unbounded);
-        }
-        if (lag_[i] != Lag::kNone) {
-          IncrementalSourceDp& dp = dps_[i];
-          std::vector<NodeId>& changed = scratch_[worker.id].changed;
-          if (dp.take_changed(changed) && lag_[i] == Lag::kOneApply)
-            epoch_update(src, changed, w, worker);
-          else
-            full_pass(src, w, worker);
-          // Same fixpoint a cold bounded run reports: the true level when
-          // it is observable below the cap, the max_levels+1 "not
-          // converged" sentinel otherwise.
-          out.fixpoint_hops = dp.max_version_level() < cap_
-                                  ? dp.max_version_level()
-                                  : options_.max_levels + 1;
-          out.converged = out.fixpoint_hops <= options_.max_levels;
-          lag_[i] = Lag::kNone;
-        }
-        folder.submit(i, out);
-      },
+      [&](std::size_t i, SourceCdfWorker&, SourceCdfPartial&,
+          OrderedCdfFolder& folder) { folder.submit(i, partials_[i]); },
       &pool());
+  for (Worker& w : workers_)
+    r.stats.cdf_pairs_integrated += std::exchange(w.pairs_integrated, 0);
+  return r;
 }
 
 }  // namespace odtn

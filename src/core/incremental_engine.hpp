@@ -34,21 +34,22 @@
 //
 // Each source keeps one accumulator per hop budget k holding
 // sum_d I(L_k(src, d)), and `unbounded` holding sum_d I(L_cap), where I
-// integrates a frontier's delivery segments. Both ways of bringing them
-// up to date go through integrate_frontier_delta, the hop-delta
-// primitive of batch and serve:
+// integrates a frontier's delivery segments. append() brings them up to
+// date in the same per-source task that advances the DP, through
+// integrate_frontier_delta, the hop-delta primitive of batch and serve:
 //
 //   - the epoch update adds I(L'_j) - I(L_j) per changed node and lane,
-//     reading the pre-epoch L_j through the records apply() saved;
-//   - the full pass (after bootstrap, after a window change that could
-//     clip a stored segment, or when the lanes lag by more than one
-//     apply) feeds each destination's consecutive versions through the
-//     primitive and prefix-merges the level deltas.
+//     reading the pre-epoch L_j through the records apply() saved in the
+//     worker's scratch;
+//   - the full pass (after bootstrap, and at the epoch an explicit
+//     window first opens) feeds each destination's consecutive versions
+//     through the primitive and prefix-merges the level deltas.
 //
 // The sums are exact (stats/measure_cdf.hpp), so either way a lane holds
-// exactly the addends a cold run adds, and each epoch's DelayCdfResult,
-// folded through the same driver (fold_sources), is bit-identical to a
-// cold compute_delay_cdf on the trace so far, under kDirect and
+// exactly the addends a cold run adds, and all_pairs() only resolves the
+// window and folds the partials through fold_sources, as every
+// all-pairs path does: each epoch's DelayCdfResult is bit-identical to
+// a cold compute_delay_cdf on the trace so far, under kDirect and
 // kIncremental alike. The IncrementalEngine tests and `odtn_fuzz --live`
 // gate the identity; the epoch cost is the `live_tail` workload of
 // odtnbench.
@@ -58,6 +59,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -74,8 +76,8 @@ namespace odtn {
 /// (allocator overhead excluded).
 struct LiveHeapBytes {
   std::size_t versions = 0;  // every source's records and pair arena
-  std::size_t saved = 0;     // every source's saved records and marks
-  std::size_t scratch = 0;   // the per-worker apply scratch
+  std::size_t scratch = 0;   // the per-worker apply scratch, saved records
+                             // and marks included
 };
 
 /// Persistent per-source DP state: each node's frontier history as a
@@ -86,16 +88,31 @@ struct LiveHeapBytes {
 /// A write appends the new frontier and leaves the old span in place as
 /// garbage, so the pre-apply state of a node is its record list before
 /// its first write, which apply() saves (records, never pairs). The
-/// working state of an apply() lives in an ApplyScratch the caller
-/// owns, one per worker, so a source's epoch state scales with one
-/// epoch's work.
+/// working state of an apply(), saved records included, lives in an
+/// ApplyScratch the caller owns, one per worker, so a source keeps only
+/// its versions between epochs.
 class IncrementalSourceDp {
+  /// One productive level's frontier: a span of arena_.
+  struct Version {
+    int level = 0;
+    PairSpan span;
+  };
+  static constexpr std::uint32_t kNotSaved =
+      std::numeric_limits<std::uint32_t>::max();
+  struct NodeMark {
+    // saved[saved, saved + saved_count) if the apply wrote the node.
+    std::uint32_t saved = kNotSaved;
+    std::uint32_t saved_count = 0;
+    bool changed = false;  // listed in `changed`
+  };
+
  public:
   /// Working state of apply(), reused across sources and epochs: a
   /// worker runs one apply() at a time, so one scratch per worker
-  /// serves every source it advances. Nothing in it outlives a call:
-  /// apply() resets the lists, and a node's `fresh` is only read after
-  /// the level that filled it.
+  /// serves every source it advances. apply() resets it, and a node's
+  /// `fresh` is only read after the level that filled it. What the
+  /// apply saved and changed stays readable until the scratch's next
+  /// apply(): lookup_original() and `changed`.
   struct ApplyScratch {
     struct Node {
       bool active = false;       // working initialized at the current level
@@ -113,10 +130,14 @@ class IncrementalSourceDp {
     std::vector<NodeId> next_carry;
     std::vector<NodeId> level_active;
     std::vector<double> succ_ea;
-    /// take_changed()'s output buffer for the CDF side.
-    std::vector<NodeId> changed;
     /// Where compaction and bootstrap pack a source's live pairs.
     PairArena pairs;
+    /// The records of each node the apply wrote, as they were before its
+    /// first write, and per node where its run starts.
+    std::vector<Version> saved;
+    std::vector<NodeMark> marks;
+    /// The nodes whose frontier the apply changed at some level.
+    std::vector<NodeId> changed;
 
     /// Heap bytes held, from capacities.
     std::size_t heap_bytes() const noexcept;
@@ -131,10 +152,9 @@ class IncrementalSourceDp {
 
   /// Advances the DP over the contacts appended at [old_count, end) of
   /// `graph` (which must already contain them; canonical order is the
-  /// graph's append invariant), working in `scratch`. Returns true iff
-  /// any frontier at any level changed -- i.e. any cached integration of
-  /// this source is now stale.
-  bool apply(const TemporalGraph& graph, std::size_t old_count,
+  /// graph's append invariant), working in `scratch`, which then lists
+  /// the nodes whose frontier changed at some level (`changed`).
+  void apply(const TemporalGraph& graph, std::size_t old_count,
              ApplyScratch& scratch);
 
   /// Seeds the version lists from a cold pooled engine run over `graph`:
@@ -159,17 +179,13 @@ class IncrementalSourceDp {
   int level_cap() const noexcept { return cap_; }
   NodeId source() const noexcept { return source_; }
 
-  /// Copies into `out`, ascending, the nodes whose frontier changed at
-  /// some level since the previous call. Returns false instead when
-  /// every node may have changed (nothing taken since construction or
-  /// bootstrap); `out` is then empty.
-  bool take_changed(std::vector<NodeId>& out);
-
-  /// L_level(source, node) as it was before the last apply(): a search
-  /// of the node's saved records where that apply wrote the node, of
-  /// its live records otherwise. Where the last apply left the level
-  /// untouched it is the same span frontier_at returns.
-  FrontierView lookup_original(NodeId node, int level) const;
+  /// L_level(source, node) as it was before the last apply(), which
+  /// worked in `scratch`: a search of the node's saved records where
+  /// that apply wrote the node, of its live records otherwise. Where the
+  /// apply left the level untouched it is the same span frontier_at
+  /// returns. Valid until the scratch's next apply().
+  FrontierView lookup_original(const ApplyScratch& scratch, NodeId node,
+                               int level) const;
 
   /// Calls f(level, frontier) for each of `node`'s versions, ascending:
   /// L_k(source, node) is the last one at or below k (empty below the
@@ -196,25 +212,11 @@ class IncrementalSourceDp {
   const PairArena& arena() const noexcept { return arena_; }
   std::size_t compactions() const noexcept { return compactions_; }
 
-  /// This source's versions and saved parts (the marks and the change
-  /// report count as saved).
-  LiveHeapBytes heap_bytes() const noexcept;
+  /// Heap bytes of this source's versions: records and pair arena.
+  std::size_t heap_bytes() const noexcept;
 
  private:
-  /// One productive level's frontier: a span of arena_.
-  struct Version {
-    int level = 0;
-    PairSpan span;
-  };
   using VersionList = std::vector<Version>;  // ascending level
-  static constexpr std::uint32_t kNotSaved =
-      std::numeric_limits<std::uint32_t>::max();
-  struct NodeMark {
-    // saved_[saved, saved + saved_count) if the last apply() wrote it.
-    std::uint32_t saved = kNotSaved;
-    std::uint32_t saved_count = 0;
-    bool reported = false;  // listed in changed_
-  };
 
   FrontierView view(PairSpan s) const noexcept {
     return FrontierView(arena_.ld() + s.offset, arena_.ea() + s.offset,
@@ -224,9 +226,10 @@ class IncrementalSourceDp {
                                    int level);
   FrontierView lookup(std::span<const Version> versions, int level) const;
   /// Saves `node`'s records before its first modification this apply.
-  void save(NodeId node);
-  void write_version(NodeId node, int level, const FrontierView& f);
-  void erase_exact_version(NodeId node, int level);
+  void save(ApplyScratch& scratch, NodeId node) const;
+  void write_version(ApplyScratch& scratch, NodeId node, int level,
+                     const FrontierView& f);
+  void erase_exact_version(ApplyScratch& scratch, NodeId node, int level);
   /// The version at exactly `level`, if any.
   const Version* version_at(NodeId node, int level) const;
   /// Copies the live spans into `to`, back to back, and points the
@@ -239,16 +242,9 @@ class IncrementalSourceDp {
   DelayHorizon horizon_;
   int max_level_ = 0;
   std::vector<VersionList> nodes_;
-  std::vector<NodeMark> marks_;
   PairArena arena_;
   std::size_t live_ = 0;  // pairs in the spans of nodes_
   std::size_t compactions_ = 0;
-  std::vector<Version> saved_;  // the last apply()'s saved records
-
-  // Nodes changed since the last take_changed(); all of them when
-  // all_changed_.
-  bool all_changed_ = true;
-  std::vector<NodeId> changed_;
 };
 
 
@@ -268,27 +264,36 @@ struct IncrementalCdfOptions {
 };
 
 /// Live all-pairs engine: an owned growing TemporalGraph plus one
-/// IncrementalSourceDp per source and a per-source cache of integrated
-/// CDF partials (full lanes: by_hops[k-1] holds sum_d I(L_k)). append()
-/// advances every source by one epoch; all_pairs() brings only the
-/// sources whose frontiers changed up to date -- by the epoch update
-/// when their lanes lag by exactly the last apply, by a full pass
-/// otherwise -- and folds all partials, yielding a result bit-identical
-/// to a cold compute_delay_cdf(graph(), ...) on the contacts ingested so
-/// far. The constructor rejects an infinite or empty explicit window
-/// (check_window_bounds) before any contact arrives.
+/// IncrementalSourceDp per source and a per-source CDF partial (full
+/// lanes: by_hops[k-1] holds sum_d I(L_k)). append() advances every
+/// source by one epoch and, in the same per-source task, brings its
+/// partial up to date under the window resolved over the contacts so
+/// far; all_pairs() resolves that window and folds the partials,
+/// yielding a result bit-identical to a cold compute_delay_cdf(graph(),
+/// ...) on the contacts ingested so far. The constructor rejects an
+/// infinite or empty explicit window (check_window_bounds) before any
+/// contact arrives.
 class IncrementalAllPairsEngine {
  public:
   IncrementalAllPairsEngine(std::size_t num_nodes, bool directed,
                             IncrementalCdfOptions options);
 
   /// Appends one canonical-order batch (validated by
-  /// TemporalGraph::append_contacts) and advances every source's DP.
-  /// Returns the graph epoch after the append.
+  /// TemporalGraph::append_contacts), advances every source's DP and
+  /// updates its partial. Returns the graph epoch after the append.
   std::uint64_t append(std::span<const Contact> batch);
 
   /// All-pairs delay CDFs / diameter over everything ingested so far.
+  /// Throws as a cold run does where the window does not resolve.
+  /// stats.cdf_pairs_integrated counts the pairs integrated since the
+  /// previous call.
   DelayCdfResult all_pairs();
+
+  /// Whether the start-time window resolves over the contacts so far
+  /// (resolve_cdf_windows): all_pairs() throws exactly when it does not,
+  /// e.g. while an explicit t_lo lies at or past the end time and t_hi
+  /// follows it.
+  bool window_open() const noexcept { return current_; }
 
   const TemporalGraph& graph() const noexcept { return graph_; }
   const IncrementalCdfOptions& options() const noexcept { return options_; }
@@ -312,26 +317,25 @@ class IncrementalAllPairsEngine {
   LiveHeapBytes heap_bytes() const noexcept;
 
  private:
-  /// How far a source's partial lags its DP.
-  enum class Lag : std::uint8_t {
-    kNone,      // up to date
-    kOneApply,  // behind by exactly the last apply(), whose saved
-                // records still reach the pre-epoch frontiers: epoch
-                // update
-    kFull,      // anything else: full pass
+  /// One pool worker's apply scratch and the pairs its integrations
+  /// counted since the last all_pairs().
+  struct Worker {
+    IncrementalSourceDp::ApplyScratch scratch;
+    std::uint64_t pairs_integrated = 0;
   };
 
   DelayCdfOptions cdf_options() const;
-  /// Whether partials integrated under `last_windows_` keep their
-  /// numerators under `w`: only the denominators move.
-  bool window_keeps_numerators(const TimeWindows& w) const;
+  /// The resolved window; none where resolve_cdf_windows throws.
+  std::optional<TimeWindows> resolved_windows() const;
   /// Rebuilds partials_[src] from every destination's version list.
-  void full_pass(NodeId src, const TimeWindows& w, SourceCdfWorker& worker);
-  /// Adds I(L'_j) - I(L_j) over the last apply to every lane of
-  /// partials_[src] (lane j for j <= max_hops, `unbounded` at the cap),
-  /// for each node that apply changed.
-  void epoch_update(NodeId src, const std::vector<NodeId>& changed,
-                    const TimeWindows& w, SourceCdfWorker& worker);
+  void full_pass(NodeId src, const TimeWindows& w,
+                 std::uint64_t& pairs_integrated);
+  /// Adds I(L'_j) - I(L_j) over the apply that worked in `scratch` to
+  /// every lane of partials_[src] (lane j for j <= max_hops, `unbounded`
+  /// at the cap), for each node that apply changed.
+  void epoch_update(NodeId src,
+                    const IncrementalSourceDp::ApplyScratch& scratch,
+                    const TimeWindows& w, std::uint64_t& pairs_integrated);
   /// The engine's own pool, or the shared one when num_threads is 0.
   ThreadPool& pool() const;
 
@@ -342,14 +346,13 @@ class IncrementalAllPairsEngine {
   std::unique_ptr<ThreadPool> pool_;
   int cap_;
   std::vector<IncrementalSourceDp> dps_;
-  // One apply scratch per pool worker, indexed by the worker id of
-  // append's fan-out and of all_pairs' fold (both on pool()).
-  std::vector<IncrementalSourceDp::ApplyScratch> scratch_;
+  // One per pool worker, indexed by the worker id of append's fan-out.
+  std::vector<Worker> workers_;
   std::vector<SourceCdfPartial> partials_;
-  std::vector<Lag> lag_;
-  TimeWindows last_windows_;
-  bool have_windows_ = false;
-  double last_end_time_ = -std::numeric_limits<double>::infinity();
+  // The window every partial is integrated under, while current_: true
+  // exactly when the window resolves over the graph as it stands.
+  TimeWindows windows_;
+  bool current_ = false;
 };
 
 }  // namespace odtn

@@ -208,11 +208,13 @@ TimeWindows resolve_cdf_windows(const TemporalGraph& graph,
   if (w.empty()) {
     double lo = options.t_lo, hi = options.t_hi;
     check_window_bounds(lo, hi);
+    const bool both_nan = std::isnan(lo) && std::isnan(hi);
     if (std::isnan(lo)) lo = graph.start_time();
     if (std::isnan(hi)) hi = graph.end_time();
-    // NaN bounds over an empty or instantaneous graph resolve to a zero
-    // span, which stays valid.
-    if (lo != hi) check_window_bounds(lo, hi);
+    // Two NaN bounds over an empty or instantaneous graph resolve to a
+    // zero span, which stays valid; a window with an explicit bound may
+    // not be empty.
+    if (!both_nan) check_window_bounds(lo, hi);
     w = {{lo, hi}};
   }
   // The observation measure of the whole computation bounds every
@@ -352,10 +354,8 @@ DelayCdfResult fold_sources(std::size_t count, const DelayCdfOptions& options,
   std::vector<SourceCdfWorker> workers(num_workers);
   std::vector<SourceCdfPartial> scratch;
   scratch.reserve(num_workers);
-  for (unsigned t = 0; t < num_workers; ++t) {
-    workers[t].id = t;
+  for (unsigned t = 0; t < num_workers; ++t)
     scratch.emplace_back(options.grid, options.max_hops);
-  }
   OrderedCdfFolder folder(options.grid, options.max_hops, count);
 
   const auto run = [&](std::size_t i, unsigned worker) {

@@ -44,10 +44,10 @@ void check_window_bounds(double t_lo, double t_hi);
 /// Resolves the options' start-time windows against the graph span (a
 /// NaN t_lo / t_hi is the graph's start / end time). Throws
 /// std::invalid_argument on overlapping/decreasing windows, an explicit
-/// window or windows entry with lo >= hi, a resolved one with lo > hi
-/// (an empty or instantaneous graph may resolve NaN bounds to lo == hi),
-/// an infinite bound, or when (endpoint pairs x window
-/// measure) reaches the accumulators' fixed-point range
+/// window or windows entry with lo >= hi, a resolved one with lo >= hi
+/// unless both bounds are NaN (an empty or instantaneous graph resolves
+/// those to lo == hi), an infinite bound, or when (endpoint pairs x
+/// window measure) reaches the accumulators' fixed-point range
 /// (MeasureCdfAccumulator::kMaxMeasure).
 TimeWindows resolve_cdf_windows(const TemporalGraph& graph,
                                 const DelayCdfOptions& options);
@@ -101,9 +101,6 @@ struct SourceCdfPartial {
 struct SourceCdfWorker {
   std::optional<SingleSourceEngine> engine;
   EngineStats stats;
-  /// This worker's slot in fold_sources, the pool's worker id: state a
-  /// callback keeps per worker, indexed by it, needs no lock.
-  unsigned id = 0;
 
   /// Worker counters plus the recycled engine's counters (if any).
   EngineStats take_stats() const;

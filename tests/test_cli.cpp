@@ -648,7 +648,7 @@ TEST_F(CliServe, TailWaitsForAWindowStartPastTheEarlyFeed) {
     return end;
   };
   std::size_t first = 0;
-  while (first < all.size() && end_time(all[first].second) < t_lo) ++first;
+  while (first < all.size() && end_time(all[first].second) <= t_lo) ++first;
   ASSERT_GE(first, 1u) << "the first epoch already reaches t_lo";
   ASSERT_LT(first + 1, all.size()) << "too few epochs past t_lo";
   ASSERT_EQ(late.size(), all.size() - first);
@@ -661,6 +661,24 @@ TEST_F(CliServe, TailFailsWhenTheWindowNeverOpens) {
   ::testing::internal::CaptureStdout();
   ::testing::internal::CaptureStderr();
   EXPECT_EQ(run_cli({"tail", trace, "--epoch", "1", "--window-lo", "1e6"}), 1);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(::testing::internal::GetCapturedStdout().find("epoch="),
+            std::string::npos);
+  EXPECT_NE(err.find("empty start-time window"), std::string::npos) << err;
+}
+
+TEST_F(CliServe, TailRejectsAWindowStartingAtTheFeedsEnd) {
+  // --window-lo at the feed's end time, with the window's end following
+  // the feed: [30, 30] is empty, so no epoch prints a row and the
+  // command fails instead of printing CDFs of zeros.
+  const std::string feed = track(path("tail_zero_span.trace"));
+  {
+    std::ofstream out(feed);
+    out << "# odtn-trace v1\n# nodes 3\n# directed 0\n0 1 0 10\n1 2 20 30\n";
+  }
+  ::testing::internal::CaptureStdout();
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(run_cli({"tail", feed, "--window-lo", "30", "--epoch", "1"}), 1);
   const std::string err = ::testing::internal::GetCapturedStderr();
   EXPECT_EQ(::testing::internal::GetCapturedStdout().find("epoch="),
             std::string::npos);

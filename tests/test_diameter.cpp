@@ -214,6 +214,16 @@ TEST(DelayCdf, InvalidOptionsThrow) {
     opt.t_hi = hi;
     EXPECT_THROW(compute_delay_cdf(g, opt), std::invalid_argument) << hi;
   }
+  // One explicit bound whose window resolves to zero length against the
+  // span [0, 1]: t_lo at the end time, or t_hi at the start time.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::pair<double, double> zero_span[] = {{1.0, nan}, {nan, 0.0}};
+  for (const auto& [lo, hi] : zero_span) {
+    opt.t_lo = lo;
+    opt.t_hi = hi;
+    EXPECT_THROW(compute_delay_cdf(g, opt), std::invalid_argument)
+        << lo << " " << hi;
+  }
 }
 
 TEST(DelayCdf, InfiniteWindowBoundsThrow) {

@@ -243,12 +243,12 @@ void expect_versions_match_cold(const IncrementalAllPairsEngine& engine,
 /// epoch) and checks every epoch not listed in `skip_all_pairs` against
 /// cold kDirect and kAuto (incremental) runs on the prefix, and every
 /// epoch's version lists against a cold engine. A skipped epoch calls no
-/// all_pairs, so the next one integrates several appends at once. The
-/// cold run must reject the prefix's window exactly on the epochs listed
-/// in `rejected`, and there all_pairs must throw the same error; a
-/// rejection anywhere else fails the test. `on_epoch`, if set, sees the
-/// engine after every append. Returns the results of the epochs that
-/// resolved.
+/// all_pairs, so the next one folds several appends at once. The cold
+/// run must reject the prefix's window exactly on the epochs listed in
+/// `rejected`, and there all_pairs must throw the same error and
+/// window_open() read false; a rejection anywhere else fails the test.
+/// `on_epoch`, if set, sees the engine after every append. Returns the
+/// results of the epochs that resolved.
 std::vector<DelayCdfResult> check_epoch_cuts(
     const TemporalGraph& full, std::vector<std::size_t> cuts,
     IncrementalCdfOptions io,
@@ -278,6 +278,7 @@ std::vector<DelayCdfResult> check_epoch_cuts(
         full.directed());
     expect_versions_match_cold(engine, prefix);
     if (listed(skip_all_pairs, e)) continue;
+    EXPECT_EQ(engine.window_open(), !listed(rejected, e)) << "epoch " << e;
     if (listed(rejected, e)) {
       std::string cold_error;
       try {
@@ -505,9 +506,10 @@ TEST(IncrementalEngine, NanWindowMovesOnlyDenominators) {
 }
 
 TEST(IncrementalEngine, SeveralAppendsBetweenAllPairs) {
-  // all_pairs skipped on chosen epochs: the next call finds partials
-  // that lag by two or more applies, or by one apply that changed
-  // nothing after one that did, and must take the full pass for them.
+  // all_pairs skipped on chosen epochs, among them runs of two and three
+  // and the epoch before an empty one: append keeps the partials up to
+  // date whether or not anyone folds them, so the next call folds them
+  // as they stand.
   unsigned seed = 91;
   for (const bool directed : {false, true}) {
     const TemporalGraph full = multi_day_graph(seed++, 3.5, 0.4, directed);
@@ -549,7 +551,7 @@ TEST(IncrementalEngine, ExplicitStartPastTheEarlyTrace) {
     double end = -std::numeric_limits<double>::infinity();
     for (std::size_t i = 0; i < cuts[e]; ++i)
       end = std::max(end, full.contacts()[i].end);
-    if (end < io.t_lo) rejected.push_back(e);
+    if (end <= io.t_lo) rejected.push_back(e);
   }
   ASSERT_GE(rejected.size(), 2u);
   ASSERT_LE(rejected.size(), cuts.size() - 3);
@@ -593,26 +595,33 @@ TEST(IncrementalEngine, VersionListsMatchColdEngineEveryEpoch) {
   check_epoch_splits(sample_graph(83), 9, io);
 }
 
-/// Appends `full` in the epochs delimited by `cuts` and checks, for every
-/// epoch that runs an apply, that lookup_original(d, k) afterwards equals
-/// frontier_at(d, k) before it, bit for bit, for every source, node and
-/// level 1..cap. Adds to `created` and `erased` how many (source, node,
-/// level) versions the applies created and erased.
+/// Appends `full` in the epochs delimited by `cuts` to a growing graph
+/// and advances one IncrementalSourceDp per source over it, as the live
+/// engine does with the NaN window (the first batch bootstraps), all in
+/// one ApplyScratch. Checks, for every apply, that lookup_original(d, k)
+/// right after it equals frontier_at(d, k) before it, bit for bit, for
+/// every node and level 1..cap. Adds to `created` and `erased` how many
+/// (source, node, level) versions the applies created and erased.
 void check_lookup_original(const TemporalGraph& full,
                            std::vector<std::size_t> cuts,
-                           IncrementalCdfOptions io, std::size_t& created,
-                           std::size_t& erased) {
-  io.grid = test_grid(full);
-  IncrementalAllPairsEngine engine(full.num_nodes(), full.directed(), io);
+                           const IncrementalCdfOptions& io,
+                           std::size_t& created, std::size_t& erased) {
   const std::size_t n = full.num_nodes();
+  const int cap = std::max(io.max_hops, io.max_levels);
+  const double inf = std::numeric_limits<double>::infinity();
+  const DelayHorizon horizon = cdf_horizon({{-inf, inf}}, test_grid(full));
+  std::vector<IncrementalSourceDp> dps;
+  for (NodeId src = 0; src < n; ++src) dps.emplace_back(src, n, cap, horizon);
+  IncrementalSourceDp::ApplyScratch scratch;
+  TemporalGraph graph(n, {}, full.directed());
   const auto pairs = [](const FrontierView& v) {
     std::vector<PathPair> out;
     for (std::size_t i = 0; i < v.size(); ++i) out.push_back(v.pair(i));
     return out;
   };
-  const auto levels = [&](NodeId src, NodeId d) {
+  const auto levels = [&](const IncrementalSourceDp& dp, NodeId d) {
     std::vector<int> out;
-    engine.source_dp(src).for_each_version(
+    dp.for_each_version(
         d, [&](int level, const FrontierView&) { out.push_back(level); });
     return out;
   };
@@ -620,37 +629,37 @@ void check_lookup_original(const TemporalGraph& full,
   cuts.push_back(contacts.size());
   std::size_t at = 0;
   for (const std::size_t cut : cuts) {
-    const bool applies = at > 0 && cut > at;  // the first batch bootstraps
-    const int cap = engine.source_dp(0).level_cap();
-    std::vector<std::vector<PathPair>> before;
-    std::vector<std::vector<int>> versions_before;
-    if (applies)
-      for (NodeId src = 0; src < n; ++src)
-        for (NodeId d = 0; d < n; ++d) {
-          versions_before.push_back(levels(src, d));
-          for (int k = 1; k <= cap; ++k)
-            before.push_back(pairs(engine.source_dp(src).frontier_at(d, k)));
-        }
-    engine.append(contacts.subspan(at, cut - at));
+    if (cut == at) continue;
+    const std::size_t old_count = at;
+    graph.append_contacts(contacts.subspan(at, cut - at));
     at = cut;
-    if (!applies) continue;
-    std::size_t i = 0, v = 0;
-    for (NodeId src = 0; src < n; ++src)
+    for (IncrementalSourceDp& dp : dps) {
+      if (old_count == 0) {
+        dp.bootstrap(graph, scratch);
+        continue;
+      }
+      std::vector<std::vector<PathPair>> before;
+      std::vector<std::vector<int>> versions_before;
       for (NodeId d = 0; d < n; ++d) {
-        const std::vector<int> old_levels = versions_before[v++];
-        const std::vector<int> new_levels = levels(src, d);
+        versions_before.push_back(levels(dp, d));
+        for (int k = 1; k <= cap; ++k)
+          before.push_back(pairs(dp.frontier_at(d, k)));
+      }
+      dp.apply(graph, old_count, scratch);
+      std::size_t i = 0;
+      for (NodeId d = 0; d < n; ++d) {
+        const std::vector<int>& old_levels = versions_before[d];
+        const std::vector<int> new_levels = levels(dp, d);
         for (const int l : new_levels)
           created += std::count(old_levels.begin(), old_levels.end(), l) == 0;
         for (const int l : old_levels)
           erased += std::count(new_levels.begin(), new_levels.end(), l) == 0;
         for (int k = 1; k <= cap; ++k)
-          ASSERT_EQ(pairs(engine.source_dp(src).lookup_original(d, k)),
-                    before[i++])
-              << "cut " << cut << " source " << src << " node " << d
+          ASSERT_EQ(pairs(dp.lookup_original(scratch, d, k)), before[i++])
+              << "cut " << cut << " source " << dp.source() << " node " << d
               << " level " << k;
       }
-    // Every epoch keeps the fold reading the saved records as it does live.
-    (void)engine.all_pairs();
+    }
   }
 }
 
@@ -699,9 +708,9 @@ TEST(IncrementalEngine, LookupOriginalIsThePreApplyFrontier) {
 }
 
 TEST(IncrementalEngine, EpochStateStaysSmallAgainstVersionLists) {
-  // After a bulk load, 160 one-contact tail epochs: the saved records
-  // hold one epoch's displaced versions and the apply scratch is one per
-  // worker, so together they stay below a tenth of the versions however
+  // After a bulk load, 160 one-contact tail epochs: the apply scratch,
+  // saved records included, is one per worker and holds one source's
+  // epoch at a time, so it stays below a tenth of the versions however
   // many epochs ran. An epoch displaces every version of the nodes it
   // changes, about one per source here, so the trace needs enough nodes
   // (80) for that to be a small share; contacts are clipped to an hour
@@ -731,11 +740,10 @@ TEST(IncrementalEngine, EpochStateStaysSmallAgainstVersionLists) {
     engine.append(contacts.subspan(at, kPerEpoch));
     (void)engine.all_pairs();
     const LiveHeapBytes b = engine.heap_bytes();
-    ASSERT_GT(b.saved, 0u);
     ASSERT_GT(b.scratch, 0u);
-    ASSERT_LT(10 * (b.saved + b.scratch), b.versions)
-        << "epoch " << e << ": saved " << b.saved << " scratch "
-        << b.scratch << " versions " << b.versions;
+    ASSERT_LT(10 * b.scratch, b.versions)
+        << "epoch " << e << ": scratch " << b.scratch << " versions "
+        << b.versions;
   }
 }
 
@@ -835,10 +843,9 @@ TEST(IncrementalEngine, CompactionKeepsEpochsBitIdentical) {
 TEST(IncrementalEngine, EmptyFirstAppendThenBulkAndTail) {
   // An empty epoch first (every lane integrated over no pairs), then the
   // bulk backlog seeds the DPs through bootstrap, which saves no
-  // records: the next integration must be a full pass over every
-  // destination the bulk load gave pairs to, and the small tail epochs
-  // after it epoch updates, with the explicit window and the growing
-  // NaN one.
+  // records: its integration is a full pass over every destination the
+  // bulk load gave pairs to, and the small tail epochs after it epoch
+  // updates, with the explicit window and the growing NaN one.
   const TemporalGraph full = multi_day_graph(87, 3.0, 0.3, false);
   const std::size_t n = full.num_contacts();
   const std::vector<std::size_t> cuts{0, 0, n - 9, n - 6, n - 5, n - 2};
@@ -867,6 +874,41 @@ TEST(IncrementalEngine, OneContactTailEpochIntegratesFewPairs) {
   ASSERT_EQ(epochs.size(), 2u);
   EXPECT_LT(100 * epochs[1].stats.cdf_pairs_integrated,
             epochs[0].stats.cdf_pairs_integrated);
+}
+
+TEST(IncrementalEngine, PairsIntegratedDoNotDependOnAllPairsCalls) {
+  // append() integrates each epoch whether or not all_pairs() follows,
+  // so over the same epoch cuts the pairs all_pairs() reports add up to
+  // the same count when it runs after every append as when it runs once
+  // at the end, and the last results are bit-identical.
+  const TemporalGraph full = multi_day_graph(103, 3.0, 0.4, false);
+  const auto contacts = full.contacts();
+  const std::size_t step = contacts.size() / 20 + 1;
+  for (const bool explicit_window : {true, false}) {
+    IncrementalCdfOptions io;
+    io.grid = test_grid(full);
+    io.max_hops = 5;
+    if (explicit_window) {
+      io.t_lo = full.start_time();
+      io.t_hi = full.end_time();
+    }
+    IncrementalAllPairsEngine every(full.num_nodes(), false, io);
+    IncrementalAllPairsEngine once(full.num_nodes(), false, io);
+    std::uint64_t summed = 0;
+    DelayCdfResult last;
+    for (std::size_t at = 0; at < contacts.size(); at += step) {
+      const auto batch =
+          contacts.subspan(at, std::min(step, contacts.size() - at));
+      every.append(batch);
+      last = every.all_pairs();
+      summed += last.stats.cdf_pairs_integrated;
+      once.append(batch);
+    }
+    const DelayCdfResult folded_once = once.all_pairs();
+    EXPECT_EQ(folded_once.stats.cdf_pairs_integrated, summed)
+        << "explicit window " << explicit_window;
+    expect_bit_identical(folded_once, last);
+  }
 }
 
 TEST(IncrementalEngine, ThreadCountsGiveIdenticalEpochs) {

@@ -48,15 +48,18 @@
 // compute_delay_cdf on the prefix ingested so far, under both kDirect
 // and the default kAuto (incremental) scheme, and every source's
 // version lists to equal a cold engine's frontiers at every level.
-// Epochs before the last skip all_pairs at random, so a call may find
-// partials that lag by several appends. Half of the trials use an
-// explicit start window (the full span, or in half of them a narrower
-// one), the other half the growing trace span (NaN bounds, as `odtn
-// tail` does), under which the partials keep their numerators and swap
-// only their observation measure. In half of the trials the delay grid
-// ends below the trace span, so with the narrow windows the DPs drop
-// pairs past their delay horizon; the cold engines and runs share the
-// live engine's horizon. Half of the trials first stretch the trace
+// Epochs before the last skip all_pairs at random, so a call may fold
+// partials that several appends brought up to date. Half of the trials
+// use an explicit start window (the full span, or in half of them a
+// narrower one), the other half the growing trace span (NaN bounds, as
+// `odtn tail` does), under which the partials keep their numerators and
+// swap only their observation measure. In a quarter of the narrow ones
+// t_hi is NaN, so the window stays empty until the trace passes t_lo:
+// all_pairs must throw the cold run's error until then, and the epoch
+// the window opens at takes the full pass. In half of the trials the
+// delay grid ends below the trace span, so with the narrow windows the
+// DPs drop pairs past their delay horizon; the cold engines and runs
+// share the live engine's horizon. Half of the trials first stretch the trace
 // over 3-6 days and shift it by a random non-integral number of days,
 // sometimes negative, so frontiers change at non-integral times over a
 // long span. It also
@@ -723,6 +726,10 @@ int live_trials(long trials, std::uint64_t base_seed) {
     if (!std::isnan(io.t_lo) && horizon_rng.bernoulli(0.5)) {
       io.t_lo = g.start_time() + span * horizon_rng.uniform(0.0, 0.6);
       io.t_hi = io.t_lo + span * horizon_rng.uniform(0.05, 0.4);
+      // A stream of its own: a window start the early epochs do not
+      // reach.
+      if (Rng::keyed(seed, 0x0be9).bernoulli(0.25))
+        io.t_hi = std::numeric_limits<double>::quiet_NaN();
     }
     DelayCdfOptions cold_opt;
     cold_opt.grid = io.grid;
@@ -751,7 +758,7 @@ int live_trials(long trials, std::uint64_t base_seed) {
     std::sort(cuts.begin(), cuts.end());
 
     // Epochs other than the last skip all_pairs at random (a stream of
-    // its own), so one call often integrates several appends.
+    // its own), so one call often folds several appends.
     Rng skip_rng = Rng::keyed(seed, 0x5c1b);
     IncrementalAllPairsEngine engine(g.num_nodes(), g.directed(), io);
     for (std::size_t e = 0; e + 1 < cuts.size(); ++e) {
@@ -767,8 +774,28 @@ int live_trials(long trials, std::uint64_t base_seed) {
           live_failure("version lists diverged from a cold engine", g, seed);
         continue;
       }
+      DelayCdfResult cold;
+      std::string cold_error;
+      try {
+        cold = compute_delay_cdf(prefix, cold_opt);
+      } catch (const std::invalid_argument& err) {
+        cold_error = err.what();
+      }
+      if (engine.window_open() != cold_error.empty())
+        live_failure("window_open() disagrees with the cold run", g, seed);
+      if (!cold_error.empty()) {
+        std::string live_error;
+        try {
+          (void)engine.all_pairs();
+        } catch (const std::invalid_argument& err) {
+          live_error = err.what();
+        }
+        if (live_error != cold_error)
+          live_failure("all_pairs did not throw the cold run's error", g,
+                       seed);
+        continue;
+      }
       const DelayCdfResult live = engine.all_pairs();
-      const DelayCdfResult cold = compute_delay_cdf(prefix, cold_opt);
       if (!cdf_results_identical(live, cold))
         live_failure("incremental epoch diverged from cold prefix recompute",
                      g, seed);

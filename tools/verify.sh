@@ -1,6 +1,8 @@
 #!/usr/bin/env sh
 # Extended verify: a fast `quick`-labelled smoke pass, then the tier-1
-# recipe (Release build + full ctest), then a second ctest pass under
+# recipe (Release build + full ctest), the ext_robustness CSV against
+# the committed bench_out/ (about 25 s, too slow for the ctest `repro`
+# gate), then a second ctest pass under
 # ASan + UBSan (the `sanitize` CMake preset) plus fuzz smokes under the
 # same sanitizers -- parser (malformed-trace corpus + randomized byte
 # mutations), kernel (batched frontier merge vs per-pair insert
@@ -10,8 +12,9 @@
 # (epoch splits vs cold recomputes) --
 # and a final pass of the concurrency suites (thread pool,
 # MC harness, empirical distribution, phase transition, LRU cache,
-# query engine, live ingest -- whose all_pairs updates per-source state
-# inside the parallel fold) under ThreadSanitizer (the `tsan` preset).
+# query engine, live ingest -- whose append updates each source's DP and
+# CDF partial inside the parallel fan-out) under ThreadSanitizer (the
+# `tsan` preset).
 # Run from the repository root.
 # Exits non-zero on the first failure.
 set -eu
@@ -25,6 +28,13 @@ ctest --preset quick
 
 echo "== tier-1: full ctest =="
 ctest --preset release
+
+echo "== tier-1b: ext_robustness against bench_out/ =="
+rm -rf build/bench/robustness_work
+mkdir -p build/bench/robustness_work
+(cd build/bench/robustness_work && ../bench_ext_robustness > /dev/null)
+cmp build/bench/robustness_work/bench_out/ext_robustness.csv \
+  bench_out/ext_robustness.csv
 
 echo "== tier-2: ASan+UBSan build + ctest =="
 cmake --preset sanitize
