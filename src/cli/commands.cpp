@@ -403,7 +403,8 @@ std::string usage_text() {
          "      [--window-lo T --window-hi T]\n"
          "                                      live-ingest a growing trace\n"
          "                                      ('-' = stdin); one diameter/\n"
-         "                                      CDF row per committed epoch\n"
+         "                                      CDF row per epoch of N\n"
+         "                                      contacts (default 256)\n"
          "  help                                this text\n"
          "\n"
          "durations accept suffixes: s, min, h, d, wk (e.g. --min-duration "

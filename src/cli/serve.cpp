@@ -434,14 +434,23 @@ int cmd_tail(ArgList args) {
   // row is asked for regardless when none was printed, so a window that
   // never opens fails with all_pairs' own error.
 
+  // A chunk is fed line by line and an epoch commits once --epoch
+  // contacts are pending: on a canonical feed each but the last holds N.
   std::uint64_t last_epoch = 0;
   bool emitted_any = false;
   char chunk[1 << 16];
   for (;;) {
     const std::size_t got = reader.read_chunk(chunk, sizeof chunk);
     if (got == 0) break;
-    session.feed(chunk, got);
-    if (session.header_complete() && session.pending() >= batch_contacts) {
+    const char* const end = chunk + got;
+    for (const char* p = chunk; p < end;) {
+      const auto* nl = static_cast<const char*>(
+          std::memchr(p, '\n', static_cast<std::size_t>(end - p)));
+      const char* const next = nl ? nl + 1 : end;
+      session.feed(p, static_cast<std::size_t>(next - p));
+      p = next;
+      if (!session.header_complete() || session.pending() < batch_contacts)
+        continue;
       const std::uint64_t e = session.commit_epoch();
       if (e != last_epoch) {
         last_epoch = e;

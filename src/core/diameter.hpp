@@ -22,24 +22,22 @@ namespace odtn {
 
 /// How compute_delay_cdf turns per-source frontiers into per-hop CDFs.
 enum class CdfAccumulation {
-  /// kIncremental for the pooled engine, kDirect for the level sweep.
+  /// Hop-incremental scheme for the pooled engine, kDirect for the level
+  /// sweep (which has no change tracking). Each accumulator k receives
+  /// only the level-k delta -- for destinations whose frontier changed
+  /// at level k, the old frontier's segments are retracted (weight -1)
+  /// and the new one's added -- and the per-hop CDFs are reconstructed
+  /// by one prefix_merge at finalization. Workers recycle a single
+  /// engine workspace across sources via SingleSourceEngine::reset, so
+  /// steady state allocates nothing (the pre-change frontiers are free
+  /// arena spans rather than copies). O(sum |changed frontier|)
+  /// integration work, up to ~K x less than kDirect.
   kAuto,
   /// Reference semantics: after each of the max_hops levels (and once
   /// more at the fixpoint), re-integrate EVERY destination's full
   /// delivery function into that hop budget's accumulator, with a fresh
   /// engine per source. O(K * sum |frontier|) integration work.
   kDirect,
-  /// Hop-incremental scheme (requires the pooled engine): each
-  /// accumulator k receives only the level-k delta --
-  /// for destinations whose frontier changed at level k, the old
-  /// frontier's segments are retracted (weight -1) and the new one's
-  /// added -- and the per-hop CDFs are reconstructed by one prefix_merge
-  /// at finalization. Workers recycle a single engine workspace across
-  /// sources via SingleSourceEngine::reset, so steady state allocates
-  /// nothing (the pre-change frontiers are free arena spans rather than
-  /// copies). O(sum |changed frontier|) integration work, up to ~K x
-  /// less.
-  kIncremental,
 };
 
 /// Options for the all-pairs delay-CDF computation.
@@ -80,9 +78,8 @@ struct DelayCdfOptions {
   /// kept as the oracle for cross-checks and benches.
   EngineMode engine = EngineMode::kPooled;
 
-  /// Accumulation scheme. kIncremental with the level-sweep engine
-  /// throws. Both schemes sum the same fixed-point addends exactly
-  /// (stats/measure_cdf.hpp), so their results are bit-identical
+  /// Accumulation scheme. Both schemes sum the same fixed-point addends
+  /// exactly (stats/measure_cdf.hpp), so their results are bit-identical
   /// (DelayCdf.IncrementalMatchesDirectOnRandomNetworks); they differ
   /// only in cost.
   CdfAccumulation accumulation = CdfAccumulation::kAuto;
@@ -153,7 +150,7 @@ struct DelayCdfResult {
 /// destination's delivery function over all start times -- either in
 /// full at every hop budget (CdfAccumulation::kDirect) or, by default
 /// with the pooled engine, incrementally from the engine's per-level
-/// change sets (CdfAccumulation::kIncremental). One code path: sources are
+/// change sets (CdfAccumulation::kAuto). One code path: sources are
 /// handed out dynamically to the workers and their partials' exact sums
 /// folded as they arrive, so the result is bit-identical for every
 /// thread count. Throws std::invalid_argument on a bad window, including

@@ -1,4 +1,8 @@
-// Batched Pareto-frontier kernels over structure-of-arrays pair storage.
+// Batched Pareto-frontier kernels over structure-of-arrays pair storage:
+// the level step of the hop DP (paper §4.4). Both production DPs, the
+// pooled SingleSourceEngine and the live IncrementalSourceDp, extend and
+// publish through these; only the level-sweep oracle still inserts one
+// candidate at a time.
 //
 // DeliveryFunction, the reference, maintains its two lanes by
 // per-candidate `insert()`: a binary search plus a mid-lane element
@@ -6,6 +10,9 @@
 // that with batched operations exploiting the double-monotone invariant
 // (both LD and EA strictly increase along a frontier):
 //
+//   for_each_delta_extension -- offers the candidates one node's delta
+//       (the pairs newly kept at the previous level) yields through the
+//       node's end-sorted contact windows.
 //   prune_candidate_batch -- collapses one level's raw candidates for a
 //       single destination into a Pareto front (sort + one stack pass).
 //   merge_frontier        -- a single descending two-way merge of the
@@ -14,15 +21,18 @@
 //       needed for wait-candidate suppression) in one pass: O(F + m)
 //       total, independent of how many candidates are kept.
 //
-// Both kernels reproduce `DeliveryFunction::insert` semantics bit for
-// bit (the Pareto front of a pair set is unique); this is gated
-// by tests/test_frontier_kernels.cpp and `odtn_fuzz --kernel`.
+// Prune and merge reproduce `DeliveryFunction::insert` semantics bit for
+// bit (the Pareto front of a pair set is unique); this is gated by
+// tests/test_frontier_kernels.cpp and `odtn_fuzz --kernel`.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "core/path_pair.hpp"
+#include "core/temporal_graph.hpp"
 
 namespace odtn {
 
@@ -60,6 +70,49 @@ inline bool frontier_dominates(const double* f_ld, const double* f_ea,
   // ascends with ld), so it is the only candidate to check.
   const std::size_t i = frontier_lower_bound(f_ld, n, ld);
   return i < n && f_ea[i] <= ea;
+}
+
+/// Extends one node's delta -- lanes ld/ea/succ of length n >= 1: a
+/// subsequence of its frontier, succ[i] the EA of pair i's successor
+/// there (+infinity for the last) -- through the node's end-sorted
+/// windows `nbrs`, calling offer(to, ld, ea) per candidate in window
+/// order. The cases of for_each_frontier_extension, with two lossless
+/// prunes: windows ending before the delta's first ea (no pair rides
+/// them) or before `window_lo` (every candidate departs before it) are
+/// skipped by one binary search; and a window whose begin reaches
+/// succ[i-1] draws its wait candidate from the successor chain, whose
+/// extensions were offered the level after it entered, so the delta's
+/// own is provably dominated and not offered. Returns the number of
+/// windows examined.
+template <typename Offer>
+__attribute__((always_inline)) inline std::size_t for_each_delta_extension(
+    std::span<const NodeContact> nbrs, const double* ld, const double* ea,
+    const double* succ, std::size_t n, double window_lo, Offer&& offer) {
+  const double min_ea = std::max(ea[0], window_lo);
+  auto it = std::lower_bound(
+      nbrs.begin(), nbrs.end(), min_ea,
+      [](const NodeContact& nc, double t) { return nc.end < t; });
+  const auto examined = static_cast<std::size_t>(nbrs.end() - it);
+  // Ends ascend, so the count of pairs ridable within the window only
+  // grows. Begins are only roughly ordered by end, so the arrival cursor
+  // (first pair arriving after the window opens) moves both ways; it
+  // drifts little, which beats re-scanning the delta per window.
+  std::size_t ride_hi = 0;
+  std::size_t arr = 0;
+  for (; it != nbrs.end(); ++it) {
+    const NodeId to = it->to;
+    const double wb = it->begin, we = it->end;
+    while (ride_hi < n && ea[ride_hi] <= we) ++ride_hi;
+    while (arr < n && ea[arr] <= wb) ++arr;
+    while (arr > 0 && ea[arr - 1] > wb) --arr;
+    std::size_t i = arr;
+    if (i > 0 && wb < succ[i - 1]) offer(to, std::min(ld[i - 1], we), wb);
+    for (; i < ride_hi; ++i) {
+      offer(to, std::min(ld[i], we), ea[i]);
+      if (ld[i] >= we) break;
+    }
+  }
+  return examined;
 }
 
 /// Sorts `batch[0, m)` in place and collapses it to its Pareto front

@@ -14,10 +14,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// The level-0 seed of every source: departs arbitrarily late, arrived
-/// before any contact (same literal the engines use).
-PathPair identity_pair() { return {kInf, -kInf}; }
-
 /// Appends `f`'s pairs to `arena`. May grow it, so every view into the
 /// arena taken before the call is invalid after it.
 PairSpan append_pairs(PairArena& arena, const FrontierView& f) {
@@ -35,26 +31,6 @@ bool frontier_equals(const FrontierView& a, const FrontierView& b) {
   return true;
 }
 
-/// Whether `v` holds `p`, advancing the cursor `j` (frontiers are sorted
-/// with strictly increasing ld, at most one pair per ld).
-bool holds(const FrontierView& v, std::size_t& j, const PathPair& p) {
-  while (j < v.size() && v.ld(j) < p.ld) ++j;
-  return j < v.size() && v.ld(j) == p.ld && v.ea(j) == p.ea;
-}
-
-/// Pairs of `f` absent from both `below` and `old_view`, into `out`.
-void fresh_pairs(const FrontierView& f, const FrontierView& below,
-                 const FrontierView& old_view, std::vector<PathPair>& out) {
-  out.clear();
-  std::size_t j = 0, m = 0;
-  for (std::size_t i = 0; i < f.size(); ++i) {
-    const PathPair p = f.pair(i);
-    const bool in_below = holds(below, j, p);
-    const bool in_old = holds(old_view, m, p);
-    if (!in_below && !in_old) out.push_back(p);
-  }
-}
-
 }  // namespace
 
 IncrementalSourceDp::IncrementalSourceDp(NodeId source, std::size_t num_nodes,
@@ -67,7 +43,7 @@ IncrementalSourceDp::IncrementalSourceDp(NodeId source, std::size_t num_nodes,
   if (level_cap < 1)
     throw std::invalid_argument("IncrementalSourceDp: level cap must be >= 1");
   nodes_.resize(num_nodes);
-  const PathPair seed = identity_pair();
+  constexpr PathPair seed = identity_pair();
   nodes_[source_].push_back(
       {0, append_pairs(arena_, FrontierView(&seed.ld, &seed.ea, 1))});
   live_ = 1;
@@ -100,22 +76,6 @@ FrontierView IncrementalSourceDp::lookup_original(const ApplyScratch& scratch,
   return lookup(std::span<const Version>(scratch.saved)
                     .subspan(m.saved, m.saved_count),
                 level);
-}
-
-DeliveryFunction& IncrementalSourceDp::ensure_working(ApplyScratch& scratch,
-                                                      NodeId node, int level) {
-  ApplyScratch::Node& s = scratch.nodes[node];
-  if (!s.active) {
-    // Base = L'_{level-1} (the list is already updated through level-1),
-    // then the pre-epoch L_level: together with the candidate extensions
-    // their Pareto merge is exactly L'_level. Both are canonical
-    // frontiers, so one linear merge seeds the scratch.
-    s.working.assign_union(lookup(nodes_[node], level - 1),
-                           lookup_original(scratch, node, level));
-    s.active = true;
-    scratch.level_active.push_back(node);
-  }
-  return s.working;
 }
 
 void IncrementalSourceDp::save(ApplyScratch& scratch, NodeId node) const {
@@ -215,15 +175,17 @@ std::size_t capacity_bytes(const std::vector<T>& v) noexcept {
 }  // namespace
 
 std::size_t IncrementalSourceDp::ApplyScratch::heap_bytes() const noexcept {
-  std::size_t b = capacity_bytes(nodes) + capacity_bytes(fresh_active) +
-                  capacity_bytes(next_fresh_active) + capacity_bytes(carry) +
+  std::size_t b = capacity_bytes(nodes) + fresh.capacity_bytes() +
+                  next_fresh.capacity_bytes() + capacity_bytes(fresh_active) +
+                  capacity_bytes(fresh_spans) +
+                  capacity_bytes(next_fresh_active) +
+                  capacity_bytes(next_fresh_spans) + capacity_bytes(carry) +
                   capacity_bytes(next_carry) + capacity_bytes(level_active) +
-                  capacity_bytes(succ_ea) + pairs.capacity_bytes() +
+                  base.heap_bytes() + capacity_bytes(merged_ld) +
+                  capacity_bytes(merged_ea) + pairs.capacity_bytes() +
                   capacity_bytes(saved) + capacity_bytes(marks) +
                   capacity_bytes(changed);
-  for (const Node& n : nodes)
-    b += n.working.heap_bytes() + capacity_bytes(n.fresh) +
-         capacity_bytes(n.next_fresh);
+  for (const Node& n : nodes) b += capacity_bytes(n.batch);
   return b;
 }
 
@@ -257,44 +219,15 @@ void IncrementalSourceDp::apply(const TemporalGraph& graph,
   if (scratch.nodes.size() < nodes_.size()) scratch.nodes.resize(nodes_.size());
   std::vector<ApplyScratch::Node>& sn = scratch.nodes;
   std::vector<NodeId>& fresh_active = scratch.fresh_active;
+  std::vector<PairSpan>& fresh_spans = scratch.fresh_spans;
   std::vector<NodeId>& next_fresh_active = scratch.next_fresh_active;
+  std::vector<PairSpan>& next_fresh_spans = scratch.next_fresh_spans;
   std::vector<NodeId>& carry = scratch.carry;
   std::vector<NodeId>& next_carry = scratch.next_carry;
   std::vector<NodeId>& level_active = scratch.level_active;
-  std::vector<double>& succ_ea = scratch.succ_ea;
   fresh_active.clear();
+  fresh_spans.clear();
   carry.clear();
-
-  // Routes one candidate into `to`'s level-k working frontier, but only
-  // materializes the scratch once a candidate actually survives: a pair
-  // dominated by the base L'_{k-1} or by the pre-epoch L_k is dominated
-  // by their Pareto merge too, so it cannot change the node's level-k
-  // value. A pair past the horizon is dropped first, as the cold
-  // engines drop it.
-  const auto offer_to = [&](NodeId to, int k, PathPair cand) {
-    if (horizon_.past(cand.ld, cand.ea)) return;
-    const ApplyScratch::Node& s = sn[to];
-    const auto dominated_in = [&](const FrontierView& v) {
-      return frontier_dominates(v.ld_data(), v.ea_data(), v.size(), cand.ld,
-                                cand.ea);
-    };
-    if (!s.active && (dominated_in(lookup(nodes_[to], k - 1)) ||
-                      dominated_in(lookup_original(scratch, to, k))))
-      return;
-    ensure_working(scratch, to, k).insert(cand);
-  };
-
-  // Extends L'_{k-1}(u) through one new contact window into `to`'s
-  // working frontier, fired only when u's frontier changed at exactly
-  // level k-1 (earlier versions already propagated through this window
-  // at their own level + 1; see the quiescence argument in DESIGN.md §9).
-  const auto fire_new_contact = [&](NodeId u, NodeId to, const Contact& c,
-                                    int k) {
-    const Version* v = version_at(u, k - 1);
-    if (!v) return;
-    for_each_frontier_extension(view(v->span), c.begin, c.end,
-                                [&](PathPair cand) { offer_to(to, k, cand); });
-  };
 
   for (int k = 1; k <= cap_; ++k) {
     // Two candidate feeds keep the level alive: pending fresh pairs, and
@@ -306,53 +239,57 @@ void IncrementalSourceDp::apply(const TemporalGraph& graph,
     if (fresh_active.empty() && k > max_level_ + 1) break;
     level_active.clear();
 
-    for (NodeId u : fresh_active) {
-      const std::vector<PathPair>& dp = sn[u].fresh;
-      // Per fresh pair, the ea of its successor in u's full L'_{k-1}
-      // frontier (fresh pairs are a subsequence of it; both ea-sorted,
-      // one merge walk finds every successor). A window whose begin
-      // reaches at or past that successor draws its wait candidate from
-      // the successor chain -- pairs with larger ld whose extensions were
-      // already absorbed the level after they entered, this epoch or an
-      // earlier one -- so the fresh pair's wait candidate is provably
-      // dominated and is not offered at all (the engines' wait-candidate
-      // suppression, carried across epochs by the same quiescence
-      // argument fire_new_contact relies on).
-      const FrontierView fp = lookup(nodes_[u], k - 1);
-      succ_ea.resize(dp.size());
-      for (std::size_t j = 0, pos = 0; j < dp.size(); ++j) {
-        while (fp.ea(pos) < dp[j].ea) ++pos;
-        succ_ea[j] = pos + 1 < fp.size() ? fp.ea(pos + 1) : kInf;
+    // Collects one candidate into `to`'s level-k batch, but only lets a
+    // node join the level once a candidate survives: a pair dominated by
+    // the base L'_{k-1} (the list is already updated through k-1) or by
+    // the pre-epoch L_k is dominated by their Pareto merge too, so it
+    // cannot change the node's level-k value. A pair past the horizon is
+    // dropped first, as the cold engines drop it.
+    const auto offer = [&](NodeId to, double ld, double ea) {
+      if (horizon_.past(ld, ea)) return;
+      ApplyScratch::Node& s = sn[to];
+      const auto dominated_in = [&](const FrontierView& v) {
+        return frontier_dominates(v.ld_data(), v.ea_data(), v.size(), ld, ea);
+      };
+      if (!s.active) {
+        if (dominated_in(lookup(nodes_[to], k - 1)) ||
+            dominated_in(lookup_original(scratch, to, k)))
+          return;
+        s.active = true;
+        level_active.push_back(to);
       }
-      // The first fresh pair's ea is the earliest arrival; windows
-      // ending before it, or before the horizon's window_lo, are
-      // unusable or yield only pairs past the horizon: the same by-end
-      // skip the delta engines make.
-      const double min_ea = std::max(dp.front().ea, horizon_.window_lo);
-      const std::span<const NodeContact> nbrs = graph.neighbors_by_end(u);
-      auto it = std::lower_bound(
-          nbrs.begin(), nbrs.end(), min_ea,
-          [](const NodeContact& w, double t) { return w.end < t; });
-      for (; it != nbrs.end(); ++it) {
-        const NodeId to = it->to;
-        const double wb = it->begin, we = it->end;
-        // Same extension cases as for_each_frontier_extension, with a
-        // linear scan (fresh sets hold a handful of pairs) and the wait
-        // suppression above.
-        std::size_t i = 0;
-        while (i < dp.size() && dp[i].ea <= wb) ++i;
-        if (i > 0 && wb < succ_ea[i - 1])
-          offer_to(to, k, {std::min(dp[i - 1].ld, we), wb});
-        for (; i < dp.size() && dp[i].ea <= we; ++i) {
-          offer_to(to, k, {std::min(dp[i].ld, we), dp[i].ea});
-          if (dp[i].ld >= we) break;
-        }
-      }
+      s.batch.push_back({ld, ea});
+    };
+
+    // Fresh pairs of L'_{k-1} through every window of their node, with
+    // the pooled engine's by-end skip and wait-candidate suppression:
+    // the successor chain a suppressed wait candidate defers to entered
+    // at an earlier level, this epoch or an earlier one, and had its
+    // extensions absorbed then (the same quiescence argument the new
+    // contact feed below relies on; DESIGN.md §9).
+    const PairArena& fa = scratch.fresh;
+    for (std::size_t a = 0; a < fresh_active.size(); ++a) {
+      const PairSpan fs = fresh_spans[a];
+      for_each_delta_extension(graph.neighbors_by_end(fresh_active[a]),
+                               fa.ld() + fs.offset, fa.ea() + fs.offset,
+                               fa.aux() + fs.offset, fs.length,
+                               horizon_.window_lo, offer);
     }
 
+    // L'_{k-1}(u) through one new contact window, fired only when u's
+    // frontier changed at exactly level k-1 (earlier versions already
+    // propagated through this window at their own level + 1; see the
+    // quiescence argument in DESIGN.md §9).
+    const auto fire_new_contact = [&](NodeId u, NodeId to, const Contact& c) {
+      const Version* v = version_at(u, k - 1);
+      if (!v) return;
+      for_each_frontier_extension(
+          view(v->span), c.begin, c.end,
+          [&](PathPair cand) { offer(to, cand.ld, cand.ea); });
+    };
     for (const Contact& c : batch) {
-      fire_new_contact(c.u, c.v, c, k);
-      if (!directed) fire_new_contact(c.v, c.u, c, k);
+      fire_new_contact(c.u, c.v, c);
+      if (!directed) fire_new_contact(c.v, c.u, c);
     }
 
     // A carried node without candidates has L'_k = Pareto(L'_{k-1} u
@@ -360,46 +297,74 @@ void IncrementalSourceDp::apply(const TemporalGraph& graph,
     // L_{k-1}, which L'_{k-1} dominates, so L'_k = L'_{k-1} holds with
     // no version; only a pre-epoch version at k needs rewriting.
     for (NodeId d : carry)
-      if (!sn[d].active && version_at(d, k)) ensure_working(scratch, d, k);
+      if (!sn[d].active && version_at(d, k)) {
+        sn[d].active = true;
+        level_active.push_back(d);
+      }
 
+    // Publication, as the pooled engine's: L'_k is the batch pruned and
+    // merged into Pareto(L'_{k-1} u old L_k), and the merge's new pairs
+    // (f minus that base, which is f minus L'_{k-1} and old L_k: a pair
+    // of either that the base drops is dominated in f) are the fresh
+    // pairs of level k, successor EAs included. Only they need extending
+    // at k+1: a pair of L'_k \ old L_k that is also in L'_{k-1} was not
+    // in old L_{k-1} (old L_k would hold a pair dominating it, and so
+    // would L'_k), so it was fresh at an earlier level and its
+    // extensions were offered then.
+    PairArena& nfa = scratch.next_fresh;
+    nfa.reset();
     next_fresh_active.clear();
+    next_fresh_spans.clear();
     next_carry.clear();
     for (NodeId d : level_active) {
       ApplyScratch::Node& s = sn[d];
-      const FrontierView f = s.working.view();
+      const FrontierView below = lookup(nodes_[d], k - 1);
+      scratch.base.assign_union(below, lookup_original(scratch, d, k));
+      const FrontierView base = scratch.base.view();
+      const std::size_t m =
+          prune_candidate_batch(s.batch.data(), s.batch.size());
+      const std::size_t out = base.size() + m;
+      scratch.merged_ld.resize(out);
+      scratch.merged_ea.resize(out);
+      const std::size_t d_off = nfa.allocate(m);
+      const FrontierMerge r = merge_frontier(
+          base.ld_data(), base.ea_data(), base.size(), s.batch.data(), m,
+          scratch.merged_ld.data(), scratch.merged_ea.data(),
+          nfa.ld() + d_off, nfa.ea() + d_off, nfa.aux() + d_off);
+      const FrontierView f(scratch.merged_ld.data() + out - r.kept,
+                           scratch.merged_ea.data() + out - r.kept, r.kept);
       // Version-iff-productive invariant: a version at k exists exactly
       // when L'_k != L'_{k-1}.
-      if (!frontier_equals(f, lookup(nodes_[d], k - 1)))
+      if (!frontier_equals(f, below))
         write_version(scratch, d, k, f);
       else
         erase_exact_version(scratch, d, k);
       // A rewritten node stays carried while its level-k value differs
       // from the pre-epoch one. (Looked up after the write: an append
       // may move the arena.)
-      const FrontierView old_k = lookup_original(scratch, d, k);
-      if (!frontier_equals(f, old_k)) {
+      if (!frontier_equals(f, lookup_original(scratch, d, k))) {
         next_carry.push_back(d);
         if (!std::exchange(scratch.marks[d].changed, true))
           scratch.changed.push_back(d);
       }
-      // Only fresh pairs need extending at k+1: a pair of L'_k \ old L_k
-      // that is also in L'_{k-1} was not in old L_{k-1} (old L_k would
-      // hold a pair dominating it, and so would L'_k), so it was fresh
-      // at an earlier level and its extensions were offered then.
-      fresh_pairs(f, lookup(nodes_[d], k - 1), old_k, s.next_fresh);
-      if (!s.next_fresh.empty()) next_fresh_active.push_back(d);
+      if (r.kept_new > 0) {
+        next_fresh_active.push_back(d);
+        next_fresh_spans.push_back(
+            {static_cast<std::uint32_t>(d_off + m - r.kept_new),
+             static_cast<std::uint32_t>(r.kept_new)});
+      }
     }
     // Carried nodes not rewritten at k keep L'_k = L'_{k-1} != old L_k.
     for (NodeId d : carry)
       if (!sn[d].active) next_carry.push_back(d);
-    for (NodeId d : level_active) sn[d].active = false;
-    carry.swap(next_carry);
-    for (NodeId u : fresh_active) sn[u].fresh.clear();
-    for (NodeId d : next_fresh_active) {
-      sn[d].fresh.swap(sn[d].next_fresh);
-      sn[d].next_fresh.clear();
+    for (NodeId d : level_active) {
+      sn[d].active = false;
+      sn[d].batch.clear();
     }
+    carry.swap(next_carry);
     fresh_active.swap(next_fresh_active);
+    fresh_spans.swap(next_fresh_spans);
+    std::swap(scratch.fresh, scratch.next_fresh);
   }
 
   // Deletions can lower the deepest productive level (a new direct

@@ -22,6 +22,11 @@
 //     had a pre-epoch version,
 //
 // so epoch cost is O(new contacts x affected frontiers), not O(trace).
+// A level runs through the pooled engine's kernels
+// (core/frontier_kernels.hpp): fresh pairs extend by
+// for_each_delta_extension, and each node's candidates are pruned and
+// merged into Pareto(L'_{k-1} u old L_k), whose new pairs, with their
+// successor EAs, are the next level's fresh pairs.
 //
 // Frontier pairs are exact copies/min/max of contact endpoints and the
 // version merge is plain Pareto-set maintenance, so after any sequence
@@ -49,8 +54,8 @@
 // exactly the addends a cold run adds, and all_pairs() only resolves the
 // window and folds the partials through fold_sources, as every
 // all-pairs path does: each epoch's DelayCdfResult is bit-identical to
-// a cold compute_delay_cdf on the trace so far, under kDirect and
-// kIncremental alike. The IncrementalEngine tests and `odtn_fuzz --live`
+// a cold compute_delay_cdf on the trace so far, under either
+// accumulation scheme. The IncrementalEngine tests and `odtn_fuzz --live`
 // gate the identity; the epoch cost is the `live_tail` workload of
 // odtnbench.
 #pragma once
@@ -109,27 +114,35 @@ class IncrementalSourceDp {
  public:
   /// Working state of apply(), reused across sources and epochs: a
   /// worker runs one apply() at a time, so one scratch per worker
-  /// serves every source it advances. apply() resets it, and a node's
-  /// `fresh` is only read after the level that filled it. What the
-  /// apply saved and changed stays readable until the scratch's next
-  /// apply(): lookup_original() and `changed`.
+  /// serves every source it advances. apply() resets it, and the fresh
+  /// spans are only read at the level after the one that filled them.
+  /// What the apply saved and changed stays readable until the
+  /// scratch's next apply(): lookup_original() and `changed`.
   struct ApplyScratch {
     struct Node {
-      bool active = false;       // working initialized at the current level
-      DeliveryFunction working;  // L'_k being assembled
-      /// Fresh pairs of L'_{k-1}: in neither L'_{k-2} nor old L_{k-1}.
-      std::vector<PathPair> fresh;
-      std::vector<PathPair> next_fresh;
+      bool active = false;  // publishes at the current level
+      std::vector<PathPair> batch;  // the level's surviving candidates
     };
     std::vector<Node> nodes;
+    /// Fresh pairs of L'_{k-1} (in neither L'_{k-2} nor old L_{k-1}: the
+    /// new pairs of the level's merge) with their successor EA in the aux
+    /// lane; spans aligned with fresh_active.
+    PairArena fresh{true};
+    PairArena next_fresh{true};
     std::vector<NodeId> fresh_active;
+    std::vector<PairSpan> fresh_spans;
     std::vector<NodeId> next_fresh_active;
+    std::vector<PairSpan> next_fresh_spans;
     /// Nodes whose L'_{k-1} differs from old L_{k-1}: rewritten at level
     /// k only where they had a pre-epoch version at exactly k.
     std::vector<NodeId> carry;
     std::vector<NodeId> next_carry;
     std::vector<NodeId> level_active;
-    std::vector<double> succ_ea;
+    /// Pareto(L'_{k-1} u old L_k) of the node being published, and the
+    /// lanes its merge with the batch is written to.
+    DeliveryFunction base;
+    std::vector<double> merged_ld;
+    std::vector<double> merged_ea;
     /// Where compaction and bootstrap pack a source's live pairs.
     PairArena pairs;
     /// The records of each node the apply wrote, as they were before its
@@ -222,8 +235,6 @@ class IncrementalSourceDp {
     return FrontierView(arena_.ld() + s.offset, arena_.ea() + s.offset,
                         s.length);
   }
-  DeliveryFunction& ensure_working(ApplyScratch& scratch, NodeId node,
-                                   int level);
   FrontierView lookup(std::span<const Version> versions, int level) const;
   /// Saves `node`'s records before its first modification this apply.
   void save(ApplyScratch& scratch, NodeId node) const;

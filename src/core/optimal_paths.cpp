@@ -12,9 +12,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// The empty sequence: the message is at the source at all times.
-constexpr PathPair identity_pair() noexcept { return {kInf, -kInf}; }
-
 }  // namespace
 
 bool extend_frontier(const DeliveryFunction& from, double begin, double end,
@@ -62,15 +59,16 @@ void SingleSourceEngine::seed_pooled() {
   // The source's frontier and level-0 delta are both exactly the identity
   // pair; the delta's successor EA is +infinity (it has no successor), so
   // every wait candidate off the identity is offered.
+  const PathPair id = identity_pair();
   const std::size_t off = arena_.allocate(1);
-  arena_.ld()[off] = kInf;
-  arena_.ea()[off] = -kInf;
+  arena_.ld()[off] = id.ld;
+  arena_.ea()[off] = id.ea;
   fspan_[source_] = {static_cast<std::uint32_t>(off), 1};
-  last_pair_[source_] = identity_pair();
+  last_pair_[source_] = id;
   PairArena& da = delta_arena_[delta_parity_];
   const std::size_t d = da.allocate(1);
-  da.ld()[d] = kInf;
-  da.ea()[d] = -kInf;
+  da.ld()[d] = id.ld;
+  da.ea()[d] = id.ea;
   da.aux()[d] = kInf;
   delta_spans_.assign(1, PairSpan{static_cast<std::uint32_t>(d), 1});
   active_.assign(1, source_);
@@ -152,94 +150,53 @@ bool SingleSourceEngine::step_pooled() {
   // delta arena here, so their base pointers are stable for the phase.
   const PairArena& da = delta_arena_[delta_parity_];
   const DelayHorizon h = horizon_;
+  const double* const f_ld = arena_.ld();
+  const double* const f_ea = arena_.ea();
   std::uint64_t dominated = 0;  // batched into stats_ after the loop
   std::uint64_t past_horizon = 0;
-  for (std::size_t a = 0; a < active_.size(); ++a) {
-    const NodeId u = active_[a];
-    const PairSpan ds = delta_spans_[a];
-    const double* dld = da.ld() + ds.offset;
-    const double* dea = da.ea() + ds.offset;
-    const double* dsucc = da.aux() + ds.offset;
-    const std::size_t dn = ds.length;
-    // No delta pair can ride a contact that ends before the delta's
-    // earliest arrival (both extension cases need ea <= end), and every
-    // candidate through a contact ending before the horizon's window_lo
-    // departs before it (ld <= end), so the whole prefix of the by-end
-    // index below both is skipped at once.
-    const double min_ea = std::max(dea[0], h.window_lo);
-    const auto nbrs = graph_->neighbors_by_end(u);
-    auto it = std::lower_bound(
-        nbrs.begin(), nbrs.end(), min_ea,
-        [](const NodeContact& nc, double t) { return nc.end < t; });
-    stats_.contacts_examined +=
-        static_cast<std::uint64_t>(nbrs.end() - it);
-    const double* const f_ld = arena_.ld();
-    const double* const f_ea = arena_.ea();
-    // Contacts ascend by end while deltas ascend by ea, so the count of
-    // delta pairs ridable within the current contact only grows. The
-    // arrival cursor (first delta pair arriving after the window opens)
-    // is not monotone -- begins are only roughly ordered by end -- but
-    // it drifts little, so a bidirectional cursor beats re-scanning the
-    // delta from the front on every contact.
-    std::size_t ride_hi = 0;
-    std::size_t arr = 0;
-    for (; it != nbrs.end(); ++it) {
-      const NodeId to = it->to;
-      const double wb = it->begin, we = it->end;
-      // Offer-time filter against the target's frontier -- still exactly
-      // L_k, publication is deferred to phase 2. Same-level dominance
-      // between candidates is handled by the batch prune at publish.
-      // last_pair_ keeps the probe's common outcomes (departs past the
-      // frontier -> kept; arrives at/after the frontier's max arrival ->
-      // dominated) inside one tiny L1-resident array; only candidates
-      // landing strictly inside the frontier hit the arena lanes.
-      // Forced inline: this is the engine's hottest call, and GCC's
-      // unit-growth heuristic can leave it out of line depending on the
-      // size of this file (GCC 12, x86-64: ~7% more all-pairs CPU).
-      auto offer = [&](double cld,
-                       double cea) __attribute__((always_inline)) {
-        if (h.past(cld, cea)) {
-          ++past_horizon;
-          return;
-        }
-        const PathPair lp = last_pair_[to];
-        if (cld <= lp.ld) {
-          if (lp.ea <= cea) {
-            ++dominated;
-            return;
-          }
-          const PairSpan ts = fspan_[to];
-          if (frontier_dominates(f_ld + ts.offset, f_ea + ts.offset,
-                                 ts.length, cld, cea)) {
-            ++dominated;
-            return;
-          }
-        }
-        cand_.push_back({cld, cea, to});
-        ++cand_count_[to];
-        if (!dirty_mark_[to]) {
-          dirty_mark_[to] = 1;
-          next_active_.push_back(to);
-        }
-      };
-      // Same extension cases as for_each_frontier_extension, with a
-      // linear scan (deltas hold a handful of pairs) and wait-candidate
-      // suppression: a window whose begin reaches the delta pair's
-      // successor EA (its successor in the node's full frontier, carried
-      // in the aux lane) draws its wait candidate from the successor
-      // chain -- pairs with strictly larger ld whose offers already
-      // happened the level after they entered -- so the delta's own wait
-      // candidate is provably dominated and is not offered at all.
-      while (ride_hi < dn && dea[ride_hi] <= we) ++ride_hi;
-      while (arr < dn && dea[arr] <= wb) ++arr;
-      while (arr > 0 && dea[arr - 1] > wb) --arr;
-      std::size_t i = arr;
-      if (i > 0 && wb < dsucc[i - 1]) offer(std::min(dld[i - 1], we), wb);
-      for (; i < ride_hi; ++i) {
-        offer(std::min(dld[i], we), dea[i]);
-        if (dld[i] >= we) break;
+  // Offer-time filter against the target's frontier -- still exactly
+  // L_k, publication is deferred to phase 2. Same-level dominance
+  // between candidates is handled by the batch prune at publish.
+  // last_pair_ keeps the probe's common outcomes (departs past the
+  // frontier -> kept; arrives at/after the frontier's max arrival ->
+  // dominated) inside one tiny L1-resident array; only candidates
+  // landing strictly inside the frontier hit the arena lanes.
+  // Forced inline, as the kernel that calls it is: this is the engine's
+  // hottest call, and GCC's unit-growth heuristic can leave it out of
+  // line depending on the size of this file (GCC 12, x86-64: ~7% more
+  // all-pairs CPU).
+  auto offer = [&](NodeId to, double cld,
+                   double cea) __attribute__((always_inline)) {
+    if (h.past(cld, cea)) {
+      ++past_horizon;
+      return;
+    }
+    const PathPair lp = last_pair_[to];
+    if (cld <= lp.ld) {
+      if (lp.ea <= cea) {
+        ++dominated;
+        return;
+      }
+      const PairSpan ts = fspan_[to];
+      if (frontier_dominates(f_ld + ts.offset, f_ea + ts.offset, ts.length,
+                             cld, cea)) {
+        ++dominated;
+        return;
       }
     }
+    cand_.push_back({cld, cea, to});
+    ++cand_count_[to];
+    if (!dirty_mark_[to]) {
+      dirty_mark_[to] = 1;
+      next_active_.push_back(to);
+    }
+  };
+  for (std::size_t a = 0; a < active_.size(); ++a) {
+    const PairSpan ds = delta_spans_[a];
+    stats_.contacts_examined += for_each_delta_extension(
+        graph_->neighbors_by_end(active_[a]), da.ld() + ds.offset,
+        da.ea() + ds.offset, da.aux() + ds.offset, ds.length, h.window_lo,
+        offer);
   }
 
   stats_.pairs_dominated += dominated;

@@ -23,14 +23,16 @@
 //   kPooled (default, the production engine) -- delta propagation over
 //       the per-node by-end contact index: only pairs newly kept at the
 //       previous level are re-extended, with by-end window pruning and
-//       wait-candidate suppression. Every pair of the engine lives in one
-//       arena (util/arena.hpp) in SoA form and the two hot kernels are
-//       batched: one level's candidates per destination are pruned and
-//       merged against the existing frontier by a single two-way sorted
-//       merge (core/frontier_kernels.hpp) emitted into fresh arena space
-//       -- no per-pair element shifting, no snapshot copies (the
-//       superseded span IS the pre-change snapshot), zero steady-state
-//       allocations across reset().
+//       wait-candidate suppression (for_each_delta_extension). Every pair
+//       of the engine lives in one arena (util/arena.hpp) in SoA form and
+//       publication is batched: one level's candidates per destination
+//       are pruned and merged against the existing frontier by a single
+//       two-way sorted merge emitted into fresh arena space -- no
+//       per-pair element shifting, no snapshot copies (the superseded
+//       span IS the pre-change snapshot), zero steady-state allocations
+//       across reset(). The three kernels live in core/frontier_kernels.hpp
+//       and the live engine (core/incremental_engine.hpp) runs its levels
+//       through the same ones.
 //
 // Per contact and per source, the extension step touches
 // O(log F + #useful pairs) frontier entries thanks to the double-monotone
@@ -267,8 +269,6 @@ class SingleSourceEngine {
   std::vector<DeliveryFunction> frontiers() const;
 
   NodeId source() const noexcept { return source_; }
-
-  EngineMode mode() const noexcept { return mode_; }
 
   /// Counters accumulated since construction.
   const EngineStats& stats() const noexcept { return stats_; }

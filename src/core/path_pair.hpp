@@ -28,6 +28,14 @@ struct PathPair {
   friend bool operator==(const PathPair&, const PathPair&) = default;
 };
 
+/// The empty sequence, the level-0 frontier of every source: the message
+/// is at the source at all times, so it departs arbitrarily late and has
+/// arrived before any contact.
+constexpr PathPair identity_pair() noexcept {
+  return {std::numeric_limits<double>::infinity(),
+          -std::numeric_limits<double>::infinity()};
+}
+
 /// Summary of a single contact: LD = end, EA = begin.
 inline PathPair pair_of_contact(const Contact& c) noexcept {
   return {c.end, c.begin};

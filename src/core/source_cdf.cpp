@@ -259,15 +259,8 @@ std::vector<NodeId> resolve_cdf_endpoints(const TemporalGraph& graph,
 }
 
 bool use_incremental_accumulation(const DelayCdfOptions& options) {
-  const bool incremental =
-      options.accumulation == CdfAccumulation::kIncremental ||
-      (options.accumulation == CdfAccumulation::kAuto &&
-       options.engine != EngineMode::kLevelSweep);
-  if (incremental && options.engine == EngineMode::kLevelSweep)
-    throw std::invalid_argument(
-        "compute_delay_cdf: incremental accumulation requires the pooled "
-        "engine (kPooled)");
-  return incremental;
+  return options.accumulation == CdfAccumulation::kAuto &&
+         options.engine == EngineMode::kPooled;
 }
 
 SourceCdfPartial::SourceCdfPartial(const std::vector<double>& grid,

@@ -9,7 +9,7 @@
 // addends (stats/measure_cdf.hpp), and integer addition is associative,
 // so neither the fold order nor the order of the segments within a
 // partial can change a bit: results are identical across thread counts,
-// cache hit subsets, the kDirect and kIncremental schemes, and the live
+// cache hit subsets, the direct and incremental schemes, and the live
 // engine's epoch updates, by construction.
 #pragma once
 
@@ -66,9 +66,8 @@ DelayHorizon cdf_horizon(const TimeWindows& w, const std::vector<double>& grid);
 std::vector<NodeId> resolve_cdf_endpoints(const TemporalGraph& graph,
                                           const DelayCdfOptions& options);
 
-/// Whether the options select the incremental accumulation scheme.
-/// Throws std::invalid_argument for kIncremental with the level-sweep
-/// engine (which has no change tracking).
+/// Whether the options select the incremental accumulation scheme:
+/// kAuto with the pooled engine.
 bool use_incremental_accumulation(const DelayCdfOptions& options);
 
 /// One source's contribution to the all-pairs accumulators: one

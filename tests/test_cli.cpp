@@ -560,36 +560,15 @@ TEST_F(CliServe, ServeRejectsReversedGridBoundsAtStartup) {
   EXPECT_NE(err.find("grid-lo < grid-hi"), std::string::npos) << err;
 }
 
-/// Strips the us=<latency> token so two runs can be compared bit-exactly.
-std::string strip_latency(const std::string& text) {
+/// Strips the epoch=<count> and us=<latency> tokens so the final rows of
+/// two runs that cut the feed differently can be compared bit-exactly.
+std::string strip_epoch_and_latency(const std::string& text) {
   std::string out;
   std::istringstream in(text);
   for (std::string tok; in >> tok;)
-    if (tok.compare(0, 3, "us=") != 0) out += tok + " ";
+    if (tok.compare(0, 3, "us=") != 0 && tok.compare(0, 6, "epoch=") != 0)
+      out += tok + " ";
   return out;
-}
-
-TEST_F(CliServe, TailEpochSplitsEndIdentically) {
-  // The final row of a many-epoch run must match the single-epoch run
-  // bit for bit: incremental recompute may not depend on batching.
-  const std::string trace = serve_trace("tail.trace");
-  const auto last_line = [](const std::string& text) {
-    const auto end = text.find_last_not_of('\n');
-    const auto start = text.rfind('\n', end);
-    return text.substr(start + 1, end - start);
-  };
-  std::vector<std::string> finals;
-  for (const char* epoch : {"1", "1000"}) {
-    ::testing::internal::CaptureStdout();
-    ASSERT_EQ(run_cli({"tail", trace, "--epoch", epoch, "--grid-lo", "60",
-                       "--grid-hi", "1h", "--max-hops", "3"}),
-              0);
-    const std::string out = ::testing::internal::GetCapturedStdout();
-    EXPECT_NE(out.find("epoch="), std::string::npos);
-    finals.push_back(strip_latency(last_line(out)));
-  }
-  EXPECT_EQ(finals[0], finals[1]);
-  EXPECT_NE(finals[0].find("converged=1"), std::string::npos);
 }
 
 /// (epoch, contacts) of every `odtn tail` row in `text`.
@@ -605,6 +584,33 @@ std::vector<std::pair<unsigned long long, std::size_t>> tail_rows(
       rows.emplace_back(epoch, contacts);
   }
   return rows;
+}
+
+TEST_F(CliServe, TailEpochSplitsEndIdentically) {
+  // The final row of a many-epoch run must match the single-epoch run
+  // bit for bit: incremental recompute may not depend on batching.
+  const std::string trace = serve_trace("tail.trace");
+  const auto last_line = [](const std::string& text) {
+    const auto end = text.find_last_not_of('\n');
+    const auto start = text.rfind('\n', end);
+    return text.substr(start + 1, end - start);
+  };
+  std::vector<std::string> finals;
+  std::vector<std::size_t> row_counts;
+  for (const char* epoch : {"1", "1000"}) {
+    ::testing::internal::CaptureStdout();
+    ASSERT_EQ(run_cli({"tail", trace, "--epoch", epoch, "--grid-lo", "60",
+                       "--grid-hi", "1h", "--max-hops", "3"}),
+              0);
+    const std::string out = ::testing::internal::GetCapturedStdout();
+    row_counts.push_back(tail_rows(out).size());
+    finals.push_back(strip_epoch_and_latency(last_line(out)));
+  }
+  // One row per contact against one for the whole feed.
+  EXPECT_EQ(row_counts[0], 2u);
+  EXPECT_EQ(row_counts[1], 1u);
+  EXPECT_EQ(finals[0], finals[1]);
+  EXPECT_NE(finals[0].find("converged=1"), std::string::npos);
 }
 
 TEST_F(CliServe, TailWaitsForAWindowStartPastTheEarlyFeed) {
@@ -634,8 +640,8 @@ TEST_F(CliServe, TailWaitsForAWindowStartPastTheEarlyFeed) {
     EXPECT_EQ(run_cli(argv), 0);
     return tail_rows(::testing::internal::GetCapturedStdout());
   };
-  // The open window gives every epoch's contact count (epochs are cut
-  // by read chunks, the same in both runs).
+  // The open window gives every epoch's contact count (50 per epoch but
+  // the last, the same in both runs).
   const auto all = run_tail({});
   char lo[64];
   std::snprintf(lo, sizeof lo, "%.17g", t_lo);
@@ -654,6 +660,31 @@ TEST_F(CliServe, TailWaitsForAWindowStartPastTheEarlyFeed) {
   ASSERT_EQ(late.size(), all.size() - first);
   for (std::size_t i = 0; i < late.size(); ++i)
     EXPECT_EQ(late[i], all[first + i]) << "row " << i;
+}
+
+TEST_F(CliServe, TailEpochsHoldTheRequestedContactCount) {
+  // The feed spans several 64 KiB read chunks; epochs are cut at 50
+  // contacts regardless, so row i reports 50 i contacts and only the
+  // last row holds the remainder.
+  SyntheticTraceSpec spec;
+  spec.num_internal = 12;
+  spec.duration = 3 * kDay;
+  spec.pair_contacts_mean = 300.0;
+  const TemporalGraph g = generate_trace(spec, 7).graph;
+  const std::string feed = track(path("tail_epoch_count.trace"));
+  write_trace_file(feed, g);
+  const std::size_t c = g.num_contacts();
+  ASSERT_GT(c, 5000u) << "the feed should span several read chunks";
+  ::testing::internal::CaptureStdout();
+  ASSERT_EQ(run_cli({"tail", feed, "--epoch", "50", "--grid-lo", "60",
+                     "--grid-hi", "1d", "--max-hops", "3"}),
+            0);
+  const auto rows = tail_rows(::testing::internal::GetCapturedStdout());
+  ASSERT_EQ(rows.size(), (c + 49) / 50);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].first, i + 1) << "row " << i;
+    EXPECT_EQ(rows[i].second, std::min(50 * (i + 1), c)) << "row " << i;
+  }
 }
 
 TEST_F(CliServe, TailFailsWhenTheWindowNeverOpens) {

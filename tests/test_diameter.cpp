@@ -371,7 +371,7 @@ TEST(DelayCdf, IncrementalMatchesDirectOnRandomNetworks) {
     if (trial % 2 == 1)  // exercise the multi-window integration path too
       direct_opt.windows = {{0.0, 50.0}, {70.0, 110.0}};
     auto inc_opt = direct_opt;
-    inc_opt.accumulation = CdfAccumulation::kIncremental;
+    inc_opt.accumulation = CdfAccumulation::kAuto;
 
     const auto d = compute_delay_cdf(g, direct_opt);
     const auto i = compute_delay_cdf(g, inc_opt);
@@ -593,7 +593,7 @@ TEST(DelayCdf, FolderIsOrderFree) {
     EXPECT_EQ(ascending.cdf_unbounded,
               compute_delay_cdf(g, [&] {
                 DelayCdfOptions o = opt;
-                o.accumulation = incremental ? CdfAccumulation::kIncremental
+                o.accumulation = incremental ? CdfAccumulation::kAuto
                                              : CdfAccumulation::kDirect;
                 return o;
               }()).cdf_unbounded);
@@ -663,7 +663,7 @@ TEST(DelayCdf, IncrementalReusesOneWorkspacePerWorker) {
 
   // Incremental: one workspace allocation total, every further source is
   // a capacity-keeping reset -- the zero-steady-state-alloc contract.
-  opt.accumulation = CdfAccumulation::kIncremental;
+  opt.accumulation = CdfAccumulation::kAuto;
   const auto inc = compute_delay_cdf(g, opt);
   EXPECT_EQ(inc.stats.workspace_allocations, 1u);
   EXPECT_EQ(inc.stats.workspace_reuses, g.num_nodes() - 1);
@@ -690,8 +690,6 @@ TEST(DelayCdf, IncrementalRequiresPooledEngine) {
   TemporalGraph g(2, {{0, 1, 0.0, 1.0}});
   auto opt = base_options();
   opt.engine = EngineMode::kLevelSweep;
-  opt.accumulation = CdfAccumulation::kIncremental;
-  EXPECT_THROW(compute_delay_cdf(g, opt), std::invalid_argument);
   // kAuto degrades to direct accumulation for the level-sweep engine.
   opt.accumulation = CdfAccumulation::kAuto;
   EXPECT_NO_THROW(compute_delay_cdf(g, opt));

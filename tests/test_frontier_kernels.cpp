@@ -312,6 +312,112 @@ TEST(FrontierKernels, MergeEdgeCases) {
 }
 
 // ---------------------------------------------------------------------
+// for_each_delta_extension vs a per-window linear scan.
+// ---------------------------------------------------------------------
+
+struct Offered {
+  NodeId to;
+  double ld;
+  double ea;
+  friend bool operator==(const Offered&, const Offered&) = default;
+};
+
+/// The delta extension written the plain way: the same by-end skip, then
+/// for every window a scan of the delta from its front (no cursors).
+std::vector<Offered> linear_delta_extension(
+    const std::vector<NodeContact>& nbrs, const std::vector<double>& ld,
+    const std::vector<double>& ea, const std::vector<double>& succ,
+    double window_lo, std::size_t& examined) {
+  std::vector<Offered> out;
+  const double min_ea = std::max(ea[0], window_lo);
+  std::size_t w = 0;
+  while (w < nbrs.size() && nbrs[w].end < min_ea) ++w;
+  examined = nbrs.size() - w;
+  const std::size_t n = ld.size();
+  for (; w < nbrs.size(); ++w) {
+    const NodeContact& c = nbrs[w];
+    std::size_t i = 0;
+    while (i < n && ea[i] <= c.begin) ++i;
+    if (i > 0 && c.begin < succ[i - 1])
+      out.push_back({c.to, std::min(ld[i - 1], c.end), c.begin});
+    for (; i < n && ea[i] <= c.end; ++i) {
+      out.push_back({c.to, std::min(ld[i], c.end), ea[i]});
+      if (ld[i] >= c.end) break;
+    }
+  }
+  return out;
+}
+
+TEST(FrontierKernels, DeltaExtensionEqualsLinearScan) {
+  // How often each boundary case came up, so the trials provably cover
+  // them.
+  std::size_t cuts = 0, zero_length = 0, begin_ties = 0, end_ties = 0;
+  for (std::uint64_t trial = 0; trial < 400; ++trial) {
+    Rng rng = Rng::keyed(0xDE17A, trial);
+    // The delta: a random subsequence of a random frontier, each pair's
+    // successor EA read from the frontier.
+    const DeliveryFunction full = random_frontier(rng, 1 + rng.below(30));
+    const FrontierView fv = full.view();
+    std::vector<double> ld, ea, succ;
+    for (std::size_t i = 0; i < fv.size(); ++i) {
+      if (!rng.bernoulli(0.5) && !(i + 1 == fv.size() && ld.empty())) continue;
+      ld.push_back(fv.ld(i));
+      ea.push_back(fv.ea(i));
+      succ.push_back(i + 1 < fv.size() ? fv.ea(i + 1) : kInf);
+    }
+    // The windows, on the pairs' half-unit grid, so a begin or an end
+    // often equals a delta EA; a quarter of them zero-length.
+    std::vector<NodeContact> nbrs;
+    const std::size_t windows = rng.below(40);
+    for (std::size_t w = 0; w < windows; ++w) {
+      double begin = std::floor(rng.uniform(-10.0, 40.0)) / 2.0;
+      if (rng.bernoulli(0.15)) begin = ea[rng.below(ea.size())];
+      double end = begin;
+      if (!rng.bernoulli(0.25))
+        end += std::floor(rng.uniform(1.0, 24.0)) / 2.0;
+      if (rng.bernoulli(0.15)) end = std::max(begin, ea[rng.below(ea.size())]);
+      nbrs.push_back(
+          {begin, end, static_cast<NodeId>(rng.below(6))});
+    }
+    std::sort(nbrs.begin(), nbrs.end(),
+              [](const NodeContact& a, const NodeContact& b) {
+                return a.end < b.end;
+              });
+    const double window_lo =
+        rng.bernoulli(0.3) ? -kInf : std::floor(rng.uniform(-10.0, 40.0)) / 2.0;
+
+    std::size_t want_examined = 0;
+    const std::vector<Offered> want = linear_delta_extension(
+        nbrs, ld, ea, succ, window_lo, want_examined);
+    std::vector<Offered> got;
+    const std::size_t examined = for_each_delta_extension(
+        nbrs, ld.data(), ea.data(), succ.data(), ld.size(), window_lo,
+        [&](NodeId to, double cld, double cea) {
+          got.push_back({to, cld, cea});
+        });
+    ASSERT_EQ(examined, want_examined) << "trial=" << trial;
+    ASSERT_EQ(got.size(), want.size()) << "trial=" << trial;
+    for (std::size_t i = 0; i < got.size(); ++i)
+      ASSERT_EQ(got[i], want[i]) << "trial=" << trial << " offer=" << i;
+
+    if (window_lo > ea[0] && examined < nbrs.size() &&
+        std::any_of(nbrs.begin(), nbrs.end(), [&](const NodeContact& c) {
+          return c.end >= ea[0] && c.end < window_lo;
+        }))
+      ++cuts;
+    for (const NodeContact& c : nbrs) {
+      zero_length += c.begin == c.end;
+      begin_ties += std::count(ea.begin(), ea.end(), c.begin) > 0;
+      end_ties += std::count(ea.begin(), ea.end(), c.end) > 0;
+    }
+  }
+  EXPECT_GT(cuts, 10u);
+  EXPECT_GT(zero_length, 100u);
+  EXPECT_GT(begin_ties, 100u);
+  EXPECT_GT(end_ties, 100u);
+}
+
+// ---------------------------------------------------------------------
 // Engine level: kPooled vs the kLevelSweep oracle, every hop level.
 // ---------------------------------------------------------------------
 
