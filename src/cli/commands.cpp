@@ -9,7 +9,6 @@
 #include "cli/args.hpp"
 #include "cli/serve.hpp"
 #include "core/diameter.hpp"
-#include "core/journeys.hpp"
 #include "core/path_enumeration.hpp"
 #include "core/reachability.hpp"
 #include "random/phase_transition.hpp"
@@ -347,8 +346,16 @@ int cmd_route(ArgList args) {
     std::printf("\n");
   }
   if (time) {
+    // del(t) off the routes' frontier (sorted by departure): the first
+    // route departing at or after t delivers at max(t, EA).
     const double t = parse_duration(*time, "time");
-    const double arrival = foremost_arrival(g, src, dst, t);
+    double arrival = std::numeric_limits<double>::infinity();
+    for (const auto& route : routes) {
+      if (route.pair.ld >= t) {
+        arrival = std::max(t, route.pair.ea);
+        break;
+      }
+    }
     if (arrival < 1e300) {
       std::printf("message created at %s delivered at %s (delay %s)\n",
                   format_timestamp(t).c_str(),

@@ -25,9 +25,9 @@
 //   ingest <u> <v> <b> <e>     append one contact to the served graph
 //                              (canonical order against history; runs
 //                              alone: the pending batch is answered on
-//                              the pre-ingest graph first, and the
-//                              graph epoch in every cache key makes
-//                              pre-ingest partials unreachable)
+//                              the pre-ingest graph first; a
+//                              successful ingest empties the cache,
+//                              a refused one answers `error ...`)
 //   quit                       finish after the current batch
 // Every response is one line carrying `us=<latency>` plus, for cached
 // query kinds, `hit=`/`hits=` counters; numeric payloads print with

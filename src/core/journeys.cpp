@@ -41,12 +41,4 @@ std::vector<JourneyOptima> compute_journeys(const TemporalGraph& graph,
   return out;
 }
 
-double foremost_arrival(const TemporalGraph& graph, NodeId source,
-                        NodeId destination, double start_time,
-                        int max_levels) {
-  SingleSourceEngine engine(graph, source);
-  engine.run_to_fixpoint(max_levels);
-  return engine.frontier_view(destination).deliver_at(start_time);
-}
-
 }  // namespace odtn

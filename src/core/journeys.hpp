@@ -8,10 +8,10 @@
 //   SHORTEST: use as few hops as possible, regardless of time.
 //
 // All three fall out of the library's Pareto frontiers: foremost is a
-// point query on del, fastest is the minimum of max(0, EA - LD) over
-// the frontier, and shortest is the first hop level at which the
-// destination becomes reachable at all. This header packages them as a
-// single per-source analysis.
+// point query on del (FrontierView::deliver_at), fastest is the minimum
+// of max(0, EA - LD) over the frontier, and shortest is the first hop
+// level at which the destination becomes reachable at all. This header
+// packages the last two as a single per-source analysis.
 #pragma once
 
 #include <limits>
@@ -45,12 +45,5 @@ struct JourneyOptima {
 std::vector<JourneyOptima> compute_journeys(const TemporalGraph& graph,
                                             NodeId source,
                                             int max_levels = 64);
-
-/// Foremost arrival: earliest delivery at `destination` of a message
-/// created at `start_time` (same as the engine's del(t); provided for
-/// API symmetry with the other two notions).
-double foremost_arrival(const TemporalGraph& graph, NodeId source,
-                        NodeId destination, double start_time,
-                        int max_levels = 64);
 
 }  // namespace odtn

@@ -1,7 +1,7 @@
 #include "core/query_engine.hpp"
 
-#include <atomic>
 #include <cmath>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <utility>
@@ -9,64 +9,43 @@
 namespace odtn {
 namespace {
 
-void append_bytes(std::string& out, const void* data, std::size_t n) {
-  out.append(static_cast<const char*>(data), n);
-}
-
 template <typename T>
 void append_pod(std::string& out, T v) {
-  append_bytes(out, &v, sizeof v);
+  out.append(reinterpret_cast<const char*>(&v), sizeof v);
 }
 
-/// A fresh cache-key generation: unique across every engine state of
-/// the process (each construction and each ingest draws one).
-std::uint64_t next_generation() {
-  static std::atomic<std::uint64_t> counter{0};
-  return counter++;
+/// Fixed layout: two keys agree iff the source and every window bound
+/// agree bit for bit.
+std::string cache_key(NodeId source, const TimeWindows& windows) {
+  std::string key;
+  append_pod(key, static_cast<std::uint32_t>(source));
+  for (const auto& [lo, hi] : windows) {
+    append_pod(key, lo);
+    append_pod(key, hi);
+  }
+  return key;
 }
 
 }  // namespace
 
-QueryEngine::QueryEngine(TemporalGraph graph, QueryEngineOptions options,
-                         std::shared_ptr<ServeCache> cache)
-    : graph_(std::move(graph)), options_(std::move(options)) {
+QueryEngine::QueryEngine(TemporalGraph graph, QueryEngineOptions options)
+    : graph_(std::move(graph)),
+      options_(std::move(options)),
+      cache_(options_.cache_bytes) {
   if (options_.grid.empty())
     throw std::invalid_argument("QueryEngine: empty delay grid");
   if (options_.max_hops < 1)
     throw std::invalid_argument("QueryEngine: max_hops must be >= 1");
-  cache_ = cache ? std::move(cache)
-                 : std::make_shared<ServeCache>(options_.cache_bytes);
-  rebuild_key_prefix();
   all_nodes_.resize(graph_.num_nodes());
   std::iota(all_nodes_.begin(), all_nodes_.end(), NodeId{0});
   is_endpoint_.assign(graph_.num_nodes(), 1);
 }
 
-// The generation names the graph state a partial was computed on: no
-// two engine states share one, so a cache shared across engines never
-// serves one graph's partial to another, and an ingest makes every
-// earlier key unreachable (stale partials age out of the LRU). The
-// hop, level and grid bytes are implied by the generation but stay in
-// the key: a variant keyed on only the generation, source and windows
-// (28-byte keys) read 10-12% more peak RSS on the serve_mixed benchmark
-// with the same entries resident. The tail appended per query (source
-// + windows) is fixed-layout, so two keys agree iff every ingredient
-// agrees.
-void QueryEngine::rebuild_key_prefix() {
-  key_prefix_.clear();
-  append_pod(key_prefix_, next_generation());
-  append_pod(key_prefix_, static_cast<std::int32_t>(options_.max_hops));
-  append_pod(key_prefix_, static_cast<std::int32_t>(options_.max_levels));
-  // The full grid by bit pattern, not a hash: a hash collision would
-  // silently fold a partial integrated on a different grid.
-  append_pod(key_prefix_, static_cast<std::uint64_t>(options_.grid.size()));
-  append_bytes(key_prefix_, options_.grid.data(),
-               options_.grid.size() * sizeof(double));
-}
-
+// The cache holds partials of the current graph only, so a successful
+// append empties it; a refused one throws first and keeps every entry.
 std::uint64_t QueryEngine::ingest(std::span<const Contact> batch) {
   const std::uint64_t epoch = graph_.append_contacts(batch);
-  rebuild_key_prefix();
+  cache_.clear();
   return epoch;
 }
 
@@ -84,17 +63,6 @@ std::size_t QueryEngine::cached_partial_bytes() const noexcept {
   constexpr std::size_t kEntryOverhead = 160;
   return sizeof(SourceCdfPartial) + hops * sizeof(MeasureCdfAccumulator) +
          lanes + kEntryOverhead;
-}
-
-std::string QueryEngine::query_key(NodeId source,
-                                   const TimeWindows& windows) const {
-  std::string key = key_prefix_;
-  append_pod(key, static_cast<std::uint32_t>(source));
-  for (const auto& [lo, hi] : windows) {
-    append_pod(key, lo);
-    append_pod(key, hi);
-  }
-  return key;
 }
 
 DelayCdfOptions QueryEngine::cdf_options(double t_lo, double t_hi) const {
@@ -121,9 +89,9 @@ DelayCdfResult QueryEngine::run(const std::vector<NodeId>& sources,
       sources.size(), options, incremental,
       [&](std::size_t i, SourceCdfWorker& worker, SourceCdfPartial& partial,
           OrderedCdfFolder& folder) {
-        const std::string key = query_key(sources[i], w);
+        const std::string key = cache_key(sources[i], w);
         if (const std::shared_ptr<const SourceCdfPartial> hit =
-                cache_->get(key)) {
+                cache_.get(key)) {
           ++worker.stats.cache_hits;
           folder.submit(i, *hit);
           return;
@@ -133,8 +101,8 @@ DelayCdfResult QueryEngine::run(const std::vector<NodeId>& sources,
                        options.max_hops, options.max_levels, options.engine,
                        incremental, worker, partial);
         worker.stats.cache_evictions +=
-            cache_->put(key, std::make_shared<SourceCdfPartial>(partial),
-                        partial_cost + 2 * key.size());
+            cache_.put(key, std::make_shared<SourceCdfPartial>(partial),
+                       partial_cost + 2 * key.size());
         folder.submit(i, partial);
       });
 }

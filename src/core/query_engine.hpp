@@ -20,21 +20,18 @@
 //   computed sources, and the cache_hits / cache_misses /
 //   cache_evictions counters say why.
 //
-// Cache keys bind the partial to everything that determines its bytes:
-// a generation drawn from a process-wide counter at construction and at
-// every ingest (no two engine states share one), the hop budget, the
-// level cap, the grid's exact bit patterns, the resolved start-time
-// windows' bit patterns, and the source id. The serve path always runs
-// the pooled engine with incremental accumulation, so neither is a key
-// ingredient. Engines can therefore safely SHARE one cache (pass the
-// same shared_ptr): keys of different engines never collide, even over
-// graphs that agree in size and span.
+// The cache belongs to one engine and holds partials of its current
+// graph state only: a key is the source id plus the resolved start-time
+// windows' bit patterns, and every successful ingest empties the cache.
+// The hop budget, level cap and grid are fixed for the engine's life,
+// so they need no place in the key. The serve path always runs the
+// pooled engine with incremental accumulation, so neither is a key
+// ingredient either.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -46,10 +43,6 @@
 #include "util/lru_cache.hpp"
 
 namespace odtn {
-
-/// The serve-path result cache: key = query fingerprint (binary string),
-/// value = one source's pre-finalize CDF partial.
-using ServeCache = LruCache<std::string, SourceCdfPartial>;
 
 struct QueryEngineOptions {
   /// Delay grid for CDF queries (positive, strictly increasing). Must be
@@ -67,11 +60,9 @@ struct QueryEngineOptions {
 class QueryEngine {
  public:
   /// Takes the graph by value: a snapshot view copies in O(1) (shared
-  /// mapping + indexes), an owned graph moves. Pass `cache` to share one
-  /// LRU across engines (nullptr: the engine builds a private cache from
-  /// the options).
-  QueryEngine(TemporalGraph graph, QueryEngineOptions options,
-              std::shared_ptr<ServeCache> cache = nullptr);
+  /// mapping + indexes), an owned graph moves. The engine's cache holds
+  /// `options.cache_bytes`.
+  QueryEngine(TemporalGraph graph, QueryEngineOptions options);
 
   static constexpr double kWholeSpan = std::numeric_limits<double>::quiet_NaN();
 
@@ -98,19 +89,19 @@ class QueryEngine {
   JourneyOptima journey(NodeId source, NodeId destination) const;
 
   /// Appends one canonical-order contact batch to the served graph
-  /// (TemporalGraph::append_contacts semantics) and draws a new cache-key
-  /// generation, so every pre-append cached partial
-  /// becomes unreachable -- stale entries age out of the LRU instead of
-  /// ever being served. Snapshot-view engines cannot ingest (the view is
-  /// read-only); the underlying append throws std::logic_error. Not
-  /// thread-safe against concurrent queries on this engine: callers
-  /// serialize ingest against query execution (the serve loop does).
+  /// (TemporalGraph::append_contacts semantics), then empties the cache:
+  /// no partial of the old graph is served or kept. A refused batch
+  /// throws before anything changes, so graph and cache stay as they
+  /// were. Snapshot-view engines cannot ingest (the view is read-only);
+  /// the underlying append throws std::logic_error. Not thread-safe
+  /// against concurrent queries on this engine: callers serialize
+  /// ingest against query execution (the serve loop does).
   /// Returns the graph epoch after the append.
   std::uint64_t ingest(std::span<const Contact> batch);
 
   const TemporalGraph& graph() const noexcept { return graph_; }
   const QueryEngineOptions& options() const noexcept { return options_; }
-  LruCacheStats cache_stats() const { return cache_->stats(); }
+  LruCacheStats cache_stats() const { return cache_.stats(); }
 
   /// Bytes charged to the cache per stored partial besides its key: the
   /// partial's heap footprint ((max_hops+1) accumulators, each owning a
@@ -122,13 +113,12 @@ class QueryEngine {
   DelayCdfResult run(const std::vector<NodeId>& sources,
                      const DelayCdfOptions& options);
   DelayCdfOptions cdf_options(double t_lo, double t_hi) const;
-  std::string query_key(NodeId source, const TimeWindows& windows) const;
-  void rebuild_key_prefix();
 
   TemporalGraph graph_;
   QueryEngineOptions options_;
-  std::shared_ptr<ServeCache> cache_;
-  std::string key_prefix_;  // generation + hop/level budgets + grid bytes
+  // Key: source and resolved windows (binary string); value: that
+  // source's pre-finalize CDF partial on the current graph.
+  LruCache<std::string, SourceCdfPartial> cache_;
   std::vector<NodeId> all_nodes_;
   std::vector<std::uint8_t> is_endpoint_;  // all-ones mask over nodes
 };

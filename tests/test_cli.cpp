@@ -147,6 +147,48 @@ TEST_F(CliCommands, GenerateStatsCdfRouteFilterPipeline) {
             0);
 }
 
+TEST_F(CliCommands, RouteTimePrintsTheDeliveryOfTheFirstUsableRoute) {
+  // Three delay-optimal routes 0 -> 3: (LD, EA) = (1, 10) over 0-1-2-3,
+  // the contemporaneous (52, 48) over 0-2-3 and (91, 90) direct. A message
+  // created at t is delivered at max(t, EA) of the first route with
+  // LD >= t, and never once t passes the last departure.
+  const std::string trace = track(path("route_time.trace"));
+  write_trace_file(trace, TemporalGraph(4, {{0, 1, 0.0, 1.0},
+                                            {1, 2, 5.0, 6.0},
+                                            {2, 3, 10.0, 11.0},
+                                            {0, 2, 45.0, 55.0},
+                                            {2, 3, 48.0, 52.0},
+                                            {0, 3, 90.0, 91.0}}));
+  const std::vector<std::pair<const char*, const char*>> cases = {
+      {"-5", "message created at -0+00:00:05 delivered at 0+00:00:10 "
+             "(delay 15 s)"},
+      {"1", "message created at 0+00:00:01 delivered at 0+00:00:10 "
+            "(delay 9 s)"},
+      {"20", "message created at 0+00:00:20 delivered at 0+00:00:48 "
+             "(delay 28 s)"},
+      {"50", "message created at 0+00:00:50 delivered at 0+00:00:50 "
+             "(delay 0 s)"},
+      {"1min", "message created at 0+00:01:00 delivered at 0+00:01:30 "
+               "(delay 30 s)"},
+      {"91", "message created at 0+00:01:31 delivered at 0+00:01:31 "
+             "(delay 0 s)"},
+      {"100", "message created at 0+00:01:40 is never delivered"},
+  };
+  for (const auto& [time, want] : cases) {
+    ::testing::internal::CaptureStdout();
+    ASSERT_EQ(run_cli({"route", trace, "--src", "0", "--dst", "3", "--time",
+                       time}),
+              0);
+    const std::string out = ::testing::internal::GetCapturedStdout();
+    EXPECT_NE(out.find("3 delay-optimal route(s) from 0 to 3:\n"),
+              std::string::npos)
+        << out;
+    EXPECT_NE(out.find(std::string("\n") + want + "\n"), std::string::npos)
+        << "--time " << time << "\n"
+        << out;
+  }
+}
+
 TEST_F(CliCommands, GenerateRejectsUnknownPreset) {
   EXPECT_EQ(run_cli({"generate", "--preset", "nope", "--out", "/tmp/x"}), 2);
 }

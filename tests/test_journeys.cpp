@@ -46,7 +46,9 @@ TEST(Journeys, ForemostFastestShortestDisagree) {
   EXPECT_DOUBLE_EQ(j[3].fastest_duration, 0.0);  // the overlapping window
   EXPECT_GE(j[3].fastest_departure, 48.0);
   EXPECT_LE(j[3].fastest_departure, 52.0);
-  EXPECT_DOUBLE_EQ(foremost_arrival(g, 0, 3, 0.0), 10.0);  // early chain
+  SingleSourceEngine engine(g, 0);
+  engine.run_to_fixpoint();
+  EXPECT_DOUBLE_EQ(engine.frontier_view(3).deliver_at(0.0), 10.0);  // chain
 }
 
 TEST(Journeys, FastestDurationOfStoreAndForward) {
@@ -77,8 +79,11 @@ TEST(Journeys, ForemostMatchesFloodingOracle) {
     const auto src = static_cast<NodeId>(rng.below(g.num_nodes()));
     const double t0 = rng.uniform(g.start_time(), g.end_time());
     const auto fr = flood(g, src, t0);
+    SingleSourceEngine engine(g, src);
+    engine.run_to_fixpoint();
     for (NodeId dst = 0; dst < g.num_nodes(); ++dst)
-      ASSERT_EQ(foremost_arrival(g, src, dst, t0), fr.best_arrival(dst));
+      ASSERT_EQ(engine.frontier_view(dst).deliver_at(t0),
+                fr.best_arrival(dst));
   }
 }
 

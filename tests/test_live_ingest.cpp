@@ -1,7 +1,7 @@
 // Live ingestion tentpole: the epoch-versioned TemporalGraph append API,
 // the push-mode StreamingTraceParser, the incremental all-pairs engine's
-// bit-identity against cold recomputes, and the QueryEngine cache-key
-// epoch bump.
+// bit-identity against cold recomputes, and the QueryEngine's ingest
+// contract (a successful append empties its cache, a refused one keeps it).
 #include "trace/live_ingest.hpp"
 
 #include <gtest/gtest.h>
@@ -1234,16 +1234,22 @@ TEST(LiveIngestSession, CommitsEpochsAndDropsBelowWatermark) {
 }
 
 // ---------------------------------------------------------------------
-// QueryEngine ingest: epoch-bumped cache keys
+// QueryEngine ingest: a successful append empties the cache, a refused
+// one leaves graph and cache as they were
 
-TEST(QueryEngineIngest, StaleCacheEntriesBecomeUnreachable) {
+QueryEngineOptions ingest_options(const TemporalGraph& g) {
+  QueryEngineOptions qo;
+  qo.grid = test_grid(g);
+  qo.max_hops = 6;
+  return qo;
+}
+
+TEST(QueryEngineIngest, IngestEmptiesTheCache) {
   const TemporalGraph full = sample_graph(53, 10);
   const auto contacts = full.contacts();
   const std::size_t half = contacts.size() / 2;
 
-  QueryEngineOptions qo;
-  qo.grid = test_grid(full);
-  qo.max_hops = 6;
+  const QueryEngineOptions qo = ingest_options(full);
   QueryEngine engine(
       TemporalGraph(full.num_nodes(),
                     std::vector<Contact>(contacts.begin(),
@@ -1257,14 +1263,22 @@ TEST(QueryEngineIngest, StaleCacheEntriesBecomeUnreachable) {
   const DelayCdfResult warm = engine.all_pairs();
   EXPECT_GT(warm.stats.cache_hits, 0u);
   EXPECT_EQ(warm.stats.cache_misses, 0u);
+  const LruCacheStats before = engine.cache_stats();
+  EXPECT_EQ(before.entries, full.num_nodes());
 
   const std::uint64_t epoch = engine.ingest(contacts.subspan(half));
   EXPECT_EQ(epoch, 1u);
   EXPECT_EQ(engine.graph().num_contacts(), full.num_contacts());
 
-  // Every pre-ingest partial must be unreachable: the first post-ingest
-  // run misses for every source and the answer matches a cold engine on
-  // the full graph bit for bit.
+  // No pre-ingest partial stays resident; the counters keep their totals.
+  const LruCacheStats after_ingest = engine.cache_stats();
+  EXPECT_EQ(after_ingest.entries, 0u);
+  EXPECT_EQ(after_ingest.bytes, 0u);
+  EXPECT_EQ(after_ingest.hits, before.hits);
+  EXPECT_EQ(after_ingest.evictions, before.evictions);
+
+  // The first post-ingest run misses for every source and matches a cold
+  // engine on the full graph bit for bit.
   const DelayCdfResult after = engine.all_pairs();
   EXPECT_EQ(after.stats.cache_hits, 0u);
   EXPECT_EQ(after.stats.cache_misses, full.num_nodes());
@@ -1272,6 +1286,58 @@ TEST(QueryEngineIngest, StaleCacheEntriesBecomeUnreachable) {
                                  full.directed()),
                    qo);
   expect_bit_identical(after, cold.all_pairs());
+}
+
+/// Warms `engine`, has `refused` throw, then requires the next all_pairs
+/// to be all hits, bit-identical to the warm answer, on an unchanged graph.
+void expect_refusal_keeps_cache(QueryEngine& engine,
+                                const std::function<void()>& refused) {
+  const DelayCdfResult warm = engine.all_pairs();
+  const std::size_t contacts = engine.graph().num_contacts();
+  const LruCacheStats before = engine.cache_stats();
+  ASSERT_EQ(before.entries, engine.graph().num_nodes());
+
+  EXPECT_ANY_THROW(refused());
+  EXPECT_EQ(engine.graph().num_contacts(), contacts);
+  EXPECT_EQ(engine.graph().epoch(), 0u);
+  EXPECT_EQ(engine.cache_stats().entries, before.entries);
+  EXPECT_EQ(engine.cache_stats().bytes, before.bytes);
+
+  const DelayCdfResult again = engine.all_pairs();
+  EXPECT_EQ(again.stats.cache_hits, engine.graph().num_nodes());
+  EXPECT_EQ(again.stats.cache_misses, 0u);
+  expect_bit_identical(warm, again);
+}
+
+TEST(QueryEngineIngest, RefusedIngestKeepsTheCacheWarm) {
+  const TemporalGraph g = sample_graph(53, 10);
+  const QueryEngineOptions qo = ingest_options(g);
+  const Contact last = g.contacts().back();
+  const NodeId n = static_cast<NodeId>(g.num_nodes());
+  // Each batch is refused: a contact below the watermark, and batches
+  // whose first contact is valid but a later one breaks the order or
+  // names a node outside the graph.
+  const std::vector<std::vector<Contact>> batches = {
+      {{0, 1, last.begin - 100.0, last.begin - 50.0}},
+      {{0, 1, last.begin + 10.0, last.begin + 20.0},
+       {0, 1, last.begin + 5.0, last.begin + 6.0}},
+      {{0, 1, last.begin + 10.0, last.begin + 20.0},
+       {0, n, last.begin + 30.0, last.begin + 40.0}},
+  };
+  for (const std::vector<Contact>& batch : batches) {
+    QueryEngine engine(g, qo);
+    expect_refusal_keeps_cache(engine, [&] { engine.ingest(batch); });
+  }
+
+  // A snapshot view is read-only: its ingest is refused as well.
+  QueryEngine mapped(decode_snapshot(std::make_shared<
+                                     const std::vector<std::uint8_t>>(
+                         encode_snapshot(g))),
+                     qo);
+  const Contact late{0, 1, last.begin + 10.0, last.begin + 20.0};
+  expect_refusal_keeps_cache(mapped, [&] {
+    mapped.ingest(std::span<const Contact>(&late, 1));
+  });
 }
 
 }  // namespace

@@ -188,81 +188,6 @@ TEST(QueryEngine, SnapshotViewMatchesOwnedGraphBitwise) {
   expect_bitwise_equal(owned.all_pairs(), mapped.all_pairs());
 }
 
-TEST(QueryEngine, SharedCacheCrossTransformKeysNoContamination) {
-  const TemporalGraph g = workload_graph();
-  // A genuinely different trace (different seed) sharing the cache.
-  const TemporalGraph h = workload_graph(977);
-
-  const QueryEngineOptions qo = small_options();
-  auto cache = std::make_shared<ServeCache>(qo.cache_bytes);
-  QueryEngine eg(g, qo, cache);
-  QueryEngine eh(h, qo, cache);
-
-  QueryEngine ref_g(g, qo);
-  QueryEngine ref_h(h, qo);
-  const DelayCdfResult want_g = ref_g.all_pairs();
-  const DelayCdfResult want_h = ref_h.all_pairs();
-
-  // Interleave: fill the shared cache from both graphs, then re-query.
-  expect_bitwise_equal(want_g, eg.all_pairs());
-  expect_bitwise_equal(want_h, eh.all_pairs());
-  const DelayCdfResult warm_g = eg.all_pairs();
-  const DelayCdfResult warm_h = eh.all_pairs();
-  expect_bitwise_equal(want_g, warm_g);
-  expect_bitwise_equal(want_h, warm_h);
-  // Both warm runs answered fully from the shared cache -- and from
-  // their OWN entries (a cross-key hit would have failed the bitwise
-  // checks above, since g and h differ).
-  EXPECT_EQ(warm_g.stats.cache_misses, 0u);
-  EXPECT_EQ(warm_h.stats.cache_misses, 0u);
-}
-
-TEST(QueryEngine, CacheKeyBindsEngineParameters) {
-  const TemporalGraph g = workload_graph();
-  const QueryEngineOptions qo = small_options();
-  auto cache = std::make_shared<ServeCache>(qo.cache_bytes);
-  QueryEngine a(g, qo, cache);
-  (void)a.all_pairs();
-
-  // Same graph, different hop budget: the shared cache must not serve
-  // the other engine's partials.
-  QueryEngineOptions qo2 = qo;
-  qo2.max_hops = qo.max_hops + 1;
-  QueryEngine b(g, qo2, cache);
-  const DelayCdfResult r = b.all_pairs();
-  EXPECT_EQ(r.stats.cache_hits, 0u);
-
-  DelayCdfOptions ref;
-  ref.grid = qo2.grid;
-  ref.max_hops = qo2.max_hops;
-  ref.num_threads = qo2.num_threads;
-  expect_bitwise_equal(compute_delay_cdf(g, ref), r);
-}
-
-TEST(QueryEngine, SharedCacheSeparatesGraphsOfEqualShape) {
-  // Same node count, contact count, directedness and span, different
-  // contact order: 0 reaches 2 in one hop at [40, 50] either way, but
-  // only A also relays through 1 ([0, 10] then [20, 30]).
-  const TemporalGraph a(
-      3, {{0, 1, 0.0, 10.0}, {1, 2, 20.0, 30.0}, {0, 2, 40.0, 50.0}});
-  const TemporalGraph b(
-      3, {{1, 2, 0.0, 10.0}, {0, 1, 20.0, 30.0}, {0, 2, 40.0, 50.0}});
-  QueryEngineOptions qo;
-  qo.grid = make_log_grid(1.0, 100.0, 8);
-  qo.max_hops = 3;
-  auto cache = std::make_shared<ServeCache>(qo.cache_bytes);
-  QueryEngine ea(a, qo, cache);
-  QueryEngine eb(b, qo, cache);
-
-  const DelayCdfResult ra = ea.source_cdf(0);
-  const DelayCdfResult rb = eb.source_cdf(0);
-  EXPECT_EQ(rb.stats.cache_hits, 0u);
-  EXPECT_EQ(rb.stats.cache_misses, 1u);
-  QueryEngine cold_b(b, qo);
-  expect_bitwise_equal(cold_b.source_cdf(0), rb);
-  EXPECT_NE(ra.cdf_unbounded, rb.cdf_unbounded);
-}
-
 TEST(QueryEngine, AllPairsIsBitIdenticalAcrossThreadCounts) {
   const TemporalGraph g = workload_graph();
   std::vector<DelayCdfResult> results;
